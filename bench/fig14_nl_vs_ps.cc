@@ -5,7 +5,7 @@
 // adjusted (dense tiles -> high cardinality).
 //
 // Findings to reproduce: software NL beats PS up to moderate tile sizes;
-// PS degrades with cardinality (active sets grow); the HW unit is flat
+// PS degrades with cardinality (forward scans lengthen); the HW unit is flat
 // across cardinalities and fastest until ~128-object tiles.
 #include <cstdio>
 

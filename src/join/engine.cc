@@ -144,7 +144,7 @@ class NestedLoopEngine : public EngineBase {
 };
 
 // ---------------------------------------------------------------------------
-// plane_sweep: one global sweep over both inputs (Algorithm 4).
+// plane_sweep: one global forward-scan sweep over both inputs.
 // ---------------------------------------------------------------------------
 class PlaneSweepEngine : public EngineBase {
  public:
@@ -160,6 +160,9 @@ class PlaneSweepEngine : public EngineBase {
     for (std::size_t i = 0; i < s.size(); ++i) {
       s_ids_[i] = static_cast<ObjectId>(i);
     }
+    // Sweep order once at Plan, so repeated Executes skip the sort.
+    SortForSweep(r, &r_ids_);
+    SortForSweep(s, &s_ids_);
     return Status::OK();
   }
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "exec/task_graph.h"
+#include "join/plane_sweep.h"
 
 namespace swiftspatial {
 
@@ -113,6 +114,17 @@ Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
               return a.r_ids.size() * a.s_ids.size() >
                      b.r_ids.size() * b.s_ids.size();
             });
+  // Put every cell in sweep order once, here, so no Execute of this plan
+  // sorts (the order contract of join/plane_sweep.h). Largest cells come
+  // first, so dynamic scheduling balances the sorts as it does the joins.
+  if (options.tile_join == TileJoin::kPlaneSweep) {
+    ParallelFor(plan->cells.size(), options.num_threads, Schedule::kDynamic,
+                [&plan, &r, &s](std::size_t i) {
+                  PartitionedCell& cell = plan->cells[i];
+                  SortForSweep(r, &cell.r_ids);
+                  SortForSweep(s, &cell.s_ids);
+                });
+  }
   return std::shared_ptr<const PartitionedPlanState>(std::move(plan));
 }
 

@@ -100,7 +100,8 @@ struct PartitionedDriverOptions {
 
 /// One populated grid cell of a partitioned plan: the per-side id lists to
 /// join plus the reference-point dedup tile (cell box, closed at the extent
-/// max per the half-open rule).
+/// max per the half-open rule). For the plane-sweep tile join the id lists
+/// are in sweep order (join/plane_sweep.h), so Execute never sorts them.
 struct PartitionedCell {
   Box dedup_tile;
   std::vector<ObjectId> r_ids;
@@ -122,8 +123,9 @@ struct PartitionedPlanState {
 };
 
 /// Plans the grid join of (r, s): validates options, derives the grid
-/// (DeriveJoinGrid), and builds the per-cell id lists. Empty/disjoint
-/// inputs yield a plan with no cells.
+/// (DeriveJoinGrid), and builds the per-cell id lists, sorting them into
+/// sweep order on `options.num_threads` threads when the tile join is the
+/// plane sweep. Empty/disjoint inputs yield a plan with no cells.
 Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
     const Dataset& r, const Dataset& s,
     const PartitionedDriverOptions& options);

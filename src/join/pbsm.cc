@@ -39,7 +39,17 @@ void RunTileJoin(TileJoin tile_join, const Dataset& r, const Dataset& s,
 
 StripePartition PbsmPartition(const Dataset& r, const Dataset& s,
                               const PbsmOptions& options) {
-  return PartitionStripes(r, s, options.num_partitions, options.axis);
+  StripePartition partition =
+      PartitionStripes(r, s, options.num_partitions, options.axis);
+  // Sweep order once per partition, so PbsmJoin never sorts a stripe.
+  if (options.tile_join == TileJoin::kPlaneSweep) {
+    ParallelFor(partition.stripes.size(), options.num_threads,
+                Schedule::kDynamic, [&partition, &r, &s](std::size_t i) {
+                  SortForSweep(r, &partition.r_parts[i]);
+                  SortForSweep(s, &partition.s_parts[i]);
+                });
+  }
+  return partition;
 }
 
 JoinResult PbsmJoin(const Dataset& r, const Dataset& s,

@@ -48,7 +48,9 @@ struct PbsmOptions {
   TileJoin tile_join = TileJoin::kPlaneSweep;
 };
 
-/// Phase 1: partition both datasets into stripes.
+/// Phase 1: partition both datasets into stripes. For the plane-sweep tile
+/// join each stripe's id lists are also put in sweep order
+/// (join/plane_sweep.h), on `options.num_threads` threads.
 StripePartition PbsmPartition(const Dataset& r, const Dataset& s,
                               const PbsmOptions& options);
 

@@ -1,7 +1,17 @@
-// Plane-sweep tile join (Algorithm 4 of the paper): sorts both inputs along
-// x, sweeps a vertical line, and compares each arriving object only against
-// the opposite active set. Used by the CPU PBSM baseline and by the
+// Plane-sweep tile join: the forward-scan sweep of Brinkhoff et al., in the
+// form Tsitsigkos & Mamoulis found fastest in memory. Both inputs are
+// gathered into contiguous (box, id) runs in sweep order; the sweep takes
+// whichever side's next object starts first and scans the other side
+// forward from its cursor while the scanned objects start no later than the
+// taken one ends. Every scanned pair overlaps on x, so only y is tested.
+// Used by the CPU PBSM baseline, the grid driver, and the
 // nested-loop-vs-plane-sweep study (Fig. 14).
+//
+// Order contract: the sweep order is (min_x, id) ascending (SweepBefore).
+// Callers that join the same id lists repeatedly -- cached grid cells and
+// PBSM stripes -- put them in that order once with SortForSweep, and the
+// join then skips its own sort. Id lists in any other order are still
+// accepted: the join detects that and sorts its gathered copy per call.
 #ifndef SWIFTSPATIAL_JOIN_PLANE_SWEEP_H_
 #define SWIFTSPATIAL_JOIN_PLANE_SWEEP_H_
 
@@ -13,10 +23,21 @@
 
 namespace swiftspatial {
 
-/// Joins the objects listed in `r_ids` x `s_ids` by plane sweep along x.
-/// `dedup_tile`, when non-null, applies the PBSM reference-point rule.
-/// `stats->predicate_evaluations` counts the y-overlap checks performed
-/// against active sets (the sweep's analogue of the NL predicate count).
+/// The sweep order: ascending min_x, ties broken by ascending id.
+inline bool SweepBefore(Coord a_min_x, ObjectId a, Coord b_min_x,
+                        ObjectId b) {
+  return a_min_x < b_min_x || (a_min_x == b_min_x && a < b);
+}
+
+/// Reorders `ids` in place into sweep order over the boxes of `d`.
+void SortForSweep(const Dataset& d, std::vector<ObjectId>* ids);
+
+/// Joins the objects listed in `r_ids` x `s_ids` by forward-scan plane
+/// sweep along x. `dedup_tile`, when non-null, applies the PBSM
+/// reference-point rule. `stats->predicate_evaluations` counts the y-overlap
+/// checks, i.e. the cross pairs whose x-extents overlap (the sweep's
+/// analogue of the NL predicate count); it does not depend on the order of
+/// the given id lists.
 void PlaneSweepTileJoin(const Dataset& r, const Dataset& s,
                         const std::vector<ObjectId>& r_ids,
                         const std::vector<ObjectId>& s_ids,

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <set>
@@ -206,6 +208,88 @@ TEST(EngineConfigValidation, CuSpatialRequiresPointR) {
   // NotSupported (engine inapplicable to a well-formed input), which bench
   // harnesses treat as an expected skip rather than a failed row.
   EXPECT_EQ(run.status().code(), StatusCode::kNotSupported);
+}
+
+// ---------------------------------------------------------------------------
+// ConfigFingerprint coverage.
+// ---------------------------------------------------------------------------
+
+// Converts to any type, so `T{AnyField{}, ...}` probes how many
+// initializers aggregate initialization of T accepts: one per field.
+struct AnyField {
+  template <typename T>
+  operator T() const;  // only named in unevaluated operands
+};
+
+template <typename T, typename... Fields>
+constexpr std::size_t AggregateFieldCount(Fields... fields) {
+  if constexpr (requires { T{fields..., AnyField{}}; }) {
+    return AggregateFieldCount<T>(fields..., AnyField{});
+  } else {
+    return sizeof...(Fields);
+  }
+}
+
+// Every EngineConfig field except `trace` is a planning input: changing it
+// must change the fingerprint, or two configs that plan differently would
+// share a plan-cache slot. The field count pins the list below, so adding
+// a field fails here until it is both hashed and listed.
+TEST(ConfigFingerprint, EveryPlanningFieldIsHashed) {
+  const struct {
+    const char* field;
+    void (*mutate)(EngineConfig*);
+  } kMutations[] = {
+      {"num_threads", [](EngineConfig* c) { c->num_threads += 1; }},
+      {"schedule", [](EngineConfig* c) { c->schedule = Schedule::kStatic; }},
+      {"validate_inputs", [](EngineConfig* c) { c->validate_inputs = false; }},
+      {"node_capacity", [](EngineConfig* c) { c->node_capacity += 1; }},
+      {"bfs", [](EngineConfig* c) { c->bfs = true; }},
+      {"strategy",
+       [](EngineConfig* c) { c->strategy = TraversalStrategy::kBfsDfs; }},
+      {"dfs_switch_factor", [](EngineConfig* c) { c->dfs_switch_factor += 1; }},
+      {"num_partitions", [](EngineConfig* c) { c->num_partitions += 1; }},
+      {"axis", [](EngineConfig* c) { c->axis = Axis::kY; }},
+      {"tile_join", [](EngineConfig* c) { c->tile_join = TileJoin::kSimd; }},
+      {"grid_cols", [](EngineConfig* c) { c->grid_cols += 1; }},
+      {"grid_rows", [](EngineConfig* c) { c->grid_rows += 1; }},
+      {"quadtree_leaf_capacity",
+       [](EngineConfig* c) { c->quadtree_leaf_capacity += 1; }},
+      {"batch_size", [](EngineConfig* c) { c->batch_size += 1; }},
+      {"index_max_entries", [](EngineConfig* c) { c->index_max_entries += 1; }},
+      {"accel_join_units", [](EngineConfig* c) { c->accel_join_units += 1; }},
+      {"accel_tile_cap", [](EngineConfig* c) { c->accel_tile_cap += 1; }},
+      {"accel_device_memory_bytes",
+       [](EngineConfig* c) { c->accel_device_memory_bytes += 1; }},
+      {"dist_nodes", [](EngineConfig* c) { c->dist_nodes += 1; }},
+      {"dist_placement",
+       [](EngineConfig* c) {
+         c->dist_placement = dist::PlacementPolicy::kRoundRobin;
+       }},
+      {"dist_node_threads", [](EngineConfig* c) { c->dist_node_threads += 1; }},
+  };
+  constexpr std::size_t kFields = AggregateFieldCount<EngineConfig>();
+  ASSERT_EQ(kFields, std::size(kMutations) + 1)  // + trace
+      << "EngineConfig has " << kFields << " fields but " << std::size(kMutations)
+      << " are listed: mix the new field into ConfigFingerprint and add its "
+         "mutation here";
+
+  const uint64_t base = ConfigFingerprint(EngineConfig{});
+  std::set<uint64_t> fingerprints = {base};
+  for (const auto& m : kMutations) {
+    EngineConfig config;
+    m.mutate(&config);
+    const uint64_t fingerprint = ConfigFingerprint(config);
+    EXPECT_NE(fingerprint, base) << m.field << " is not hashed";
+    EXPECT_TRUE(fingerprints.insert(fingerprint).second)
+        << m.field << " collides with another field's change";
+  }
+
+  // The trace context is request-scoped, not a planning input.
+  obs::SpanBuffer buffer;
+  EngineConfig traced;
+  traced.trace = obs::TraceContext::StartTrace(&buffer);
+  ASSERT_TRUE(traced.trace.active());
+  EXPECT_EQ(ConfigFingerprint(traced), base);
 }
 
 TEST(EngineLifecycle, ExecuteBeforePlanFails) {

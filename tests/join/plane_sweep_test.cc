@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "join/nested_loop.h"
+#include "join/partitioned_driver.h"
+#include "join/pbsm.h"
 #include "tests/test_util.h"
 
 namespace swiftspatial {
@@ -33,7 +39,7 @@ TEST(PlaneSweep, MatchesNestedLoopSkewed) {
 }
 
 TEST(PlaneSweep, FewerChecksThanNestedLoopWhenSparse) {
-  // Sparse unit squares: the sweep's active sets stay small, so it performs
+  // Sparse unit squares: each forward scan stays short, so the sweep performs
   // far fewer comparisons than |R| x |S| -- the software rationale of §3.2.
   const Dataset r = testutil::Uniform(1000, 44, 5000.0, /*max_edge=*/1.0);
   const Dataset s = testutil::Uniform(1000, 45, 5000.0, /*max_edge=*/1.0);
@@ -93,6 +99,145 @@ TEST(PlaneSweep, PointDatasets) {
   NestedLoopTileJoin(r, s, AllIds(r), AllIds(s), nullptr, &nl);
   PlaneSweepTileJoin(r, s, AllIds(r), AllIds(s), nullptr, &ps);
   EXPECT_TRUE(JoinResult::SameMultiset(nl, ps));
+}
+
+// The sweep order, restated independently of the library: min_x never
+// decreases, and equal min_x values come in ascending id order.
+::testing::AssertionResult InSweepOrder(const Dataset& d,
+                                        const std::vector<ObjectId>& ids) {
+  for (std::size_t i = 1; i < ids.size(); ++i) {
+    const Coord prev = d.box(static_cast<std::size_t>(ids[i - 1])).min_x;
+    const Coord cur = d.box(static_cast<std::size_t>(ids[i])).min_x;
+    if (cur < prev || (cur == prev && ids[i] < ids[i - 1])) {
+      return ::testing::AssertionFailure()
+             << "ids " << ids[i - 1] << ", " << ids[i] << " at position " << i
+             << " are out of (min_x, id) order";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(PlaneSweep, SortForSweepOrdersByMinXThenId) {
+  const Dataset d("d", {Box(3, 0, 4, 1), Box(1, 0, 2, 1), Box(3, 5, 9, 9),
+                        Box(1, 7, 1, 7), Box(0, 0, 8, 8)});
+  std::vector<ObjectId> ids = {2, 0, 3, 4, 1};
+  EXPECT_FALSE(InSweepOrder(d, ids));
+  SortForSweep(d, &ids);
+  EXPECT_EQ(ids, (std::vector<ObjectId>{4, 1, 3, 0, 2}));
+  EXPECT_TRUE(InSweepOrder(d, ids));
+  // A subset of ids (a cell's list) sorts the same way.
+  std::vector<ObjectId> subset = {2, 1, 0};
+  SortForSweep(d, &subset);
+  EXPECT_EQ(subset, (std::vector<ObjectId>{1, 0, 2}));
+}
+
+// Presorted (plan-time) and shuffled (per-request) id lists must give the
+// same answer and the same predicate count: the order only decides whether
+// the join sorts its own copy.
+TEST(PlaneSweep, ShuffledAndSweepOrderedIdsAgree) {
+  const Dataset r = testutil::Uniform(800, 51, 300.0, /*max_edge=*/12.0);
+  const Dataset s = testutil::Skewed(800, 52, 300.0);
+  std::vector<ObjectId> r_shuffled = AllIds(r);
+  std::vector<ObjectId> s_shuffled = AllIds(s);
+  std::mt19937 rng(7);
+  std::shuffle(r_shuffled.begin(), r_shuffled.end(), rng);
+  std::shuffle(s_shuffled.begin(), s_shuffled.end(), rng);
+  std::vector<ObjectId> r_sorted = r_shuffled;
+  std::vector<ObjectId> s_sorted = s_shuffled;
+  SortForSweep(r, &r_sorted);
+  SortForSweep(s, &s_sorted);
+  ASSERT_TRUE(InSweepOrder(r, r_sorted));
+  ASSERT_TRUE(InSweepOrder(s, s_sorted));
+  ASSERT_FALSE(InSweepOrder(r, r_shuffled));
+
+  const Box tile(0, 0, 150, 300);
+  for (const Box* dedup : {static_cast<const Box*>(nullptr), &tile}) {
+    JoinResult shuffled, sorted, nl;
+    JoinStats shuffled_stats, sorted_stats;
+    PlaneSweepTileJoin(r, s, r_shuffled, s_shuffled, dedup, &shuffled,
+                       &shuffled_stats);
+    PlaneSweepTileJoin(r, s, r_sorted, s_sorted, dedup, &sorted,
+                       &sorted_stats);
+    NestedLoopTileJoin(r, s, AllIds(r), AllIds(s), dedup, &nl);
+    EXPECT_GT(nl.size(), 0u);
+    EXPECT_TRUE(JoinResult::SameMultiset(shuffled, sorted));
+    EXPECT_TRUE(JoinResult::SameMultiset(nl, sorted));
+    EXPECT_EQ(shuffled_stats.predicate_evaluations,
+              sorted_stats.predicate_evaluations);
+    EXPECT_EQ(shuffled_stats.tasks, 1u);
+    EXPECT_EQ(sorted_stats.tasks, 1u);
+  }
+}
+
+// The predicate count is an exact, order-free quantity: one y-test per
+// cross pair whose closed x-extents overlap. Fixture, by hand:
+//   R: r0 x[0,2] y[0,2]   r1 x[1,3] y[0,1]   r2 x[4,5] y[0,5]
+//   S: s0 x[0,1] y[1,3]   s1 x[2,4] y[3,4]   s2 x[4,6] y[4,6]
+// x-overlapping pairs (6): r0-s0 (min_x tie across sides), r0-s1 (touch at
+// 2), r1-s0 (touch at 1), r1-s1, r2-s1 (touch at 4), r2-s2 (min_x tie).
+// Of these, y also overlaps for r0-s0, r1-s0 (touch at 1), r2-s1, r2-s2.
+// Their reference points are (0,1), (1,1), (4,3) and (4,4): the last two
+// sit exactly on the x = 4 edge between the two dedup tiles below, and the
+// half-open rule gives them to the right tile.
+TEST(PlaneSweep, ExactPredicateCountWithTiesAndDedupEdge) {
+  const Dataset r("r", {Box(0, 0, 2, 2), Box(1, 0, 3, 1), Box(4, 0, 5, 5)});
+  const Dataset s("s", {Box(0, 1, 1, 3), Box(2, 3, 4, 4), Box(4, 4, 6, 6)});
+  const Box left_tile(0, 0, 4, 10);
+  const Box right_tile(4, 0, 8, 10);
+  const struct {
+    const Box* tile;
+    std::vector<ResultPair> pairs;
+  } cases[] = {
+      {nullptr, {{0, 0}, {1, 0}, {2, 1}, {2, 2}}},
+      {&left_tile, {{0, 0}, {1, 0}}},
+      {&right_tile, {{2, 1}, {2, 2}}},
+  };
+  for (const auto& c : cases) {
+    for (const bool presorted : {true, false}) {
+      // Reversed lists take the per-call sort; the count must not move.
+      std::vector<ObjectId> r_ids = AllIds(r);
+      std::vector<ObjectId> s_ids = AllIds(s);
+      if (!presorted) {
+        std::reverse(r_ids.begin(), r_ids.end());
+        std::reverse(s_ids.begin(), s_ids.end());
+      }
+      JoinResult out;
+      JoinStats stats;
+      PlaneSweepTileJoin(r, s, r_ids, s_ids, c.tile, &out, &stats);
+      EXPECT_EQ(stats.predicate_evaluations, 6u);
+      EXPECT_EQ(stats.tasks, 1u);
+      out.Sort();
+      EXPECT_EQ(out.pairs(), c.pairs);
+    }
+  }
+}
+
+// Cached plans are built in sweep order, so warm executions never sort:
+// every grid cell of PlanPartitionedCells and every PBSM stripe, planned on
+// several threads.
+TEST(PlaneSweep, CachedPlansAreInSweepOrder) {
+  const Dataset r = testutil::Uniform(3000, 53, 500.0, /*max_edge=*/10.0);
+  const Dataset s = testutil::Skewed(3000, 54, 500.0);
+
+  PartitionedDriverOptions grid;
+  grid.num_threads = 3;
+  auto plan = PlanPartitionedCells(r, s, grid);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_GT((*plan)->cells.size(), 1u);
+  for (const PartitionedCell& cell : (*plan)->cells) {
+    ASSERT_TRUE(InSweepOrder(r, cell.r_ids));
+    ASSERT_TRUE(InSweepOrder(s, cell.s_ids));
+  }
+
+  PbsmOptions pbsm;
+  pbsm.num_partitions = 16;
+  pbsm.num_threads = 3;
+  const StripePartition partition = PbsmPartition(r, s, pbsm);
+  ASSERT_EQ(partition.r_parts.size(), 16u);
+  for (std::size_t i = 0; i < partition.r_parts.size(); ++i) {
+    ASSERT_TRUE(InSweepOrder(r, partition.r_parts[i])) << "stripe " << i;
+    ASSERT_TRUE(InSweepOrder(s, partition.s_parts[i])) << "stripe " << i;
+  }
 }
 
 }  // namespace
