@@ -125,7 +125,7 @@ inline JoinInputs MakeInputs(WorkloadShape shape, JoinKind kind,
 /// Timing of one engine benchmarked through the unified JoinEngine API.
 struct EngineTiming {
   double plan_seconds = 0;            ///< index/partition build (untimed cost)
-  double median_execute_seconds = 0;  ///< median of `reps` Execute calls
+  double median_execute_seconds = 0;  ///< median of `reps` executions
   uint64_t results = 0;
 };
 
@@ -143,12 +143,12 @@ inline double MedianSeconds(const std::function<void()>& fn, int reps = 3) {
   return times[times.size() / 2];
 }
 
-/// Benchmarks engine `name` from the global registry: Plan once (timed
+/// Benchmarks engine `name` from the global registry: Prepare once (timed
 /// separately, as the paper prices index builds apart from the join), then
-/// one warmup + `reps` timed Execute calls. The join result of the last run
-/// is moved into `last_result` when non-null. Errors (unknown engine,
-/// invalid config, unsupported input kind) propagate as Status so harnesses
-/// can skip inapplicable rows.
+/// one warmup + `reps` timed ExecutePrepared calls on that plan. The join
+/// result of the last run is moved into `last_result` when non-null. Errors
+/// (unknown engine, invalid config, unsupported input kind) propagate as
+/// Status so harnesses can skip inapplicable rows.
 inline Result<EngineTiming> TimeEngine(const std::string& name,
                                        const EngineConfig& config,
                                        const Dataset& r, const Dataset& s,
@@ -157,14 +157,15 @@ inline Result<EngineTiming> TimeEngine(const std::string& name,
   auto engine = EngineRegistry::Global().Create(name, config);
   if (!engine.ok()) return engine.status();
   Stopwatch sw;
-  SWIFT_RETURN_IF_ERROR((*engine)->Plan(r, s));
+  auto plan = (*engine)->Prepare(BorrowDataset(r), BorrowDataset(s));
+  if (!plan.ok()) return plan.status();
   EngineTiming timing;
   timing.plan_seconds = sw.ElapsedSeconds();
   JoinResult out;
   Status exec_status;
   timing.median_execute_seconds = MedianSeconds(
       [&] {
-        Status st = (*engine)->Execute(&out, nullptr);
+        Status st = (*engine)->ExecutePrepared(**plan, &out, nullptr);
         if (!st.ok()) exec_status = std::move(st);
       },
       reps);

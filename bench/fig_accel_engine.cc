@@ -93,10 +93,12 @@ int Main(int argc, char** argv) {
           continue;
         }
         Stopwatch sw;
-        const Status plan = (*engine)->Plan(in.r, in.s);
+        auto plan =
+            (*engine)->Prepare(BorrowDataset(in.r), BorrowDataset(in.s));
         const double plan_s = sw.ElapsedSeconds();
         if (!plan.ok()) {
-          std::fprintf(stderr, "%s: %s\n", name, plan.ToString().c_str());
+          std::fprintf(stderr, "%s: %s\n", name,
+                       plan.status().ToString().c_str());
           ++failures;
           continue;
         }
@@ -104,7 +106,7 @@ int Main(int argc, char** argv) {
         Status exec_status = Status::OK();
         const double exec_s = MedianSeconds(
             [&] {
-              Status st = (*engine)->Execute(&out, nullptr);
+              Status st = (*engine)->ExecutePrepared(**plan, &out, nullptr);
               if (!st.ok()) exec_status = std::move(st);
             },
             env.reps);

@@ -204,7 +204,7 @@ ServiceRunMetrics ServeBurst(const Dataset& r, const Dataset& s,
   m.throughput_rps = requests / m.wall_seconds;
   m.p50_ms = Percentile(latencies, 0.50) * 1e3;
   m.p99_ms = Percentile(latencies, 0.99) * 1e3;
-  m.max_pending_seen = service.stats().max_pending_seen;
+  m.max_pending_seen = service.Snapshot().max_pending_seen;
   return m;
 }
 
@@ -375,7 +375,7 @@ void RunWarmServingSection(const BenchEnv& env, uint64_t scale,
                 {"plan_p50_seconds", warm_plan_p50 * 1e-3},
                 {"throughput_rps", samples / warm_wall_s}});
 
-  const auto cache = service.stats().plan_cache;
+  const auto cache = service.Snapshot().plan_cache;
   std::printf("plan cache: %zu hits / %zu misses, %zu invalidated, "
               "%zu bytes resident\n",
               cache.hits, cache.misses, cache.invalidated,

@@ -12,6 +12,7 @@
 // Build & run:
 //   cmake -B build && cmake --build build
 //   ./build/examples/accel_offload
+#include <cstdint>
 #include <cstdio>
 
 #include "datagen/generator.h"
@@ -58,16 +59,25 @@ int main() {
 
   // 2. The device performance model behind the engine: what an actual U250
   //    would take for this join.
+  //    Prepare builds the device image once and prices its transfer.
   auto accel = MakeAccelEngine(kAccelPbsmEngine, ecfg);
-  if (!accel.ok() || !(*accel)->Plan(r, s).ok()) {
-    std::printf("ERROR: accel plan failed\n");
+  if (!accel.ok()) {
+    std::printf("ERROR: %s\n", accel.status().ToString().c_str());
+    return 1;
+  }
+  auto plan = (*accel)->Prepare(BorrowDataset(r), BorrowDataset(s));
+  if (!plan.ok()) {
+    std::printf("ERROR: accel prepare failed: %s\n",
+                plan.status().ToString().c_str());
     return 1;
   }
   JoinResult out;
-  if (!(*accel)->Execute(&out, nullptr).ok()) {
+  if (!(*accel)->ExecutePrepared(**plan, &out, nullptr).ok()) {
     std::printf("ERROR: accel execute failed\n");
     return 1;
   }
+  const uint64_t planned_bytes =
+      static_cast<const AccelPreparedPlan&>(**plan).bytes_to_device;
   const hw::AcceleratorReport& report = (*accel)->last_report();
   std::printf(
       "device model:      %.3f ms kernel (%llu cycles @ 200 MHz) + %.3f ms "
@@ -78,11 +88,15 @@ int main() {
       static_cast<unsigned long long>(report.bytes_to_device),
       static_cast<unsigned long long>(report.bytes_from_device),
       report.launch_seconds * 1e3, report.total_seconds * 1e3);
-  std::printf("  unit utilization %.1f%%; planned transfer matched: %s\n",
+  std::printf("  unit utilization %.1f%%; planned transfer %llu B\n",
               report.AvgUnitUtilization() * 100,
-              report.bytes_to_device == (*accel)->planned_bytes_to_device()
-                  ? "yes"
-                  : "no");
+              static_cast<unsigned long long>(planned_bytes));
+  if (report.bytes_to_device != planned_bytes) {
+    std::printf("ERROR: the device shipped %llu B, not the planned %llu B\n",
+                static_cast<unsigned long long>(report.bytes_to_device),
+                static_cast<unsigned long long>(planned_bytes));
+    return 1;
+  }
 
   // 3. Stream the device join: the write unit's burst flushes surface as
   //    chunks while the simulated kernel is still running.

@@ -73,9 +73,9 @@ int main(int argc, char** argv) {
   }
   auto engine = dist::MakeDistEngine(kDistPbsmEngine, ecfg);
   if (!engine.ok()) return 1;
+  auto plan = (*engine)->Prepare(BorrowDataset(r), BorrowDataset(s));
   JoinResult out;
-  if (!(*engine)->Plan(r, s).ok() ||
-      !(*engine)->Execute(&out, nullptr).ok()) {
+  if (!plan.ok() || !(*engine)->ExecutePrepared(**plan, &out, nullptr).ok()) {
     return 1;
   }
   root.End();

@@ -28,7 +28,7 @@ int main() {
   std::printf("datasets: %zu x %zu rectangles\n", r.size(), s.size());
 
   // 2. CPU reference through the engine registry: synchronous R-tree
-  //    traversal (Alg. 1-2). Plan bulk-loads the trees; Execute joins.
+  //    traversal (Alg. 1-2). Prepare bulk-loads the trees; execution joins.
   //    Any name from EngineRegistry::Global().Names() works here.
   EngineConfig ecfg;
   ecfg.node_capacity = 16;  // the paper's optimum

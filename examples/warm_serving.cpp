@@ -1,17 +1,17 @@
 // Resident datasets & warm serving: the steady-state request path.
 //
 // A serving deployment joins the same base tables over and over -- only the
-// probe side or the engine config changes between requests. Re-running Plan
-// (grid assignment, R-tree packing, shard placement) on every request throws
-// away work the dataset's lifetime already paid for. The DatasetRegistry
+// probe side or the engine config changes between requests. Re-running
+// Prepare (grid assignment, R-tree packing, shard placement) on every
+// request throws away work the dataset's lifetime already paid for. The DatasetRegistry
 // (src/exec/dataset_registry.h) makes datasets resident: register once under
 // a name, submit by name, and every request after the first fetches the
 // cached PreparedPlan and goes straight to execution.
 //
 // This example walks the full lifecycle end to end:
 //   1. register "buildings" and "roads" once;
-//   2. a cold request pays Plan and populates the cache;
-//   3. warm requests skip Plan (plan_ms collapses, identical results);
+//   2. a cold request pays Prepare and populates the cache;
+//   3. warm requests skip Prepare (plan_ms collapses, identical results);
 //   4. updating a dataset bumps its version and invalidates stale plans --
 //      the next request re-plans over the new data, never serves stale;
 //   5. a deadline-bound request shows post-admission enforcement riding on
@@ -84,8 +84,8 @@ int main(int argc, char** argv) {
   service.RegisterDataset("buildings", Uniform(scale, 1));
   service.RegisterDataset("roads", Uniform(scale, 2));
 
-  // 2 + 3. The first request is the cache miss that pays Plan; every
-  // request after it is a hit that skips Plan entirely.
+  // 2 + 3. The first request is the cache miss that pays Prepare; every
+  // request after it is a hit that skips Prepare entirely.
   std::printf("cold request, then %d warm requests:\n", requests);
   if (!ServeOnce(service, config, "cold (cache miss)")) return 1;
   for (int i = 0; i < requests; ++i) {
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
                 doomed.status().ToString().c_str());
   }
 
-  const exec::JoinServiceStats stats = service.stats();
+  const exec::JoinServiceStats stats = service.Snapshot();
   std::printf("\nplan cache: %zu hits / %zu misses, %zu invalidated, "
               "%zu bytes resident across %zu entries\n",
               stats.plan_cache.hits, stats.plan_cache.misses,

@@ -40,7 +40,7 @@ class Dataset {
   bool IsPointDataset() const;
 
   /// OK iff every box is well-formed: all four coordinates finite and
-  /// min <= max on both axes. Engines enforce this at Plan time
+  /// min <= max on both axes. Engines enforce this at Prepare time
   /// (EngineConfig::validate_inputs); indexes and the reference-point dedup
   /// rule are only specified for valid boxes.
   Status ValidateBoxes() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "join/engine_base.h"
 #include "join/partitioned_driver.h"
 
 namespace swiftspatial::dist {
@@ -27,152 +28,79 @@ DistJoinOptions OptionsFromConfig(const EngineConfig& config,
   options.use_accel = use_accel;
   options.accel_join_units = config.accel_join_units;
   options.accel_tile_cap = config.accel_tile_cap;
-  // The engine validates geometry once, at Plan.
+  // The engine validates geometry once, at Prepare.
   options.validate_inputs = false;
   options.trace = config.trace;
   return options;
 }
 
-// The cached artifact of distributed planning: the immutable ShardPlan plus
-// the cluster options it was planned under. RunPlannedJoin spins a fresh
-// cluster per call and never mutates the plan, so one cached ShardPlan
-// serves concurrent warm executions.
-class DistPreparedPlan : public PreparedPlan {
- public:
-  using PreparedPlan::PreparedPlan;
-
-  std::size_t MemoryBytes() const override {
-    std::size_t bytes = shard_plan.shards.capacity() * sizeof(Shard) +
-                        shard_plan.owner.capacity() * sizeof(int) +
-                        shard_plan.node_cost.capacity() * sizeof(uint64_t);
-    for (const Shard& shard : shard_plan.shards) {
-      bytes +=
-          (shard.r_ids.capacity() + shard.s_ids.capacity()) * sizeof(ObjectId);
-    }
-    return bytes;
-  }
-
-  DistJoinOptions options;
-  ShardPlan shard_plan;
-};
-
-class DistEngineImpl : public DistJoinEngine {
+class DistEngineImpl : public EngineBase<DistPreparedPlan, DistJoinEngine> {
  public:
   DistEngineImpl(std::string name, const EngineConfig& config, bool use_accel)
-      : name_(std::move(name)), config_(config), use_accel_(use_accel) {}
+      : EngineBase(std::move(name), config), use_accel_(use_accel) {}
 
-  const std::string& name() const override { return name_; }
-
-  Result<std::shared_ptr<const PreparedPlan>> Prepare(
-      std::shared_ptr<const Dataset> r,
-      std::shared_ptr<const Dataset> s) override {
-    SWIFT_RETURN_IF_ERROR(ValidateDistConfig(config_));
-    if (config_.validate_inputs) {
-      SWIFT_RETURN_IF_ERROR(r->ValidateBoxes());
-      SWIFT_RETURN_IF_ERROR(s->ValidateBoxes());
-    }
-    auto plan = std::make_shared<DistPreparedPlan>(name_, r, s);
-    plan->options = OptionsFromConfig(config_, use_accel_);
-    auto shard_plan =
-        PlanShards(*r, *s, plan->options.grid_cols, plan->options.grid_rows,
-                   plan->options.num_nodes, plan->options.placement);
-    if (!shard_plan.ok()) return shard_plan.status();
-    plan->shard_plan = std::move(*shard_plan);
-    return std::shared_ptr<const PreparedPlan>(std::move(plan));
-  }
-
-  Status ExecutePrepared(const PreparedPlan& plan, JoinResult* out,
-                         JoinStats* stats) override {
-    if (out == nullptr) {
-      return Status::InvalidArgument(
-          "ExecutePrepared requires a non-null result");
-    }
-    if (plan.engine() != name_) {
-      return Status::InvalidArgument("prepared plan belongs to engine \"" +
-                                     plan.engine() + "\", not \"" + name_ +
-                                     "\"");
-    }
-    const auto* typed = dynamic_cast<const DistPreparedPlan*>(&plan);
-    if (typed == nullptr) {
-      return Status::Internal("prepared plan type mismatch for engine " +
-                              name_);
-    }
-    *out = JoinResult();
-    // The cached options froze the PREPARING request's trace context; a
-    // warm execution must carry its own, so override from this engine
-    // instance's config (one engine instance per request).
-    DistJoinOptions options = typed->options;
-    options.trace = config_.trace;
-    auto report = RunPlannedJoin(plan.r(), plan.s(), typed->shard_plan,
-                                 options, out, stats);
-    if (!report.ok()) return report.status();
-    report_ = std::move(*report);
-    return Status::OK();
-  }
-
-  Status Plan(const Dataset& r, const Dataset& s) override {
-    SWIFT_RETURN_IF_ERROR(ValidateDistConfig(config_));
-    if (config_.validate_inputs) {
-      SWIFT_RETURN_IF_ERROR(r.ValidateBoxes());
-      SWIFT_RETURN_IF_ERROR(s.ValidateBoxes());
-    }
-    options_ = OptionsFromConfig(config_, use_accel_);
-    auto plan = PlanShards(r, s, options_.grid_cols, options_.grid_rows,
-                           options_.num_nodes, options_.placement);
-    if (!plan.ok()) return plan.status();
-    plan_ = std::move(*plan);
-    r_ = &r;
-    s_ = &s;
-    planned_ = true;
-    return Status::OK();
-  }
-
-  Status Execute(JoinResult* out, JoinStats* stats) override {
-    if (!planned_) {
-      return Status::Internal("Execute called before a successful Plan");
-    }
-    if (out == nullptr) {
-      return Status::InvalidArgument("Execute requires a non-null result");
-    }
-    *out = JoinResult();
-    auto report = RunPlannedJoin(*r_, *s_, plan_, options_, out, stats);
-    if (!report.ok()) return report.status();
-    report_ = std::move(*report);
-    return Status::OK();
-  }
-
-  Status ExecuteStreaming(const ShardSink& sink, JoinStats* stats,
+  Status ExecuteStreaming(const PreparedPlan& plan, const ShardSink& sink,
+                          JoinStats* stats,
                           exec::CancellationToken cancel) override {
-    if (!planned_) {
-      return Status::Internal(
-          "ExecuteStreaming called before a successful Plan");
-    }
     if (!sink) {
       return Status::InvalidArgument(
           "ExecuteStreaming requires a callable sink");
     }
-    auto report = RunPlannedJoin(*r_, *s_, plan_, options_,
-                                 /*result=*/nullptr, stats, sink,
-                                 std::move(cancel));
+    auto typed = Typed(plan);
+    if (!typed.ok()) return typed.status();
+    if (plan.r().empty() || plan.s().empty()) return Status::OK();
+    return Run(**typed, /*out=*/nullptr, stats, sink, std::move(cancel));
+  }
+
+ protected:
+  Status Validate() override { return ValidateDistConfig(config()); }
+
+  Status Build(DistPreparedPlan* plan) override {
+    plan->options = OptionsFromConfig(config(), use_accel_);
+    auto shard_plan = PlanShards(plan->r(), plan->s(), plan->options.grid_cols,
+                                 plan->options.grid_rows,
+                                 plan->options.num_nodes,
+                                 plan->options.placement);
+    if (!shard_plan.ok()) return shard_plan.status();
+    plan->shard_plan = std::move(*shard_plan);
+    return Status::OK();
+  }
+
+  Status ExecuteImpl(const DistPreparedPlan& plan, JoinResult* out,
+                     JoinStats* stats) override {
+    return Run(plan, out, stats, ShardSink(), exec::CancellationToken());
+  }
+
+ private:
+  Status Run(const DistPreparedPlan& plan, JoinResult* out, JoinStats* stats,
+             const ShardSink& sink, exec::CancellationToken cancel) {
+    // The cached options froze the PREPARING request's trace context; a
+    // warm execution must carry its own, so override from this engine
+    // instance's config (one engine instance per request).
+    DistJoinOptions options = plan.options;
+    options.trace = config().trace;
+    auto report = RunPlannedJoin(plan.r(), plan.s(), plan.shard_plan, options,
+                                 out, stats, sink, std::move(cancel));
     if (!report.ok()) return report.status();
     report_ = std::move(*report);
     return Status::OK();
   }
 
-  const ShardPlan& plan() const override { return plan_; }
-
- private:
-  std::string name_;
-  EngineConfig config_;
   bool use_accel_;
-  DistJoinOptions options_;
-  ShardPlan plan_;
-  const Dataset* r_ = nullptr;
-  const Dataset* s_ = nullptr;
-  bool planned_ = false;
 };
 
 }  // namespace
+
+std::size_t DistPreparedPlan::MemoryBytes() const {
+  std::size_t bytes = shard_plan.shards.capacity() * sizeof(Shard) +
+                      shard_plan.owner.capacity() * sizeof(int) +
+                      shard_plan.node_cost.capacity() * sizeof(uint64_t);
+  for (const Shard& shard : shard_plan.shards) {
+    bytes +=
+        (shard.r_ids.capacity() + shard.s_ids.capacity()) * sizeof(ObjectId);
+  }
+  return bytes;
+}
 
 bool IsDistEngine(const std::string& name) {
   return name == kDistPbsmEngine || name == kDistAccelEngine;

@@ -9,11 +9,12 @@
 //               generalised from the fixed 2x2 grid / 4 devices to N nodes
 //               x M-unit devices over arbitrary shard placement.
 //
-// Plan runs the ShardPlanner (grid + placement); Execute spins the
-// in-process cluster and merges. Beyond the JoinEngine contract the typed
-// handle exposes ExecuteStreaming -- committed shards surface through a
-// ShardSink as they merge, with a cancellation token that stops the cluster
-// mid-exchange -- and last_report(), the DistReport of the most recent run.
+// Prepare runs the ShardPlanner (grid + placement) into a DistPreparedPlan;
+// every execution spins a fresh in-process cluster over that immutable plan
+// and merges. Beyond the JoinEngine contract the typed handle exposes
+// ExecuteStreaming -- committed shards surface through a ShardSink as they
+// merge, with a cancellation token that stops the cluster mid-exchange --
+// and last_report(), the DistReport of the instance's most recent run.
 #ifndef SWIFTSPATIAL_DIST_DIST_ENGINE_H_
 #define SWIFTSPATIAL_DIST_DIST_ENGINE_H_
 
@@ -26,24 +27,34 @@
 
 namespace swiftspatial::dist {
 
+/// The cached artifact of distributed planning: the immutable ShardPlan plus
+/// the cluster options it was planned under. Every run spins a fresh
+/// cluster and never mutates the plan, so one plan serves concurrent
+/// executions.
+class DistPreparedPlan : public PreparedPlan {
+ public:
+  using PreparedPlan::PreparedPlan;
+
+  std::size_t MemoryBytes() const override;
+
+  DistJoinOptions options;
+  ShardPlan shard_plan;
+};
+
 /// JoinEngine extended with the cluster's streaming face and run report.
-/// Lifecycle as JoinEngine: Plan once (shard planning + placement), then
-/// Execute / ExecuteStreaming any number of times -- each run spins a fresh
-/// cluster over the same immutable plan.
 class DistJoinEngine : public JoinEngine {
  public:
-  /// Like Execute, but hands each committed shard's pairs to `sink` as the
-  /// merge coordinator commits it (stable shard ids; commit order).
+  /// Like ExecutePrepared, but hands each committed shard's pairs to `sink`
+  /// as the merge coordinator commits it (stable shard ids; commit order).
   /// `cancel` stops the cluster mid-exchange: delivered shards remain a
   /// well-defined prefix and the call returns Aborted.
-  virtual Status ExecuteStreaming(const ShardSink& sink, JoinStats* stats,
+  virtual Status ExecuteStreaming(const PreparedPlan& plan,
+                                  const ShardSink& sink, JoinStats* stats,
                                   exec::CancellationToken cancel) = 0;
 
-  /// Report of the most recent Execute/ExecuteStreaming.
+  /// Report of this instance's most recent ExecutePrepared /
+  /// ExecuteStreaming that ran the cluster (empty inputs do not).
   const DistReport& last_report() const { return report_; }
-
-  /// The immutable shard plan (valid after Plan).
-  virtual const ShardPlan& plan() const = 0;
 
  protected:
   DistReport report_;
@@ -52,7 +63,7 @@ class DistJoinEngine : public JoinEngine {
 /// True for the engine names backed by the cluster runtime.
 bool IsDistEngine(const std::string& name);
 
-/// Data-independent config checks shared by Plan and the streaming layer's
+/// Data-independent config checks shared by Prepare and the streaming layer's
 /// fail-fast path.
 Status ValidateDistConfig(const EngineConfig& config);
 

@@ -49,7 +49,7 @@ struct DistJoinOptions {
   PlacementPolicy placement = PlacementPolicy::kCostBalanced;
   /// Per-node worker budget (ThreadPool size).
   std::size_t node_worker_threads = 1;
-  /// Shard grid; 0 = auto-size like PartitionedDriver.
+  /// Shard grid; 0 = auto-size like PlanPartitionedCells.
   int grid_cols = 0;
   int grid_rows = 0;
   /// CPU tile-level join within each shard (dist-pbsm).

@@ -1,7 +1,7 @@
 // ShardPlanner: turns one spatial join into node-placed shards.
 //
 // Both inputs are sharded onto a uniform grid exactly as the single-machine
-// PartitionedDriver does (multi-assignment, reference-point dedup tiles via
+// PlanPartitionedCells does (multi-assignment, reference-point dedup tiles via
 // UniformGrid::DedupTileByIndex), so a shard is the same unit the banded
 // streaming planner and hw/multi_device already use -- here it becomes the
 // unit of *distribution*. Each populated grid cell is one Shard carrying a
@@ -67,7 +67,7 @@ struct ShardPlan {
 };
 
 /// Plans `num_nodes`-way placement of the (r, s) join. Grid dimensions of 0
-/// auto-size exactly like PartitionedDriver (AutoGridSide over the combined
+/// auto-size exactly like PlanPartitionedCells (AutoGridSide over the combined
 /// cardinality). Fails with InvalidArgument on bad grid dimensions or
 /// num_nodes < 1. Empty inputs yield an empty plan.
 Result<ShardPlan> PlanShards(const Dataset& r, const Dataset& s,

@@ -1,5 +1,5 @@
 // DatasetRegistry: resident datasets + the plan-artifact cache -- the
-// warm-serving state that lets steady-state requests skip Plan entirely.
+// warm-serving state that lets steady-state requests skip Prepare entirely.
 //
 // Serving reality is a few datasets hit by many requests: re-planning every
 // request rebuilds the same packed R-trees, grid assignments, and
@@ -11,7 +11,7 @@
 //   registry.Put("roads", std::move(roads));
 //   auto plan = registry.GetOrPrepare("partitioned", "buildings", "roads",
 //                                     config);   // cold: plans + caches
-//   auto again = registry.GetOrPrepare(...);     // warm: cache hit, no Plan
+//   auto again = registry.GetOrPrepare(...);     // warm: cache hit, no Prepare
 //   auto run = RunPreparedJoin(**again, config); // bit-identical to cold
 //
 // Registering the same name again stores the new data under a bumped

@@ -26,10 +26,10 @@
 //   auto warm = service.SubmitNamed("tenant-a", "partitioned",
 //                                   "buildings", "roads", config);
 //
-// -- and every request after the first skips Plan entirely: the producer
+// -- and every request after the first skips Prepare entirely: the producer
 // fetches the cached PreparedPlan (packed R-trees, grid assignments,
 // ShardPlans) and goes straight to execution. Cache effectiveness shows up
-// in stats().plan_cache.
+// in Snapshot().plan_cache.
 //
 // Scheduling policies:
 //  - kFcfs: strict arrival order. Simple, but one tenant's burst of long
@@ -174,7 +174,7 @@ struct JoinServiceStats {
   /// High-water mark of the pending queue; never exceeds max_pending.
   std::size_t max_pending_seen = 0;
   /// Plan-artifact cache counters from the backing DatasetRegistry: the
-  /// warm-serving effectiveness signal (hits = requests that skipped Plan).
+  /// warm-serving effectiveness signal (hits = requests that skipped Prepare).
   PlanCacheStats plan_cache;
   /// Aggregate resource accounting over completed requests (including
   /// expired-mid-run ones -- their partial work was still paid for):
@@ -208,7 +208,7 @@ class JoinService {
 
   /// The warm path: like Submit, but `r_name`/`s_name` reference datasets
   /// registered through RegisterDataset (or directly on registry()) instead
-  /// of shipping boxes. Repeat requests hit the plan cache and skip Plan
+  /// of shipping boxes. Repeat requests hit the plan cache and skip Prepare
   /// entirely. Fails fast with NotFound for unknown engines or unregistered
   /// names.
   Result<AsyncJoinHandle> SubmitNamed(const std::string& tenant,
@@ -243,11 +243,6 @@ class JoinService {
   /// registry's internal lock; the registry never locks back into the
   /// service, so the order is acyclic).
   JoinServiceStats Snapshot() const EXCLUDES(mu_);
-
-  /// Deprecated: use Snapshot(). Kept as an alias for older callers; the
-  /// piecemeal read it used to do (service counters and plan-cache counters
-  /// under separate locks) could tear between the two.
-  JoinServiceStats stats() const EXCLUDES(mu_) { return Snapshot(); }
 
   /// Prometheus text exposition of the backing MetricsRegistry, with the
   /// service's point-in-time gauges (pending, running, max_pending_seen)

@@ -14,6 +14,7 @@
 #include "exec/task_graph.h"
 #include "grid/uniform_grid.h"
 #include "join/accel_engine.h"
+#include "join/engine_base.h"
 #include "join/partitioned_driver.h"
 #include "join/pbsm.h"
 
@@ -296,7 +297,7 @@ void RunNativeProducer(const Dataset& r, const Dataset& s, EngineConfig config,
     }
   }
   // One shared grid decision (DeriveJoinGrid) keeps the banded streaming
-  // shards identical to PartitionedDriver's and the dist ShardPlanner's.
+  // shards identical to PlanPartitionedCells' and the dist ShardPlanner's.
   const JoinGridSpec spec =
       DeriveJoinGrid(r, s, config.grid_cols, config.grid_rows);
   if (!spec.has_grid) {
@@ -324,7 +325,7 @@ void RunNativeProducer(const Dataset& r, const Dataset& s, EngineConfig config,
   }
 
   // Bucketing: the one serial O(n) pass. Each object's tile range is
-  // computed exactly once (the same TileRange work the synchronous Plan
+  // computed exactly once (the same TileRange work the synchronous Prepare
   // pays) and stored with the id, so the per-band plan tasks only
   // distribute ids into cells.
   std::vector<std::vector<PlacedObject>> band_r(shards), band_s(shards);
@@ -461,9 +462,8 @@ void RunNativeProducer(const Dataset& r, const Dataset& s, EngineConfig config,
 // stream queue: batches accumulate in a staging buffer and full chunks are
 // carved from the back (order across chunks is irrelevant -- the result is
 // a multiset; carving the front would shift the residue on every carve).
-// Shared by the accelerator and cluster producers, whose native batch
-// granularities (write-unit bursts, committed shards) are unbounded in
-// both directions.
+// The native batch granularities of the accelerator and cluster engines
+// (write-unit bursts, committed shards) are unbounded in both directions.
 class ChunkStager {
  public:
   ChunkStager(std::size_t chunk_pairs, StreamState* state)
@@ -479,10 +479,27 @@ class ChunkStager {
       staged_.insert(staged_.end(), batch.begin(), batch.end());
     }
     while (!push_failed_ && staged_.size() >= chunk_pairs_) {
-      std::vector<ResultPair> chunk(staged_.end() - chunk_pairs_,
-                                    staged_.end());
-      staged_.resize(staged_.size() - chunk_pairs_);
+      std::vector<ResultPair> chunk;
+      if (staged_.size() == chunk_pairs_) {
+        chunk = std::move(staged_);
+        staged_.clear();
+      } else {
+        chunk.assign(staged_.end() - chunk_pairs_, staged_.end());
+        staged_.resize(staged_.size() - chunk_pairs_);
+      }
       if (!state_->Push(std::move(chunk))) push_failed_ = true;
+    }
+  }
+
+  /// Adds a finished result as chunk-sized copies, front to back. Moving
+  /// the whole buffer in instead would ship it as the last chunk, keeping
+  /// the full result allocated until the consumer pops it; this way the
+  /// caller frees it as soon as the last slice is queued.
+  void AddSlices(const std::vector<ResultPair>& pairs) {
+    for (std::size_t off = 0; off < pairs.size() && !push_failed_;
+         off += chunk_pairs_) {
+      const std::size_t end = std::min(off + chunk_pairs_, pairs.size());
+      Add({pairs.begin() + off, pairs.begin() + end});
     }
   }
 
@@ -504,88 +521,72 @@ class ChunkStager {
   bool push_failed_ = false;
 };
 
-// The accelerator producer: the simulated device streams natively. Plan
-// builds the device images (trees / partitions) on the producer thread;
-// Execute then runs the simulated kernel with a write-unit sink, so every
-// result-burst flush (a BFS level's leaf pairs, a PBSM tile batch, a
-// multi-device shard's deduplicated output) surfaces as bounded-queue
-// chunks while the simulation is still running -- the host-side consumer
-// overlaps with the device exactly as the paper's host/device split
-// intends. Device flushes are coalesced up to chunk_pairs (join units flush
-// partial bursts per task, so raw flushes can be tiny) and oversized
-// batches are split, so chunk sizes stay bounded in both directions.
-// Cancellation is cooperative at chunk granularity: the simulated kernel
-// itself runs to completion, further pushes are dropped, and the stream
-// closes Aborted.
-void RunAccelProducer(const std::string& name, const Dataset& r,
-                      const Dataset& s, const EngineConfig& config,
-                      StreamOptions opts,
-                      std::shared_ptr<StreamState> state) {
-  StageTiming timing;
-  Stopwatch sw;
-  auto created = MakeAccelEngine(name, config);
-  if (!created.ok()) {
-    state->Close(created.status(), JoinStats{}, timing);
-    return;
+// Runs `plan` on `engine`, feeding the results to `stager`. The accelerator
+// and cluster engines stream natively: every write-unit flush (a BFS
+// level's leaf pairs, a PBSM tile batch, a multi-device shard's
+// deduplicated output) or committed shard surfaces as chunks while the
+// simulated device or the other nodes still run. Cancellation reaches the
+// cluster itself through the stream's token; the simulated kernel runs to
+// completion and further pushes are dropped. Every other engine's finished
+// result is chunked.
+Status ExecuteIntoStager(JoinEngine& engine, const PreparedPlan& plan,
+                         StreamState* state, ChunkStager* stager,
+                         JoinStats* stats) {
+  if (auto* accel = dynamic_cast<AccelJoinEngine*>(&engine)) {
+    return accel->ExecuteStreaming(
+        plan,
+        [stager](std::vector<ResultPair> batch) {
+          stager->Add(std::move(batch));
+        },
+        stats);
   }
-  std::unique_ptr<AccelJoinEngine> engine = std::move(*created);
-  obs::ScopedSpan plan_span(config.trace, "plan");
-  Status st = engine->Plan(r, s);
-  timing.plan_seconds = sw.ElapsedSeconds();
-  plan_span.End();
-  if (!st.ok()) {
-    state->Close(std::move(st), JoinStats{}, timing);
-    return;
+  if (auto* cluster = dynamic_cast<dist::DistJoinEngine*>(&engine)) {
+    Status st = cluster->ExecuteStreaming(
+        plan,
+        [stager](int, std::vector<ResultPair> batch) {
+          stager->Add(std::move(batch));
+        },
+        stats, state->token());
+    // Shard retries are this request's fault-recovery cost; surface them in
+    // the per-request accounting alongside CPU and bytes.
+    state->usage()->AddRetries(
+        static_cast<uint64_t>(cluster->last_report().retried_shards));
+    return st;
   }
-  if (state->cancelled()) {
-    state->Close(Status::Aborted("join cancelled mid-stream"), JoinStats{},
-                 timing);
-    return;
-  }
-  obs::ScopedSpan exec_span(config.trace, "execute");
-  sw.Reset();
-  JoinStats stats;
-  ChunkStager stager(opts.chunk_pairs, state.get());
-  const AccelBatchSink sink = [&stager](std::vector<ResultPair> batch) {
-    stager.Add(std::move(batch));
-  };
-  st = engine->ExecuteStreaming(sink, &stats);
-  if (st.ok()) stager.FlushTail();
-  timing.execute_seconds = sw.ElapsedSeconds();
-  if (stager.push_failed() || state->cancelled()) {
-    state->Close(Status::Aborted("join cancelled mid-stream"), stats, timing);
-    return;
-  }
-  state->Close(std::move(st), stats, timing);
+  JoinResult result;
+  Status st = engine.ExecutePrepared(plan, &result, stats);
+  if (st.ok()) stager->AddSlices(result.pairs());
+  return st;
 }
 
-// The cluster producer: the distributed engines stream natively. Plan runs
-// the ShardPlanner on the producer thread; ExecuteStreaming then spins the
-// in-process cluster with a shard sink, so every shard the merge
-// coordinator commits surfaces as bounded-queue chunks while other nodes
-// are still joining. Committed shards are coalesced up to chunk_pairs and
-// oversized shards split, bounding chunk sizes both ways. Cancellation is
-// cooperative through the cluster itself (the stream's token reaches the
-// exchange and node runtimes), so a cancelled consumer stops the whole
-// cluster, not just the chunk delivery.
-void RunDistProducer(const std::string& name, const Dataset& r,
-                     const Dataset& s, const EngineConfig& config,
-                     StreamOptions opts,
-                     std::shared_ptr<StreamState> state) {
+// Where a producer's plan comes from: the engine's own Prepare over
+// borrowed datasets (cold), or the registry's plan cache (warm, where a hit
+// makes the plan stage just the cache lookup).
+using PlanSource =
+    std::function<Result<std::shared_ptr<const PreparedPlan>>(JoinEngine&)>;
+
+// The producer of every engine outside the banded native path: instantiate
+// the engine and fetch its plan (both billed to plan_seconds, as
+// RunPreparedJoin bills instantiation), then execute into the chunk stager.
+// The fetched plan pins its datasets for the whole execution, so a
+// concurrent re-Put of a registered name cannot pull the data out from
+// under the join.
+void RunPreparedProducer(const std::string& engine_name,
+                         const EngineConfig& config, const PlanSource& source,
+                         StreamOptions opts,
+                         std::shared_ptr<StreamState> state) {
   StageTiming timing;
   Stopwatch sw;
-  auto created = dist::MakeDistEngine(name, config);
-  if (!created.ok()) {
-    state->Close(created.status(), JoinStats{}, timing);
-    return;
-  }
-  std::unique_ptr<dist::DistJoinEngine> engine = std::move(*created);
   obs::ScopedSpan plan_span(config.trace, "plan");
-  Status st = engine->Plan(r, s);
+  auto engine = EngineRegistry::Global().Create(engine_name, config);
+  Result<std::shared_ptr<const PreparedPlan>> plan =
+      engine.ok() ? source(**engine)
+                  : Result<std::shared_ptr<const PreparedPlan>>(
+                        engine.status());
   timing.plan_seconds = sw.ElapsedSeconds();
   plan_span.End();
-  if (!st.ok()) {
-    state->Close(std::move(st), JoinStats{}, timing);
+  if (!plan.ok()) {
+    state->Close(plan.status(), JoinStats{}, timing);
     return;
   }
   if (state->cancelled()) {
@@ -593,128 +594,21 @@ void RunDistProducer(const std::string& name, const Dataset& r,
                  timing);
     return;
   }
-  // The execute span is a sibling of the coordinator's merge span (both
-  // parented on the request): the engine froze its trace context at
+  // The execute span is a sibling of the cluster coordinator's merge span
+  // (both parented on the request): engines froze their trace context at
   // creation, before this span existed.
   obs::ScopedSpan exec_span(config.trace, "execute");
   sw.Reset();
   JoinStats stats;
   ChunkStager stager(opts.chunk_pairs, state.get());
-  const dist::ShardSink sink = [&stager](int, std::vector<ResultPair> batch) {
-    stager.Add(std::move(batch));
-  };
-  st = engine->ExecuteStreaming(sink, &stats, state->token());
+  Status st = ExecuteIntoStager(**engine, **plan, state.get(), &stager, &stats);
   if (st.ok()) stager.FlushTail();
   timing.execute_seconds = sw.ElapsedSeconds();
-  // Shard retries are this request's fault-recovery cost; surface them in
-  // the per-request accounting alongside CPU and bytes.
-  state->usage()->AddRetries(
-      static_cast<uint64_t>(engine->last_report().retried_shards));
-  if (stager.push_failed() || state->cancelled()) {
-    state->Close(Status::Aborted("join cancelled mid-stream"), stats, timing);
-    return;
+  exec_span.End();
+  if (st.ok() && (stager.push_failed() || state->cancelled())) {
+    st = Status::Aborted("join cancelled mid-stream");
   }
   state->Close(std::move(st), stats, timing);
-}
-
-// The generic producer: any registered engine runs Plan -> Execute on the
-// producer thread and the finished result streams out in chunks, giving the
-// whole registry one uniform streaming contract.
-void RunGenericProducer(std::shared_ptr<JoinEngine> engine, const Dataset& r,
-                        const Dataset& s, obs::TraceContext trace,
-                        StreamOptions opts,
-                        std::shared_ptr<StreamState> state) {
-  StageTiming timing;
-  Stopwatch sw;
-  obs::ScopedSpan plan_span(trace, "plan");
-  Status st = engine->Plan(r, s);
-  timing.plan_seconds = sw.ElapsedSeconds();
-  plan_span.End();
-  if (!st.ok()) {
-    state->Close(std::move(st), JoinStats{}, timing);
-    return;
-  }
-  if (state->cancelled()) {
-    state->Close(Status::Aborted("join cancelled mid-stream"), JoinStats{},
-                 timing);
-    return;
-  }
-  obs::ScopedSpan exec_span(trace, "execute");
-  sw.Reset();
-  JoinResult result;
-  JoinStats stats;
-  st = engine->Execute(&result, &stats);
-  timing.execute_seconds = sw.ElapsedSeconds();
-  exec_span.End();
-  if (!st.ok()) {
-    state->Close(std::move(st), stats, timing);
-    return;
-  }
-  const std::vector<ResultPair>& pairs = result.pairs();
-  const std::size_t chunk_pairs = std::max<std::size_t>(1, opts.chunk_pairs);
-  for (std::size_t off = 0; off < pairs.size(); off += chunk_pairs) {
-    const std::size_t end = std::min(off + chunk_pairs, pairs.size());
-    if (!state->Push({pairs.begin() + off, pairs.begin() + end})) {
-      state->Close(Status::Aborted("join cancelled mid-stream"), stats,
-                   timing);
-      return;
-    }
-  }
-  state->Close(Status::OK(), stats, timing);
-}
-
-// The warm-path producer: plan artifacts come from the registry's cache, so
-// on a hit the "plan" stage is just the cache lookup (plan_seconds ~ 0) and
-// execution starts immediately against the shared, immutable PreparedPlan.
-// The finished result streams out in chunks like the generic path; the
-// fetched plan pins its datasets for the whole execution, so a concurrent
-// re-Put of either name cannot pull the data out from under the join.
-void RunRegisteredProducer(DatasetRegistry* registry, std::string engine,
-                           std::string r_name, std::string s_name,
-                           EngineConfig config, StreamOptions opts,
-                           std::shared_ptr<StreamState> state) {
-  StageTiming timing;
-  Stopwatch sw;
-  obs::ScopedSpan plan_span(config.trace, "plan");
-  auto prepared = registry->GetOrPrepare(engine, r_name, s_name, config);
-  timing.plan_seconds = sw.ElapsedSeconds();
-  plan_span.End();
-  if (!prepared.ok()) {
-    state->Close(prepared.status(), JoinStats{}, timing);
-    return;
-  }
-  if (state->cancelled()) {
-    state->Close(Status::Aborted("join cancelled mid-stream"), JoinStats{},
-                 timing);
-    return;
-  }
-  obs::ScopedSpan exec_span(config.trace, "execute");
-  sw.Reset();
-  auto created = EngineRegistry::Global().Create(engine, config);
-  if (!created.ok()) {
-    state->Close(created.status(), JoinStats{}, StageTiming{});
-    return;
-  }
-  JoinResult result;
-  JoinStats stats;
-  Status st = (*created)->ExecutePrepared(**prepared, &result, &stats);
-  timing.execute_seconds = sw.ElapsedSeconds();
-  exec_span.End();
-  if (!st.ok()) {
-    state->Close(std::move(st), stats, timing);
-    return;
-  }
-  const std::vector<ResultPair>& pairs = result.pairs();
-  const std::size_t chunk_pairs = std::max<std::size_t>(1, opts.chunk_pairs);
-  for (std::size_t off = 0; off < pairs.size(); off += chunk_pairs) {
-    const std::size_t end = std::min(off + chunk_pairs, pairs.size());
-    if (!state->Push({pairs.begin() + off, pairs.begin() + end})) {
-      state->Close(Status::Aborted("join cancelled mid-stream"), stats,
-                   timing);
-      return;
-    }
-  }
-  state->Close(Status::OK(), stats, timing);
 }
 
 bool IsNativeStreamingEngine(const std::string& name) {
@@ -771,56 +665,33 @@ std::function<void()> InstrumentProducer(std::string engine,
   };
 }
 
-// The same fail-fast grid checks PartitionedDriver::Plan applies, so
-// RunJoinAsync rejects bad grids before spawning a producer and the
+// The same fail-fast grid checks the partitioned engine's Prepare applies,
+// so RunJoinAsync rejects bad grids before spawning a producer and the
 // sync/streaming paths cannot drift apart.
 Status ValidateNativeConfig(const EngineConfig& config) {
   return ValidateGridConfig(config.grid_cols, config.grid_rows);
 }
 
-// The "async" registry entry: Plan validates, Execute runs the native
-// streaming pipeline and Collect()s it. Registering this class is what puts
-// the entire streaming machinery -- producer thread, banded TaskGraph,
-// bounded chunk queue, Collect -- under the equivalence oracle.
-class AsyncCollectEngine : public JoinEngine {
+// The "async" registry entry: Prepare validates, ExecutePrepared runs the
+// native streaming pipeline and Collect()s it. Registering this class is
+// what puts the entire streaming machinery -- producer thread, banded
+// TaskGraph, bounded chunk queue, Collect -- under the equivalence oracle.
+// No index/partition build at Prepare: the banded planner runs inside each
+// execution, overlapped with the joins it feeds -- that overlap is the
+// engine's whole reason to exist.
+class AsyncCollectEngine : public EngineBase<InputsOnlyPlan> {
  public:
-  explicit AsyncCollectEngine(const EngineConfig& config) : config_(config) {}
+  explicit AsyncCollectEngine(const EngineConfig& config)
+      : EngineBase(kAsyncEngine, config) {}
 
-  const std::string& name() const override {
-    static const std::string kName(kAsyncEngine);
-    return kName;
-  }
+ protected:
+  Status Validate() override { return ValidateNativeConfig(config()); }
 
-  Status Plan(const Dataset& r, const Dataset& s) override {
-    if (config_.num_threads < 1) {
-      return Status::InvalidArgument("num_threads must be >= 1");
-    }
-    SWIFT_RETURN_IF_ERROR(ValidateNativeConfig(config_));
-    if (config_.validate_inputs) {
-      SWIFT_RETURN_IF_ERROR(r.ValidateBoxes());
-      SWIFT_RETURN_IF_ERROR(s.ValidateBoxes());
-    }
-    r_ = &r;
-    s_ = &s;
-    planned_ = true;
-    // No index/partition build here: the banded planner runs inside
-    // Execute, overlapped with the joins it feeds -- that overlap is the
-    // engine's whole reason to exist.
-    return Status::OK();
-  }
-
-  Status Execute(JoinResult* out, JoinStats* stats) override {
-    if (!planned_) {
-      return Status::Internal("Execute called before a successful Plan");
-    }
-    if (out == nullptr) {
-      return Status::InvalidArgument("Execute requires a non-null result");
-    }
-    *out = JoinResult();
-    if (r_->empty() || s_->empty()) return Status::OK();
-    EngineConfig config = config_;
-    config.validate_inputs = false;  // already validated at Plan
-    auto handle = RunJoinAsync(kAsyncEngine, *r_, *s_, config);
+  Status ExecuteImpl(const InputsOnlyPlan& plan, JoinResult* out,
+                     JoinStats* stats) override {
+    EngineConfig config = this->config();
+    config.validate_inputs = false;  // already validated at Prepare
+    auto handle = RunJoinAsync(kAsyncEngine, plan.r(), plan.s(), config);
     if (!handle.ok()) return handle.status();
     StreamSummary summary = handle->Collect();
     if (!summary.status.ok()) return summary.status;
@@ -828,12 +699,6 @@ class AsyncCollectEngine : public JoinEngine {
     if (stats != nullptr) *stats += summary.run.stats;
     return Status::OK();
   }
-
- private:
-  EngineConfig config_;
-  const Dataset* r_ = nullptr;
-  const Dataset* s_ = nullptr;
-  bool planned_ = false;
 };
 
 }  // namespace
@@ -909,15 +774,12 @@ std::size_t AsyncJoinHandle::max_queue_depth() const {
   return state_->max_depth();
 }
 
-Result<DeferredStream> MakeJoinStream(const std::string& engine,
-                                      const Dataset& r, const Dataset& s,
-                                      const EngineConfig& config,
-                                      const StreamOptions& stream,
-                                      ThreadPool* pool) {
-  if (config.num_threads < 1) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
-  auto state = std::make_shared<StreamState>(stream.queue_capacity);
+namespace internal {
+
+DeferredStream MakeDeferredStream(const std::string& engine,
+                                  const StreamOptions& stream,
+                                  std::shared_ptr<StreamState> state,
+                                  std::function<void()> body) {
   // Safety net owned by the producer/abandon closures: if a caller drops
   // both without invoking either (an early-return error path), the last
   // closure's destruction closes the stream so consumers blocked in
@@ -926,39 +788,10 @@ Result<DeferredStream> MakeJoinStream(const std::string& engine,
     state->CloseIfOpen(
         Status::Aborted("stream dropped without running the producer"));
   });
-  std::function<void()> producer;
-  if (IsNativeStreamingEngine(engine)) {
-    SWIFT_RETURN_IF_ERROR(ValidateNativeConfig(config));
-    const TileJoin tile_join =
-        engine == kSimdEngine ? TileJoin::kSimd : config.tile_join;
-    producer = [&r, &s, config, tile_join, stream, pool, state, guard] {
-      RunNativeProducer(r, s, config, tile_join, stream, pool, state);
-    };
-  } else if (IsAccelEngine(engine)) {
-    // The simulated device is single-threaded and ignores `pool`; its
-    // chunks surface straight from the write unit (see RunAccelProducer).
-    SWIFT_RETURN_IF_ERROR(ValidateAccelConfig(config));
-    producer = [engine, &r, &s, config, stream, state, guard] {
-      RunAccelProducer(engine, r, s, config, stream, state);
-    };
-  } else if (dist::IsDistEngine(engine)) {
-    // The cluster owns its node pools and ignores `pool`; committed shards
-    // surface straight from the merge coordinator (see RunDistProducer).
-    SWIFT_RETURN_IF_ERROR(dist::ValidateDistConfig(config));
-    producer = [engine, &r, &s, config, stream, state, guard] {
-      RunDistProducer(engine, r, s, config, stream, state);
-    };
-  } else {
-    auto created = EngineRegistry::Global().Create(engine, config);
-    if (!created.ok()) return created.status();
-    std::shared_ptr<JoinEngine> eng = std::move(*created);
-    producer = [eng, &r, &s, trace = config.trace, stream, state, guard] {
-      RunGenericProducer(eng, r, s, trace, stream, state);
-    };
-  }
-  producer = InstrumentProducer(engine, stream.metrics,
-                                ContainFaults(std::move(producer), state),
-                                state);
+  std::function<void()> producer =
+      [guard, run = InstrumentProducer(engine, stream.metrics,
+                                       ContainFaults(std::move(body), state),
+                                       state)] { run(); };
   auto abandon = [state, guard](Status status) {
     state->CloseIfOpen(std::move(status));
   };
@@ -969,13 +802,53 @@ Result<DeferredStream> MakeJoinStream(const std::string& engine,
   auto cancel_with = [state](Status status) {
     state->CancelWith(std::move(status));
   };
-  guard.reset();  // closures now co-own the safety net
   auto usage =
       std::shared_ptr<obs::ResourceAccumulator>(state, state->usage());
   return DeferredStream{AsyncJoinHandle(state, std::thread()),
                         std::move(producer), std::move(abandon),
                         std::move(cancel_with), state->token(),
                         std::move(usage)};
+}
+
+}  // namespace internal
+
+Result<DeferredStream> MakeJoinStream(const std::string& engine,
+                                      const Dataset& r, const Dataset& s,
+                                      const EngineConfig& config,
+                                      const StreamOptions& stream,
+                                      ThreadPool* pool) {
+  if (config.num_threads < 1) {
+    return Status::InvalidArgument("num_threads must be >= 1");
+  }
+  auto state = std::make_shared<StreamState>(stream.queue_capacity);
+  std::function<void()> body;
+  if (IsNativeStreamingEngine(engine)) {
+    SWIFT_RETURN_IF_ERROR(ValidateNativeConfig(config));
+    const TileJoin tile_join =
+        engine == kSimdEngine ? TileJoin::kSimd : config.tile_join;
+    body = [&r, &s, config, tile_join, stream, pool, state] {
+      RunNativeProducer(r, s, config, tile_join, stream, pool, state);
+    };
+  } else {
+    // Config errors the accelerator and cluster can reject without the data
+    // fail fast here; the simulated device and the cluster ignore `pool`
+    // (see ExecuteIntoStager).
+    if (IsAccelEngine(engine)) {
+      SWIFT_RETURN_IF_ERROR(ValidateAccelConfig(config));
+    } else if (dist::IsDistEngine(engine)) {
+      SWIFT_RETURN_IF_ERROR(dist::ValidateDistConfig(config));
+    } else if (!EngineRegistry::Global().Contains(engine)) {
+      return Status::NotFound("no registered engine: " + engine);
+    }
+    PlanSource source = [&r, &s](JoinEngine& e) {
+      return e.Prepare(BorrowDataset(r), BorrowDataset(s));
+    };
+    body = [engine, config, source, stream, state] {
+      RunPreparedProducer(engine, config, source, stream, state);
+    };
+  }
+  return internal::MakeDeferredStream(engine, stream, std::move(state),
+                                      std::move(body));
 }
 
 Result<AsyncJoinHandle> RunJoinAsync(const std::string& engine,
@@ -1013,35 +886,15 @@ Result<DeferredStream> MakeRegisteredJoinStream(
     if (!resident.ok()) return resident.status();
   }
   auto state = std::make_shared<StreamState>(stream.queue_capacity);
-  auto guard = std::shared_ptr<void>(nullptr, [state](void*) {
-    state->CloseIfOpen(
-        Status::Aborted("stream dropped without running the producer"));
-  });
-  std::function<void()> producer = [registry, engine, r_name, s_name, config,
-                                    stream, state, guard] {
-    RunRegisteredProducer(registry, engine, r_name, s_name, config, stream,
-                          state);
+  PlanSource source = [registry, engine, r_name, s_name,
+                       config](JoinEngine&) {
+    return registry->GetOrPrepare(engine, r_name, s_name, config);
   };
-  producer = InstrumentProducer(engine, stream.metrics,
-                                ContainFaults(std::move(producer), state),
-                                state);
-  auto abandon = [state, guard](Status status) {
-    state->CloseIfOpen(std::move(status));
+  std::function<void()> body = [engine, config, source, stream, state] {
+    RunPreparedProducer(engine, config, source, stream, state);
   };
-  // Deliberately does NOT co-own the abandon guard: a caller that drops the
-  // producer and abandon closures must close the stream even while a
-  // watchdog still holds cancel_with (cancelling a closed stream is a
-  // no-op).
-  auto cancel_with = [state](Status status) {
-    state->CancelWith(std::move(status));
-  };
-  guard.reset();  // closures now co-own the safety net
-  auto usage =
-      std::shared_ptr<obs::ResourceAccumulator>(state, state->usage());
-  return DeferredStream{AsyncJoinHandle(state, std::thread()),
-                        std::move(producer), std::move(abandon),
-                        std::move(cancel_with), state->token(),
-                        std::move(usage)};
+  return internal::MakeDeferredStream(engine, stream, std::move(state),
+                                      std::move(body));
 }
 
 Result<AsyncJoinHandle> RunJoinAsync(DatasetRegistry& registry,

@@ -14,27 +14,25 @@
 // pair a genuine result, no duplicates) and Wait()/Collect() report
 // Aborted.
 //
-// Four producer strategies sit behind one handle type:
+// Two producers sit behind one handle type:
 //  - Partition-family engines ("partitioned", "simd", "async") stream
 //    natively: the grid is split into row bands, each band's cell
 //    assignment runs as a TaskGraph *plan task* that dynamically spawns
 //    that band's cell-join tasks, so planning of band k+1 overlaps joining
 //    of band k and the first chunks surface long before the last shard is
 //    even partitioned.
-//  - Accelerator engines ("accel-bfs", "accel-pbsm", "accel-pbsm-4x")
-//    stream natively from the simulated device: each result-burst flush of
-//    the write unit (BFS level / PBSM tile batch / multi-device shard)
-//    becomes chunks while the simulated kernel still runs, so host-side
-//    consumption overlaps device execution (join/accel_engine.h).
-//  - Distributed engines ("dist-pbsm", "dist-accel") stream natively from
-//    the simulated cluster: every shard the merge coordinator commits
-//    surfaces as chunks while other nodes are still joining, and a
-//    cancelled consumer stops the whole cluster mid-exchange
-//    (dist/dist_engine.h).
-//  - Every other registered engine runs Plan -> Execute synchronously on
-//    the producer thread and streams the finished result out in chunks, so
-//    the streaming contract (chunks, backpressure, cancellation, Collect)
-//    is uniform across the whole registry.
+//  - Every other engine, and every warm (registered-dataset) request, runs
+//    Prepare -> ExecutePrepared on the producer thread: the plan comes from
+//    the engine's own Prepare (cold) or the registry's plan cache (warm).
+//    The accelerator engines ("accel-bfs", "accel-pbsm", "accel-pbsm-4x")
+//    and the distributed engines ("dist-pbsm", "dist-accel") execute
+//    through their typed ExecuteStreaming, so each write-unit flush or
+//    committed shard surfaces as chunks while the simulated device or the
+//    other nodes still run, and a cancelled consumer stops the whole
+//    cluster (join/accel_engine.h, dist/dist_engine.h). The rest stream
+//    their finished result out in chunks, so the streaming contract
+//    (chunks, backpressure, cancellation, Collect) is uniform across the
+//    whole registry.
 //
 // Collect() folds a stream back into a JoinRun, which is how the
 // "async" engine (registered in EngineRegistry::Global()) proves the
@@ -84,7 +82,7 @@ struct StreamOptions {
   /// Maximum buffered chunks before the producer blocks (backpressure).
   std::size_t queue_capacity = 8;
   /// Row bands for the native streaming planner; 0 = auto
-  /// (min(grid rows, max(2, num_threads))). Ignored by the generic path.
+  /// (min(grid rows, max(2, num_threads))). Ignored by the other producer.
   int num_shards = 0;
   /// Sink for the swiftspatial_stream_* series (per-engine plan/execute
   /// latency, chunk counts), observed once per stream after the producer
@@ -106,21 +104,18 @@ struct StreamSummary {
 
 class AsyncJoinHandle;
 struct DeferredStream;
+namespace internal {
+/// Wraps a producer body that closes `state` into a DeferredStream:
+/// fault containment, metrics, and the drop/abandon/cancel closures.
+DeferredStream MakeDeferredStream(const std::string& engine,
+                                  const StreamOptions& stream,
+                                  std::shared_ptr<StreamState> state,
+                                  std::function<void()> body);
+}  // namespace internal
 Result<AsyncJoinHandle> RunJoinAsync(const std::string& engine,
                                      const Dataset& r, const Dataset& s,
                                      const EngineConfig& config,
                                      const StreamOptions& stream);
-Result<DeferredStream> MakeJoinStream(const std::string& engine,
-                                      const Dataset& r, const Dataset& s,
-                                      const EngineConfig& config,
-                                      const StreamOptions& stream,
-                                      ThreadPool* pool);
-Result<DeferredStream> MakeRegisteredJoinStream(DatasetRegistry* registry,
-                                                const std::string& engine,
-                                                const std::string& r_name,
-                                                const std::string& s_name,
-                                                const EngineConfig& config,
-                                                const StreamOptions& stream);
 Result<AsyncJoinHandle> RunJoinAsync(DatasetRegistry& registry,
                                      const std::string& engine,
                                      const std::string& r_name,
@@ -171,14 +166,9 @@ class AsyncJoinHandle {
                                               const Dataset&, const Dataset&,
                                               const EngineConfig&,
                                               const StreamOptions&);
-  friend Result<DeferredStream> MakeJoinStream(const std::string&,
-                                               const Dataset&, const Dataset&,
-                                               const EngineConfig&,
-                                               const StreamOptions&,
-                                               ThreadPool*);
-  friend Result<DeferredStream> MakeRegisteredJoinStream(
-      DatasetRegistry*, const std::string&, const std::string&,
-      const std::string&, const EngineConfig&, const StreamOptions&);
+  friend DeferredStream internal::MakeDeferredStream(
+      const std::string&, const StreamOptions&,
+      std::shared_ptr<internal::StreamState>, std::function<void()>);
   friend Result<AsyncJoinHandle> RunJoinAsync(DatasetRegistry&,
                                               const std::string&,
                                               const std::string&,
@@ -250,9 +240,9 @@ Result<DeferredStream> MakeJoinStream(const std::string& engine,
 /// The warm-path variant of MakeJoinStream: `r_name`/`s_name` name datasets
 /// resident in `registry` instead of shipping boxes. The producer fetches
 /// the cached PreparedPlan (DatasetRegistry::GetOrPrepare) and streams
-/// ExecutePrepared output -- on a cache hit the stream's plan_seconds is
-/// just the cache lookup, effectively zero, which is the measurable
-/// warm-serving win. Fails fast with NotFound for unknown engines or
+/// its execution -- on a cache hit the stream's plan_seconds is just engine
+/// instantiation plus the cache lookup, effectively zero, which is the
+/// measurable warm-serving win. Fails fast with NotFound for unknown engines or
 /// unregistered dataset names. `registry` must outlive the stream.
 Result<DeferredStream> MakeRegisteredJoinStream(
     DatasetRegistry* registry, const std::string& engine,
@@ -260,7 +250,7 @@ Result<DeferredStream> MakeRegisteredJoinStream(
     const EngineConfig& config = {}, const StreamOptions& stream = {});
 
 /// Warm-path RunJoinAsync: like the dataset-reference overload but over
-/// registered datasets, skipping Plan on every cache hit.
+/// registered datasets, skipping Prepare on every cache hit.
 Result<AsyncJoinHandle> RunJoinAsync(DatasetRegistry& registry,
                                      const std::string& engine,
                                      const std::string& r_name,
@@ -269,8 +259,9 @@ Result<AsyncJoinHandle> RunJoinAsync(DatasetRegistry& registry,
                                      const StreamOptions& stream = {});
 
 /// Factory behind the "async" engine registered in EngineRegistry::Global():
-/// Execute() runs the native banded streaming path and Collect()s it, so the
-/// equivalence oracle checks streaming output against every other engine.
+/// ExecutePrepared runs the native banded streaming path and Collect()s it,
+/// so the equivalence oracle checks streaming output against every other
+/// engine.
 std::unique_ptr<JoinEngine> MakeAsyncJoinEngine(const EngineConfig& config);
 
 }  // namespace swiftspatial::exec

@@ -1,92 +1,53 @@
 #include "join/accel_engine.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
-#include "grid/hierarchical_partition.h"
 #include "hw/multi_device.h"
+#include "join/engine_base.h"
 #include "rtree/bulk_load.h"
-#include "rtree/packed_rtree.h"
 
 namespace swiftspatial {
 
 namespace {
 
-// Plan/Execute bookkeeping shared by the three device engines (the same
-// contract engine.cc's EngineBase enforces for the CPU engines: config and
-// geometry validation at Plan, planned/empty-input guards, *out overwritten
-// per Execute). Subclasses implement PlanImpl and a single ExecuteImpl that
+// The lifecycle shared by the three device engines (EngineBase: config and
+// geometry validation at Prepare, output/plan checks and the empty-input
+// guard at execution). Subclasses implement Build and a single Run that
 // serves both the collecting and the streaming entry points.
-class AccelEngineBase : public AccelJoinEngine {
+class AccelEngineBase : public EngineBase<AccelPreparedPlan, AccelJoinEngine> {
  public:
-  AccelEngineBase(std::string name, const EngineConfig& config)
-      : name_(std::move(name)), config_(config) {}
+  using EngineBase::EngineBase;
 
-  const std::string& name() const override { return name_; }
-
-  Status Plan(const Dataset& r, const Dataset& s) final {
-    SWIFT_RETURN_IF_ERROR(ValidateAccelConfig(config_));
-    SWIFT_RETURN_IF_ERROR(Validate());
-    if (config_.validate_inputs) {
-      SWIFT_RETURN_IF_ERROR(r.ValidateBoxes());
-      SWIFT_RETURN_IF_ERROR(s.ValidateBoxes());
-    }
-    r_ = &r;
-    s_ = &s;
-    planned_bytes_ = 0;
-    if (!r.empty() && !s.empty()) {
-      SWIFT_RETURN_IF_ERROR(PlanImpl(r, s));
-    }
-    planned_ = true;
-    return Status::OK();
-  }
-
-  Status Execute(JoinResult* out, JoinStats* stats) final {
-    if (!planned_) {
-      return Status::Internal("Execute called before a successful Plan");
-    }
-    if (out == nullptr) {
-      return Status::InvalidArgument("Execute requires a non-null result");
-    }
-    *out = JoinResult();
-    report_ = hw::AcceleratorReport{};
-    if (r_->empty() || s_->empty()) return Status::OK();
-    return ExecuteImpl(*r_, *s_, out, stats, nullptr);
-  }
-
-  Status ExecuteStreaming(const AccelBatchSink& sink,
+  Status ExecuteStreaming(const PreparedPlan& plan, const AccelBatchSink& sink,
                           JoinStats* stats) final {
-    if (!planned_) {
-      return Status::Internal(
-          "ExecuteStreaming called before a successful Plan");
-    }
     if (!sink) {
       return Status::InvalidArgument(
           "ExecuteStreaming requires a callable sink");
     }
-    report_ = hw::AcceleratorReport{};
-    if (r_->empty() || s_->empty()) return Status::OK();
-    return ExecuteImpl(*r_, *s_, nullptr, stats, &sink);
+    auto typed = Typed(plan);
+    if (!typed.ok()) return typed.status();
+    if (plan.r().empty() || plan.s().empty()) return Status::OK();
+    return Run(**typed, nullptr, stats, &sink);
   }
 
  protected:
-  /// Engine-specific config validation beyond ValidateAccelConfig.
-  virtual Status Validate() { return Status::OK(); }
-  /// Builds the device images (trees / partitions). Non-empty inputs only.
-  virtual Status PlanImpl(const Dataset& r, const Dataset& s) = 0;
+  Status Validate() override { return ValidateAccelConfig(config()); }
+
+  Status ExecuteImpl(const AccelPreparedPlan& plan, JoinResult* out,
+                     JoinStats* stats) final {
+    return Run(plan, out, stats, nullptr);
+  }
+
   /// Runs the device. Exactly one of `out` (collecting) and `sink`
   /// (streaming) is non-null. Must fill report_.
-  virtual Status ExecuteImpl(const Dataset& r, const Dataset& s,
-                             JoinResult* out, JoinStats* stats,
-                             const AccelBatchSink* sink) = 0;
-
-  const EngineConfig& config() const { return config_; }
+  virtual Status Run(const AccelPreparedPlan& plan, JoinResult* out,
+                     JoinStats* stats, const AccelBatchSink* sink) = 0;
 
   hw::AcceleratorConfig DeviceConfig() const {
     hw::AcceleratorConfig acfg;
-    if (config_.accel_join_units > 0) {
-      acfg.num_join_units = config_.accel_join_units;
+    if (config().accel_join_units > 0) {
+      acfg.num_join_units = config().accel_join_units;
     }
     return acfg;
   }
@@ -99,19 +60,12 @@ class AccelEngineBase : public AccelJoinEngine {
       sink(std::vector<ResultPair>(pairs));
     };
   }
-
- private:
-  std::string name_;
-  EngineConfig config_;
-  const Dataset* r_ = nullptr;
-  const Dataset* s_ = nullptr;
-  bool planned_ = false;
 };
 
 // ---------------------------------------------------------------------------
-// accel-bfs: BFS synchronous R-tree traversal on the device (§3.4.1). Plan
-// is the host's side of the bargain: bulk-load both packed trees -- the
-// byte images PCIe will ship -- and price them in planned_bytes_to_device.
+// accel-bfs: BFS synchronous R-tree traversal on the device (§3.4.1).
+// Prepare bulk-loads both packed trees -- the byte images PCIe will ship --
+// and prices them in the plan's bytes_to_device.
 // ---------------------------------------------------------------------------
 class AccelBfsEngine : public AccelEngineBase {
  public:
@@ -119,68 +73,64 @@ class AccelBfsEngine : public AccelEngineBase {
 
  protected:
   Status Validate() override {
+    SWIFT_RETURN_IF_ERROR(AccelEngineBase::Validate());
     if (config().node_capacity < 2) {
       return Status::InvalidArgument("node_capacity must be >= 2");
     }
     return Status::OK();
   }
 
-  Status PlanImpl(const Dataset& r, const Dataset& s) override {
+  Status Build(AccelPreparedPlan* plan) override {
     BulkLoadOptions bl;
     bl.max_entries = config().node_capacity;
     bl.num_threads = config().num_threads;
-    r_tree_.emplace(StrBulkLoad(r, bl));
-    s_tree_.emplace(StrBulkLoad(s, bl));
-    planned_bytes_ = r_tree_->bytes().size() + s_tree_->bytes().size();
+    plan->r_tree.emplace(StrBulkLoad(plan->r(), bl));
+    plan->s_tree.emplace(StrBulkLoad(plan->s(), bl));
+    plan->bytes_to_device =
+        plan->r_tree->bytes().size() + plan->s_tree->bytes().size();
     return Status::OK();
   }
 
-  Status ExecuteImpl(const Dataset&, const Dataset&, JoinResult* out,
-                     JoinStats* stats, const AccelBatchSink* sink) override {
+  Status Run(const AccelPreparedPlan& plan, JoinResult* out, JoinStats* stats,
+             const AccelBatchSink* sink) override {
     hw::Accelerator device(DeviceConfig());
     hw::ResultSink bridge;
     if (sink != nullptr) bridge = BurstBridge(*sink);
-    report_ = device.RunSyncTraversal(*r_tree_, *s_tree_, out,
+    report_ = device.RunSyncTraversal(*plan.r_tree, *plan.s_tree, out,
                                       sink != nullptr ? &bridge : nullptr);
     if (stats != nullptr) *stats += report_.stats;
     return Status::OK();
   }
-
- private:
-  std::optional<PackedRTree> r_tree_;
-  std::optional<PackedRTree> s_tree_;
 };
 
 // ---------------------------------------------------------------------------
-// accel-pbsm: tile-pair join over a hierarchical partition (§3.4.2). Plan
-// partitions; the serialized tile stores + task table are the transfer.
+// accel-pbsm: tile-pair join over a hierarchical partition (§3.4.2).
+// Prepare partitions; the serialized tile stores + task table are the
+// transfer.
 // ---------------------------------------------------------------------------
 class AccelPbsmEngine : public AccelEngineBase {
  public:
   using AccelEngineBase::AccelEngineBase;
 
  protected:
-  Status PlanImpl(const Dataset& r, const Dataset& s) override {
+  Status Build(AccelPreparedPlan* plan) override {
     HierarchicalPartitionOptions hp;
     hp.tile_cap = config().accel_tile_cap;
-    partition_ = PartitionHierarchical(r, s, hp);
-    planned_bytes_ = hw::PbsmDeviceImageBytes(partition_);
+    plan->partition = PartitionHierarchical(plan->r(), plan->s(), hp);
+    plan->bytes_to_device = hw::PbsmDeviceImageBytes(*plan->partition);
     return Status::OK();
   }
 
-  Status ExecuteImpl(const Dataset& r, const Dataset& s, JoinResult* out,
-                     JoinStats* stats, const AccelBatchSink* sink) override {
+  Status Run(const AccelPreparedPlan& plan, JoinResult* out, JoinStats* stats,
+             const AccelBatchSink* sink) override {
     hw::Accelerator device(DeviceConfig());
     hw::ResultSink bridge;
     if (sink != nullptr) bridge = BurstBridge(*sink);
-    report_ = device.RunPbsm(r, s, partition_, out,
+    report_ = device.RunPbsm(plan.r(), plan.s(), *plan.partition, out,
                              sink != nullptr ? &bridge : nullptr);
     if (stats != nullptr) *stats += report_.stats;
     return Status::OK();
   }
-
- private:
-  HierarchicalPartition partition_;
 };
 
 // ---------------------------------------------------------------------------
@@ -189,21 +139,17 @@ class AccelPbsmEngine : public AccelEngineBase {
 // simulated devices; per-shard results are deduplicated on the host by the
 // reference-point rule against the outer grid's dedup tiles. Streaming
 // flushes each shard's deduplicated global pairs as that device retires.
+// The grid-resolution search is footprint-driven and may refine during
+// execution (§6), so the per-device images are built per run and Prepare
+// only validates.
 // ---------------------------------------------------------------------------
 class AccelPbsmMultiEngine : public AccelEngineBase {
  public:
   using AccelEngineBase::AccelEngineBase;
 
  protected:
-  Status PlanImpl(const Dataset&, const Dataset&) override {
-    // The grid-resolution search is footprint-driven and may refine during
-    // execution (§6), so the per-device images are built inside Execute;
-    // Plan's job here is validation only.
-    return Status::OK();
-  }
-
-  Status ExecuteImpl(const Dataset& r, const Dataset& s, JoinResult* out,
-                     JoinStats* stats, const AccelBatchSink* sink) override {
+  Status Run(const AccelPreparedPlan& plan, JoinResult* out, JoinStats* stats,
+             const AccelBatchSink* sink) override {
     hw::MultiDeviceConfig mdc;
     mdc.device = DeviceConfig();
     mdc.device_memory_bytes = config().accel_device_memory_bytes;
@@ -218,12 +164,13 @@ class AccelPbsmMultiEngine : public AccelEngineBase {
         (*sink)(std::move(pairs));
       };
     }
-    auto mdr = hw::PartitionedJoin(r, s, mdc, out);
+    auto mdr = hw::PartitionedJoin(plan.r(), plan.s(), mdc, out);
     if (!mdr.ok()) return mdr.status();
 
     // Aggregate the per-device reports into one device view: concurrent
     // shards overlap, so cycle-like quantities take the max; transferred
     // bytes and work counters sum.
+    report_ = hw::AcceleratorReport{};
     report_.num_results = mdr->num_results;
     report_.total_seconds = mdr->total_seconds;
     for (const hw::AcceleratorReport& sub : mdr->sub_reports) {
@@ -247,6 +194,20 @@ class AccelPbsmMultiEngine : public AccelEngineBase {
 };
 
 }  // namespace
+
+std::size_t AccelPreparedPlan::MemoryBytes() const {
+  std::size_t bytes = 0;
+  if (r_tree) bytes += r_tree->bytes().capacity();
+  if (s_tree) bytes += s_tree->bytes().capacity();
+  if (partition) {
+    for (const TileTask& task : partition->tasks) {
+      bytes += sizeof(TileTask) + (task.r_objects.capacity() +
+                                   task.s_objects.capacity()) *
+                                      sizeof(ObjectId);
+    }
+  }
+  return bytes;
+}
 
 bool IsAccelEngine(const std::string& name) {
   return name == kAccelBfsEngine || name == kAccelPbsmEngine ||

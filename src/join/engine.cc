@@ -1,6 +1,6 @@
 #include "join/engine.h"
 
-#include <algorithm>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -10,135 +10,29 @@
 #include "exec/streaming.h"
 #include "join/accel_engine.h"
 #include "join/cuspatial_like.h"
+#include "join/engine_base.h"
 #include "join/engine_baselines.h"
 #include "join/nested_loop.h"
 #include "join/partitioned_driver.h"
 #include "join/plane_sweep.h"
-#include "obs/metrics.h"
 #include "join/sync_traversal.h"
+#include "obs/metrics.h"
 #include "rtree/bulk_load.h"
 
 namespace swiftspatial {
 namespace {
 
-// Validation shared by every engine.
-Status ValidateCommon(const EngineConfig& config) {
-  if (config.num_threads < 1) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
-  return Status::OK();
-}
-
-// Shared by ExecutePrepared overrides: the output/name/type checks every
-// native implementation needs before touching plan artifacts.
-template <typename PlanT>
-Result<const PlanT*> CheckPreparedPlan(const JoinEngine& engine,
-                                       const PreparedPlan& plan,
-                                       JoinResult* out) {
-  if (out == nullptr) {
-    return Status::InvalidArgument(
-        "ExecutePrepared requires a non-null result");
-  }
-  if (plan.engine() != engine.name()) {
-    return Status::InvalidArgument("prepared plan belongs to engine \"" +
-                                   plan.engine() + "\", not \"" +
-                                   engine.name() + "\"");
-  }
-  const auto* typed = dynamic_cast<const PlanT*>(&plan);
-  if (typed == nullptr) {
-    return Status::Internal("prepared plan type mismatch for engine " +
-                            engine.name());
-  }
-  return typed;
-}
-
-// Base class factoring the Plan bookkeeping every adapter needs: common
-// config validation, dataset capture, and the planned/empty-input guards.
-// Subclasses override PlanImpl/ExecuteImpl.
-class EngineBase : public JoinEngine {
- public:
-  EngineBase(std::string name, const EngineConfig& config)
-      : name_(std::move(name)), config_(config) {}
-
-  const std::string& name() const override { return name_; }
-
-  Status Plan(const Dataset& r, const Dataset& s) final {
-    SWIFT_RETURN_IF_ERROR(PrepareChecks(r, s));
-    r_ = &r;
-    s_ = &s;
-    // Empty inputs join to the empty set; skip index builds so every engine
-    // (including ones whose underlying index assumes non-empty data) is
-    // uniformly safe on the edge case.
-    if (!r.empty() && !s.empty()) {
-      SWIFT_RETURN_IF_ERROR(PlanImpl(r, s));
-    }
-    planned_ = true;
-    return Status::OK();
-  }
-
-  Status Execute(JoinResult* out, JoinStats* stats) final {
-    if (!planned_) {
-      return Status::Internal("Execute called before a successful Plan");
-    }
-    if (out == nullptr) {
-      return Status::InvalidArgument("Execute requires a non-null result");
-    }
-    // Execute overwrites *out (stats accumulate): repeated Execute calls
-    // must yield identical results even for engines whose implementation
-    // appends into the output (e.g. the tile-join based ones).
-    *out = JoinResult();
-    if (r_->empty() || s_->empty()) return Status::OK();
-    return ExecuteImpl(*r_, *s_, out, stats);
-  }
-
- protected:
-  /// The validation Plan runs before building anything: common + engine
-  /// config checks, then the reject-at-ingest geometry policy (NaN/inf
-  /// coordinates, inverted boxes; see EngineConfig::validate_inputs).
-  /// Prepare overrides run the same gauntlet so the warm path accepts
-  /// exactly what the cold path accepts.
-  Status PrepareChecks(const Dataset& r, const Dataset& s) {
-    SWIFT_RETURN_IF_ERROR(ValidateCommon(config_));
-    SWIFT_RETURN_IF_ERROR(Validate());
-    if (config_.validate_inputs) {
-      SWIFT_RETURN_IF_ERROR(r.ValidateBoxes());
-      SWIFT_RETURN_IF_ERROR(s.ValidateBoxes());
-    }
-    return Status::OK();
-  }
-
-  /// Engine-specific config validation (beyond ValidateCommon).
-  virtual Status Validate() { return Status::OK(); }
-  /// Builds indexes/partitions. Only called for non-empty inputs.
-  virtual Status PlanImpl(const Dataset& r, const Dataset& s) {
-    (void)r;
-    (void)s;
-    return Status::OK();
-  }
-  virtual Status ExecuteImpl(const Dataset& r, const Dataset& s,
-                             JoinResult* out, JoinStats* stats) = 0;
-
-  const EngineConfig& config() const { return config_; }
-
- private:
-  std::string name_;
-  EngineConfig config_;
-  const Dataset* r_ = nullptr;
-  const Dataset* s_ = nullptr;
-  bool planned_ = false;
-};
-
 // ---------------------------------------------------------------------------
 // nested_loop: the all-pairs oracle.
 // ---------------------------------------------------------------------------
-class NestedLoopEngine : public EngineBase {
+class NestedLoopEngine : public EngineBase<InputsOnlyPlan> {
  public:
   using EngineBase::EngineBase;
 
  protected:
-  Status ExecuteImpl(const Dataset& r, const Dataset& s, JoinResult* out,
+  Status ExecuteImpl(const InputsOnlyPlan& plan, JoinResult* out,
                      JoinStats* stats) override {
-    *out = BruteForceJoin(r, s, stats);
+    *out = BruteForceJoin(plan.r(), plan.s(), stats);
     return Status::OK();
   }
 };
@@ -146,45 +40,51 @@ class NestedLoopEngine : public EngineBase {
 // ---------------------------------------------------------------------------
 // plane_sweep: one global forward-scan sweep over both inputs.
 // ---------------------------------------------------------------------------
-class PlaneSweepEngine : public EngineBase {
+
+// Both inputs' ids in sweep order, sorted once at Prepare so executions
+// skip the sort.
+class PlaneSweepPlan : public PreparedPlan {
+ public:
+  using PreparedPlan::PreparedPlan;
+
+  std::size_t MemoryBytes() const override {
+    return (r_ids.capacity() + s_ids.capacity()) * sizeof(ObjectId);
+  }
+
+  std::vector<ObjectId> r_ids;
+  std::vector<ObjectId> s_ids;
+};
+
+class PlaneSweepEngine : public EngineBase<PlaneSweepPlan> {
  public:
   using EngineBase::EngineBase;
 
  protected:
-  Status PlanImpl(const Dataset& r, const Dataset& s) override {
-    r_ids_.resize(r.size());
-    s_ids_.resize(s.size());
-    for (std::size_t i = 0; i < r.size(); ++i) {
-      r_ids_[i] = static_cast<ObjectId>(i);
-    }
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      s_ids_[i] = static_cast<ObjectId>(i);
-    }
-    // Sweep order once at Plan, so repeated Executes skip the sort.
-    SortForSweep(r, &r_ids_);
-    SortForSweep(s, &s_ids_);
+  Status Build(PlaneSweepPlan* plan) override {
+    const auto sweep_ordered = [](const Dataset& d) {
+      std::vector<ObjectId> ids(d.size());
+      std::iota(ids.begin(), ids.end(), ObjectId{0});
+      SortForSweep(d, &ids);
+      return ids;
+    };
+    plan->r_ids = sweep_ordered(plan->r());
+    plan->s_ids = sweep_ordered(plan->s());
     return Status::OK();
   }
 
-  Status ExecuteImpl(const Dataset& r, const Dataset& s, JoinResult* out,
+  Status ExecuteImpl(const PlaneSweepPlan& plan, JoinResult* out,
                      JoinStats* stats) override {
-    PlaneSweepTileJoin(r, s, r_ids_, s_ids_, /*dedup_tile=*/nullptr, out,
-                       stats);
+    PlaneSweepTileJoin(plan.r(), plan.s(), plan.r_ids, plan.s_ids,
+                       /*dedup_tile=*/nullptr, out, stats);
     return Status::OK();
   }
-
- private:
-  std::vector<ObjectId> r_ids_;
-  std::vector<ObjectId> s_ids_;
 };
 
 // ---------------------------------------------------------------------------
 // pbsm: 1-D stripes + per-stripe tile joins (Algorithm 3).
 // ---------------------------------------------------------------------------
 
-// The cached artifact of pbsm planning: the immutable stripe partition plus
-// the options it was built under. PbsmJoin reads the partition const, so
-// one plan serves concurrent warm executions.
+// The immutable stripe partition plus the options it was built under.
 class PbsmPreparedPlan : public PreparedPlan {
  public:
   using PreparedPlan::PreparedPlan;
@@ -202,36 +102,11 @@ class PbsmPreparedPlan : public PreparedPlan {
 
   PbsmOptions options;
   StripePartition partition;
-  bool built = false;  // false for empty inputs: nothing to join
 };
 
-class PbsmEngine : public EngineBase {
+class PbsmEngine : public EngineBase<PbsmPreparedPlan> {
  public:
   using EngineBase::EngineBase;
-
-  Result<std::shared_ptr<const PreparedPlan>> Prepare(
-      std::shared_ptr<const Dataset> r,
-      std::shared_ptr<const Dataset> s) override {
-    SWIFT_RETURN_IF_ERROR(PrepareChecks(*r, *s));
-    auto plan = std::make_shared<PbsmPreparedPlan>(name(), r, s);
-    if (!r->empty() && !s->empty()) {
-      plan->options = OptionsFromConfig();
-      plan->partition = PbsmPartition(*r, *s, plan->options);
-      plan->built = true;
-    }
-    return std::shared_ptr<const PreparedPlan>(std::move(plan));
-  }
-
-  Status ExecutePrepared(const PreparedPlan& plan, JoinResult* out,
-                         JoinStats* stats) override {
-    auto typed = CheckPreparedPlan<PbsmPreparedPlan>(*this, plan, out);
-    if (!typed.ok()) return typed.status();
-    *out = JoinResult();
-    if (!(*typed)->built) return Status::OK();
-    *out = PbsmJoin(plan.r(), plan.s(), (*typed)->partition,
-                    (*typed)->options, stats);
-    return Status::OK();
-  }
 
  protected:
   Status Validate() override {
@@ -241,37 +116,27 @@ class PbsmEngine : public EngineBase {
     return Status::OK();
   }
 
-  Status PlanImpl(const Dataset& r, const Dataset& s) override {
-    options_ = OptionsFromConfig();
-    partition_ = PbsmPartition(r, s, options_);
+  Status Build(PbsmPreparedPlan* plan) override {
+    plan->options.num_partitions = config().num_partitions;
+    plan->options.axis = config().axis;
+    plan->options.num_threads = config().num_threads;
+    plan->options.schedule = config().schedule;
+    plan->options.tile_join = config().tile_join;
+    plan->partition = PbsmPartition(plan->r(), plan->s(), plan->options);
     return Status::OK();
   }
 
-  Status ExecuteImpl(const Dataset& r, const Dataset& s, JoinResult* out,
+  Status ExecuteImpl(const PbsmPreparedPlan& plan, JoinResult* out,
                      JoinStats* stats) override {
-    *out = PbsmJoin(r, s, partition_, options_, stats);
+    *out = PbsmJoin(plan.r(), plan.s(), plan.partition, plan.options, stats);
     return Status::OK();
   }
-
- private:
-  PbsmOptions OptionsFromConfig() const {
-    PbsmOptions options;
-    options.num_partitions = config().num_partitions;
-    options.axis = config().axis;
-    options.num_threads = config().num_threads;
-    options.schedule = config().schedule;
-    options.tile_join = config().tile_join;
-    return options;
-  }
-
-  PbsmOptions options_;
-  StripePartition partition_;
 };
 
 // ---------------------------------------------------------------------------
 // cuspatial_like: quadtree-indexed point-in-polygon-MBR join.
 // ---------------------------------------------------------------------------
-class CuSpatialLikeEngine : public EngineBase {
+class CuSpatialLikeEngine : public EngineBase<InputsOnlyPlan> {
  public:
   using EngineBase::EngineBase;
 
@@ -286,9 +151,8 @@ class CuSpatialLikeEngine : public EngineBase {
     return Status::OK();
   }
 
-  Status PlanImpl(const Dataset& r, const Dataset& s) override {
-    (void)s;
-    if (!r.IsPointDataset()) {
+  Status Build(InputsOnlyPlan* plan) override {
+    if (!plan->r().IsPointDataset()) {
       // NotSupported, not InvalidArgument: the input is well-formed, this
       // engine just does not apply to it. Harnesses key expected skips on
       // the distinction (bench::SkipRow).
@@ -299,24 +163,22 @@ class CuSpatialLikeEngine : public EngineBase {
     return Status::OK();
   }
 
-  Status ExecuteImpl(const Dataset& r, const Dataset& s, JoinResult* out,
+  Status ExecuteImpl(const InputsOnlyPlan& plan, JoinResult* out,
                      JoinStats* stats) override {
     CuSpatialLikeOptions options;
     options.quadtree_leaf_capacity = config().quadtree_leaf_capacity;
     options.batch_size = config().batch_size;
     options.num_threads = config().num_threads;
-    *out = CuSpatialLikeJoin(r, s, options, stats);
+    *out = CuSpatialLikeJoin(plan.r(), plan.s(), options, stats);
     return Status::OK();
   }
 };
 
 // ---------------------------------------------------------------------------
-// sync_traversal / parallel_sync_traversal: R-tree engines. Plan bulk-loads
-// both trees (STR, the paper's default).
+// sync_traversal / parallel_sync_traversal: R-tree engines. Prepare
+// bulk-loads both trees (STR, the paper's default); traversals only read
+// the DRAM images.
 // ---------------------------------------------------------------------------
-
-// The cached artifact of R-tree planning: both packed trees. Traversals
-// only read the DRAM images, so one plan serves concurrent warm executions.
 class RTreePreparedPlan : public PreparedPlan {
  public:
   using PreparedPlan::PreparedPlan;
@@ -332,24 +194,9 @@ class RTreePreparedPlan : public PreparedPlan {
   std::optional<PackedRTree> s_tree;
 };
 
-class RTreeEngineBase : public EngineBase {
+class RTreeEngineBase : public EngineBase<RTreePreparedPlan> {
  public:
   using EngineBase::EngineBase;
-
-  Result<std::shared_ptr<const PreparedPlan>> Prepare(
-      std::shared_ptr<const Dataset> r,
-      std::shared_ptr<const Dataset> s) override {
-    SWIFT_RETURN_IF_ERROR(PrepareChecks(*r, *s));
-    auto plan = std::make_shared<RTreePreparedPlan>(name(), r, s);
-    if (!r->empty() && !s->empty()) {
-      BulkLoadOptions bl;
-      bl.max_entries = config().node_capacity;
-      bl.num_threads = config().num_threads;
-      plan->r_tree.emplace(StrBulkLoad(*r, bl));
-      plan->s_tree.emplace(StrBulkLoad(*s, bl));
-    }
-    return std::shared_ptr<const PreparedPlan>(std::move(plan));
-  }
 
  protected:
   Status Validate() override {
@@ -359,41 +206,25 @@ class RTreeEngineBase : public EngineBase {
     return Status::OK();
   }
 
-  Status PlanImpl(const Dataset& r, const Dataset& s) override {
+  Status Build(RTreePreparedPlan* plan) override {
     BulkLoadOptions bl;
     bl.max_entries = config().node_capacity;
     bl.num_threads = config().num_threads;
-    r_tree_.emplace(StrBulkLoad(r, bl));
-    s_tree_.emplace(StrBulkLoad(s, bl));
+    plan->r_tree.emplace(StrBulkLoad(plan->r(), bl));
+    plan->s_tree.emplace(StrBulkLoad(plan->s(), bl));
     return Status::OK();
   }
-
-  std::optional<PackedRTree> r_tree_;
-  std::optional<PackedRTree> s_tree_;
 };
 
 class SyncTraversalEngine : public RTreeEngineBase {
  public:
   using RTreeEngineBase::RTreeEngineBase;
 
-  Status ExecutePrepared(const PreparedPlan& plan, JoinResult* out,
-                         JoinStats* stats) override {
-    auto typed = CheckPreparedPlan<RTreePreparedPlan>(*this, plan, out);
-    if (!typed.ok()) return typed.status();
-    *out = JoinResult();
-    if (!(*typed)->r_tree.has_value()) return Status::OK();
-    *out = config().bfs
-               ? SyncTraversalBfs(*(*typed)->r_tree, *(*typed)->s_tree, stats)
-               : SyncTraversalDfs(*(*typed)->r_tree, *(*typed)->s_tree,
-                                  stats);
-    return Status::OK();
-  }
-
  protected:
-  Status ExecuteImpl(const Dataset&, const Dataset&, JoinResult* out,
+  Status ExecuteImpl(const RTreePreparedPlan& plan, JoinResult* out,
                      JoinStats* stats) override {
-    *out = config().bfs ? SyncTraversalBfs(*r_tree_, *s_tree_, stats)
-                        : SyncTraversalDfs(*r_tree_, *s_tree_, stats);
+    *out = config().bfs ? SyncTraversalBfs(*plan.r_tree, *plan.s_tree, stats)
+                        : SyncTraversalDfs(*plan.r_tree, *plan.s_tree, stats);
     return Status::OK();
   }
 };
@@ -401,17 +232,6 @@ class SyncTraversalEngine : public RTreeEngineBase {
 class ParallelSyncTraversalEngine : public RTreeEngineBase {
  public:
   using RTreeEngineBase::RTreeEngineBase;
-
-  Status ExecutePrepared(const PreparedPlan& plan, JoinResult* out,
-                         JoinStats* stats) override {
-    auto typed = CheckPreparedPlan<RTreePreparedPlan>(*this, plan, out);
-    if (!typed.ok()) return typed.status();
-    *out = JoinResult();
-    if (!(*typed)->r_tree.has_value()) return Status::OK();
-    *out = ParallelSyncTraversal(*(*typed)->r_tree, *(*typed)->s_tree,
-                                 TraversalOptions(), stats);
-    return Status::OK();
-  }
 
  protected:
   Status Validate() override {
@@ -422,21 +242,15 @@ class ParallelSyncTraversalEngine : public RTreeEngineBase {
     return Status::OK();
   }
 
-  Status ExecuteImpl(const Dataset&, const Dataset&, JoinResult* out,
+  Status ExecuteImpl(const RTreePreparedPlan& plan, JoinResult* out,
                      JoinStats* stats) override {
-    *out = ParallelSyncTraversal(*r_tree_, *s_tree_, TraversalOptions(),
-                                 stats);
-    return Status::OK();
-  }
-
- private:
-  ParallelSyncTraversalOptions TraversalOptions() const {
     ParallelSyncTraversalOptions options;
     options.num_threads = config().num_threads;
     options.strategy = config().strategy;
     options.schedule = config().schedule;
     options.dfs_switch_factor = config().dfs_switch_factor;
-    return options;
+    *out = ParallelSyncTraversal(*plan.r_tree, *plan.s_tree, options, stats);
+    return Status::OK();
   }
 };
 
@@ -446,9 +260,9 @@ class ParallelSyncTraversalEngine : public RTreeEngineBase {
 // so the grid supplies thread scaling and the kernel supplies per-cell
 // predicate throughput.
 // ---------------------------------------------------------------------------
-// The cached artifact of grid planning: the shared immutable cell plan
-// (see PartitionedPlanState). ExecutePartitionedPlan reads it const with
-// per-call accumulators, so one plan serves concurrent warm executions.
+
+// The shared immutable cell plan (see PartitionedPlanState);
+// ExecutePartitionedPlan reads it const with per-call accumulators.
 class PartitionedPreparedPlan : public PreparedPlan {
  public:
   using PreparedPlan::PreparedPlan;
@@ -460,68 +274,44 @@ class PartitionedPreparedPlan : public PreparedPlan {
   std::shared_ptr<const PartitionedPlanState> state;  // null: empty inputs
 };
 
-class PartitionedEngine : public EngineBase {
+class PartitionedEngine : public EngineBase<PartitionedPreparedPlan> {
  public:
-  PartitionedEngine(std::string name, const EngineConfig& config)
-      : EngineBase(std::move(name), config), tile_join_(config.tile_join) {}
   PartitionedEngine(std::string name, const EngineConfig& config,
-                    TileJoin forced_tile_join)
-      : EngineBase(std::move(name), config), tile_join_(forced_tile_join) {}
-
-  Result<std::shared_ptr<const PreparedPlan>> Prepare(
-      std::shared_ptr<const Dataset> r,
-      std::shared_ptr<const Dataset> s) override {
-    SWIFT_RETURN_IF_ERROR(PrepareChecks(*r, *s));
-    auto plan = std::make_shared<PartitionedPreparedPlan>(name(), r, s);
-    if (!r->empty() && !s->empty()) {
-      auto state = PlanPartitionedCells(*r, *s, DriverOptions());
-      if (!state.ok()) return state.status();
-      plan->state = std::move(*state);
-    }
-    return std::shared_ptr<const PreparedPlan>(std::move(plan));
-  }
-
-  Status ExecutePrepared(const PreparedPlan& plan, JoinResult* out,
-                         JoinStats* stats) override {
-    auto typed = CheckPreparedPlan<PartitionedPreparedPlan>(*this, plan, out);
-    if (!typed.ok()) return typed.status();
-    *out = JoinResult();
-    if ((*typed)->state == nullptr) return Status::OK();
-    *out = ExecutePartitionedPlan(*(*typed)->state, plan.r(), plan.s(),
-                                  tile_join_, config().num_threads, stats);
-    return Status::OK();
-  }
+                    TileJoin tile_join)
+      : EngineBase(std::move(name), config), tile_join_(tile_join) {}
 
  protected:
-  Status PlanImpl(const Dataset& r, const Dataset& s) override {
-    driver_ = PartitionedDriver(DriverOptions());
-    return driver_.Plan(r, s);
+  Status Validate() override {
+    return ValidateGridConfig(config().grid_cols, config().grid_rows);
   }
 
-  Status ExecuteImpl(const Dataset&, const Dataset&, JoinResult* out,
-                     JoinStats* stats) override {
-    *out = driver_.Execute(stats);
-    return Status::OK();
-  }
-
- private:
-  PartitionedDriverOptions DriverOptions() const {
+  Status Build(PartitionedPreparedPlan* plan) override {
     PartitionedDriverOptions options;
     options.grid_cols = config().grid_cols;
     options.grid_rows = config().grid_rows;
     options.num_threads = config().num_threads;
     options.tile_join = tile_join_;
-    return options;
+    auto state = PlanPartitionedCells(plan->r(), plan->s(), options);
+    if (!state.ok()) return state.status();
+    plan->state = std::move(*state);
+    return Status::OK();
   }
 
+  Status ExecuteImpl(const PartitionedPreparedPlan& plan, JoinResult* out,
+                     JoinStats* stats) override {
+    *out = ExecutePartitionedPlan(*plan.state, plan.r(), plan.s(), tile_join_,
+                                  config().num_threads, stats);
+    return Status::OK();
+  }
+
+ private:
   TileJoin tile_join_;
-  PartitionedDriver driver_;
 };
 
 // ---------------------------------------------------------------------------
 // System-style baselines.
 // ---------------------------------------------------------------------------
-class InterpretedEngineAdapter : public EngineBase {
+class InterpretedEngineAdapter : public EngineBase<InputsOnlyPlan> {
  public:
   using EngineBase::EngineBase;
 
@@ -533,17 +323,17 @@ class InterpretedEngineAdapter : public EngineBase {
     return Status::OK();
   }
 
-  Status ExecuteImpl(const Dataset& r, const Dataset& s, JoinResult* out,
+  Status ExecuteImpl(const InputsOnlyPlan& plan, JoinResult* out,
                      JoinStats* stats) override {
     InterpretedEngineOptions options;
     options.num_threads = config().num_threads;
     options.index_max_entries = config().index_max_entries;
-    *out = InterpretedEngineJoin(r, s, options, stats);
+    *out = InterpretedEngineJoin(plan.r(), plan.s(), options, stats);
     return Status::OK();
   }
 };
 
-class BigDataFrameworkAdapter : public EngineBase {
+class BigDataFrameworkAdapter : public EngineBase<InputsOnlyPlan> {
  public:
   using EngineBase::EngineBase;
 
@@ -558,46 +348,15 @@ class BigDataFrameworkAdapter : public EngineBase {
     return Status::OK();
   }
 
-  Status ExecuteImpl(const Dataset& r, const Dataset& s, JoinResult* out,
+  Status ExecuteImpl(const InputsOnlyPlan& plan, JoinResult* out,
                      JoinStats* stats) override {
     BigDataFrameworkOptions options;
     options.num_partitions = config().num_partitions;
     options.num_threads = config().num_threads;
     options.index_max_entries = config().index_max_entries;
-    *out = BigDataFrameworkJoin(r, s, options, stats);
+    *out = BigDataFrameworkJoin(plan.r(), plan.s(), options, stats);
     return Status::OK();
   }
-};
-
-// ---------------------------------------------------------------------------
-// Generic prepared-plan fallback for engines without native support: the
-// plan owns a fully planned engine instance and serializes warm executions
-// behind a mutex. Correct for every engine (repeated-Execute idempotence is
-// pinned by the registry tests), at the cost of no warm concurrency --
-// engines that matter for serving override Prepare natively instead.
-// ---------------------------------------------------------------------------
-class GenericPreparedPlan : public PreparedPlan {
- public:
-  GenericPreparedPlan(std::string engine, std::shared_ptr<const Dataset> r,
-                      std::shared_ptr<const Dataset> s,
-                      std::unique_ptr<JoinEngine> planned)
-      : PreparedPlan(std::move(engine), std::move(r), std::move(s)),
-        planned_(std::move(planned)) {}
-
-  std::size_t MemoryBytes() const override {
-    // The planned artifacts are opaque; estimate proportional to the inputs
-    // (id lists, tree entries, and partitions are all O(n)).
-    return (r().size() + s().size()) * sizeof(Box);
-  }
-
-  Status Execute(JoinResult* out, JoinStats* stats) const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return planned_->Execute(out, stats);
-  }
-
- private:
-  mutable Mutex mu_;
-  std::unique_ptr<JoinEngine> planned_ PT_GUARDED_BY(mu_);
 };
 
 template <typename Engine>
@@ -608,23 +367,6 @@ EngineFactory MakeFactory(const char* name) {
 }
 
 }  // namespace
-
-Result<std::shared_ptr<const PreparedPlan>> JoinEngine::Prepare(
-    std::shared_ptr<const Dataset> r, std::shared_ptr<const Dataset> s) {
-  (void)r;
-  (void)s;
-  // PrepareJoin turns this into the serialized generic fallback.
-  return Status::NotSupported("engine " + name() +
-                              " has no native prepared-plan support");
-}
-
-Status JoinEngine::ExecutePrepared(const PreparedPlan& plan, JoinResult* out,
-                                   JoinStats* stats) {
-  auto generic = CheckPreparedPlan<GenericPreparedPlan>(*this, plan, out);
-  if (!generic.ok()) return generic.status();
-  *out = JoinResult();
-  return (*generic)->Execute(out, stats);
-}
 
 uint64_t ConfigFingerprint(const EngineConfig& config) {
   // FNV-1a over every field. A new EngineConfig field MUST be mixed in here:
@@ -665,25 +407,9 @@ uint64_t ConfigFingerprint(const EngineConfig& config) {
 Result<std::shared_ptr<const PreparedPlan>> PrepareJoin(
     const std::string& engine, std::shared_ptr<const Dataset> r,
     std::shared_ptr<const Dataset> s, const EngineConfig& config) {
-  if (r == nullptr || s == nullptr) {
-    return Status::InvalidArgument("PrepareJoin requires non-null datasets");
-  }
   auto created = EngineRegistry::Global().Create(engine, config);
   if (!created.ok()) return created.status();
-  auto prepared = (*created)->Prepare(r, s);
-  if (prepared.ok()) return prepared;
-  if (prepared.status().code() != StatusCode::kNotSupported) {
-    return prepared.status();
-  }
-  // Generic fallback: plan a dedicated instance and serialize warm
-  // executions against it. The plan's base holds the datasets, so the
-  // planned engine's raw pointers into them stay valid for the plan's
-  // lifetime (members are destroyed before the base releases them).
-  SWIFT_RETURN_IF_ERROR((*created)->Plan(*r, *s));
-  return std::shared_ptr<const PreparedPlan>(
-      std::make_shared<GenericPreparedPlan>(engine, std::move(r),
-                                            std::move(s),
-                                            std::move(*created)));
+  return (*created)->Prepare(std::move(r), std::move(s));
 }
 
 Result<JoinRun> RunPreparedJoin(const PreparedPlan& plan,
@@ -705,13 +431,14 @@ Result<JoinRun> RunPreparedJoin(const PreparedPlan& plan,
 Result<JoinRun> JoinEngine::Run(const Dataset& r, const Dataset& s) {
   JoinRun run;
   Stopwatch sw;
-  SWIFT_RETURN_IF_ERROR(Plan(r, s));
+  auto plan = Prepare(BorrowDataset(r), BorrowDataset(s));
+  if (!plan.ok()) return plan.status();
   run.timing.plan_seconds = sw.ElapsedSeconds();
   sw.Reset();
-  SWIFT_RETURN_IF_ERROR(Execute(&run.result, &run.stats));
+  SWIFT_RETURN_IF_ERROR(ExecutePrepared(**plan, &run.result, &run.stats));
   run.timing.execute_seconds = sw.ElapsedSeconds();
   // Stage timing per engine; handles resolve through the registry lock once
-  // per Run, which is noise next to a full Plan+Execute.
+  // per Run, which is noise next to a full Prepare + ExecutePrepared.
   auto& metrics = obs::MetricsRegistry::Global();
   metrics
       .GetHistogram("swiftspatial_join_plan_seconds", {{"engine", name()}},
@@ -748,8 +475,12 @@ EngineRegistry& EngineRegistry::Global() {
     register_or_die(kParallelSyncTraversalEngine,
                     MakeFactory<ParallelSyncTraversalEngine>(
                         kParallelSyncTraversalEngine));
-    register_or_die(kPartitionedEngine, MakeFactory<PartitionedEngine>(
-                                            kPartitionedEngine));
+    register_or_die(
+        kPartitionedEngine,
+        [](const EngineConfig& config) -> std::unique_ptr<JoinEngine> {
+          return std::make_unique<PartitionedEngine>(kPartitionedEngine,
+                                                     config, config.tile_join);
+        });
     register_or_die(
         kSimdEngine,
         [](const EngineConfig& config) -> std::unique_ptr<JoinEngine> {
@@ -761,7 +492,7 @@ EngineRegistry& EngineRegistry::Global() {
     });
     // The simulated accelerator (join/accel_engine.h). MakeAccelEngine only
     // fails for unknown names, so dereferencing here is safe; config errors
-    // surface at Plan like every other engine.
+    // surface at Prepare like every other engine.
     for (const char* accel : {kAccelBfsEngine, kAccelPbsmEngine,
                               kAccelPbsmMultiEngine}) {
       register_or_die(accel,
@@ -772,7 +503,7 @@ EngineRegistry& EngineRegistry::Global() {
     }
     // The simulated cluster (dist/dist_engine.h). As with the accelerator
     // engines, MakeDistEngine only fails for unknown names; config errors
-    // surface at Plan.
+    // surface at Prepare.
     for (const char* dist_name : {kDistPbsmEngine, kDistAccelEngine}) {
       register_or_die(dist_name,
                       [dist_name](const EngineConfig& config)
@@ -829,7 +560,12 @@ Result<std::unique_ptr<JoinEngine>> EngineRegistry::Create(
     }
     factory = it->second;
   }
-  return factory(config);
+  std::unique_ptr<JoinEngine> engine = factory(config);
+  if (engine == nullptr) {
+    return Status::Internal("factory for engine \"" + name +
+                            "\" returned no engine");
+  }
+  return engine;
 }
 
 std::vector<std::string> EngineRegistry::Names() const {

@@ -1,17 +1,20 @@
 // Unified join-engine API: every join algorithm in the library is exposed as
-// a JoinEngine -- a Plan -> Execute pipeline with per-stage wall-clock timing
-// -- and registered by name in an EngineRegistry, so benchmarks, tests, the
-// FaaS service, and examples all select algorithms through one interface.
+// a JoinEngine -- a Prepare -> ExecutePrepared pipeline with per-stage
+// wall-clock timing -- and registered by name in an EngineRegistry, so
+// benchmarks, tests, the FaaS service, and examples all select algorithms
+// through one interface.
 //
 //   auto run = RunJoin("parallel_sync_traversal", r, s, config);
 //   if (!run.ok()) ...;
 //   run->result   -- the qualifying (r, s) id pairs
 //   run->stats    -- predicate counts / task counts
-//   run->timing   -- plan (index/partition build) vs execute seconds
+//   run->timing   -- prepare (index/partition build) vs execute seconds
 //
-// Plan covers everything the paper's Table 2 prices separately from the join
-// proper (bulk loads, partitioning); Execute is the join itself, i.e. the
-// quantity Figures 8-12 plot. The registry is how the cross-algorithm
+// Prepare covers everything the paper's Table 2 prices separately from the
+// join proper (bulk loads, partitioning) and returns it as an immutable
+// PreparedPlan; ExecutePrepared is the join itself, i.e. the quantity
+// Figures 8-12 plot, and may run against one plan any number of times, from
+// any number of threads. The registry is how the cross-algorithm
 // equivalence oracle in tests/join/equivalence_test.cc enumerates every
 // implementation without naming them individually.
 #ifndef SWIFTSPATIAL_JOIN_ENGINE_H_
@@ -39,8 +42,8 @@
 namespace swiftspatial {
 
 /// One configuration struct shared by every registered engine. Engines read
-/// only the fields that apply to them and reject invalid values from Plan
-/// with Status::InvalidArgument; unknown-to-them fields are ignored.
+/// only the fields that apply to them and reject invalid values from
+/// Prepare with Status::InvalidArgument; unknown-to-them fields are ignored.
 struct EngineConfig {
   // --- Shared across engines. ---
   std::size_t num_threads = 1;
@@ -49,7 +52,7 @@ struct EngineConfig {
   /// inherently dynamic; they ignore this field.
   Schedule schedule = Schedule::kDynamic;
   /// Reject-at-ingest policy for malformed geometry: when true (the
-  /// default), Plan fails with InvalidArgument if either dataset contains a
+  /// default), Prepare fails with InvalidArgument if either dataset contains a
   /// box with a NaN/infinite coordinate or an inverted (min > max) extent.
   /// The predicate paths (geometry::Intersects and the SIMD filter kernel)
   /// agree on such inputs -- IEEE comparisons against NaN are false in both
@@ -132,14 +135,13 @@ struct JoinRun {
   StageTiming timing;
 };
 
-/// The immutable output of planning, detached from the engine instance that
+/// The immutable output of Prepare, detached from the engine instance that
 /// built it: packed R-trees, grid cell assignments, stripe partitions,
-/// shard plans. A PreparedPlan pins the datasets it was planned over
-/// (shared ownership), so a cached plan can outlive the request that built
-/// it. Engines with native support expose plans that are safe to Execute
-/// against from many threads at once; engines without it fall back to a
-/// serialized generic wrapper (see PrepareJoin). This is the seam the
-/// warm-serving plan cache (exec/dataset_registry) stores.
+/// shard plans, device images. A PreparedPlan pins the datasets it was
+/// planned over (shared ownership), so a cached plan can outlive the request
+/// that built it, and every engine reads its plan const, so one plan serves
+/// concurrent executions. This is the seam the warm-serving plan cache
+/// (exec/dataset_registry) stores.
 class PreparedPlan {
  public:
   PreparedPlan(std::string engine, std::shared_ptr<const Dataset> r,
@@ -167,6 +169,15 @@ class PreparedPlan {
   std::string engine_;
 };
 
+/// The plan of an engine that builds nothing ahead of the join
+/// (nested_loop, cuspatial_like, the system-style baselines, async,
+/// accel-pbsm-4x): the pinned inputs and nothing else.
+class InputsOnlyPlan final : public PreparedPlan {
+ public:
+  using PreparedPlan::PreparedPlan;
+  std::size_t MemoryBytes() const override { return 0; }
+};
+
 /// Wraps a stack- or caller-owned Dataset in a non-owning shared_ptr for
 /// Prepare. The dataset must outlive every plan prepared over it.
 inline std::shared_ptr<const Dataset> BorrowDataset(const Dataset& d) {
@@ -180,15 +191,19 @@ inline std::shared_ptr<const Dataset> BorrowDataset(const Dataset& d) {
 /// the implementation's field list.)
 uint64_t ConfigFingerprint(const EngineConfig& config);
 
-/// A spatial-join algorithm behind the two-stage Plan -> Execute interface.
+/// A spatial-join algorithm behind the two-stage Prepare -> ExecutePrepared
+/// interface.
 ///
-/// Lifecycle: create (via EngineRegistry::Create), Plan once, then Execute
-/// one or more times -- each Execute re-runs the join against the planned
-/// state, which is what lets benchmarks time the join proper without
-/// re-paying index builds. Plan validates the configuration and builds any
-/// auxiliary structures (R-trees, stripe partitions, grids). The datasets
-/// passed to Plan must outlive the last Execute. Engines are not
-/// thread-safe; internally they parallelise per `EngineConfig::num_threads`.
+/// Lifecycle: create (via EngineRegistry::Create), Prepare once, then
+/// ExecutePrepared one or more times against the returned plan -- which is
+/// what lets benchmarks time the join proper without re-paying index
+/// builds, and the plan cache share one plan across requests. Prepare
+/// validates the configuration and the input geometry and builds any
+/// auxiliary structures (R-trees, stripe partitions, grids, device images).
+/// An engine instance is not thread-safe (the typed accel/dist handles keep
+/// a per-instance last report); a plan is, so concurrent executions use one
+/// engine instance each. Internally engines parallelise per
+/// `EngineConfig::num_threads`.
 class JoinEngine {
  public:
   virtual ~JoinEngine() = default;
@@ -196,32 +211,20 @@ class JoinEngine {
   /// The name the engine was registered under, e.g. "pbsm".
   virtual const std::string& name() const = 0;
 
-  /// Validates config + inputs and builds indexes/partitions.
-  virtual Status Plan(const Dataset& r, const Dataset& s) = 0;
-
-  /// Runs the join. Must be called after a successful Plan. `*out` is
-  /// overwritten; `*stats` (when non-null) accumulates across calls.
-  virtual Status Execute(JoinResult* out, JoinStats* stats) = 0;
-
-  /// Warm-serving seam: like Plan, but the planned artifacts come back as a
-  /// detached immutable PreparedPlan instead of mutating engine state, so
-  /// they can be cached and shared across requests. Engines with native
-  /// support (partitioned/simd, the R-tree traversals, pbsm, the dist
-  /// engines) return plans whose ExecutePrepared is safe from many threads
-  /// at once; the default returns NotSupported, which PrepareJoin turns
-  /// into the serialized generic fallback.
+  /// Validates config + inputs and builds indexes/partitions into an
+  /// immutable plan that holds shared ownership of both datasets.
   virtual Result<std::shared_ptr<const PreparedPlan>> Prepare(
-      std::shared_ptr<const Dataset> r, std::shared_ptr<const Dataset> s);
+      std::shared_ptr<const Dataset> r, std::shared_ptr<const Dataset> s) = 0;
 
-  /// Runs the join against a previously prepared plan, skipping Plan
-  /// entirely -- the steady-state warm path. The plan must have been
-  /// prepared for this engine name (InvalidArgument otherwise). Same
-  /// output contract as Execute: `*out` is overwritten, `*stats`
-  /// accumulates; results are bit-identical to a cold Plan + Execute.
+  /// Runs the join against a plan this engine's name prepared
+  /// (InvalidArgument otherwise). `*out` is overwritten; `*stats` (when
+  /// non-null) accumulates across calls. Repeated executions of one plan
+  /// yield the same multiset.
   virtual Status ExecutePrepared(const PreparedPlan& plan, JoinResult* out,
-                                 JoinStats* stats);
+                                 JoinStats* stats) = 0;
 
-  /// Convenience: Plan + Execute with per-stage timing.
+  /// Convenience: Prepare over borrowed (r, s), then ExecutePrepared, with
+  /// per-stage timing. `r` and `s` need only outlive the call.
   Result<JoinRun> Run(const Dataset& r, const Dataset& s);
 };
 
@@ -248,7 +251,8 @@ class EngineRegistry {
 
   bool Contains(const std::string& name) const EXCLUDES(mu_);
 
-  /// Instantiates engine `name`, or NotFound listing the known engines.
+  /// Instantiates engine `name`, or NotFound listing the known engines
+  /// (Internal if its factory returns no engine).
   Result<std::unique_ptr<JoinEngine>> Create(
       const std::string& name, const EngineConfig& config = {}) const
       EXCLUDES(mu_);
@@ -262,15 +266,13 @@ class EngineRegistry {
 };
 
 /// One-call convenience: instantiate `engine` from the global registry, then
-/// Plan + Execute with timing.
+/// Run it (Prepare + ExecutePrepared) with timing.
 Result<JoinRun> RunJoin(const std::string& engine, const Dataset& r,
                         const Dataset& s, const EngineConfig& config = {});
 
-/// Builds a PreparedPlan for `engine` (a global-registry name) over (r, s).
-/// Engines with native prepared-plan support return shareable immutable
-/// plans; for the rest this falls back to wrapping a planned engine
-/// instance behind a mutex (correct, but warm executions serialize). The
-/// returned plan holds shared ownership of both datasets.
+/// Builds a PreparedPlan for `engine` (a global-registry name) over (r, s):
+/// instantiate, then Prepare. The returned plan is immutable, shareable
+/// across threads, and holds shared ownership of both datasets.
 Result<std::shared_ptr<const PreparedPlan>> PrepareJoin(
     const std::string& engine, std::shared_ptr<const Dataset> r,
     std::shared_ptr<const Dataset> s, const EngineConfig& config = {});
@@ -278,7 +280,7 @@ Result<std::shared_ptr<const PreparedPlan>> PrepareJoin(
 /// Warm-path convenience: instantiate the plan's engine from the global
 /// registry and ExecutePrepared with timing. plan_seconds is what the warm
 /// path saves -- it covers only engine instantiation, not planning, and is
-/// ~0 for every engine.
+/// ~0 for every engine. Safe to call from many threads on one plan.
 Result<JoinRun> RunPreparedJoin(const PreparedPlan& plan,
                                 const EngineConfig& config = {});
 
@@ -292,18 +294,19 @@ inline constexpr const char* kParallelSyncTraversalEngine =
     "parallel_sync_traversal";
 inline constexpr const char* kPartitionedEngine = "partitioned";
 inline constexpr const char* kSimdEngine = "simd";
-/// The streaming executor collected back into a synchronous result: Execute
-/// runs the banded async pipeline (exec/streaming.h) and Collect()s it, so
-/// registering it here opts the whole streaming path into the equivalence
-/// oracle.
+/// The streaming executor collected back into a synchronous result:
+/// ExecutePrepared runs the banded async pipeline (exec/streaming.h) and
+/// Collect()s it, so registering it here opts the whole streaming path into
+/// the equivalence oracle.
 inline constexpr const char* kAsyncEngine = "async";
 inline constexpr const char* kInterpretedEngineBaseline = "interpreted_engine";
 inline constexpr const char* kBigDataFrameworkBaseline = "big_data_framework";
-/// The simulated accelerator behind the same Plan -> Execute interface:
+/// The simulated accelerator behind the same Prepare -> ExecutePrepared
+/// interface:
 /// BFS R-tree synchronous traversal (accel-bfs, §3.4.1), the tile-pair join
 /// over a hierarchical partition (accel-pbsm, §3.4.2), and the sharded
 /// multi-device PBSM variant (accel-pbsm-4x, §6). Declared in
-/// join/accel_engine.h, which also exposes their streaming Execute.
+/// join/accel_engine.h, which also exposes their streaming execute.
 inline constexpr const char* kAccelBfsEngine = "accel-bfs";
 inline constexpr const char* kAccelPbsmEngine = "accel-pbsm";
 inline constexpr const char* kAccelPbsmMultiEngine = "accel-pbsm-4x";
@@ -312,7 +315,7 @@ inline constexpr const char* kAccelPbsmMultiEngine = "accel-pbsm-4x";
 /// coordinator, node failures recovered by shard re-execution. dist-pbsm
 /// joins shards on CPU workers; dist-accel fronts one simulated device per
 /// shard (accel-pbsm-4x generalised to N x M). Declared in
-/// dist/dist_engine.h, which also exposes their streaming Execute.
+/// dist/dist_engine.h, which also exposes their streaming execute.
 inline constexpr const char* kDistPbsmEngine = "dist-pbsm";
 inline constexpr const char* kDistAccelEngine = "dist-accel";
 

@@ -18,9 +18,6 @@ int AutoGridSide(std::size_t total_objects,
   return std::clamp(side, 1, 1024);
 }
 
-PartitionedDriver::PartitionedDriver(PartitionedDriverOptions options)
-    : options_(std::move(options)) {}
-
 Status ValidateGridConfig(int grid_cols, int grid_rows) {
   if (grid_cols < 0 || grid_rows < 0) {
     return Status::InvalidArgument("grid dimensions must be >= 0 (0 = auto)");
@@ -114,7 +111,7 @@ Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
               return a.r_ids.size() * a.s_ids.size() >
                      b.r_ids.size() * b.s_ids.size();
             });
-  // Put every cell in sweep order once, here, so no Execute of this plan
+  // Put every cell in sweep order once, here, so no execution of this plan
   // sorts (the order contract of join/plane_sweep.h). Largest cells come
   // first, so dynamic scheduling balances the sorts as it does the joins.
   if (options.tile_join == TileJoin::kPlaneSweep) {
@@ -187,22 +184,6 @@ JoinResult ExecutePartitionedPlan(const PartitionedPlanState& plan,
     for (const JoinStats& ls : local_stats) *stats += ls;
   }
   return merged;
-}
-
-Status PartitionedDriver::Plan(const Dataset& r, const Dataset& s) {
-  auto plan = PlanPartitionedCells(r, s, options_);
-  if (!plan.ok()) return plan.status();
-  plan_ = std::move(*plan);
-  r_ = &r;
-  s_ = &s;
-  planned_ = true;
-  return Status::OK();
-}
-
-JoinResult PartitionedDriver::Execute(JoinStats* stats) {
-  if (!planned_ || plan_ == nullptr) return JoinResult();
-  return ExecutePartitionedPlan(*plan_, *r_, *s_, options_.tile_join,
-                                options_.num_threads, stats);
 }
 
 }  // namespace swiftspatial

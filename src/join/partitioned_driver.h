@@ -1,4 +1,7 @@
-// PartitionedDriver: the library's partition-parallel batched join driver.
+// The library's partition-parallel batched join driver, in two stages:
+// PlanPartitionedCells builds an immutable cell plan, ExecutePartitionedPlan
+// joins it (the `partitioned` and `simd` engines' Prepare and
+// ExecutePrepared).
 //
 // Both inputs are sharded onto a uniform grid (src/grid/uniform_grid.h,
 // multi-assignment: an object lands in every cell its MBR overlaps); each
@@ -71,7 +74,7 @@ struct JoinGridSpec {
 };
 
 /// The single authority for sizing a join's uniform grid, shared by every
-/// grid-sharding planner -- the synchronous PartitionedDriver, the banded
+/// grid-sharding planner -- the synchronous PlanPartitionedCells, the banded
 /// streaming executor (exec/streaming), and the distributed ShardPlanner
 /// (dist/shard_planner). Cross-engine shard-id stability depends on all
 /// three deriving the *same* grid for the same inputs; routing them through
@@ -101,7 +104,7 @@ struct PartitionedDriverOptions {
 /// One populated grid cell of a partitioned plan: the per-side id lists to
 /// join plus the reference-point dedup tile (cell box, closed at the extent
 /// max per the half-open rule). For the plane-sweep tile join the id lists
-/// are in sweep order (join/plane_sweep.h), so Execute never sorts them.
+/// are in sweep order (join/plane_sweep.h), so execution never sorts them.
 struct PartitionedCell {
   Box dedup_tile;
   std::vector<ObjectId> r_ids;
@@ -110,9 +113,9 @@ struct PartitionedCell {
 
 /// The immutable output of partitioned planning: the derived grid and the
 /// populated cells, largest first. Once built it is never mutated --
-/// Execute reads it const -- so one plan may be shared (shared_ptr) across
-/// threads and across repeated executions, which is what the warm-serving
-/// plan cache (exec/dataset_registry) relies on.
+/// ExecutePartitionedPlan reads it const -- so one plan may be shared
+/// (shared_ptr) across threads and across repeated executions, which is
+/// what the warm-serving plan cache (exec/dataset_registry) relies on.
 struct PartitionedPlanState {
   int cols = 0;
   int rows = 0;
@@ -138,38 +141,6 @@ JoinResult ExecutePartitionedPlan(const PartitionedPlanState& plan,
                                   const Dataset& r, const Dataset& s,
                                   TileJoin tile_join, std::size_t num_threads,
                                   JoinStats* stats);
-
-/// Two-stage partition-parallel join driver. Plan shards the inputs onto the
-/// grid; Execute joins the populated cells on `num_threads` workers and
-/// merges the per-worker results. Execute may be called repeatedly after one
-/// Plan; the datasets given to Plan must outlive the last Execute.
-class PartitionedDriver {
- public:
-  explicit PartitionedDriver(PartitionedDriverOptions options = {});
-
-  /// Validates options, derives the grid, and builds per-cell id lists.
-  Status Plan(const Dataset& r, const Dataset& s);
-
-  /// Joins all populated cells in parallel. `stats` may be null.
-  JoinResult Execute(JoinStats* stats = nullptr);
-
-  // Introspection (valid after Plan).
-  int grid_cols() const { return plan_ ? plan_->cols : 0; }
-  int grid_rows() const { return plan_ ? plan_->rows : 0; }
-  /// Cells where both inputs are populated (the parallel task count).
-  std::size_t num_tasks() const { return plan_ ? plan_->cells.size() : 0; }
-  /// The immutable plan (valid after Plan); shareable beyond the driver.
-  std::shared_ptr<const PartitionedPlanState> plan_state() const {
-    return plan_;
-  }
-
- private:
-  PartitionedDriverOptions options_;
-  const Dataset* r_ = nullptr;
-  const Dataset* s_ = nullptr;
-  std::shared_ptr<const PartitionedPlanState> plan_;
-  bool planned_ = false;
-};
 
 }  // namespace swiftspatial
 

@@ -31,7 +31,7 @@ const char* TileJoinToString(TileJoin t);
 /// Runs one tile-level join of (r_ids x s_ids) with algorithm `tile_join`,
 /// appending qualifying pairs to `out` (duplicates suppressed against
 /// `dedup_tile` when non-null). The single dispatch point shared by every
-/// partition-based driver: PBSM stripes, the grid-sharded PartitionedDriver,
+/// partition-based driver: PBSM stripes, the grid-sharded partitioned driver,
 /// and the async streaming executor in exec/.
 void RunTileJoin(TileJoin tile_join, const Dataset& r, const Dataset& s,
                  const std::vector<ObjectId>& r_ids,

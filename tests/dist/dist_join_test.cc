@@ -287,22 +287,25 @@ TEST(DistEngine, TypedHandleReportsClusterOutcome) {
   config.dist_nodes = 4;
   auto engine = MakeDistEngine(kDistPbsmEngine, config);
   ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Plan(r, s).ok());
-  EXPECT_GT((*engine)->plan().shards.size(), 0u);
+  auto plan = (*engine)->Prepare(BorrowDataset(r), BorrowDataset(s));
+  ASSERT_TRUE(plan.ok());
+  const ShardPlan& shard_plan =
+      dynamic_cast<const DistPreparedPlan&>(**plan).shard_plan;
+  EXPECT_GT(shard_plan.shards.size(), 0u);
 
   JoinResult out;
-  ASSERT_TRUE((*engine)->Execute(&out, nullptr).ok());
+  ASSERT_TRUE((*engine)->ExecutePrepared(**plan, &out, nullptr).ok());
   const DistReport& report = (*engine)->last_report();
   EXPECT_EQ(report.nodes, 4u);
-  EXPECT_EQ(report.shards, (*engine)->plan().shards.size());
+  EXPECT_EQ(report.shards, shard_plan.shards.size());
   EXPECT_EQ(report.num_results, out.size());
   EXPECT_GT(report.makespan_seconds, 0.0);
   EXPECT_GE(report.straggler_gap, 1.0);
   EXPECT_GT(report.exchange_messages, 0u);
 
-  // Execute is repeatable over one Plan (fresh cluster per run).
+  // Execution is repeatable over one plan (fresh cluster per run).
   JoinResult again;
-  ASSERT_TRUE((*engine)->Execute(&again, nullptr).ok());
+  ASSERT_TRUE((*engine)->ExecutePrepared(**plan, &again, nullptr).ok());
   EXPECT_TRUE(JoinResult::SameMultiset(out, again));
 
   EXPECT_FALSE(MakeDistEngine("partitioned", config).ok());

@@ -125,7 +125,7 @@ TEST(ShardPlanner, AutoGridAndEmptyAndInvalidInputs) {
 }
 
 // All grid-sharding planners must derive the *identical* grid for the same
-// inputs -- shard-id stability across the synchronous PartitionedDriver,
+// inputs -- shard-id stability across the synchronous PlanPartitionedCells,
 // the banded streaming executor, and the distributed ShardPlanner depends
 // on it. This pins the consolidation of the three formerly-duplicated
 // auto-sizing call sites behind DeriveJoinGrid: the helper's decision and
@@ -148,16 +148,16 @@ TEST(ShardPlanner, GridDecisionIdenticalAcrossAllPlanners) {
     PartitionedDriverOptions options;
     options.grid_cols = c.cols;
     options.grid_rows = c.rows;
-    PartitionedDriver driver(options);
-    ASSERT_TRUE(driver.Plan(r, s).ok());
+    auto cells = PlanPartitionedCells(r, s, options);
+    ASSERT_TRUE(cells.ok());
 
     auto shard_plan =
         PlanShards(r, s, c.cols, c.rows, 4, PlacementPolicy::kRoundRobin);
     ASSERT_TRUE(shard_plan.ok());
 
-    EXPECT_EQ(driver.grid_cols(), spec.cols)
+    EXPECT_EQ((*cells)->cols, spec.cols)
         << "scale=" << c.scale << " cols=" << c.cols;
-    EXPECT_EQ(driver.grid_rows(), spec.rows);
+    EXPECT_EQ((*cells)->rows, spec.rows);
     EXPECT_EQ(shard_plan->grid_cols, spec.cols)
         << "scale=" << c.scale << " cols=" << c.cols;
     EXPECT_EQ(shard_plan->grid_rows, spec.rows);

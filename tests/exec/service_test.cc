@@ -80,7 +80,7 @@ TEST(JoinService, ServesConcurrentTenantsCorrectResults) {
         << "request " << i;
   }
   service.Drain();  // Collect returns at stream close; accounting follows
-  EXPECT_EQ(service.stats().completed, static_cast<std::size_t>(kRequests));
+  EXPECT_EQ(service.Snapshot().completed, static_cast<std::size_t>(kRequests));
 }
 
 TEST(JoinService, OverloadRejectsBeyondBoundedQueue) {
@@ -116,7 +116,7 @@ TEST(JoinService, OverloadRejectsBeyondBoundedQueue) {
   EXPECT_EQ(queued.size(), 4u);
   EXPECT_EQ(rejected, 2);
 
-  const JoinServiceStats mid = service.stats();
+  const JoinServiceStats mid = service.Snapshot();
   EXPECT_EQ(mid.admitted, 5u);  // blocker + 4 queued
   EXPECT_EQ(mid.rejected, 2u);
   EXPECT_LE(mid.max_pending_seen, 4u);  // bounded growth, pinned
@@ -128,7 +128,7 @@ TEST(JoinService, OverloadRejectsBeyondBoundedQueue) {
     EXPECT_TRUE(handle->Collect().status.ok());
   }
   service.Drain();
-  EXPECT_EQ(service.stats().completed, 5u);
+  EXPECT_EQ(service.Snapshot().completed, 5u);
 }
 
 class JoinServicePolicyTest
@@ -246,7 +246,7 @@ TEST(JoinService, DeadlineAdmissionRejectsHopelessRequests) {
       service.Submit("tenant", kPartitionedEngine, small_r, small_s);
   ASSERT_TRUE(no_deadline.ok());
 
-  const JoinServiceStats mid = service.stats();
+  const JoinServiceStats mid = service.Snapshot();
   EXPECT_EQ(mid.rejected, 1u);
   EXPECT_EQ(mid.rejected_deadline, 1u);
   EXPECT_EQ(mid.admitted, 3u);
@@ -255,7 +255,7 @@ TEST(JoinService, DeadlineAdmissionRejectsHopelessRequests) {
   EXPECT_TRUE(admitted->Collect().status.ok());
   EXPECT_TRUE(no_deadline->Collect().status.ok());
   service.Drain();
-  EXPECT_EQ(service.stats().completed, 3u);
+  EXPECT_EQ(service.Snapshot().completed, 3u);
 }
 
 // A free dispatcher slot means zero estimated queue wait: a request
@@ -289,7 +289,7 @@ TEST(JoinService, DeadlineAdmissionNeverRejectsWhileASlotIsFree) {
   auto admitted = service.Submit("tenant", kPartitionedEngine, small_r,
                                  small_s, {}, tight);
   ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
-  EXPECT_EQ(service.stats().rejected_deadline, 0u);
+  EXPECT_EQ(service.Snapshot().rejected_deadline, 0u);
 
   EXPECT_TRUE(admitted->Collect().status.ok());
   EXPECT_TRUE(blocker->Collect().status.ok());
@@ -330,7 +330,7 @@ TEST(JoinService, DeadlineEstimateTracksMeasuredDurations) {
   auto admitted = service.Submit("tenant", kPartitionedEngine, small_r,
                                  small_s, {}, request);
   ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
-  EXPECT_EQ(service.stats().rejected_deadline, 0u);
+  EXPECT_EQ(service.Snapshot().rejected_deadline, 0u);
 
   EXPECT_TRUE(blocker->Collect().status.ok());
   EXPECT_TRUE(admitted->Collect().status.ok());
@@ -359,7 +359,7 @@ TEST(JoinService, CancellingQueuedRequestNeverRunsIt) {
   service.Drain();
   // Never-run requests are abandoned, not completed/served -- they must
   // not charge the tenant's fair-share account.
-  const JoinServiceStats stats = service.stats();
+  const JoinServiceStats stats = service.Snapshot();
   EXPECT_EQ(stats.abandoned, 1u);
   EXPECT_EQ(stats.completed, 1u);  // the blocker only
 }
@@ -487,7 +487,7 @@ TEST(JoinService, DeadlineExpiresWhileQueued) {
 
   ASSERT_TRUE(blocker->Collect().status.ok());
   service.Drain();
-  const JoinServiceStats stats = service.stats();
+  const JoinServiceStats stats = service.Snapshot();
   EXPECT_EQ(stats.expired_queued, 1u);
   EXPECT_EQ(stats.expired_running, 0u);
   EXPECT_EQ(stats.completed, 1u);  // the blocker only; the victim never ran
@@ -500,7 +500,7 @@ TEST(JoinService, DeadlineExpiresWhileQueued) {
 template <typename Pred>
 bool WaitForStats(const JoinService& service, Pred pred) {
   for (int i = 0; i < 2000; ++i) {
-    if (pred(service.stats())) return true;
+    if (pred(service.Snapshot())) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return false;
@@ -534,7 +534,7 @@ TEST(JoinService, DeadlineExpiresMidRunCancelsWithDeadlineExceeded) {
   }));
   EXPECT_EQ(handle->Wait().code(), StatusCode::kDeadlineExceeded);
   service.Drain();
-  const JoinServiceStats stats = service.stats();
+  const JoinServiceStats stats = service.Snapshot();
   EXPECT_EQ(stats.expired_running, 1u);
   EXPECT_EQ(stats.expired_queued, 0u);
   EXPECT_EQ(stats.degraded, 0u);
@@ -576,7 +576,7 @@ TEST(JoinService, DeadlineDegradeDeliversPartialPrefix) {
       summary.run.result.pairs().begin(), summary.run.result.pairs().end()));
 
   service.Drain();
-  const JoinServiceStats stats = service.stats();
+  const JoinServiceStats stats = service.Snapshot();
   EXPECT_EQ(stats.expired_running, 1u);
   EXPECT_EQ(stats.degraded, 1u);
   EXPECT_EQ(stats.completed, 0u);
@@ -637,7 +637,7 @@ TEST(JoinService, EwmaEstimateDecaysWhileIdle) {
   ASSERT_TRUE(blocker->Collect().status.ok());
   EXPECT_TRUE(admitted->Collect().status.ok());
   service.Drain();
-  EXPECT_EQ(service.stats().rejected_deadline, 1u);
+  EXPECT_EQ(service.Snapshot().rejected_deadline, 1u);
 }
 
 // The warm path end to end: datasets registered once, repeat SubmitNamed
@@ -674,7 +674,7 @@ TEST(JoinService, SubmitNamedServesWarmRequestsFromThePlanCache) {
     }
   }
   service.Drain();
-  const JoinServiceStats stats = service.stats();
+  const JoinServiceStats stats = service.Snapshot();
   EXPECT_EQ(stats.completed, static_cast<std::size_t>(kRequests));
   EXPECT_EQ(stats.plan_cache.misses, 1u);
   EXPECT_EQ(stats.plan_cache.hits, static_cast<std::size_t>(kRequests - 1));
@@ -696,7 +696,7 @@ TEST(JoinService, SubmitNamedFailsFastForUnknownNamesAndEngines) {
   EXPECT_EQ(no_engine.status().code(), StatusCode::kNotFound);
 
   // Fail-fast rejections never touch admission accounting.
-  EXPECT_EQ(service.stats().admitted, 0u);
+  EXPECT_EQ(service.Snapshot().admitted, 0u);
 }
 
 }  // namespace

@@ -32,16 +32,21 @@ std::vector<ResultPair> SortedPairs(const JoinResult& result) {
 // --- Fault-injecting engines -------------------------------------------
 // A producer that fails mid-run must surface a non-OK status to the
 // consumer instead of hanging or silently truncating. Two failure flavours:
-// an Execute that errors after partial work, and an Execute that throws.
-// Registered lazily under a "fault-" prefix; the registry-enumerating
-// tests below skip that prefix (sync RunJoin on them fails by design).
+// an execution that errors after partial work, and one that throws. Two
+// more engines pin the producer's stage timing: one whose factory is slow,
+// one whose factory is slow and then returns no engine. Registered lazily
+// under a "fault-" prefix; the registry-enumerating tests below skip that
+// prefix (sync RunJoin on them fails or stalls by design).
 
 class FaultEngineBase : public JoinEngine {
  public:
   explicit FaultEngineBase(std::string name) : name_(std::move(name)) {}
   const std::string& name() const override { return name_; }
-  Status Plan(const Dataset&, const Dataset&) override {
-    return Status::OK();
+  Result<std::shared_ptr<const PreparedPlan>> Prepare(
+      std::shared_ptr<const Dataset> r,
+      std::shared_ptr<const Dataset> s) override {
+    return std::shared_ptr<const PreparedPlan>(
+        std::make_shared<InputsOnlyPlan>(name_, std::move(r), std::move(s)));
   }
 
  private:
@@ -51,7 +56,8 @@ class FaultEngineBase : public JoinEngine {
 class ErrorAfterPartialResultEngine : public FaultEngineBase {
  public:
   using FaultEngineBase::FaultEngineBase;
-  Status Execute(JoinResult* out, JoinStats*) override {
+  Status ExecutePrepared(const PreparedPlan&, JoinResult* out,
+                         JoinStats*) override {
     out->Add(0, 0);  // partial work the stream must NOT deliver as success
     return Status::Internal("injected mid-run failure");
   }
@@ -60,29 +66,55 @@ class ErrorAfterPartialResultEngine : public FaultEngineBase {
 class ThrowingEngine : public FaultEngineBase {
  public:
   using FaultEngineBase::FaultEngineBase;
-  Status Execute(JoinResult*, JoinStats*) override {
+  Status ExecutePrepared(const PreparedPlan&, JoinResult*,
+                         JoinStats*) override {
     throw std::runtime_error("injected producer exception");
+  }
+};
+
+class EmptyResultEngine : public FaultEngineBase {
+ public:
+  using FaultEngineBase::FaultEngineBase;
+  Status ExecutePrepared(const PreparedPlan&, JoinResult* out,
+                         JoinStats*) override {
+    *out = JoinResult();
+    return Status::OK();
   }
 };
 
 constexpr const char* kFaultErrorEngine = "fault-error";
 constexpr const char* kFaultThrowEngine = "fault-throw";
+constexpr const char* kFaultSlowFactoryEngine = "fault-slow-factory";
+constexpr const char* kFaultNullFactoryEngine = "fault-null-factory";
+constexpr auto kFactoryDelay = std::chrono::milliseconds(50);
 
 void RegisterFaultEnginesOnce() {
   static const bool registered = [] {
     // A registration failure here would silently skip the fault-path
     // coverage below, so it aborts the test binary.
-    const Status error_st = EngineRegistry::Global().Register(
-        kFaultErrorEngine, [](const EngineConfig&) {
-          return std::make_unique<ErrorAfterPartialResultEngine>(
-              kFaultErrorEngine);
-        });
-    SWIFT_CHECK(error_st.ok()) << error_st.ToString();
-    const Status throw_st = EngineRegistry::Global().Register(
-        kFaultThrowEngine, [](const EngineConfig&) {
-          return std::make_unique<ThrowingEngine>(kFaultThrowEngine);
-        });
-    SWIFT_CHECK(throw_st.ok()) << throw_st.ToString();
+    const auto register_or_die = [](const char* name, EngineFactory factory) {
+      const Status st =
+          EngineRegistry::Global().Register(name, std::move(factory));
+      SWIFT_CHECK(st.ok()) << st.ToString();
+    };
+    register_or_die(kFaultErrorEngine, [](const EngineConfig&) {
+      return std::make_unique<ErrorAfterPartialResultEngine>(
+          kFaultErrorEngine);
+    });
+    register_or_die(kFaultThrowEngine, [](const EngineConfig&) {
+      return std::make_unique<ThrowingEngine>(kFaultThrowEngine);
+    });
+    register_or_die(kFaultSlowFactoryEngine,
+                    [](const EngineConfig&) -> std::unique_ptr<JoinEngine> {
+                      std::this_thread::sleep_for(kFactoryDelay);
+                      return std::make_unique<EmptyResultEngine>(
+                          kFaultSlowFactoryEngine);
+                    });
+    register_or_die(kFaultNullFactoryEngine,
+                    [](const EngineConfig&) -> std::unique_ptr<JoinEngine> {
+                      std::this_thread::sleep_for(kFactoryDelay);
+                      return nullptr;
+                    });
     return true;
   }();
   (void)registered;
@@ -376,6 +408,52 @@ TEST(Streaming, ThrowingProducerThroughServicePath) {
   std::thread runner(std::move(deferred->producer));
   EXPECT_EQ(deferred->handle.Wait().code(), StatusCode::kInternal);
   runner.join();
+}
+
+// Engine instantiation belongs to the plan stage -- what the warm path
+// pays before executing, as RunPreparedJoin bills it -- on the cold and
+// the registered-dataset paths alike.
+TEST(Streaming, EngineInstantiationIsBilledToPlanSeconds) {
+  RegisterFaultEnginesOnce();
+  const Dataset d = testutil::Uniform(8, 76);
+  DatasetRegistry registry;
+  registry.Put("r", d);
+  registry.Put("s", d);
+  const double delay = std::chrono::duration<double>(kFactoryDelay).count();
+
+  auto cold = RunJoinAsync(kFaultSlowFactoryEngine, d, d);
+  ASSERT_TRUE(cold.ok());
+  auto warm = RunJoinAsync(registry, kFaultSlowFactoryEngine, "r", "s");
+  ASSERT_TRUE(warm.ok());
+  for (AsyncJoinHandle* handle : {&*cold, &*warm}) {
+    const StreamSummary summary = handle->Collect();
+    ASSERT_TRUE(summary.status.ok()) << summary.status.ToString();
+    EXPECT_GE(summary.run.timing.plan_seconds, delay);
+    EXPECT_LT(summary.run.timing.execute_seconds, delay);
+  }
+}
+
+// A stream whose engine cannot be instantiated still reports the plan-stage
+// time it spent finding that out.
+TEST(Streaming, EngineCreationFailureKeepsMeasuredPlanTime) {
+  RegisterFaultEnginesOnce();
+  const Dataset d = testutil::Uniform(8, 77);
+  DatasetRegistry registry;
+  registry.Put("r", d);
+  registry.Put("s", d);
+  const double delay = std::chrono::duration<double>(kFactoryDelay).count();
+
+  auto cold = RunJoinAsync(kFaultNullFactoryEngine, d, d);
+  ASSERT_TRUE(cold.ok());
+  auto warm = RunJoinAsync(registry, kFaultNullFactoryEngine, "r", "s");
+  ASSERT_TRUE(warm.ok());
+  for (AsyncJoinHandle* handle : {&*cold, &*warm}) {
+    const StreamSummary summary = handle->Collect();
+    EXPECT_EQ(summary.status.code(), StatusCode::kInternal)
+        << summary.status.ToString();
+    EXPECT_GE(summary.run.timing.plan_seconds, delay);
+    EXPECT_EQ(summary.run.timing.execute_seconds, 0.0);
+  }
 }
 
 TEST(Streaming, AccelEnginesStreamNativelyInBoundedChunks) {

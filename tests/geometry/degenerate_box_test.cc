@@ -176,9 +176,10 @@ TEST(DegenerateBox, PartitionedJoinHandlesDegenerateData) {
     options.grid_cols = grid_side;
     options.grid_rows = grid_side;
     options.num_threads = 2;
-    PartitionedDriver driver(options);
-    ASSERT_TRUE(driver.Plan(r, s).ok());
-    JoinResult got = driver.Execute();
+    auto plan = PlanPartitionedCells(r, s, options);
+    ASSERT_TRUE(plan.ok());
+    JoinResult got = ExecutePartitionedPlan(**plan, r, s, options.tile_join,
+                                            options.num_threads, nullptr);
     EXPECT_TRUE(JoinResult::SameMultiset(expected, got))
         << "grid " << grid_side << "x" << grid_side << ": expected "
         << expected.size() << " pairs, got " << got.size();
@@ -218,9 +219,10 @@ TEST(DegenerateBox, PartitionedJoinKeepsPairsOnFloatRoundedCellEdges) {
     options.grid_cols = side;
     options.grid_rows = side;
     options.num_threads = 2;
-    PartitionedDriver driver(options);
-    ASSERT_TRUE(driver.Plan(r, s).ok());
-    JoinResult got = driver.Execute();
+    auto plan = PlanPartitionedCells(r, s, options);
+    ASSERT_TRUE(plan.ok());
+    JoinResult got = ExecutePartitionedPlan(**plan, r, s, options.tile_join,
+                                            options.num_threads, nullptr);
     EXPECT_TRUE(JoinResult::SameMultiset(expected, got))
         << side << "x" << side << " grid: expected " << expected.size()
         << " pairs, got " << got.size();
@@ -243,9 +245,10 @@ TEST(DegenerateBox, PartitionedJoinOnZeroWidthExtent) {
     PartitionedDriverOptions options;
     options.grid_cols = side;
     options.grid_rows = side;
-    PartitionedDriver driver(options);
-    ASSERT_TRUE(driver.Plan(r, s).ok());
-    JoinResult got = driver.Execute();
+    auto plan = PlanPartitionedCells(r, s, options);
+    ASSERT_TRUE(plan.ok());
+    JoinResult got = ExecutePartitionedPlan(**plan, r, s, options.tile_join,
+                                            options.num_threads, nullptr);
     EXPECT_TRUE(JoinResult::SameMultiset(expected, got))
         << side << "x" << side << " grid: expected " << expected.size()
         << " pairs, got " << got.size();

@@ -1,6 +1,6 @@
 // Accelerator-engine adapter tests: registration, functional equivalence
-// with the oracle, the Plan-phase transfer accounting, the device report,
-// and the streaming Execute whose batches must concatenate to exactly the
+// with the oracle, the Prepare-phase transfer accounting, the device report,
+// and the streaming execute whose batches must concatenate to exactly the
 // collected result. (The cross-algorithm equivalence oracle additionally
 // covers all three engines because they are registered.)
 #include "join/accel_engine.h"
@@ -56,16 +56,18 @@ TEST(AccelEngine, ReportAndPlanAccounting) {
     config.accel_join_units = 4;
     auto engine = MakeAccelEngine(name, config);
     ASSERT_TRUE(engine.ok());
-    ASSERT_TRUE((*engine)->Plan(r, s).ok()) << name;
-    // Plan already knows what the host must ship.
-    EXPECT_GT((*engine)->planned_bytes_to_device(), 0u) << name;
+    auto plan = (*engine)->Prepare(BorrowDataset(r), BorrowDataset(s));
+    ASSERT_TRUE(plan.ok()) << name;
+    // The plan already knows what the host must ship.
+    const auto& image = dynamic_cast<const AccelPreparedPlan&>(**plan);
+    EXPECT_GT(image.bytes_to_device, 0u) << name;
 
     JoinResult out;
     JoinStats stats;
-    ASSERT_TRUE((*engine)->Execute(&out, &stats).ok()) << name;
+    ASSERT_TRUE((*engine)->ExecutePrepared(**plan, &out, &stats).ok()) << name;
     const hw::AcceleratorReport& report = (*engine)->last_report();
-    EXPECT_EQ(report.bytes_to_device, (*engine)->planned_bytes_to_device())
-        << name << ": Plan-time transfer accounting must match the device "
+    EXPECT_EQ(report.bytes_to_device, image.bytes_to_device)
+        << name << ": Prepare-time transfer accounting must match the device "
         << "image the run actually shipped";
     EXPECT_EQ(report.num_results, out.size()) << name;
     EXPECT_GT(report.kernel_cycles, 0u) << name;
@@ -83,9 +85,10 @@ TEST(AccelEngine, MultiDeviceShardsAcrossDevices) {
   config.accel_join_units = 4;
   auto engine = MakeAccelEngine(kAccelPbsmMultiEngine, config);
   ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Plan(r, s).ok());
+  auto plan = (*engine)->Prepare(BorrowDataset(r), BorrowDataset(s));
+  ASSERT_TRUE(plan.ok());
   JoinResult out;
-  ASSERT_TRUE((*engine)->Execute(&out, nullptr).ok());
+  ASSERT_TRUE((*engine)->ExecutePrepared(**plan, &out, nullptr).ok());
 
   JoinResult expected = BruteForceJoin(r, s);
   EXPECT_TRUE(JoinResult::SameMultiset(expected, out));
@@ -107,14 +110,17 @@ TEST(AccelEngine, ExecuteStreamingConcatenatesToExecuteResult) {
     config.accel_join_units = 4;
     auto engine = MakeAccelEngine(name, config);
     ASSERT_TRUE(engine.ok());
-    ASSERT_TRUE((*engine)->Plan(r, s).ok()) << name;
+    auto plan = (*engine)->Prepare(BorrowDataset(r), BorrowDataset(s));
+    ASSERT_TRUE(plan.ok()) << name;
 
     JoinResult collected;
-    ASSERT_TRUE((*engine)->Execute(&collected, nullptr).ok()) << name;
+    ASSERT_TRUE((*engine)->ExecutePrepared(**plan, &collected, nullptr).ok())
+        << name;
 
     JoinResult streamed;
     std::size_t batches = 0;
     Status st = (*engine)->ExecuteStreaming(
+        **plan,
         [&](std::vector<ResultPair> batch) {
           EXPECT_FALSE(batch.empty()) << name;
           ++batches;
@@ -165,12 +171,17 @@ TEST(AccelEngine, ExecuteStreamingRequiresSinkAndPlan) {
   const Dataset d = testutil::Uniform(20, 510);
   auto engine = MakeAccelEngine(kAccelPbsmEngine, {});
   ASSERT_TRUE(engine.ok());
-  EXPECT_EQ((*engine)->ExecuteStreaming([](std::vector<ResultPair>) {},
-                                        nullptr)
+  auto foreign = PrepareJoin(kAccelBfsEngine, BorrowDataset(d),
+                             BorrowDataset(d));
+  ASSERT_TRUE(foreign.ok());
+  EXPECT_EQ((*engine)->ExecuteStreaming(
+                    **foreign, [](std::vector<ResultPair>) {}, nullptr)
                 .code(),
-            StatusCode::kInternal);  // before Plan
-  ASSERT_TRUE((*engine)->Plan(d, d).ok());
-  EXPECT_EQ((*engine)->ExecuteStreaming(AccelBatchSink(), nullptr).code(),
+            StatusCode::kInvalidArgument);  // another engine's plan
+  auto plan = (*engine)->Prepare(BorrowDataset(d), BorrowDataset(d));
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ((*engine)->ExecuteStreaming(**plan, AccelBatchSink(), nullptr)
+                .code(),
             StatusCode::kInvalidArgument);  // null sink
 }
 

@@ -1,7 +1,9 @@
 // Tests for the unified JoinEngine API: registry lookup and registration,
-// per-engine config validation through Status, stage timing, and the
-// PartitionedDriver (cross-cell duplicate elimination, thread-count
-// determinism, lock-free merge).
+// per-engine config validation through Status, stage timing, the
+// Prepare -> ExecutePrepared lifecycle (repeated and concurrent executions
+// of one plan, foreign plans), and the partitioned driver's plan functions
+// (cross-cell duplicate elimination, thread-count determinism, lock-free
+// merge).
 #include "join/engine.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "join/nested_loop.h"
@@ -292,32 +295,94 @@ TEST(ConfigFingerprint, EveryPlanningFieldIsHashed) {
   EXPECT_EQ(ConfigFingerprint(traced), base);
 }
 
-TEST(EngineLifecycle, ExecuteBeforePlanFails) {
-  auto engine = EngineRegistry::Global().Create(kNestedLoopEngine);
-  ASSERT_TRUE(engine.ok());
-  JoinResult out;
-  JoinStats stats;
-  EXPECT_FALSE((*engine)->Execute(&out, &stats).ok());
+// The R side engine `name` joins in the lifecycle tests: cuspatial_like
+// gets a point R (the only orientation it supports).
+const Dataset& RFor(const std::string& name, const Dataset& rects,
+                    const Dataset& points) {
+  return name == kCuSpatialLikeEngine ? points : rects;
 }
 
-// Execute overwrites *out on every call: repeated Execute after one Plan
-// must yield identical results for every engine, including the tile-join
-// based ones whose implementations append into the output.
+// ExecutePrepared overwrites *out on every call: repeated executions of one
+// plan must yield identical results for every engine, including the
+// tile-join based ones whose implementations append into the output.
 TEST(EngineLifecycle, RepeatedExecuteIsIdempotent) {
   const Dataset r = testutil::Uniform(128, 13);
+  const Dataset points = testutil::UniformPoints(128, 15);
   const Dataset s = testutil::Uniform(128, 14);
   for (const std::string& name : EngineRegistry::Global().Names()) {
-    if (name == kCuSpatialLikeEngine) continue;  // needs a point R
     auto engine = EngineRegistry::Global().Create(name);
     ASSERT_TRUE(engine.ok()) << name;
-    ASSERT_TRUE((*engine)->Plan(r, s).ok()) << name;
+    auto plan =
+        (*engine)->Prepare(BorrowDataset(RFor(name, r, points)),
+                           BorrowDataset(s));
+    ASSERT_TRUE(plan.ok()) << name << ": " << plan.status().ToString();
     JoinResult first, second;
-    ASSERT_TRUE((*engine)->Execute(&second, nullptr).ok()) << name;
+    ASSERT_TRUE((*engine)->ExecutePrepared(**plan, &second, nullptr).ok())
+        << name;
     first = second;  // keep a copy; reuse `second` for the repeat call
-    ASSERT_TRUE((*engine)->Execute(&second, nullptr).ok()) << name;
+    ASSERT_TRUE((*engine)->ExecutePrepared(**plan, &second, nullptr).ok())
+        << name;
     EXPECT_TRUE(JoinResult::SameMultiset(first, second))
-        << name << ": repeated Execute diverged (" << first.size() << " vs "
-        << second.size() << " pairs)";
+        << name << ": repeated ExecutePrepared diverged (" << first.size()
+        << " vs " << second.size() << " pairs)";
+  }
+}
+
+// One plan, four threads executing it at once (each through its own engine
+// instance, as the plan cache's warm requests do): every result must equal
+// the nested-loop multiset. Runs under TSan with the join_ suites.
+TEST(EngineLifecycle, SharedPlanExecutesConcurrently) {
+  const Dataset r = testutil::Uniform(200, 16);
+  const Dataset points = testutil::UniformPoints(200, 18);
+  const Dataset s = testutil::Skewed(200, 17);
+  constexpr int kThreads = 4;
+  for (const std::string& name : EngineRegistry::Global().Names()) {
+    const Dataset& r_side = RFor(name, r, points);
+    JoinResult expected = BruteForceJoin(r_side, s);
+    EngineConfig config;
+    config.num_threads = 2;
+    auto plan =
+        PrepareJoin(name, BorrowDataset(r_side), BorrowDataset(s), config);
+    ASSERT_TRUE(plan.ok()) << name << ": " << plan.status().ToString();
+
+    std::vector<Result<JoinRun>> runs(kThreads, Status::Internal("not run"));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back(
+          [&, t] { runs[t] = RunPreparedJoin(**plan, config); });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      ASSERT_TRUE(runs[t].ok())
+          << name << " thread " << t << ": " << runs[t].status().ToString();
+      EXPECT_TRUE(JoinResult::SameMultiset(expected, runs[t]->result))
+          << name << " thread " << t << ": expected " << expected.size()
+          << " pairs, got " << runs[t]->result.size();
+    }
+  }
+}
+
+// A plan records the engine it was prepared for; every engine refuses a
+// plan another engine prepared instead of misreading its artifacts.
+TEST(EngineLifecycle, ForeignPlanIsRejected) {
+  const Dataset r = testutil::Uniform(64, 19);
+  const Dataset points = testutil::UniformPoints(64, 21);
+  const Dataset s = testutil::Uniform(64, 20);
+  const std::vector<std::string> names = EngineRegistry::Global().Names();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    // The next engine in name order prepares the foreign plan.
+    const std::string& preparer = names[(i + 1) % names.size()];
+    auto foreign = PrepareJoin(
+        preparer, BorrowDataset(RFor(preparer, r, points)), BorrowDataset(s));
+    ASSERT_TRUE(foreign.ok()) << preparer << ": "
+                              << foreign.status().ToString();
+    auto engine = EngineRegistry::Global().Create(names[i]);
+    ASSERT_TRUE(engine.ok()) << names[i];
+    JoinResult out;
+    const Status st = (*engine)->ExecutePrepared(**foreign, &out, nullptr);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << names[i] << " executing a plan prepared by " << preparer << ": "
+        << st.ToString();
   }
 }
 
@@ -335,8 +400,19 @@ TEST(EngineRun, ReportsStageTimingAndStats) {
 }
 
 // ---------------------------------------------------------------------------
-// PartitionedDriver.
+// PartitionedDriver: PlanPartitionedCells + ExecutePartitionedPlan.
 // ---------------------------------------------------------------------------
+
+// Plans (r, s) under `options` and executes the plan once.
+JoinResult PlanAndExecute(const Dataset& r, const Dataset& s,
+                          const PartitionedDriverOptions& options,
+                          JoinStats* stats = nullptr) {
+  auto plan = PlanPartitionedCells(r, s, options);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  if (!plan.ok()) return JoinResult();
+  return ExecutePartitionedPlan(**plan, r, s, options.tile_join,
+                                options.num_threads, stats);
+}
 
 // Objects spanning many cells must still be reported exactly once: the
 // datasets use boxes large relative to the cell size so almost every pair is
@@ -349,14 +425,15 @@ TEST(PartitionedDriver, EliminatesCrossCellDuplicates) {
   options.grid_cols = 8;  // cell edge 12.5 < max box edge 25: heavy overlap
   options.grid_rows = 8;
   options.num_threads = 2;
-  PartitionedDriver driver(options);
-  ASSERT_TRUE(driver.Plan(r, s).ok());
-  EXPECT_EQ(driver.grid_cols(), 8);
-  EXPECT_EQ(driver.grid_rows(), 8);
-  EXPECT_GT(driver.num_tasks(), 1u);
+  auto plan = PlanPartitionedCells(r, s, options);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ((*plan)->cols, 8);
+  EXPECT_EQ((*plan)->rows, 8);
+  EXPECT_GT((*plan)->cells.size(), 1u);
 
   JoinStats stats;
-  JoinResult got = driver.Execute(&stats);
+  JoinResult got = ExecutePartitionedPlan(**plan, r, s, options.tile_join,
+                                          options.num_threads, &stats);
   EXPECT_GT(stats.tasks, 1u);
 
   // No pair may appear twice.
@@ -377,9 +454,7 @@ TEST(PartitionedDriver, MergeIsDeterministicAcrossThreadCounts) {
   for (const std::size_t threads : {1u, 2u, 8u}) {
     PartitionedDriverOptions options;
     options.num_threads = threads;
-    PartitionedDriver driver(options);
-    ASSERT_TRUE(driver.Plan(r, s).ok());
-    JoinResult got = driver.Execute();
+    JoinResult got = PlanAndExecute(r, s, options);
     got.Sort();
     if (reference.empty()) {
       reference = got.pairs();
@@ -399,9 +474,7 @@ TEST(PartitionedDriver, TileJoinVariantsAgree) {
     PartitionedDriverOptions options;
     options.tile_join = tile_join;
     options.num_threads = 2;
-    PartitionedDriver driver(options);
-    ASSERT_TRUE(driver.Plan(r, s).ok());
-    JoinResult got = driver.Execute();
+    JoinResult got = PlanAndExecute(r, s, options);
     if (tile_join == TileJoin::kPlaneSweep) {
       reference = std::move(got);
       EXPECT_GT(reference.size(), 0u);
@@ -416,21 +489,17 @@ TEST(PartitionedDriver, EmptyAndDisjointInputs) {
   const Dataset empty;
   const Dataset some = testutil::Uniform(10, 51);
 
-  PartitionedDriver driver;
-  ASSERT_TRUE(driver.Plan(empty, some).ok());
-  EXPECT_EQ(driver.Execute().size(), 0u);
-  EXPECT_EQ(driver.num_tasks(), 0u);
+  auto plan = PlanPartitionedCells(empty, some, {});
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(PlanAndExecute(empty, some, {}).size(), 0u);
+  EXPECT_EQ((*plan)->cells.size(), 0u);
 
-  PartitionedDriver driver2;
-  ASSERT_TRUE(driver2.Plan(some, empty).ok());
-  EXPECT_EQ(driver2.Execute().size(), 0u);
+  EXPECT_EQ(PlanAndExecute(some, empty, {}).size(), 0u);
 
   // Far-apart datasets: plenty of cells, zero co-populated ones.
   Dataset left("left", {Box(0, 0, 1, 1), Box(2, 2, 3, 3)});
   Dataset right("right", {Box(100, 100, 101, 101)});
-  PartitionedDriver driver3;
-  ASSERT_TRUE(driver3.Plan(left, right).ok());
-  EXPECT_EQ(driver3.Execute().size(), 0u);
+  EXPECT_EQ(PlanAndExecute(left, right, {}).size(), 0u);
 }
 
 // The engine wrapper must agree with the nested-loop oracle and dedup under

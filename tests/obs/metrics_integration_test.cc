@@ -106,9 +106,6 @@ TEST(MetricsIntegrationTest, ServedDistJoinMatchesLegacyStructs) {
   const std::string json = service.MetricsJson();
   EXPECT_NE(json.find("\"swiftspatial_service_admitted_total\""),
             std::string::npos);
-
-  // Deprecated alias still returns the same consistent snapshot.
-  EXPECT_EQ(service.stats().admitted, snap.admitted);
 }
 
 }  // namespace
