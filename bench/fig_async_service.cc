@@ -1,13 +1,15 @@
 // Async execution & serving sweep: the benchmark behind the exec/
 // subsystem.
 //
-// Part 1 -- plan/execute overlap. The synchronous "partitioned" engine pays
-// Plan (grid assignment) and Execute (cell joins) strictly in sequence; the
-// "async" engine runs the same join through the banded streaming executor,
-// where each row band's assignment is a TaskGraph task that spawns its cell
-// joins dynamically -- so band k+1 is still partitioning while band k's
-// cells already join. On any >= 2-shard workload the async wall-clock must
-// come in under sync plan + execute.
+// Part 1 -- one join, three paths. The synchronous "partitioned" engine
+// pays Prepare (grid assignment + sweep sort) and ExecutePrepared (cell
+// joins) in sequence and delivers nothing before both finish. A cold
+// stream (RunJoinAsync over datasets) runs the same Prepare and then a
+// streamed execute, whose first chunk leaves as soon as one cell group has
+// joined; a warm stream (RunJoinAsync over a DatasetRegistry) takes the
+// cached plan and only streams the execute. Reported per path: wall time
+// and time to the first chunk at chunk_pairs=512. Every path must return
+// the same pair count (exit 1 otherwise).
 //
 // Part 2 -- the serving layer. A JoinService with a fixed worker budget
 // admits closed bursts of requests at three offered-load levels and from
@@ -18,7 +20,8 @@
 //
 //   ./build/bench/fig_async_service [--scale=N] [--threads=N] [--reps=N]
 #include <cstdio>
-#include <optional>
+#include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,128 +30,113 @@
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "exec/service.h"
+#include "exec/dataset_registry.h"
 #include "exec/streaming.h"
 #include "join/engine.h"
-#include "join/partitioned_driver.h"
 
 namespace swiftspatial::bench {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Part 1: sync plan+execute vs async (overlapped) wall-clock.
+// Part 1: sync plan+execute vs cold and warm streamed execution.
 // ---------------------------------------------------------------------------
-void RunOverlapSection(const BenchEnv& env, JsonReporter* json) {
-  TablePrinter table(
-      "Plan/execute overlap: synchronous partitioned engine vs banded "
-      "streaming executor",
-      {"scale", "shards", "sync_plan_ms", "sync_exec_ms", "sync_total_ms",
-       "async_wall_ms", "async_first_ms", "wall_speedup", "first_vs_sync"});
+struct StreamTiming {
+  double wall_seconds = 0;
+  double first_chunk_seconds = 0;
+  uint64_t results = 0;
+};
 
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  bool wall_overlap = true;
-  bool first_result_wins = true;
+// Warmup plus `reps` runs of the stream `start` opens, fully collected;
+// medians of wall and first-chunk time. Exits 1 when a stream fails.
+StreamTiming TimeStream(
+    const std::function<Result<exec::AsyncJoinHandle>()>& start, int reps,
+    const char* label) {
+  StreamTiming timing;
+  std::vector<double> first_chunk_times;
+  timing.wall_seconds = MedianSeconds(
+      [&] {
+        Stopwatch sw;
+        exec::AsyncJoinHandle handle = OrDie(start(), label);
+        exec::ResultChunk first;
+        uint64_t total = 0;
+        if (handle.Next(&first)) total = first.pairs.size();
+        first_chunk_times.push_back(sw.ElapsedSeconds());
+        exec::StreamSummary rest = handle.Collect();
+        if (!rest.status.ok()) {
+          std::fprintf(stderr, "FATAL: %s stream failed: %s\n", label,
+                       rest.status.ToString().c_str());
+          std::exit(1);
+        }
+        timing.results = total + rest.run.result.size();
+      },
+      reps);
+  // Median over warmup + reps, matching wall_seconds' aggregation.
+  timing.first_chunk_seconds = Percentile(first_chunk_times, 0.5);
+  return timing;
+}
+
+void RunPathSection(const BenchEnv& env, JsonReporter* json) {
+  TablePrinter table(
+      "One partitioned join, three paths (chunk_pairs=512; the synchronous "
+      "path delivers its first pair when it finishes)",
+      {"scale", "path", "first_chunk_ms", "wall_ms"});
+
   for (const uint64_t scale : env.scales) {
     const JoinInputs in =
         MakeInputs(WorkloadShape::kUniform, JoinKind::kPolygonPolygon, scale);
     EngineConfig config;
     config.num_threads = env.cpu_threads;
 
-    auto sync = TimeEngine(kPartitionedEngine, config, in.r, in.s, env.reps);
-    if (!sync.ok()) {
-      std::fprintf(stderr, "sync run failed: %s\n",
-                   sync.status().ToString().c_str());
-      continue;
-    }
-    const double sync_total =
-        sync->plan_seconds + sync->median_execute_seconds;
+    const EngineTiming sync =
+        OrDie(TimeEngine(kPartitionedEngine, config, in.r, in.s, env.reps),
+              "sync partitioned run");
+    const double sync_total = sync.plan_seconds + sync.median_execute_seconds;
 
-    // The streaming executor re-plans on every run (that is the point: its
-    // planning is part of the overlapped pipeline), so the async figure is
-    // the full wall-clock of stream-and-collect. The first-chunk latency is
-    // the pipelining measure: the synchronous path delivers nothing at all
-    // until plan + execute have both fully finished.
     exec::StreamOptions stream;
     stream.chunk_pairs = 512;    // stream at cell-group granularity
     stream.queue_capacity = 64;  // don't let the sink throttle the measure
-    uint64_t async_results = 0;
-    std::vector<double> first_chunk_times;
-    bool async_failed = false;
-    // Mirror the producer's auto-sharding so the table reports the shard
-    // count the run actually used, then pin it via num_shards.
-    const int grid_side =
-        AutoGridSide(in.r.size() + in.s.size(), kDefaultCellPopulation);
-    const int shards = std::min(
-        grid_side, std::max(2, static_cast<int>(env.cpu_threads)));
-    stream.num_shards = shards;
-    const double async_wall = MedianSeconds(
+    const StreamTiming cold = TimeStream(
         [&] {
-          Stopwatch sw;
-          auto handle =
-              exec::RunJoinAsync(kAsyncEngine, in.r, in.s, config, stream);
-          if (!handle.ok()) {
-            std::fprintf(stderr, "async run failed: %s\n",
-                         handle.status().ToString().c_str());
-            async_failed = true;
-            return;
-          }
-          exec::ResultChunk first;
-          std::size_t total = 0;
-          if (handle->Next(&first)) {
-            first_chunk_times.push_back(sw.ElapsedSeconds());
-            total = first.pairs.size();
-          }
-          exec::StreamSummary rest = handle->Collect();
-          if (!rest.status.ok()) {
-            std::fprintf(stderr, "async stream failed: %s\n",
-                         rest.status.ToString().c_str());
-            async_failed = true;
-            return;
-          }
-          async_results = total + rest.run.result.size();
+          return exec::RunJoinAsync(kPartitionedEngine, in.r, in.s, config,
+                                    stream);
         },
-        env.reps);
-    if (async_failed) std::exit(1);
-    // Median over warmup + reps, matching async_wall's aggregation.
-    const double first_chunk_seconds =
-        Percentile(first_chunk_times, 0.5);
+        env.reps, "cold");
+    exec::DatasetRegistry registry;
+    registry.Put("r", in.r);
+    registry.Put("s", in.s);
+    const StreamTiming warm = TimeStream(
+        [&] {
+          return exec::RunJoinAsync(registry, kPartitionedEngine, "r", "s",
+                                    config, stream);
+        },
+        env.reps, "warm");
 
-    if (async_results != sync->results) {
-      std::fprintf(stderr,
-                   "FATAL: async path diverges (sync=%llu async=%llu)\n",
-                   static_cast<unsigned long long>(sync->results),
-                   static_cast<unsigned long long>(async_results));
-      std::exit(1);
+    for (const StreamTiming* t : {&cold, &warm}) {
+      if (t->results != sync.results) {
+        std::fprintf(stderr,
+                     "FATAL: %s stream diverges (sync=%llu streamed=%llu)\n",
+                     t == &cold ? "cold" : "warm",
+                     static_cast<unsigned long long>(sync.results),
+                     static_cast<unsigned long long>(t->results));
+        std::exit(1);
+      }
     }
-    wall_overlap = wall_overlap && async_wall < sync_total;
-    first_result_wins =
-        first_result_wins && first_chunk_seconds < sync_total;
-    table.AddRow({std::to_string(scale), std::to_string(shards),
-                  Ms(sync->plan_seconds), Ms(sync->median_execute_seconds),
-                  Ms(sync_total), Ms(async_wall), Ms(first_chunk_seconds),
-                  Speedup(sync_total, async_wall),
-                  Speedup(sync_total, first_chunk_seconds)});
-    json->AddRow("overlap/" + std::to_string(scale),
-                 {{"sync_total_seconds", sync_total},
-                  {"async_wall_seconds", async_wall},
-                  {"first_chunk_seconds", first_chunk_seconds}});
+    const std::string label = std::to_string(scale);
+    table.AddRow({label, "sync plan+execute", Ms(sync_total), Ms(sync_total)});
+    table.AddRow({label, "cold streamed (datasets)",
+                  Ms(cold.first_chunk_seconds), Ms(cold.wall_seconds)});
+    table.AddRow({label, "warm streamed (registry)",
+                  Ms(warm.first_chunk_seconds), Ms(warm.wall_seconds)});
+    json->AddRow("paths/" + label,
+                 {{"sync_plan_seconds", sync.plan_seconds},
+                  {"sync_total_seconds", sync_total},
+                  {"cold_wall_seconds", cold.wall_seconds},
+                  {"cold_first_chunk_seconds", cold.first_chunk_seconds},
+                  {"warm_wall_seconds", warm.wall_seconds},
+                  {"warm_first_chunk_seconds", warm.first_chunk_seconds}});
   }
   table.Print();
-  if (cores >= 2) {
-    std::printf(
-        "overlap check (async wall-clock < sync plan+execute on multi-shard "
-        "workloads): %s\n\n",
-        wall_overlap ? "PASS" : "FAIL");
-  } else {
-    // With one core there is no parallelism for the overlapped bands to
-    // exploit, so wall-clock parity is the ceiling; pipelined delivery is
-    // the measurable overlap signal (first results arrive while the
-    // sync path would still be planning/joining with nothing to show).
-    std::printf(
-        "single-core host (hardware_concurrency=%u): wall-clock overlap "
-        "needs >= 2 cores; pipelined-delivery check (first streamed chunk "
-        "before sync plan+execute completes): %s\n\n",
-        cores, first_result_wins ? "PASS" : "FAIL");
-  }
+  std::printf("\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -397,7 +385,7 @@ void RunWarmServingSection(const BenchEnv& env, uint64_t scale,
 int Main(int argc, char** argv) {
   const BenchEnv env = BenchEnv::Parse(argc, argv, /*default_scale=*/60000);
   JsonReporter json("fig_async_service", env);
-  RunOverlapSection(env, &json);
+  RunPathSection(env, &json);
   // The service section uses smaller per-request joins so a burst of 64
   // stays container-friendly.
   RunServiceSection(env, std::max<uint64_t>(5000, env.scales.front() / 10),

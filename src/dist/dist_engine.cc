@@ -39,19 +39,6 @@ class DistEngineImpl : public EngineBase<DistPreparedPlan, DistJoinEngine> {
   DistEngineImpl(std::string name, const EngineConfig& config, bool use_accel)
       : EngineBase(std::move(name), config), use_accel_(use_accel) {}
 
-  Status ExecuteStreaming(const PreparedPlan& plan, const ShardSink& sink,
-                          JoinStats* stats,
-                          exec::CancellationToken cancel) override {
-    if (!sink) {
-      return Status::InvalidArgument(
-          "ExecuteStreaming requires a callable sink");
-    }
-    auto typed = Typed(plan);
-    if (!typed.ok()) return typed.status();
-    if (plan.r().empty() || plan.s().empty()) return Status::OK();
-    return Run(**typed, /*out=*/nullptr, stats, sink, std::move(cancel));
-  }
-
  protected:
   Status Validate() override { return ValidateDistConfig(config()); }
 
@@ -69,6 +56,21 @@ class DistEngineImpl : public EngineBase<DistPreparedPlan, DistJoinEngine> {
   Status ExecuteImpl(const DistPreparedPlan& plan, JoinResult* out,
                      JoinStats* stats) override {
     return Run(plan, out, stats, ShardSink(), exec::CancellationToken());
+  }
+
+  Status StreamImpl(const DistPreparedPlan& plan, const StreamTarget& target,
+                    JoinStats* stats) override {
+    const ShardSink sink = [&target](int, std::vector<ResultPair> pairs) {
+      target.sink(std::move(pairs));
+    };
+    SWIFT_RETURN_IF_ERROR(
+        Run(plan, /*out=*/nullptr, stats, sink, target.cancel));
+    // Shard retries are this request's fault-recovery cost.
+    if (target.usage != nullptr) {
+      target.usage->AddRetries(
+          static_cast<uint64_t>(report_.retried_shards));
+    }
+    return Status::OK();
   }
 
  private:

@@ -11,10 +11,12 @@
 //
 // Prepare runs the ShardPlanner (grid + placement) into a DistPreparedPlan;
 // every execution spins a fresh in-process cluster over that immutable plan
-// and merges. Beyond the JoinEngine contract the typed handle exposes
-// ExecuteStreaming -- committed shards surface through a ShardSink as they
-// merge, with a cancellation token that stops the cluster mid-exchange --
-// and last_report(), the DistReport of the instance's most recent run.
+// and merges. ExecuteStreaming hands each committed shard's pairs to the
+// sink as the merge coordinator commits it, the target's cancellation token
+// stops the cluster mid-exchange, and shard retries are added to the
+// target's resource accounting. Beyond the JoinEngine contract the typed
+// handle exposes last_report(), the DistReport of the instance's most
+// recent run.
 #ifndef SWIFTSPATIAL_DIST_DIST_ENGINE_H_
 #define SWIFTSPATIAL_DIST_DIST_ENGINE_H_
 
@@ -41,17 +43,12 @@ class DistPreparedPlan : public PreparedPlan {
   ShardPlan shard_plan;
 };
 
-/// JoinEngine extended with the cluster's streaming face and run report.
+/// JoinEngine extended with the cluster's run report. Its ExecuteStreaming
+/// delivers committed shards in commit order; a cancelled token stops the
+/// cluster mid-exchange, delivered shards remain a well-defined prefix and
+/// the call returns Aborted.
 class DistJoinEngine : public JoinEngine {
  public:
-  /// Like ExecutePrepared, but hands each committed shard's pairs to `sink`
-  /// as the merge coordinator commits it (stable shard ids; commit order).
-  /// `cancel` stops the cluster mid-exchange: delivered shards remain a
-  /// well-defined prefix and the call returns Aborted.
-  virtual Status ExecuteStreaming(const PreparedPlan& plan,
-                                  const ShardSink& sink, JoinStats* stats,
-                                  exec::CancellationToken cancel) = 0;
-
   /// Report of this instance's most recent ExecutePrepared /
   /// ExecuteStreaming that ran the cluster (empty inputs do not).
   const DistReport& last_report() const { return report_; }
@@ -68,7 +65,7 @@ bool IsDistEngine(const std::string& name);
 Status ValidateDistConfig(const EngineConfig& config);
 
 /// Instantiates one of the distributed engines directly -- the typed handle
-/// (ExecuteStreaming, last_report) the plain registry interface erases.
+/// (last_report) the plain registry interface erases.
 /// NotFound for names IsDistEngine rejects.
 Result<std::unique_ptr<DistJoinEngine>> MakeDistEngine(
     const std::string& name, const EngineConfig& config);

@@ -2,8 +2,8 @@
 //
 // Both inputs are sharded onto a uniform grid exactly as the single-machine
 // PlanPartitionedCells does (multi-assignment, reference-point dedup tiles via
-// UniformGrid::DedupTileByIndex), so a shard is the same unit the banded
-// streaming planner and hw/multi_device already use -- here it becomes the
+// UniformGrid::DedupTileByIndex), so a shard is the same unit the
+// partitioned engines and hw/multi_device already use -- here it becomes the
 // unit of *distribution*. Each populated grid cell is one Shard carrying a
 // stable id (its grid tile index: a pure function of the grid geometry, so a
 // shard re-executed after a node failure reports the same id), its dedup
@@ -67,9 +67,9 @@ struct ShardPlan {
 };
 
 /// Plans `num_nodes`-way placement of the (r, s) join. Grid dimensions of 0
-/// auto-size exactly like PlanPartitionedCells (AutoGridSide over the combined
-/// cardinality). Fails with InvalidArgument on bad grid dimensions or
-/// num_nodes < 1. Empty inputs yield an empty plan.
+/// auto-size exactly like PlanPartitionedCells (DeriveJoinGrid). Fails with
+/// InvalidArgument on bad grid dimensions or num_nodes < 1. Empty inputs
+/// yield an empty plan.
 Result<ShardPlan> PlanShards(const Dataset& r, const Dataset& s,
                              int grid_cols, int grid_rows, int num_nodes,
                              PlacementPolicy placement);

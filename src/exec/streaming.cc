@@ -7,16 +7,12 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/sync.h"
 #include "common/stopwatch.h"
-#include "obs/log.h"
+#include "common/sync.h"
 #include "dist/dist_engine.h"
-#include "exec/task_graph.h"
-#include "grid/uniform_grid.h"
 #include "join/accel_engine.h"
-#include "join/engine_base.h"
 #include "join/partitioned_driver.h"
-#include "join/pbsm.h"
+#include "obs/log.h"
 
 namespace swiftspatial::exec {
 
@@ -200,364 +196,114 @@ namespace {
 
 using internal::StreamState;
 
-// Per-worker chunk staging: each pool worker owns one slot and appends cell
-// outputs there lock-free (one worker thread = one running task at a time,
-// and slots belong to a single stream even when several streams share a
-// pool). Full chunks are carved off the back -- O(chunk) with no front
-// shifting; chunk order across workers is irrelevant, the result is a
-// multiset -- and pushed to the bounded queue, where a full queue blocks
-// only the pushing worker.
-struct WorkerSlot {
-  JoinResult buffer;
-  JoinStats stats;
-};
-
-// Carves full chunks out of `slot` and ships them. Returns false once the
-// stream is cancelled. With flush_tail, also ships the final partial chunk.
+// Coalesces the engine's result batches into bounded chunks for the stream
+// queue. Batches may arrive concurrently from worker threads and in any size
+// (write-unit bursts, committed shards, cell-group buffers, a finished
+// result): they accumulate in one staging buffer and full chunks are carved
+// from the back (order across chunks is irrelevant -- the result is a
+// multiset; carving the front would shift the residue on every carve).
 //
-// may_block selects the backpressure mode. Streams on their own private
-// pool (RunJoinAsync) block the pushing worker when the queue is full --
-// the hard memory bound. Streams on a *shared* pool (JoinService) must
-// never park a pool worker on one consumer's backpressure (with sequential
-// consumers that deadlocks every stream on the pool), so a full queue
-// leaves the pairs staged in the slot; the producer's final drain, which
-// runs on a dispatcher thread and may safely block, ships the remainder.
-bool FlushSlot(WorkerSlot* slot, StreamState* state, std::size_t chunk_pairs,
-               bool flush_tail, bool may_block) {
-  std::vector<ResultPair>& pairs = slot->buffer.mutable_pairs();
-  for (;;) {
-    if (pairs.size() < chunk_pairs && !(flush_tail && !pairs.empty())) {
-      return true;
-    }
-    // Carve from the back: O(chunk), no front shifting; chunk order across
-    // workers is irrelevant, the result is a multiset.
-    std::vector<ResultPair> chunk;
-    if (pairs.size() <= chunk_pairs) {
-      chunk = std::move(pairs);
-      pairs.clear();
-    } else {
-      chunk.assign(pairs.end() - chunk_pairs, pairs.end());
-      pairs.resize(pairs.size() - chunk_pairs);
-    }
-    if (may_block) {
-      if (!state->Push(std::move(chunk))) return false;
-    } else {
-      const auto result = state->TryPush(&chunk);
-      if (result == StreamState::PushResult::kCancelled) return false;
-      if (result == StreamState::PushResult::kFull) {
-        // Restage and stop: a later flush or the final drain ships it.
-        pairs.insert(pairs.end(), chunk.begin(), chunk.end());
-        return true;
-      }
-    }
-  }
-}
-
-// Id lists + dedup tile of one populated grid cell, shared with the task
-// closure (std::function requires copyable captures).
-struct CellWork {
-  Box dedup_tile;
-  std::vector<ObjectId> r_ids;
-  std::vector<ObjectId> s_ids;
-};
-
-// An object with its precomputed grid tile range: TileRange runs once, in
-// the bucketing prologue, and the per-band assignment reuses the stored
-// range instead of re-deriving it.
-struct PlacedObject {
-  ObjectId id;
-  int tx0, ty0, tx1, ty1;
-};
-
-// The native streaming producer: banded plan/execute overlap on a TaskGraph.
-//
-// Serial prologue (the only part ordered before everything): compute the
-// extent, size the grid, and bucket both inputs into contiguous row bands by
-// a row-range scan. Then each band becomes a *plan task* that builds the
-// band's per-cell id lists and dynamically adds one join task per populated
-// cell -- so while band k's cells are joining (and their chunks are already
-// streaming out), band k+1 is still being partitioned. Dedup is the same
-// reference-point rule against the same global grid tiles as the
-// synchronous driver, which is why the output multiset is identical.
-void RunNativeProducer(const Dataset& r, const Dataset& s, EngineConfig config,
-                       TileJoin tile_join, StreamOptions opts,
-                       ThreadPool* shared_pool,
-                       std::shared_ptr<StreamState> state) {
-  StageTiming timing;
-  Stopwatch plan_sw;
-  obs::ScopedSpan plan_span(config.trace, "plan");
-
-  if (config.validate_inputs) {
-    for (const Dataset* d : {&r, &s}) {
-      Status st = d->ValidateBoxes();
-      if (!st.ok()) {
-        state->Close(std::move(st), JoinStats{}, timing);
-        return;
-      }
-    }
-  }
-  // One shared grid decision (DeriveJoinGrid) keeps the banded streaming
-  // shards identical to PlanPartitionedCells' and the dist ShardPlanner's.
-  const JoinGridSpec spec =
-      DeriveJoinGrid(r, s, config.grid_cols, config.grid_rows);
-  if (!spec.has_grid) {
-    state->Close(Status::OK(), JoinStats{}, timing);
-    return;
-  }
-  const int cols = spec.cols;
-  const int rows = spec.rows;
-  const UniformGrid grid(spec.extent, cols, rows);
-
-  const int shards =
-      opts.num_shards > 0
-          ? std::min(opts.num_shards, rows)
-          : std::min<int>(rows,
-                          std::max<int>(2, static_cast<int>(
-                                               config.num_threads)));
-  std::vector<int> band_begin(shards + 1);
-  for (int b = 0; b <= shards; ++b) {
-    band_begin[b] = static_cast<int>(
-        static_cast<long long>(b) * rows / shards);
-  }
-  std::vector<int> row_band(rows);
-  for (int b = 0; b < shards; ++b) {
-    for (int y = band_begin[b]; y < band_begin[b + 1]; ++y) row_band[y] = b;
-  }
-
-  // Bucketing: the one serial O(n) pass. Each object's tile range is
-  // computed exactly once (the same TileRange work the synchronous Prepare
-  // pays) and stored with the id, so the per-band plan tasks only
-  // distribute ids into cells.
-  std::vector<std::vector<PlacedObject>> band_r(shards), band_s(shards);
-  const auto bucket = [&](const Dataset& d,
-                          std::vector<std::vector<PlacedObject>>& bands) {
-    for (auto& band : bands) band.reserve(d.size() / shards + 1);
-    for (std::size_t i = 0; i < d.size(); ++i) {
-      PlacedObject p;
-      p.id = static_cast<ObjectId>(i);
-      grid.TileRange(d.box(i), &p.tx0, &p.ty0, &p.tx1, &p.ty1);
-      for (int b = row_band[p.ty0]; b <= row_band[p.ty1]; ++b) {
-        bands[b].push_back(p);
-      }
-    }
-  };
-  bucket(r, band_r);
-  bucket(s, band_s);
-  timing.plan_seconds = plan_sw.ElapsedSeconds();
-  plan_span.End();
-
-  obs::ScopedSpan exec_span(config.trace, "execute");
-  Stopwatch exec_sw;
-  std::optional<ThreadPool> owned_pool;
-  ThreadPool* pool = shared_pool;
-  // Workers on an exclusive pool may block on backpressure (hard memory
-  // bound); workers on a shared pool must not (see FlushSlot).
-  const bool exclusive_pool = shared_pool == nullptr;
-  if (pool == nullptr) {
-    owned_pool.emplace(std::max<std::size_t>(1, config.num_threads));
-    pool = &*owned_pool;
-  }
-
-  const std::size_t chunk_pairs = std::max<std::size_t>(1, opts.chunk_pairs);
-  std::vector<WorkerSlot> slots(pool->num_threads());
-  TaskGraph graph(pool, state->token(), exec_span.context(), state->usage());
-
-  for (int b = 0; b < shards; ++b) {
-    graph.Add([&, b] {
-      const int row0 = band_begin[b];
-      const int row1 = band_begin[b + 1];
-      if (row0 >= row1) return;
-      const int band_tiles = (row1 - row0) * cols;
-      std::vector<std::vector<ObjectId>> r_cells(band_tiles);
-      std::vector<std::vector<ObjectId>> s_cells(band_tiles);
-      const auto assign = [&](const std::vector<PlacedObject>& placed,
-                              std::vector<std::vector<ObjectId>>& cells) {
-        for (const PlacedObject& p : placed) {
-          for (int ty = std::max(p.ty0, row0);
-               ty <= std::min(p.ty1, row1 - 1); ++ty) {
-            for (int tx = p.tx0; tx <= p.tx1; ++tx) {
-              cells[(ty - row0) * cols + tx].push_back(p.id);
-            }
-          }
-        }
-      };
-      assign(band_r[b], r_cells);
-      assign(band_s[b], s_cells);
-
-      auto cells = std::make_shared<std::vector<CellWork>>();
-      for (int t = 0; t < band_tiles; ++t) {
-        if (r_cells[t].empty() || s_cells[t].empty()) continue;
-        CellWork work;
-        const int global_tile = (row0 + t / cols) * cols + t % cols;
-        work.dedup_tile = grid.DedupTileByIndex(global_tile);
-        work.r_ids = std::move(r_cells[t]);
-        work.s_ids = std::move(s_cells[t]);
-        cells->push_back(std::move(work));
-      }
-      if (cells->empty()) return;
-      // Largest cells first, then strided groups: group g joins cells
-      // g, g+G, g+2G, ... -- balanced batches that amortise per-task
-      // dispatch over many (often tiny) cells. The per-wave group budget
-      // (kCellTaskGroupsPerWorker * workers, shared with the sync driver)
-      // is split across the bands so both paths dispatch at the same
-      // granularity.
-      std::sort(cells->begin(), cells->end(),
-                [](const CellWork& a, const CellWork& b) {
-                  return a.r_ids.size() * a.s_ids.size() >
-                         b.r_ids.size() * b.s_ids.size();
-                });
-      const std::size_t groups = std::min(
-          cells->size(),
-          std::max<std::size_t>(
-              1, kCellTaskGroupsPerWorker * pool->num_threads() /
-                     static_cast<std::size_t>(shards)));
-      for (std::size_t g = 0; g < groups; ++g) {
-        graph.Add([&, cells, g, groups] {
-          WorkerSlot& slot = slots[pool->CurrentWorkerIndex()];
-          for (std::size_t i = g; i < cells->size(); i += groups) {
-            const CellWork& work = (*cells)[i];
-            RunTileJoin(tile_join, r, s, work.r_ids, work.s_ids,
-                        &work.dedup_tile, &slot.buffer, &slot.stats);
-            // Stream full chunks as soon as they exist; stop early if the
-            // consumer cancelled.
-            if (!FlushSlot(&slot, state.get(), chunk_pairs,
-                           /*flush_tail=*/false, exclusive_pool)) {
-              return;
-            }
-          }
-          // Group boundary: ship the partial chunk too, so consumers see
-          // results at cell-group granularity instead of only at the end.
-          FlushSlot(&slot, state.get(), chunk_pairs, /*flush_tail=*/true,
-                    exclusive_pool);
-        });
-      }
-    });
-  }
-  graph.Wait();
-
-  JoinStats stats;
-  for (WorkerSlot& slot : slots) stats += slot.stats;
-  if (state->cancelled()) {
-    timing.execute_seconds = exec_sw.ElapsedSeconds();
-    state->Close(Status::Aborted("join cancelled mid-stream"), stats, timing);
-    return;
-  }
-  // Final drain runs on the producer thread (or a service dispatcher) --
-  // never on a pool worker -- so it may block on backpressure in both
-  // modes, shipping whatever the shared-pool mode left staged.
-  for (WorkerSlot& slot : slots) {
-    if (!FlushSlot(&slot, state.get(), chunk_pairs, /*flush_tail=*/true,
-                   /*may_block=*/true)) {
-      timing.execute_seconds = exec_sw.ElapsedSeconds();
-      state->Close(Status::Aborted("join cancelled mid-stream"), stats,
-                   timing);
-      return;
-    }
-  }
-  timing.execute_seconds = exec_sw.ElapsedSeconds();
-  state->Close(Status::OK(), stats, timing);
-}
-
-// Coalesces arbitrary-size producer batches into bounded chunks for the
-// stream queue: batches accumulate in a staging buffer and full chunks are
-// carved from the back (order across chunks is irrelevant -- the result is
-// a multiset; carving the front would shift the residue on every carve).
-// The native batch granularities of the accelerator and cluster engines
-// (write-unit bursts, committed shards) are unbounded in both directions.
+// Backpressure: a thread that is not a worker of the shared pool blocks on
+// a full queue -- the hard memory bound of streams on a private pool. A
+// worker of the service's shared pool must never park on one consumer's
+// backpressure (with sequential consumers that deadlocks every stream on the
+// pool), so it tries once and restages on a full queue; Finish, which runs
+// on the producer thread, ships the remainder. The stager's lock guards
+// only the staging buffer and is never held across a push.
 class ChunkStager {
  public:
-  ChunkStager(std::size_t chunk_pairs, StreamState* state)
-      : chunk_pairs_(std::max<std::size_t>(1, chunk_pairs)), state_(state) {}
+  ChunkStager(std::size_t chunk_pairs, StreamState* state,
+              const ThreadPool* shared_pool)
+      : chunk_pairs_(std::max<std::size_t>(1, chunk_pairs)),
+        state_(state),
+        shared_pool_(shared_pool) {}
 
   /// Adds one producer batch, shipping any full chunks. Batches are
   /// dropped once a push has failed (the consumer cancelled).
-  void Add(std::vector<ResultPair> batch) {
-    if (push_failed_) return;
-    if (staged_.empty()) {
-      staged_ = std::move(batch);
-    } else {
-      staged_.insert(staged_.end(), batch.begin(), batch.end());
-    }
-    while (!push_failed_ && staged_.size() >= chunk_pairs_) {
-      std::vector<ResultPair> chunk;
-      if (staged_.size() == chunk_pairs_) {
-        chunk = std::move(staged_);
-        staged_.clear();
+  void Add(std::vector<ResultPair> batch) EXCLUDES(mu_) {
+    {
+      MutexLock lock(&mu_);
+      if (push_failed_) return;
+      if (staged_.empty()) {
+        staged_ = std::move(batch);
       } else {
-        chunk.assign(staged_.end() - chunk_pairs_, staged_.end());
-        staged_.resize(staged_.size() - chunk_pairs_);
+        staged_.insert(staged_.end(), batch.begin(), batch.end());
       }
-      if (!state_->Push(std::move(chunk))) push_failed_ = true;
     }
+    Ship(/*may_block=*/shared_pool_ == nullptr ||
+             shared_pool_->CurrentWorkerIndex() == ThreadPool::kNotAWorker,
+         /*tail=*/false);
   }
 
-  /// Adds a finished result as chunk-sized copies, front to back. Moving
-  /// the whole buffer in instead would ship it as the last chunk, keeping
-  /// the full result allocated until the consumer pops it; this way the
-  /// caller frees it as soon as the last slice is queued.
-  void AddSlices(const std::vector<ResultPair>& pairs) {
-    for (std::size_t off = 0; off < pairs.size() && !push_failed_;
-         off += chunk_pairs_) {
-      const std::size_t end = std::min(off + chunk_pairs_, pairs.size());
-      Add({pairs.begin() + off, pairs.begin() + end});
-    }
+  /// Ships everything still staged, blocking on backpressure; called on the
+  /// producer thread once the engine returned. Returns false when any push
+  /// failed (the stream should close Aborted).
+  bool Finish() EXCLUDES(mu_) {
+    return Ship(/*may_block=*/true, /*tail=*/true);
   }
-
-  /// Ships the final partial chunk of a successful run. Returns false when
-  /// any push failed (the stream should close Aborted).
-  bool FlushTail() {
-    if (!push_failed_ && !staged_.empty()) {
-      if (!state_->Push(std::move(staged_))) push_failed_ = true;
-    }
-    return !push_failed_;
-  }
-
-  bool push_failed() const { return push_failed_; }
 
  private:
-  const std::size_t chunk_pairs_;
-  StreamState* state_;
-  std::vector<ResultPair> staged_;
-  bool push_failed_ = false;
-};
+  // Carves and pushes full chunks (with `tail`, also the partial rest) one
+  // at a time, pushing outside the lock so other threads keep staging.
+  // Stops when none remain, a push fails (returns false), or a
+  // non-blocking push finds the queue full (the chunk is restaged).
+  bool Ship(bool may_block, bool tail) EXCLUDES(mu_) {
+    for (;;) {
+      std::vector<ResultPair> chunk;
+      {
+        MutexLock lock(&mu_);
+        if (push_failed_) return false;
+        if (staged_.size() < chunk_pairs_ && !(tail && !staged_.empty())) {
+          return true;
+        }
+        chunk = CarveLocked();
+      }
+      StreamState::PushResult result;
+      if (may_block) {
+        result = state_->Push(std::move(chunk))
+                     ? StreamState::PushResult::kPushed
+                     : StreamState::PushResult::kCancelled;
+      } else {
+        result = state_->TryPush(&chunk);
+      }
+      if (result == StreamState::PushResult::kPushed) continue;
+      MutexLock lock(&mu_);
+      if (result == StreamState::PushResult::kCancelled) {
+        push_failed_ = true;
+        return false;
+      }
+      staged_.insert(staged_.end(), chunk.begin(), chunk.end());
+      return true;
+    }
+  }
 
-// Runs `plan` on `engine`, feeding the results to `stager`. The accelerator
-// and cluster engines stream natively: every write-unit flush (a BFS
-// level's leaf pairs, a PBSM tile batch, a multi-device shard's
-// deduplicated output) or committed shard surfaces as chunks while the
-// simulated device or the other nodes still run. Cancellation reaches the
-// cluster itself through the stream's token; the simulated kernel runs to
-// completion and further pushes are dropped. Every other engine's finished
-// result is chunked.
-Status ExecuteIntoStager(JoinEngine& engine, const PreparedPlan& plan,
-                         StreamState* state, ChunkStager* stager,
-                         JoinStats* stats) {
-  if (auto* accel = dynamic_cast<AccelJoinEngine*>(&engine)) {
-    return accel->ExecuteStreaming(
-        plan,
-        [stager](std::vector<ResultPair> batch) {
-          stager->Add(std::move(batch));
-        },
-        stats);
+  // Takes up to chunk_pairs_ pairs off the back of the staging buffer.
+  std::vector<ResultPair> CarveLocked() REQUIRES(mu_) {
+    std::vector<ResultPair> chunk;
+    if (staged_.size() <= chunk_pairs_) {
+      chunk = std::move(staged_);
+      staged_.clear();
+    } else {
+      chunk.assign(staged_.end() - chunk_pairs_, staged_.end());
+      staged_.resize(staged_.size() - chunk_pairs_);
+    }
+    if (staged_.capacity() > 2 * chunk_pairs_ &&
+        staged_.size() < chunk_pairs_) {
+      // The residue of a large batch (a finished result) moves to a
+      // right-sized buffer, so the batch's buffer is freed now instead of
+      // riding the queue as the last chunk.
+      staged_ = std::vector<ResultPair>(staged_.begin(), staged_.end());
+    }
+    return chunk;
   }
-  if (auto* cluster = dynamic_cast<dist::DistJoinEngine*>(&engine)) {
-    Status st = cluster->ExecuteStreaming(
-        plan,
-        [stager](int, std::vector<ResultPair> batch) {
-          stager->Add(std::move(batch));
-        },
-        stats, state->token());
-    // Shard retries are this request's fault-recovery cost; surface them in
-    // the per-request accounting alongside CPU and bytes.
-    state->usage()->AddRetries(
-        static_cast<uint64_t>(cluster->last_report().retried_shards));
-    return st;
-  }
-  JoinResult result;
-  Status st = engine.ExecutePrepared(plan, &result, stats);
-  if (st.ok()) stager->AddSlices(result.pairs());
-  return st;
-}
+
+  const std::size_t chunk_pairs_;
+  StreamState* const state_;
+  const ThreadPool* const shared_pool_;
+  Mutex mu_;
+  std::vector<ResultPair> staged_ GUARDED_BY(mu_);
+  bool push_failed_ GUARDED_BY(mu_) = false;
+};
 
 // Where a producer's plan comes from: the engine's own Prepare over
 // borrowed datasets (cold), or the registry's plan cache (warm, where a hit
@@ -565,15 +311,14 @@ Status ExecuteIntoStager(JoinEngine& engine, const PreparedPlan& plan,
 using PlanSource =
     std::function<Result<std::shared_ptr<const PreparedPlan>>(JoinEngine&)>;
 
-// The producer of every engine outside the banded native path: instantiate
-// the engine and fetch its plan (both billed to plan_seconds, as
-// RunPreparedJoin bills instantiation), then execute into the chunk stager.
-// The fetched plan pins its datasets for the whole execution, so a
-// concurrent re-Put of a registered name cannot pull the data out from
-// under the join.
+// The one producer: instantiate the engine and fetch its plan (both billed
+// to plan_seconds, as RunPreparedJoin bills instantiation), then execute it
+// streaming into the chunk stager. The fetched plan pins its datasets for
+// the whole execution, so a concurrent re-Put of a registered name cannot
+// pull the data out from under the join.
 void RunPreparedProducer(const std::string& engine_name,
                          const EngineConfig& config, const PlanSource& source,
-                         StreamOptions opts,
+                         StreamOptions opts, ThreadPool* pool,
                          std::shared_ptr<StreamState> state) {
   StageTiming timing;
   Stopwatch sw;
@@ -594,26 +339,28 @@ void RunPreparedProducer(const std::string& engine_name,
                  timing);
     return;
   }
-  // The execute span is a sibling of the cluster coordinator's merge span
-  // (both parented on the request): engines froze their trace context at
-  // creation, before this span existed.
+  // The execute span is a sibling of the engine's own spans (tile tasks, the
+  // cluster coordinator's merge), all parented on the request: engines
+  // froze their trace context at creation, before this span existed.
   obs::ScopedSpan exec_span(config.trace, "execute");
   sw.Reset();
   JoinStats stats;
-  ChunkStager stager(opts.chunk_pairs, state.get());
-  Status st = ExecuteIntoStager(**engine, **plan, state.get(), &stager, &stats);
-  if (st.ok()) stager.FlushTail();
-  timing.execute_seconds = sw.ElapsedSeconds();
-  exec_span.End();
-  if (st.ok() && (stager.push_failed() || state->cancelled())) {
+  ChunkStager stager(opts.chunk_pairs, state.get(), pool);
+  StreamTarget target;
+  target.sink = [&stager](std::vector<ResultPair> batch) {
+    stager.Add(std::move(batch));
+  };
+  target.chunk_pairs = opts.chunk_pairs;
+  target.cancel = state->token();
+  target.usage = state->usage();
+  target.pool = pool;
+  Status st = (*engine)->ExecuteStreaming(**plan, target, &stats);
+  if (st.ok() && (!stager.Finish() || state->cancelled())) {
     st = Status::Aborted("join cancelled mid-stream");
   }
+  timing.execute_seconds = sw.ElapsedSeconds();
+  exec_span.End();
   state->Close(std::move(st), stats, timing);
-}
-
-bool IsNativeStreamingEngine(const std::string& name) {
-  return name == kPartitionedEngine || name == kSimdEngine ||
-         name == kAsyncEngine;
 }
 
 // Fault containment for every producer flavour: a producer that throws
@@ -664,42 +411,6 @@ std::function<void()> InstrumentProducer(std::string engine,
     reg.GetCounter("swiftspatial_stream_chunks_total", {{"engine", engine}}, "Chunks pushed to bounded stream queues")->Increment(state->chunks_pushed());
   };
 }
-
-// The same fail-fast grid checks the partitioned engine's Prepare applies,
-// so RunJoinAsync rejects bad grids before spawning a producer and the
-// sync/streaming paths cannot drift apart.
-Status ValidateNativeConfig(const EngineConfig& config) {
-  return ValidateGridConfig(config.grid_cols, config.grid_rows);
-}
-
-// The "async" registry entry: Prepare validates, ExecutePrepared runs the
-// native streaming pipeline and Collect()s it. Registering this class is
-// what puts the entire streaming machinery -- producer thread, banded
-// TaskGraph, bounded chunk queue, Collect -- under the equivalence oracle.
-// No index/partition build at Prepare: the banded planner runs inside each
-// execution, overlapped with the joins it feeds -- that overlap is the
-// engine's whole reason to exist.
-class AsyncCollectEngine : public EngineBase<InputsOnlyPlan> {
- public:
-  explicit AsyncCollectEngine(const EngineConfig& config)
-      : EngineBase(kAsyncEngine, config) {}
-
- protected:
-  Status Validate() override { return ValidateNativeConfig(config()); }
-
-  Status ExecuteImpl(const InputsOnlyPlan& plan, JoinResult* out,
-                     JoinStats* stats) override {
-    EngineConfig config = this->config();
-    config.validate_inputs = false;  // already validated at Prepare
-    auto handle = RunJoinAsync(kAsyncEngine, plan.r(), plan.s(), config);
-    if (!handle.ok()) return handle.status();
-    StreamSummary summary = handle->Collect();
-    if (!summary.status.ok()) return summary.status;
-    *out = std::move(summary.run.result);
-    if (stats != nullptr) *stats += summary.run.stats;
-    return Status::OK();
-  }
-};
 
 }  // namespace
 
@@ -820,33 +531,25 @@ Result<DeferredStream> MakeJoinStream(const std::string& engine,
   if (config.num_threads < 1) {
     return Status::InvalidArgument("num_threads must be >= 1");
   }
-  auto state = std::make_shared<StreamState>(stream.queue_capacity);
-  std::function<void()> body;
-  if (IsNativeStreamingEngine(engine)) {
-    SWIFT_RETURN_IF_ERROR(ValidateNativeConfig(config));
-    const TileJoin tile_join =
-        engine == kSimdEngine ? TileJoin::kSimd : config.tile_join;
-    body = [&r, &s, config, tile_join, stream, pool, state] {
-      RunNativeProducer(r, s, config, tile_join, stream, pool, state);
-    };
-  } else {
-    // Config errors the accelerator and cluster can reject without the data
-    // fail fast here; the simulated device and the cluster ignore `pool`
-    // (see ExecuteIntoStager).
-    if (IsAccelEngine(engine)) {
-      SWIFT_RETURN_IF_ERROR(ValidateAccelConfig(config));
-    } else if (dist::IsDistEngine(engine)) {
-      SWIFT_RETURN_IF_ERROR(dist::ValidateDistConfig(config));
-    } else if (!EngineRegistry::Global().Contains(engine)) {
-      return Status::NotFound("no registered engine: " + engine);
-    }
-    PlanSource source = [&r, &s](JoinEngine& e) {
-      return e.Prepare(BorrowDataset(r), BorrowDataset(s));
-    };
-    body = [engine, config, source, stream, state] {
-      RunPreparedProducer(engine, config, source, stream, state);
-    };
+  // Config errors the grid, the accelerator and the cluster can reject
+  // without the data fail fast here, before a producer exists.
+  if (engine == kPartitionedEngine || engine == kSimdEngine) {
+    SWIFT_RETURN_IF_ERROR(
+        ValidateGridConfig(config.grid_cols, config.grid_rows));
+  } else if (IsAccelEngine(engine)) {
+    SWIFT_RETURN_IF_ERROR(ValidateAccelConfig(config));
+  } else if (dist::IsDistEngine(engine)) {
+    SWIFT_RETURN_IF_ERROR(dist::ValidateDistConfig(config));
+  } else if (!EngineRegistry::Global().Contains(engine)) {
+    return Status::NotFound("no registered engine: " + engine);
   }
+  auto state = std::make_shared<StreamState>(stream.queue_capacity);
+  PlanSource source = [&r, &s](JoinEngine& e) {
+    return e.Prepare(BorrowDataset(r), BorrowDataset(s));
+  };
+  std::function<void()> body = [engine, config, source, stream, pool, state] {
+    RunPreparedProducer(engine, config, source, stream, pool, state);
+  };
   return internal::MakeDeferredStream(engine, stream, std::move(state),
                                       std::move(body));
 }
@@ -891,7 +594,8 @@ Result<DeferredStream> MakeRegisteredJoinStream(
     return registry->GetOrPrepare(engine, r_name, s_name, config);
   };
   std::function<void()> body = [engine, config, source, stream, state] {
-    RunPreparedProducer(engine, config, source, stream, state);
+    RunPreparedProducer(engine, config, source, stream, /*pool=*/nullptr,
+                        state);
   };
   return internal::MakeDeferredStream(engine, stream, std::move(state),
                                       std::move(body));
@@ -910,10 +614,6 @@ Result<AsyncJoinHandle> RunJoinAsync(DatasetRegistry& registry,
   DeferredStream d = std::move(*deferred);
   d.handle.producer_ = std::thread(std::move(d.producer));
   return std::move(d.handle);
-}
-
-std::unique_ptr<JoinEngine> MakeAsyncJoinEngine(const EngineConfig& config) {
-  return std::make_unique<AsyncCollectEngine>(config);
 }
 
 }  // namespace swiftspatial::exec

@@ -14,31 +14,21 @@
 // pair a genuine result, no duplicates) and Wait()/Collect() report
 // Aborted.
 //
-// Two producers sit behind one handle type:
-//  - Partition-family engines ("partitioned", "simd", "async") stream
-//    natively: the grid is split into row bands, each band's cell
-//    assignment runs as a TaskGraph *plan task* that dynamically spawns
-//    that band's cell-join tasks, so planning of band k+1 overlaps joining
-//    of band k and the first chunks surface long before the last shard is
-//    even partitioned.
-//  - Every other engine, and every warm (registered-dataset) request, runs
-//    Prepare -> ExecutePrepared on the producer thread: the plan comes from
-//    the engine's own Prepare (cold) or the registry's plan cache (warm).
-//    The accelerator engines ("accel-bfs", "accel-pbsm", "accel-pbsm-4x")
-//    and the distributed engines ("dist-pbsm", "dist-accel") execute
-//    through their typed ExecuteStreaming, so each write-unit flush or
-//    committed shard surfaces as chunks while the simulated device or the
-//    other nodes still run, and a cancelled consumer stops the whole
-//    cluster (join/accel_engine.h, dist/dist_engine.h). The rest stream
-//    their finished result out in chunks, so the streaming contract
-//    (chunks, backpressure, cancellation, Collect) is uniform across the
-//    whole registry.
-//
-// Collect() folds a stream back into a JoinRun, which is how the
-// "async" engine (registered in EngineRegistry::Global()) proves the
-// streaming path bit-identical to the synchronous one: the cross-algorithm
-// equivalence oracle in tests/join/equivalence_test.cc covers it like any
-// other engine.
+// One producer sits behind every handle: it instantiates the engine, takes
+// the plan from the engine's own Prepare (cold: RunJoinAsync over datasets,
+// JoinService::Submit) or from the registry's plan cache (warm:
+// RunJoinAsync over a DatasetRegistry, JoinService::SubmitNamed), and runs
+// one JoinEngine::ExecuteStreaming whose sink feeds the chunk queue. Engines
+// with a native batch granularity ship while they run: the partitioned and
+// simd engines hand over each worker's staged pairs per chunk and per cell
+// group (join/partitioned_driver.h), the accelerator engines each
+// write-unit flush, the distributed engines each committed shard (a
+// cancelled consumer stops the whole cluster). Every other engine's
+// finished result is shipped in chunk-sized copies. The streaming contract
+// (chunks, backpressure, cancellation, Collect) is therefore uniform across
+// the whole registry, and Collect() folds a stream back into a JoinRun,
+// which tests/exec/streaming_test.cc checks against the synchronous run of
+// every registered engine, cold and warm.
 #ifndef SWIFTSPATIAL_EXEC_STREAMING_H_
 #define SWIFTSPATIAL_EXEC_STREAMING_H_
 
@@ -81,9 +71,6 @@ struct StreamOptions {
   std::size_t chunk_pairs = 8192;
   /// Maximum buffered chunks before the producer blocks (backpressure).
   std::size_t queue_capacity = 8;
-  /// Row bands for the native streaming planner; 0 = auto
-  /// (min(grid rows, max(2, num_threads))). Ignored by the other producer.
-  int num_shards = 0;
   /// Sink for the swiftspatial_stream_* series (per-engine plan/execute
   /// latency, chunk counts), observed once per stream after the producer
   /// closes it; nullptr selects obs::MetricsRegistry::Global().
@@ -228,9 +215,10 @@ struct DeferredStream {
 };
 
 /// Like RunJoinAsync but defers producer execution to the caller and, when
-/// `pool` is non-null, schedules the native path's tile tasks on that pool
-/// instead of a private one (several streams may share one pool; each
-/// stream's graph is tracked independently).
+/// `pool` is non-null, passes that pool to the engine's ExecuteStreaming,
+/// where the partitioned and simd engines run their tile tasks on it instead
+/// of a private pool (several streams may share one pool; each stream's
+/// graph is tracked independently).
 Result<DeferredStream> MakeJoinStream(const std::string& engine,
                                       const Dataset& r, const Dataset& s,
                                       const EngineConfig& config = {},
@@ -257,12 +245,6 @@ Result<AsyncJoinHandle> RunJoinAsync(DatasetRegistry& registry,
                                      const std::string& s_name,
                                      const EngineConfig& config = {},
                                      const StreamOptions& stream = {});
-
-/// Factory behind the "async" engine registered in EngineRegistry::Global():
-/// ExecutePrepared runs the native banded streaming path and Collect()s it,
-/// so the equivalence oracle checks streaming output against every other
-/// engine.
-std::unique_ptr<JoinEngine> MakeAsyncJoinEngine(const EngineConfig& config);
 
 }  // namespace swiftspatial::exec
 

@@ -19,18 +19,6 @@ class AccelEngineBase : public EngineBase<AccelPreparedPlan, AccelJoinEngine> {
  public:
   using EngineBase::EngineBase;
 
-  Status ExecuteStreaming(const PreparedPlan& plan, const AccelBatchSink& sink,
-                          JoinStats* stats) final {
-    if (!sink) {
-      return Status::InvalidArgument(
-          "ExecuteStreaming requires a callable sink");
-    }
-    auto typed = Typed(plan);
-    if (!typed.ok()) return typed.status();
-    if (plan.r().empty() || plan.s().empty()) return Status::OK();
-    return Run(**typed, nullptr, stats, &sink);
-  }
-
  protected:
   Status Validate() override { return ValidateAccelConfig(config()); }
 
@@ -39,10 +27,15 @@ class AccelEngineBase : public EngineBase<AccelPreparedPlan, AccelJoinEngine> {
     return Run(plan, out, stats, nullptr);
   }
 
+  Status StreamImpl(const AccelPreparedPlan& plan, const StreamTarget& target,
+                    JoinStats* stats) final {
+    return Run(plan, nullptr, stats, &target.sink);
+  }
+
   /// Runs the device. Exactly one of `out` (collecting) and `sink`
   /// (streaming) is non-null. Must fill report_.
   virtual Status Run(const AccelPreparedPlan& plan, JoinResult* out,
-                     JoinStats* stats, const AccelBatchSink* sink) = 0;
+                     JoinStats* stats, const BatchSink* sink) = 0;
 
   hw::AcceleratorConfig DeviceConfig() const {
     hw::AcceleratorConfig acfg;
@@ -55,7 +48,7 @@ class AccelEngineBase : public EngineBase<AccelPreparedPlan, AccelJoinEngine> {
   /// Bridges the write unit's burst granularity to the engine sink: each
   /// flushed result burst (a tile batch / a run of leaf pairs) becomes one
   /// host-visible batch.
-  static hw::ResultSink BurstBridge(const AccelBatchSink& sink) {
+  static hw::ResultSink BurstBridge(const BatchSink& sink) {
     return [&sink](const std::vector<ResultPair>& pairs) {
       sink(std::vector<ResultPair>(pairs));
     };
@@ -92,7 +85,7 @@ class AccelBfsEngine : public AccelEngineBase {
   }
 
   Status Run(const AccelPreparedPlan& plan, JoinResult* out, JoinStats* stats,
-             const AccelBatchSink* sink) override {
+             const BatchSink* sink) override {
     hw::Accelerator device(DeviceConfig());
     hw::ResultSink bridge;
     if (sink != nullptr) bridge = BurstBridge(*sink);
@@ -122,7 +115,7 @@ class AccelPbsmEngine : public AccelEngineBase {
   }
 
   Status Run(const AccelPreparedPlan& plan, JoinResult* out, JoinStats* stats,
-             const AccelBatchSink* sink) override {
+             const BatchSink* sink) override {
     hw::Accelerator device(DeviceConfig());
     hw::ResultSink bridge;
     if (sink != nullptr) bridge = BurstBridge(*sink);
@@ -149,7 +142,7 @@ class AccelPbsmMultiEngine : public AccelEngineBase {
 
  protected:
   Status Run(const AccelPreparedPlan& plan, JoinResult* out, JoinStats* stats,
-             const AccelBatchSink* sink) override {
+             const BatchSink* sink) override {
     hw::MultiDeviceConfig mdc;
     mdc.device = DeviceConfig();
     mdc.device_memory_bytes = config().accel_device_memory_bytes;

@@ -20,23 +20,21 @@
 //                  per execution.
 //
 // Prepare is the host's side of the bargain: it builds the device image
-// once and records what PCIe will ship (AccelPreparedPlan). Beyond the
-// JoinEngine contract, these engines expose ExecuteStreaming -- result
-// batches surface as the simulated write unit flushes them (per BFS level /
-// per PBSM tile batch / per 4x partition), which is what lets
-// exec::RunJoinAsync overlap simulated-kernel execution with host-side
-// consumption -- and last_report(), the device performance model (kernel
-// cycles, DRAM traffic, PCIe transfer) of the engine instance's most recent
-// run.
+// once and records what PCIe will ship (AccelPreparedPlan). Their
+// ExecuteStreaming hands result batches to the sink as the simulated write
+// unit flushes them (per BFS level / per PBSM tile batch / per 4x
+// partition), which is what lets exec::RunJoinAsync overlap
+// simulated-kernel execution with host-side consumption. Beyond the
+// JoinEngine contract the typed handle exposes last_report(), the device
+// performance model (kernel cycles, DRAM traffic, PCIe transfer) of the
+// engine instance's most recent run.
 #ifndef SWIFTSPATIAL_JOIN_ACCEL_ENGINE_H_
 #define SWIFTSPATIAL_JOIN_ACCEL_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "grid/hierarchical_partition.h"
@@ -45,11 +43,6 @@
 #include "rtree/packed_rtree.h"
 
 namespace swiftspatial {
-
-/// Receives result batches as the device produces them (ExecuteStreaming).
-/// Batches are non-empty; the concatenation over a successful run is exactly
-/// the ExecutePrepared result multiset.
-using AccelBatchSink = std::function<void(std::vector<ResultPair>)>;
 
 /// The device image Prepare builds: both packed trees (accel-bfs) or the
 /// hierarchical partition (accel-pbsm); nothing for accel-pbsm-4x.
@@ -69,18 +62,12 @@ class AccelPreparedPlan : public PreparedPlan {
   std::optional<HierarchicalPartition> partition;
 };
 
-/// JoinEngine extended with the accelerator's streaming face and its
-/// performance report.
+/// JoinEngine extended with the accelerator's performance report. Its
+/// ExecuteStreaming hands result batches to the sink as the simulated write
+/// unit retires them; the simulated kernel runs to completion even if the
+/// consumer loses interest.
 class AccelJoinEngine : public JoinEngine {
  public:
-  /// Like ExecutePrepared, but hands result batches to `sink` as the
-  /// simulated write unit retires them instead of collecting one
-  /// JoinResult. The simulated kernel runs to completion even if the
-  /// consumer loses interest; `stats` (when non-null) accumulates.
-  virtual Status ExecuteStreaming(const PreparedPlan& plan,
-                                  const AccelBatchSink& sink,
-                                  JoinStats* stats) = 0;
-
   /// Device performance model of this instance's last ExecutePrepared /
   /// ExecuteStreaming that ran the device (empty inputs do not). The
   /// multi-device engine aggregates: kernel cycles are the max over
@@ -99,8 +86,8 @@ bool IsAccelEngine(const std::string& name);
 Status ValidateAccelConfig(const EngineConfig& config);
 
 /// Instantiates one of the accelerator engines directly -- the typed handle
-/// (ExecuteStreaming, last_report) that the plain registry interface
-/// erases. NotFound for names IsAccelEngine rejects.
+/// (last_report) that the plain registry interface erases. NotFound for
+/// names IsAccelEngine rejects.
 Result<std::unique_ptr<AccelJoinEngine>> MakeAccelEngine(
     const std::string& name, const EngineConfig& config);
 

@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "dist/dist_engine.h"
-#include "exec/streaming.h"
 #include "join/accel_engine.h"
 #include "join/cuspatial_like.h"
 #include "join/engine_base.h"
@@ -304,6 +303,13 @@ class PartitionedEngine : public EngineBase<PartitionedPreparedPlan> {
     return Status::OK();
   }
 
+  Status StreamImpl(const PartitionedPreparedPlan& plan,
+                    const StreamTarget& target, JoinStats* stats) override {
+    return ExecutePartitionedPlan(*plan.state, plan.r(), plan.s(), tile_join_,
+                                  config().num_threads, config().trace, target,
+                                  stats);
+  }
+
  private:
   TileJoin tile_join_;
 };
@@ -428,6 +434,18 @@ Result<JoinRun> RunPreparedJoin(const PreparedPlan& plan,
   return run;
 }
 
+Status JoinEngine::ExecuteStreaming(const PreparedPlan& plan,
+                                    const StreamTarget& target,
+                                    JoinStats* stats) {
+  if (!target.sink) {
+    return Status::InvalidArgument("ExecuteStreaming requires a callable sink");
+  }
+  JoinResult result;
+  SWIFT_RETURN_IF_ERROR(ExecutePrepared(plan, &result, stats));
+  if (!result.empty()) target.sink(std::move(result.mutable_pairs()));
+  return Status::OK();
+}
+
 Result<JoinRun> JoinEngine::Run(const Dataset& r, const Dataset& s) {
   JoinRun run;
   Stopwatch sw;
@@ -487,9 +505,6 @@ EngineRegistry& EngineRegistry::Global() {
           return std::make_unique<PartitionedEngine>(kSimdEngine, config,
                                                      TileJoin::kSimd);
         });
-    register_or_die(kAsyncEngine, [](const EngineConfig& config) {
-      return exec::MakeAsyncJoinEngine(config);
-    });
     // The simulated accelerator (join/accel_engine.h). MakeAccelEngine only
     // fails for unknown names, so dereferencing here is safe; config errors
     // surface at Prepare like every other engine.

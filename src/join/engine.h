@@ -14,7 +14,9 @@
 // join proper (bulk loads, partitioning) and returns it as an immutable
 // PreparedPlan; ExecutePrepared is the join itself, i.e. the quantity
 // Figures 8-12 plot, and may run against one plan any number of times, from
-// any number of threads. The registry is how the cross-algorithm
+// any number of threads. ExecuteStreaming is the same join handing its
+// results to a sink in batches while it runs -- the one entry point of the
+// streaming layer (exec/streaming.h). The registry is how the cross-algorithm
 // equivalence oracle in tests/join/equivalence_test.cc enumerates every
 // implementation without naming them individually.
 #ifndef SWIFTSPATIAL_JOIN_ENGINE_H_
@@ -33,10 +35,12 @@
 #include "common/thread_pool.h"
 #include "datagen/dataset.h"
 #include "dist/placement.h"
+#include "exec/task_graph.h"
 #include "grid/pbsm_partition.h"
 #include "join/parallel_sync_traversal.h"
 #include "join/pbsm.h"
 #include "join/result.h"
+#include "obs/resource.h"
 #include "obs/trace.h"
 
 namespace swiftspatial {
@@ -48,8 +52,8 @@ struct EngineConfig {
   // --- Shared across engines. ---
   std::size_t num_threads = 1;
   /// ParallelFor scheduling for pbsm and parallel_sync_traversal. The
-  /// partitioned/simd/async drivers run as TaskGraph waves, which are
-  /// inherently dynamic; they ignore this field.
+  /// partitioned/simd driver runs as a TaskGraph wave, which is inherently
+  /// dynamic; it ignores this field.
   Schedule schedule = Schedule::kDynamic;
   /// Reject-at-ingest policy for malformed geometry: when true (the
   /// default), Prepare fails with InvalidArgument if either dataset contains a
@@ -170,7 +174,7 @@ class PreparedPlan {
 };
 
 /// The plan of an engine that builds nothing ahead of the join
-/// (nested_loop, cuspatial_like, the system-style baselines, async,
+/// (nested_loop, cuspatial_like, the system-style baselines,
 /// accel-pbsm-4x): the pinned inputs and nothing else.
 class InputsOnlyPlan final : public PreparedPlan {
  public:
@@ -184,6 +188,28 @@ inline std::shared_ptr<const Dataset> BorrowDataset(const Dataset& d) {
   return std::shared_ptr<const Dataset>(std::shared_ptr<const Dataset>(),
                                         &d);
 }
+
+/// Receives result batches from JoinEngine::ExecuteStreaming. Batches are
+/// non-empty; over a successful run their concatenation is exactly the
+/// ExecutePrepared result multiset.
+using BatchSink = std::function<void(std::vector<ResultPair>)>;
+
+/// Where ExecuteStreaming delivers, and what it runs under.
+struct StreamTarget {
+  /// May be called concurrently from worker threads.
+  BatchSink sink;
+  /// Pairs an engine stages before handing a batch to the sink; engines
+  /// that produce in their own units (write-unit bursts, committed shards,
+  /// a finished result) ignore it.
+  std::size_t chunk_pairs = 8192;
+  /// The stream's cancellation: engines that observe it stop early and
+  /// return Aborted, and the delivered batches stay a prefix.
+  exec::CancellationToken cancel;
+  /// Per-request resource accounting, or null.
+  obs::ResourceAccumulator* usage = nullptr;
+  /// Shared worker pool to run on instead of a private one, or null.
+  ThreadPool* pool = nullptr;
+};
 
 /// Stable 64-bit fingerprint over every EngineConfig field, part of the
 /// plan-cache key: two configs that could plan differently must fingerprint
@@ -222,6 +248,15 @@ class JoinEngine {
   /// yield the same multiset.
   virtual Status ExecutePrepared(const PreparedPlan& plan, JoinResult* out,
                                  JoinStats* stats) = 0;
+
+  /// Runs the join against `plan`, handing results to `target.sink` in
+  /// batches while it runs (InvalidArgument for a null sink). The default
+  /// runs ExecutePrepared and hands over the finished result as one batch;
+  /// engines with a native batch granularity override it. `*stats` (when
+  /// non-null) accumulates.
+  virtual Status ExecuteStreaming(const PreparedPlan& plan,
+                                  const StreamTarget& target,
+                                  JoinStats* stats);
 
   /// Convenience: Prepare over borrowed (r, s), then ExecutePrepared, with
   /// per-stage timing. `r` and `s` need only outlive the call.
@@ -294,11 +329,6 @@ inline constexpr const char* kParallelSyncTraversalEngine =
     "parallel_sync_traversal";
 inline constexpr const char* kPartitionedEngine = "partitioned";
 inline constexpr const char* kSimdEngine = "simd";
-/// The streaming executor collected back into a synchronous result:
-/// ExecutePrepared runs the banded async pipeline (exec/streaming.h) and
-/// Collect()s it, so registering it here opts the whole streaming path into
-/// the equivalence oracle.
-inline constexpr const char* kAsyncEngine = "async";
 inline constexpr const char* kInterpretedEngineBaseline = "interpreted_engine";
 inline constexpr const char* kBigDataFrameworkBaseline = "big_data_framework";
 /// The simulated accelerator behind the same Prepare -> ExecutePrepared
@@ -306,7 +336,7 @@ inline constexpr const char* kBigDataFrameworkBaseline = "big_data_framework";
 /// BFS R-tree synchronous traversal (accel-bfs, §3.4.1), the tile-pair join
 /// over a hierarchical partition (accel-pbsm, §3.4.2), and the sharded
 /// multi-device PBSM variant (accel-pbsm-4x, §6). Declared in
-/// join/accel_engine.h, which also exposes their streaming execute.
+/// join/accel_engine.h, which also exposes their device report.
 inline constexpr const char* kAccelBfsEngine = "accel-bfs";
 inline constexpr const char* kAccelPbsmEngine = "accel-pbsm";
 inline constexpr const char* kAccelPbsmMultiEngine = "accel-pbsm-4x";
@@ -315,7 +345,7 @@ inline constexpr const char* kAccelPbsmMultiEngine = "accel-pbsm-4x";
 /// coordinator, node failures recovered by shard re-execution. dist-pbsm
 /// joins shards on CPU workers; dist-accel fronts one simulated device per
 /// shard (accel-pbsm-4x generalised to N x M). Declared in
-/// dist/dist_engine.h, which also exposes their streaming execute.
+/// dist/dist_engine.h, which also exposes their run report.
 inline constexpr const char* kDistPbsmEngine = "dist-pbsm";
 inline constexpr const char* kDistAccelEngine = "dist-accel";
 

@@ -7,6 +7,9 @@
 //     Status Build(MyPlan* plan) override;   // fill plan from plan->r/s()
 //     Status ExecuteImpl(const MyPlan& plan, JoinResult* out,
 //                        JoinStats* stats) override;
+//     // Optional: stream batches natively instead of one finished result.
+//     Status StreamImpl(const MyPlan& plan, const StreamTarget& target,
+//                       JoinStats* stats) override;
 //   };
 //
 // Prepare runs the thread-count check, the engine's Validate(), and the
@@ -15,7 +18,9 @@
 // join to the empty set without touching any index (some assume non-empty
 // data). ExecutePrepared checks the output pointer and that the plan was
 // prepared by this engine name with this plan type, overwrites *out, and
-// calls ExecuteImpl for non-empty inputs. `Interface` lets the typed
+// calls ExecuteImpl for non-empty inputs; ExecuteStreaming applies the same
+// checks to its sink and plan and calls StreamImpl, which engines with a
+// native batch granularity override. `Interface` lets the typed
 // accelerator and cluster handles (join/accel_engine.h, dist/dist_engine.h)
 // reuse the same lifecycle under their extended interfaces.
 #ifndef SWIFTSPATIAL_JOIN_ENGINE_BASE_H_
@@ -74,6 +79,18 @@ class EngineBase : public Interface {
     return ExecuteImpl(**typed, out, stats);
   }
 
+  Status ExecuteStreaming(const PreparedPlan& plan, const StreamTarget& target,
+                          JoinStats* stats) final {
+    if (!target.sink) {
+      return Status::InvalidArgument(
+          "ExecuteStreaming requires a callable sink");
+    }
+    auto typed = Typed(plan);
+    if (!typed.ok()) return typed.status();
+    if (plan.r().empty() || plan.s().empty()) return Status::OK();
+    return StreamImpl(**typed, target, stats);
+  }
+
  protected:
   /// Engine-specific config checks, run first by Prepare.
   virtual Status Validate() { return Status::OK(); }
@@ -86,6 +103,15 @@ class EngineBase : public Interface {
   /// inputs, with `*out` already cleared.
   virtual Status ExecuteImpl(const PlanT& plan, JoinResult* out,
                              JoinStats* stats) = 0;
+  /// The streamed join over a plan of this engine, with the same guards.
+  /// The default runs ExecuteImpl and hands over the finished result.
+  virtual Status StreamImpl(const PlanT& plan, const StreamTarget& target,
+                            JoinStats* stats) {
+    JoinResult out;
+    SWIFT_RETURN_IF_ERROR(ExecuteImpl(plan, &out, stats));
+    if (!out.empty()) target.sink(std::move(out.mutable_pairs()));
+    return Status::OK();
+  }
 
   /// `plan` as this engine's plan type: InvalidArgument for a plan another
   /// engine name prepared, Internal for a same-name plan of another type.

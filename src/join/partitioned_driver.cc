@@ -2,13 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <utility>
 
+#include "common/logging.h"
+#include "common/sync.h"
 #include "exec/task_graph.h"
 #include "join/plane_sweep.h"
 
 namespace swiftspatial {
 
+namespace {
+
+// Cell-task batching factor: cell joins are strided into at most
+// `workers * kCellTaskGroupsPerWorker` tasks per wave -- enough groups for
+// dynamic load balancing while amortising per-task dispatch over many
+// (often tiny) cells.
+constexpr std::size_t kCellTaskGroupsPerWorker = 8;
+
+// Side length of the auto-sized square grid: ~`target_cell_population`
+// objects per cell on average, clamped to [1, 1024].
 int AutoGridSide(std::size_t total_objects,
                  std::size_t target_cell_population) {
   const double total = static_cast<double>(total_objects);
@@ -17,6 +31,8 @@ int AutoGridSide(std::size_t total_objects,
   const int side = static_cast<int>(std::ceil(std::sqrt(cells)));
   return std::clamp(side, 1, 1024);
 }
+
+}  // namespace
 
 Status ValidateGridConfig(int grid_cols, int grid_rows) {
   if (grid_cols < 0 || grid_rows < 0) {
@@ -125,64 +141,86 @@ Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
   return std::shared_ptr<const PartitionedPlanState>(std::move(plan));
 }
 
-JoinResult ExecutePartitionedPlan(const PartitionedPlanState& plan,
-                                  const Dataset& r, const Dataset& s,
-                                  TileJoin tile_join, std::size_t num_threads,
-                                  JoinStats* stats) {
-  JoinResult merged;
-  if (plan.cells.empty()) return merged;
-
-  const std::size_t workers = std::max<std::size_t>(1, num_threads);
-  std::vector<JoinStats> local_stats(workers);
-
-  if (workers == 1) {
-    // Inline on the calling thread; no pool, no graph.
-    for (const PartitionedCell& cell : plan.cells) {
+Status ExecutePartitionedPlan(const PartitionedPlanState& plan,
+                              const Dataset& r, const Dataset& s,
+                              TileJoin tile_join, std::size_t num_threads,
+                              const obs::TraceContext& trace,
+                              const StreamTarget& target, JoinStats* stats) {
+  if (plan.cells.empty()) return Status::OK();
+  const std::size_t chunk_pairs = std::max<std::size_t>(1, target.chunk_pairs);
+  const auto ship = [&target](JoinResult* buffer) {
+    if (buffer->empty()) return;
+    target.sink(std::move(buffer->mutable_pairs()));
+    buffer->mutable_pairs().clear();
+  };
+  // Group g joins cells g, g+G, g+2G, ... -- strided groups keep the
+  // largest-first order balanced across groups and amortise per-task
+  // dispatch over many (often tiny) cells.
+  const auto join_group = [&](std::size_t g, std::size_t groups,
+                              JoinStats* group_stats) {
+    JoinResult buffer;
+    for (std::size_t i = g; i < plan.cells.size(); i += groups) {
+      if (target.cancel.cancelled()) break;
+      const PartitionedCell& cell = plan.cells[i];
       RunTileJoin(tile_join, r, s, cell.r_ids, cell.s_ids, &cell.dedup_tile,
-                  &merged, &local_stats[0]);
+                  &buffer, group_stats);
+      if (buffer.size() >= chunk_pairs) ship(&buffer);
     }
+    ship(&buffer);
+  };
+
+  std::vector<JoinStats> group_stats;
+  if (target.pool == nullptr && num_threads <= 1) {
+    // Inline on the calling thread; no pool, no graph.
+    group_stats.resize(1);
+    join_group(0, 1, &group_stats[0]);
   } else {
-    // Cells run as one TaskGraph wave with the merge as a downstream task.
-    // Cell joins can be tiny (sparse grids), so cells are batched into
-    // strided groups -- group g joins cells g, g+G, g+2G, ... which keeps
-    // the largest-first ordering balanced across groups -- to amortise the
-    // per-task dispatch cost. Each worker appends into its own accumulator
-    // (no shared state, no locks while joining); the merge concatenates the
-    // per-worker buffers once. The resulting multiset is independent of
-    // thread count and interleaving; only pair order varies (canonicalise
-    // with JoinResult::Sort).
-    std::vector<JoinResult> local_results(workers);
-    ThreadPool pool(workers);
-    exec::TaskGraph graph(&pool);
-    const std::size_t groups =
-        std::min(plan.cells.size(), workers * kCellTaskGroupsPerWorker);
-    std::vector<exec::TaskId> cells;
-    cells.reserve(groups);
+    std::optional<ThreadPool> owned_pool;
+    ThreadPool* pool = target.pool;
+    if (pool == nullptr) pool = &owned_pool.emplace(num_threads);
+    exec::TaskGraph graph(pool, target.cancel, trace, target.usage);
+    const std::size_t groups = std::min(
+        plan.cells.size(), pool->num_threads() * kCellTaskGroupsPerWorker);
+    group_stats.resize(groups);
     for (std::size_t g = 0; g < groups; ++g) {
-      cells.push_back(graph.Add([&plan, &r, &s, tile_join, g, groups, &pool,
-                                 &local_results, &local_stats] {
-        const std::size_t w = pool.CurrentWorkerIndex();
-        for (std::size_t i = g; i < plan.cells.size(); i += groups) {
-          const PartitionedCell& cell = plan.cells[i];
-          RunTileJoin(tile_join, r, s, cell.r_ids, cell.s_ids,
-                      &cell.dedup_tile, &local_results[w], &local_stats[w]);
-        }
-      }));
+      graph.Add([&join_group, &group_stats, g, groups] {
+        join_group(g, groups, &group_stats[g]);
+      });
     }
-    graph.Add(
-        [&merged, &local_results] {
-          std::size_t total = 0;
-          for (const JoinResult& lr : local_results) total += lr.size();
-          merged.Reserve(total);
-          for (JoinResult& lr : local_results) merged.Merge(std::move(lr));
-        },
-        cells);
     graph.Wait();
   }
 
   if (stats != nullptr) {
-    for (const JoinStats& ls : local_stats) *stats += ls;
+    for (const JoinStats& gs : group_stats) *stats += gs;
   }
+  if (target.cancel.cancelled()) {
+    return Status::Aborted("join cancelled mid-stream");
+  }
+  return Status::OK();
+}
+
+JoinResult ExecutePartitionedPlan(const PartitionedPlanState& plan,
+                                  const Dataset& r, const Dataset& s,
+                                  TileJoin tile_join, std::size_t num_threads,
+                                  JoinStats* stats) {
+  Mutex mu;
+  JoinResult merged;
+  StreamTarget target;
+  target.sink = [&mu, &merged](std::vector<ResultPair> batch) {
+    MutexLock lock(&mu);
+    auto& pairs = merged.mutable_pairs();
+    if (pairs.empty()) {
+      pairs = std::move(batch);
+    } else {
+      pairs.insert(pairs.end(), batch.begin(), batch.end());
+    }
+  };
+  // One batch per cell group: the buffers never reach this chunk size.
+  target.chunk_pairs = std::numeric_limits<std::size_t>::max();
+  // Without a cancellation token the executor always completes.
+  const Status st = ExecutePartitionedPlan(plan, r, s, tile_join, num_threads,
+                                           obs::TraceContext(), target, stats);
+  SWIFT_CHECK(st.ok()) << st.ToString();
   return merged;
 }
 

@@ -1,24 +1,25 @@
 // The library's partition-parallel batched join driver, in two stages:
 // PlanPartitionedCells builds an immutable cell plan, ExecutePartitionedPlan
-// joins it (the `partitioned` and `simd` engines' Prepare and
-// ExecutePrepared).
+// joins it (the `partitioned` and `simd` engines' Prepare and their
+// streamed and collecting executions).
 //
 // Both inputs are sharded onto a uniform grid (src/grid/uniform_grid.h,
 // multi-assignment: an object lands in every cell its MBR overlaps); each
-// cell with objects from both sides becomes one batched tile-join task
-// (plane sweep or nested loop); tasks run as one exec::TaskGraph wave on a
-// ThreadPool, with the final merge expressed as a downstream task depending
-// on every cell (largest cells are added first, so they start earliest and
-// the small ones backfill). Cross-cell duplicates -- a pair whose boxes
-// co-occupy several cells -- are eliminated with the PBSM reference-point
-// rule (Box::ReferencePointInTile): the pair is emitted only by the single
-// cell containing the bottom-left corner of the pair's intersection.
+// cell with objects from both sides is one batched tile join (plane sweep,
+// nested loop or the SIMD kernel). Cells are strided into groups that run
+// as one exec::TaskGraph wave on a ThreadPool (largest cells first, so they
+// start earliest and the small ones backfill). Cross-cell duplicates -- a
+// pair whose boxes co-occupy several cells -- are eliminated with the PBSM
+// reference-point rule (Box::ReferencePointInTile): the pair is emitted only
+// by the single cell containing the bottom-left corner of the pair's
+// intersection.
 //
-// The merge is lock-free on the hot path: every worker appends into its own
-// JoinResult/JoinStats accumulator (no shared state while joining), and the
-// per-worker buffers are concatenated once, after the pool drains. The
-// resulting multiset is therefore independent of the thread count and
-// schedule; only the pair order varies (canonicalise with JoinResult::Sort).
+// Results leave through a sink: every group task stages its pairs in its own
+// buffer (no shared state while joining) and hands the buffer over whenever
+// it reaches the chunk size and at the end of the group, so a streamed
+// execution ships results while later cells still join. The multiset is
+// independent of the thread count and schedule; only the pair order varies
+// (canonicalise with JoinResult::Sort).
 #ifndef SWIFTSPATIAL_JOIN_PARTITIONED_DRIVER_H_
 #define SWIFTSPATIAL_JOIN_PARTITIONED_DRIVER_H_
 
@@ -31,35 +32,21 @@
 #include "datagen/dataset.h"
 #include "geometry/box.h"
 #include "grid/uniform_grid.h"
+#include "join/engine.h"
 #include "join/pbsm.h"
 #include "join/result.h"
+#include "obs/trace.h"
 
 namespace swiftspatial {
 
 /// Default auto-sizing target: objects per grid cell (both sides combined).
-/// Shared by PartitionedDriverOptions and the streaming executor so the
-/// `partitioned` and `async` engines plan identical grids.
 inline constexpr std::size_t kDefaultCellPopulation = 128;
-
-/// Cell-task batching factor: cell joins are strided into at most
-/// `workers * kCellTaskGroupsPerWorker` tasks per wave -- enough groups for
-/// dynamic load balancing while amortising per-task dispatch over many
-/// (often tiny) cells. Shared with the streaming executor so the sync and
-/// async paths keep the same dispatch granularity.
-inline constexpr std::size_t kCellTaskGroupsPerWorker = 8;
-
-/// Side length of the auto-sized square grid: ~`target_cell_population`
-/// objects per cell on average, clamped to [1, 1024]. Shared by the
-/// synchronous driver and the banded streaming executor in exec/streaming
-/// so both paths shard identically.
-int AutoGridSide(std::size_t total_objects,
-                 std::size_t target_cell_population);
 
 /// Fail-fast validation of grid dimensions (0 = auto on both, bounded so
 /// cols * rows cannot overflow int). One definition shared by the
-/// synchronous driver and the streaming executor, so the `partitioned` and
-/// `async` engines can never drift apart on which configurations they
-/// accept.
+/// partitioned engines' Prepare, the streaming layer's fail-fast check and
+/// the distributed engines, so they never drift apart on which
+/// configurations they accept.
 Status ValidateGridConfig(int grid_cols, int grid_rows);
 
 /// One grid decision for a join: the joint extent plus the derived (or
@@ -73,14 +60,14 @@ struct JoinGridSpec {
   int rows = 0;
 };
 
-/// The single authority for sizing a join's uniform grid, shared by every
-/// grid-sharding planner -- the synchronous PlanPartitionedCells, the banded
-/// streaming executor (exec/streaming), and the distributed ShardPlanner
-/// (dist/shard_planner). Cross-engine shard-id stability depends on all
-/// three deriving the *same* grid for the same inputs; routing them through
-/// one helper makes silent drift impossible. Explicit `grid_cols > 0` wins;
-/// otherwise the grid is auto-sized via AutoGridSide over the combined
-/// cardinality. Callers validate dimensions first (ValidateGridConfig).
+/// The single authority for sizing a join's uniform grid, shared by both
+/// grid-sharding planners -- PlanPartitionedCells and the distributed
+/// ShardPlanner (dist/shard_planner). Cross-engine shard-id stability
+/// depends on both deriving the *same* grid for the same inputs; routing
+/// them through one helper makes silent drift impossible. Explicit
+/// `grid_cols > 0` wins; otherwise the grid is a square of side
+/// ~sqrt(combined cardinality / target_cell_population), clamped to
+/// [1, 1024]. Callers validate dimensions first (ValidateGridConfig).
 JoinGridSpec DeriveJoinGrid(
     const Dataset& r, const Dataset& s, int grid_cols, int grid_rows,
     std::size_t target_cell_population = kDefaultCellPopulation);
@@ -133,10 +120,22 @@ Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
     const Dataset& r, const Dataset& s,
     const PartitionedDriverOptions& options);
 
-/// Joins every cell of a previously built plan. Thread-safe for concurrent
+/// Joins every cell of a previously built plan, handing the pairs to
+/// `target.sink` as described above. Runs on `target.pool` when given, else
+/// on a private pool of `num_threads` workers (inline on the calling thread
+/// for one thread); the TaskGraph carries `target.cancel`, `trace` and
+/// `target.usage`. Once the token is cancelled every group stops at its
+/// next cell and the call returns Aborted. Thread-safe for concurrent
 /// callers sharing one plan: all plan state is read const, each call owns
-/// its accumulators. `r` and `s` must be the datasets the plan was built
-/// from; `stats` may be null.
+/// its buffers. `r` and `s` must be the datasets the plan was built from;
+/// `stats` may be null.
+Status ExecutePartitionedPlan(const PartitionedPlanState& plan,
+                              const Dataset& r, const Dataset& s,
+                              TileJoin tile_join, std::size_t num_threads,
+                              const obs::TraceContext& trace,
+                              const StreamTarget& target, JoinStats* stats);
+
+/// The same executor, collecting every pair into one result.
 JoinResult ExecutePartitionedPlan(const PartitionedPlanState& plan,
                                   const Dataset& r, const Dataset& s,
                                   TileJoin tile_join, std::size_t num_threads,

@@ -10,8 +10,9 @@
 //     across every worker the request fanned out to -- on a multi-threaded
 //     graph it exceeds wall time, which is exactly the signal.
 //   - The stream state counts every chunk, pair, and byte pushed.
-//   - The serving layer (exec::JoinService) adds service-level queue wait,
-//     stamps wall time, and adds distributed shard retries.
+//   - The serving layer (exec::JoinService) adds service-level queue wait
+//     and stamps wall time; the distributed engines add their shard
+//     retries.
 //
 // JoinService surfaces the aggregate in Snapshot() and as
 // swiftspatial_service_* series, which is what makes a request's *cost*
@@ -36,7 +37,10 @@ struct ResourceUsage {
   double wall_seconds = 0;
   /// Thread-CPU time summed over every task body the request ran; > wall
   /// on multi-threaded fan-out, ~wall single-threaded, < wall when the
-  /// request mostly waited (backpressure, simulated device).
+  /// request mostly waited (backpressure). Only TaskGraph executions feed
+  /// it and `tasks`: the partitioned and simd engines with num_threads >= 2
+  /// or on the service's shared pool. Every other engine, and a
+  /// single-threaded partitioned run on a private pool, reports 0 for both.
   double cpu_seconds = 0;
   /// Pool queue wait summed over tasks, plus the service admission queue
   /// wait -- time the request spent runnable but waiting for a slot.

@@ -125,12 +125,11 @@ TEST(ShardPlanner, AutoGridAndEmptyAndInvalidInputs) {
 }
 
 // All grid-sharding planners must derive the *identical* grid for the same
-// inputs -- shard-id stability across the synchronous PlanPartitionedCells,
-// the banded streaming executor, and the distributed ShardPlanner depends
-// on it. This pins the consolidation of the three formerly-duplicated
-// auto-sizing call sites behind DeriveJoinGrid: the helper's decision and
-// both planners' decisions must agree, for auto-sized and explicit grids,
-// across input scales.
+// inputs -- shard-id stability across PlanPartitionedCells and the
+// distributed ShardPlanner depends on it. This pins the consolidation of
+// the formerly-duplicated auto-sizing call sites behind DeriveJoinGrid: the
+// helper's decision and both planners' decisions must agree, for
+// auto-sized and explicit grids, across input scales.
 TEST(ShardPlanner, GridDecisionIdenticalAcrossAllPlanners) {
   struct Case {
     uint64_t scale;

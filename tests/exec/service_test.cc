@@ -682,6 +682,32 @@ TEST(JoinService, SubmitNamedServesWarmRequestsFromThePlanCache) {
   EXPECT_GT(stats.plan_cache.resident_bytes, 0u);
 }
 
+// Warm partitioned requests run their cell joins as TaskGraph tasks that
+// feed the stream's resource accounting, so the service reports what they
+// cost.
+TEST(JoinService, WarmPartitionedRequestReportsCpuAndTasks) {
+#ifdef SWIFTSPATIAL_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (SWIFTSPATIAL_OBS_OFF)";
+#endif
+  JoinServiceOptions options;
+  options.worker_threads = 2;
+  options.max_concurrent = 1;
+  JoinService service(options);
+  service.RegisterDataset("r", testutil::Uniform(2000, 98));
+  service.RegisterDataset("s", testutil::Uniform(2000, 99));
+  EngineConfig config;
+  config.num_threads = 2;
+  auto handle =
+      service.SubmitNamed("tenant", kPartitionedEngine, "r", "s", config);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  StreamSummary summary = handle->Collect();
+  ASSERT_TRUE(summary.status.ok()) << summary.status.ToString();
+  service.Drain();
+  const obs::ResourceUsage resources = service.Snapshot().resources;
+  EXPECT_GT(resources.cpu_seconds, 0.0);
+  EXPECT_GT(resources.tasks, 0u);
+}
+
 TEST(JoinService, SubmitNamedFailsFastForUnknownNamesAndEngines) {
   JoinService service(BlockableOptions());
   service.RegisterDataset("r", SmallSide(97));

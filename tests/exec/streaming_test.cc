@@ -1,8 +1,7 @@
 // Streaming-API contract tests: chunked delivery, backpressure bounds,
 // cancellation prefixes, and -- the load-bearing one -- Collect() proven
 // bit-identical to the synchronous RunJoin result for EVERY engine in the
-// registry (the "async" engine is additionally covered by the cross-
-// algorithm oracle in tests/join/equivalence_test.cc).
+// registry, on the cold (datasets) and the warm (registered datasets) path.
 #include "exec/streaming.h"
 
 #include <gtest/gtest.h>
@@ -128,6 +127,10 @@ TEST(Streaming, CollectMatchesSynchronousRunForEveryRegisteredEngine) {
   const Dataset rects_r = testutil::Uniform(400, 91);
   const Dataset rects_s = testutil::Skewed(400, 92);
   const Dataset points_r = testutil::UniformPoints(400, 93);
+  DatasetRegistry registry;
+  registry.Put("rects_r", rects_r);
+  registry.Put("rects_s", rects_s);
+  registry.Put("points_r", points_r);
 
   for (const std::string& name : EngineRegistry::Global().Names()) {
     if (IsFaultEngine(name)) continue;  // fail by design (see above)
@@ -142,17 +145,24 @@ TEST(Streaming, CollectMatchesSynchronousRunForEveryRegisteredEngine) {
 
     StreamOptions stream;
     stream.chunk_pairs = 128;  // force multi-chunk streams
-    auto handle = RunJoinAsync(name, r, rects_s, config, stream);
-    ASSERT_TRUE(handle.ok()) << name << ": " << handle.status().ToString();
-    StreamSummary summary = handle->Collect();
-    ASSERT_TRUE(summary.status.ok())
-        << name << ": " << summary.status.ToString();
+    auto cold = RunJoinAsync(name, r, rects_s, config, stream);
+    ASSERT_TRUE(cold.ok()) << name << ": " << cold.status().ToString();
+    auto warm = RunJoinAsync(registry, name,
+                             point_only ? "points_r" : "rects_r", "rects_s",
+                             config, stream);
+    ASSERT_TRUE(warm.ok()) << name << ": " << warm.status().ToString();
+    for (AsyncJoinHandle* handle : {&*cold, &*warm}) {
+      const char* path = handle == &*cold ? "cold" : "warm";
+      StreamSummary summary = handle->Collect();
+      ASSERT_TRUE(summary.status.ok())
+          << name << " " << path << ": " << summary.status.ToString();
 
-    EXPECT_TRUE(
-        JoinResult::SameMultiset(sync->result, summary.run.result))
-        << name << ": sync " << sync->result.size() << " pairs, streamed "
-        << summary.run.result.size();
-    EXPECT_LE(summary.max_queue_depth, stream.queue_capacity) << name;
+      EXPECT_TRUE(
+          JoinResult::SameMultiset(sync->result, summary.run.result))
+          << name << " " << path << ": sync " << sync->result.size()
+          << " pairs, streamed " << summary.run.result.size();
+      EXPECT_LE(summary.max_queue_depth, stream.queue_capacity) << name;
+    }
   }
 }
 
@@ -248,6 +258,47 @@ TEST(Streaming, MidStreamCancellationDeliversWellDefinedPrefix) {
   EXPECT_LT(delivered.size(), full.size());
 }
 
+// A cancelled warm stream stops joining cells: the partitioned executor
+// ships its first chunk while later cells are still unjoined, so cancelling
+// right after it leaves tile work undone instead of only dropping output.
+TEST(Streaming, WarmCancellationStopsTileWork) {
+  const Dataset r = testutil::Uniform(1200, 33, /*map=*/300.0,
+                                      /*max_edge=*/20.0);
+  const Dataset s = testutil::Uniform(1200, 34, /*map=*/300.0,
+                                      /*max_edge=*/20.0);
+  DatasetRegistry registry;
+  registry.Put("r", r);
+  registry.Put("s", s);
+  EngineConfig config;
+  config.num_threads = 2;
+  auto sync = RunJoin(kPartitionedEngine, r, s, config);
+  ASSERT_TRUE(sync.ok());
+  std::vector<ResultPair> full = SortedPairs(sync->result);
+
+  StreamOptions stream;
+  stream.chunk_pairs = 32;
+  stream.queue_capacity = 1;
+  auto handle =
+      RunJoinAsync(registry, kPartitionedEngine, "r", "s", config, stream);
+  ASSERT_TRUE(handle.ok());
+  ResultChunk chunk;
+  ASSERT_TRUE(handle->Next(&chunk));
+  handle->Cancel();
+  StreamSummary summary = handle->Collect();
+  EXPECT_EQ(summary.status.code(), StatusCode::kAborted)
+      << summary.status.ToString();
+
+  std::vector<ResultPair> delivered = chunk.pairs;
+  delivered.insert(delivered.end(), summary.run.result.pairs().begin(),
+                   summary.run.result.pairs().end());
+  std::sort(delivered.begin(), delivered.end());
+  EXPECT_TRUE(std::includes(full.begin(), full.end(), delivered.begin(),
+                            delivered.end()))
+      << "cancelled warm stream delivered pairs outside the true result";
+  EXPECT_LT(summary.run.stats.tasks, sync->stats.tasks)
+      << "cancellation did not stop the remaining cell joins";
+}
+
 TEST(Streaming, DroppingHandleMidStreamLeaksNothing) {
   const Dataset r = testutil::Uniform(1000, 41);
   const Dataset s = testutil::Uniform(1000, 42);
@@ -299,25 +350,6 @@ TEST(Streaming, MalformedGeometrySurfacesThroughWait) {
   auto handle = RunJoinAsync(kPartitionedEngine, bad, good);
   ASSERT_TRUE(handle.ok());  // data-dependent: not a fail-fast error
   EXPECT_EQ(handle->Wait().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(Streaming, ExplicitShardCountStreamsIdenticalResult) {
-  const Dataset r = testutil::Uniform(500, 51);
-  const Dataset s = testutil::Skewed(500, 52);
-  EngineConfig config;
-  config.num_threads = 2;
-  auto sync = RunJoin(kPartitionedEngine, r, s, config);
-  ASSERT_TRUE(sync.ok());
-  for (const int shards : {1, 2, 7, 64}) {
-    StreamOptions stream;
-    stream.num_shards = shards;
-    auto handle = RunJoinAsync(kAsyncEngine, r, s, config, stream);
-    ASSERT_TRUE(handle.ok());
-    StreamSummary summary = handle->Collect();
-    ASSERT_TRUE(summary.status.ok()) << summary.status.ToString();
-    EXPECT_TRUE(JoinResult::SameMultiset(sync->result, summary.run.result))
-        << "shards=" << shards;
-  }
 }
 
 TEST(Streaming, DeferredStreamRunsOnCallerThreadAndSharedPool) {

@@ -119,15 +119,14 @@ TEST(AccelEngine, ExecuteStreamingConcatenatesToExecuteResult) {
 
     JoinResult streamed;
     std::size_t batches = 0;
-    Status st = (*engine)->ExecuteStreaming(
-        **plan,
-        [&](std::vector<ResultPair> batch) {
-          EXPECT_FALSE(batch.empty()) << name;
-          ++batches;
-          auto& pairs = streamed.mutable_pairs();
-          pairs.insert(pairs.end(), batch.begin(), batch.end());
-        },
-        nullptr);
+    StreamTarget target;
+    target.sink = [&](std::vector<ResultPair> batch) {
+      EXPECT_FALSE(batch.empty()) << name;
+      ++batches;
+      auto& pairs = streamed.mutable_pairs();
+      pairs.insert(pairs.end(), batch.begin(), batch.end());
+    };
+    Status st = (*engine)->ExecuteStreaming(**plan, target, nullptr);
     ASSERT_TRUE(st.ok()) << name << ": " << st.ToString();
     EXPECT_GT(batches, 1u) << name << ": expected multiple write-unit "
                            << "flushes at this result cardinality";
@@ -174,13 +173,13 @@ TEST(AccelEngine, ExecuteStreamingRequiresSinkAndPlan) {
   auto foreign = PrepareJoin(kAccelBfsEngine, BorrowDataset(d),
                              BorrowDataset(d));
   ASSERT_TRUE(foreign.ok());
-  EXPECT_EQ((*engine)->ExecuteStreaming(
-                    **foreign, [](std::vector<ResultPair>) {}, nullptr)
-                .code(),
+  StreamTarget target;
+  target.sink = [](std::vector<ResultPair>) {};
+  EXPECT_EQ((*engine)->ExecuteStreaming(**foreign, target, nullptr).code(),
             StatusCode::kInvalidArgument);  // another engine's plan
   auto plan = (*engine)->Prepare(BorrowDataset(d), BorrowDataset(d));
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ((*engine)->ExecuteStreaming(**plan, AccelBatchSink(), nullptr)
+  EXPECT_EQ((*engine)->ExecuteStreaming(**plan, StreamTarget(), nullptr)
                 .code(),
             StatusCode::kInvalidArgument);  // null sink
 }
