@@ -4,9 +4,30 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "grid/edge_snap.h"
 
 namespace swiftspatial {
+
+namespace {
+
+// Calls `visit(tile)` for every tile whose closed box `b` intersects, in
+// ascending tile index order.
+template <typename Visit>
+void ForEachOverlappedTile(const UniformGrid& grid, const Box& b,
+                           const Visit& visit) {
+  int tx0, ty0, tx1, ty1;
+  grid.TileRange(b, &tx0, &ty0, &tx1, &ty1);
+  for (int ty = ty0; ty <= ty1; ++ty) {
+    for (int tx = tx0; tx <= tx1; ++tx) {
+      // TileRange clamps; re-check true overlap so clamped-out objects are
+      // not spuriously assigned to border tiles.
+      if (Intersects(b, grid.TileBox(tx, ty))) visit(ty * grid.cols() + tx);
+    }
+  }
+}
+
+}  // namespace
 
 UniformGrid::UniformGrid(const Box& extent, int cols, int rows)
     : extent_(extent), cols_(cols), rows_(rows) {
@@ -15,23 +36,23 @@ UniformGrid::UniformGrid(const Box& extent, int cols, int rows)
   SWIFT_CHECK(!extent.IsEmpty());
   tile_w_ = static_cast<double>(extent.Width()) / cols;
   tile_h_ = static_cast<double>(extent.Height()) / rows;
-}
-
-Coord UniformGrid::ColEdge(int k) const {
-  if (k <= 0) return extent_.min_x;
-  if (k >= cols_) return extent_.max_x;
-  return static_cast<Coord>(extent_.min_x + k * tile_w_);
-}
-
-Coord UniformGrid::RowEdge(int k) const {
-  if (k <= 0) return extent_.min_y;
-  if (k >= rows_) return extent_.max_y;
-  return static_cast<Coord>(extent_.min_y + k * tile_h_);
+  // Line k of n sits at min + k * step, computed in double and rounded
+  // once; lines 0 and n are the extent's own edges.
+  const auto edges = [](Coord min, Coord max, double step, int n) {
+    std::vector<Coord> e(static_cast<std::size_t>(n) + 1);
+    for (int k = 1; k < n; ++k) e[k] = static_cast<Coord>(min + k * step);
+    e[0] = min;
+    e[n] = max;
+    return e;
+  };
+  col_edges_ = edges(extent_.min_x, extent_.max_x, tile_w_, cols);
+  row_edges_ = edges(extent_.min_y, extent_.max_y, tile_h_, rows);
 }
 
 Box UniformGrid::TileBox(int tx, int ty) const {
   SWIFT_DCHECK(tx >= 0 && tx < cols_ && ty >= 0 && ty < rows_);
-  return Box(ColEdge(tx), RowEdge(ty), ColEdge(tx + 1), RowEdge(ty + 1));
+  return Box(col_edges_[tx], row_edges_[ty], col_edges_[tx + 1],
+             row_edges_[ty + 1]);
 }
 
 void UniformGrid::TileRange(const Box& b, int* tx0, int* ty0, int* tx1,
@@ -60,33 +81,76 @@ void UniformGrid::TileRange(const Box& b, int* tx0, int* ty0, int* tx1,
   // extents (tile width 0) keep the single-last-column convention.
   if (tile_w_ > 0) {
     SnapIndexRangeToEdges(
-        b.min_x, b.max_x, cols_, [this](int k) { return ColEdge(k); }, tx0,
-        tx1);
+        b.min_x, b.max_x, cols_, [this](int k) { return col_edges_[k]; },
+        tx0, tx1);
   }
   if (tile_h_ > 0) {
     SnapIndexRangeToEdges(
-        b.min_y, b.max_y, rows_, [this](int k) { return RowEdge(k); }, ty0,
-        ty1);
+        b.min_y, b.max_y, rows_, [this](int k) { return row_edges_[k]; },
+        ty0, ty1);
   }
 }
 
 std::vector<std::vector<ObjectId>> UniformGrid::Assign(
-    const Dataset& dataset) const {
-  std::vector<std::vector<ObjectId>> assignment(num_tiles());
-  for (std::size_t i = 0; i < dataset.size(); ++i) {
-    const Box& b = dataset.box(i);
-    int tx0, ty0, tx1, ty1;
-    TileRange(b, &tx0, &ty0, &tx1, &ty1);
-    for (int ty = ty0; ty <= ty1; ++ty) {
-      for (int tx = tx0; tx <= tx1; ++tx) {
-        // TileRange clamps; re-check true overlap so clamped-out objects are
-        // not spuriously assigned to border tiles.
-        if (Intersects(b, TileBox(tx, ty))) {
-          assignment[ty * cols_ + tx].push_back(static_cast<ObjectId>(i));
-        }
+    const Dataset& dataset, std::size_t num_threads) const {
+  const std::size_t n = dataset.size();
+  const std::size_t tiles = static_cast<std::size_t>(num_tiles());
+  // One contiguous id range per thread. Range k's ids land after range
+  // k-1's in every tile list, so each list stays ascending and the result
+  // is the same for every thread count.
+  const std::size_t ranges =
+      std::max<std::size_t>(1, std::min(num_threads, n));
+  const auto range_begin = [n, ranges](std::size_t k) {
+    return n * k / ranges;
+  };
+  // slots[k * tiles + t]: first range k's object count in tile t, then its
+  // write cursor into tile t's list.
+  std::vector<uint32_t> slots(ranges * tiles, 0);
+  // The one tile each object overlaps, or kRevisit when it overlaps none
+  // or several (a few percent on skewed data); only those walk the tile
+  // range again when scattering.
+  constexpr int kRevisit = -1;
+  std::vector<int> single_tile(n);
+
+  ParallelFor(ranges, ranges, Schedule::kStatic, [&](std::size_t k) {
+    uint32_t* const count = slots.data() + k * tiles;
+    for (std::size_t i = range_begin(k); i < range_begin(k + 1); ++i) {
+      int hits = 0;
+      int last = kRevisit;
+      ForEachOverlappedTile(*this, dataset.box(i), [&](int t) {
+        ++count[t];
+        ++hits;
+        last = t;
+      });
+      single_tile[i] = hits == 1 ? last : kRevisit;
+    }
+  });
+
+  std::vector<std::vector<ObjectId>> assignment(tiles);
+  for (std::size_t t = 0; t < tiles; ++t) {
+    uint32_t offset = 0;
+    for (std::size_t k = 0; k < ranges; ++k) {
+      const uint32_t count = slots[k * tiles + t];
+      slots[k * tiles + t] = offset;
+      offset += count;
+    }
+    assignment[t].resize(offset);
+  }
+
+  ParallelFor(ranges, ranges, Schedule::kStatic, [&](std::size_t k) {
+    uint32_t* const cursor = slots.data() + k * tiles;
+    for (std::size_t i = range_begin(k); i < range_begin(k + 1); ++i) {
+      const auto id = static_cast<ObjectId>(i);
+      if (single_tile[i] != kRevisit) {
+        const int t = single_tile[i];
+        assignment[t][cursor[t]++] = id;
+      } else {
+        ForEachOverlappedTile(*this, dataset.box(i), [&](int t) {
+          assignment[t][cursor[t]++] = id;
+        });
       }
     }
-  }
+  });
   return assignment;
 }
 

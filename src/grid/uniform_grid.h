@@ -4,6 +4,7 @@
 #ifndef SWIFTSPATIAL_GRID_UNIFORM_GRID_H_
 #define SWIFTSPATIAL_GRID_UNIFORM_GRID_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -49,22 +50,27 @@ class UniformGrid {
   /// -- the reference-point dedup rule relies on this agreement.
   void TileRange(const Box& b, int* tx0, int* ty0, int* tx1, int* ty1) const;
 
-  /// Per-tile object id lists: assignment[tile] holds every object whose MBR
-  /// intersects the tile (multi-assignment).
-  std::vector<std::vector<ObjectId>> Assign(const Dataset& dataset) const;
+  /// Per-tile object id lists: assignment[tile] holds, in ascending id
+  /// order, every object whose MBR intersects the tile's closed box
+  /// (multi-assignment; objects clamped outside the extent land nowhere).
+  /// Runs on `num_threads` threads: a counting pass per contiguous id range
+  /// sizes every list exactly, then a scatter pass fills them. The result
+  /// does not depend on `num_threads`.
+  std::vector<std::vector<ObjectId>> Assign(const Dataset& dataset,
+                                            std::size_t num_threads = 1) const;
 
  private:
-  /// x coordinate of vertical grid line k (0..cols): the max edge of column
-  /// k-1 and the min edge of column k, exactly as TileBox reports it.
-  Coord ColEdge(int k) const;
-  /// y coordinate of horizontal grid line k (0..rows).
-  Coord RowEdge(int k) const;
-
   Box extent_;
   int cols_;
   int rows_;
   double tile_w_;
   double tile_h_;
+  /// col_edges_[k] (k in 0..cols) is the x coordinate of vertical grid line
+  /// k: the max edge of column k-1 and the min edge of column k, rounded to
+  /// Coord once here. TileBox, TileRange and the dedup tiles all read these
+  /// edges, so they agree bit for bit. row_edges_ is the same along y.
+  std::vector<Coord> col_edges_;
+  std::vector<Coord> row_edges_;
 };
 
 }  // namespace swiftspatial

@@ -106,8 +106,10 @@ Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
   plan->rows = spec.rows;
 
   const UniformGrid grid(spec.extent, plan->cols, plan->rows);
-  std::vector<std::vector<ObjectId>> r_cells = grid.Assign(r);
-  std::vector<std::vector<ObjectId>> s_cells = grid.Assign(s);
+  std::vector<std::vector<ObjectId>> r_cells =
+      grid.Assign(r, options.num_threads);
+  std::vector<std::vector<ObjectId>> s_cells =
+      grid.Assign(s, options.num_threads);
 
   plan->cells.reserve(grid.num_tiles());
   for (int t = 0; t < grid.num_tiles(); ++t) {

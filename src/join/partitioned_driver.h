@@ -113,9 +113,11 @@ struct PartitionedPlanState {
 };
 
 /// Plans the grid join of (r, s): validates options, derives the grid
-/// (DeriveJoinGrid), and builds the per-cell id lists, sorting them into
-/// sweep order on `options.num_threads` threads when the tile join is the
-/// plane sweep. Empty/disjoint inputs yield a plan with no cells.
+/// (DeriveJoinGrid), builds the per-cell id lists (UniformGrid::Assign) and,
+/// when the tile join is the plane sweep, sorts them into sweep order. Both
+/// the assignment and the sort run on `options.num_threads` threads; the
+/// plan is the same for every thread count. Empty/disjoint inputs yield a
+/// plan with no cells.
 Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
     const Dataset& r, const Dataset& s,
     const PartitionedDriverOptions& options);

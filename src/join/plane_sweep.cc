@@ -1,6 +1,9 @@
 #include "join/plane_sweep.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <type_traits>
 
 namespace swiftspatial {
 
@@ -19,8 +22,7 @@ bool EntryBefore(const SweepEntry& a, const SweepEntry& b) {
 
 // Copies the boxes of `ids` into `entries` in sweep order. Sorts only when
 // `ids` was not already in that order, so presorted plans pay one pass.
-// Returns whether `ids` was already in order.
-bool GatherInSweepOrder(const Dataset& d, const std::vector<ObjectId>& ids,
+void GatherInSweepOrder(const Dataset& d, const std::vector<ObjectId>& ids,
                         std::vector<SweepEntry>* entries) {
   entries->resize(ids.size());
   bool ordered = true;
@@ -31,7 +33,6 @@ bool GatherInSweepOrder(const Dataset& d, const std::vector<ObjectId>& ids,
     if (i > 0 && EntryBefore(e, (*entries)[i - 1])) ordered = false;
   }
   if (!ordered) std::sort(entries->begin(), entries->end(), EntryBefore);
-  return ordered;
 }
 
 // Tests `probe` against the opposite-side entries [it, end) that start no
@@ -59,12 +60,35 @@ uint64_t ScanForward(const SweepEntry& probe, const SweepEntry* it,
   return static_cast<uint64_t>(it - begin);
 }
 
+static_assert(std::is_same_v<Coord, float> && sizeof(ObjectId) == 4,
+              "SweepKey packs a float min_x and a 32-bit id");
+
+// The sweep order as one integer: the order-preserving bits of min_x above
+// the id, so ascending keys are ascending (min_x, id) -- SweepBefore's
+// order. -0.0f becomes +0.0f first, because the two compare equal and must
+// tie and break by id.
+uint64_t SweepKey(Coord min_x, ObjectId id) {
+  const Coord x = min_x == 0.0f ? 0.0f : min_x;
+  uint32_t bits = std::bit_cast<uint32_t>(x);
+  bits = (bits & 0x80000000u) != 0 ? ~bits : bits | 0x80000000u;
+  return (uint64_t{bits} << 32) | static_cast<uint32_t>(id);
+}
+
 }  // namespace
 
 void SortForSweep(const Dataset& d, std::vector<ObjectId>* ids) {
-  std::vector<SweepEntry> entries;
-  if (GatherInSweepOrder(d, *ids, &entries)) return;
-  for (std::size_t i = 0; i < entries.size(); ++i) (*ids)[i] = entries[i].id;
+  std::vector<uint64_t> keys(ids->size());
+  bool ordered = true;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const ObjectId id = (*ids)[i];
+    keys[i] = SweepKey(d.box(static_cast<std::size_t>(id)).min_x, id);
+    if (i > 0 && keys[i] < keys[i - 1]) ordered = false;
+  }
+  if (ordered) return;
+  std::sort(keys.begin(), keys.end());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    (*ids)[i] = static_cast<ObjectId>(static_cast<uint32_t>(keys[i]));
+  }
 }
 
 void PlaneSweepTileJoin(const Dataset& r, const Dataset& s,

@@ -29,7 +29,12 @@ inline bool SweepBefore(Coord a_min_x, ObjectId a, Coord b_min_x,
   return a_min_x < b_min_x || (a_min_x == b_min_x && a < b);
 }
 
-/// Reorders `ids` in place into sweep order over the boxes of `d`.
+/// Reorders `ids` in place into sweep order over the boxes of `d`. Sorts
+/// one 64-bit key per id: the order-preserving bits of min_x (sign bit
+/// flipped for non-negative values, all bits for negative ones) in the high
+/// 32 bits, the id in the low 32. -0.0f is keyed as +0.0f, since the two
+/// compare equal under SweepBefore and must tie and break by id. Lists
+/// already in sweep order are left untouched.
 void SortForSweep(const Dataset& d, std::vector<ObjectId>* ids);
 
 /// Joins the objects listed in `r_ids` x `s_ids` by forward-scan plane

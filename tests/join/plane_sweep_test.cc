@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -237,6 +238,71 @@ TEST(PlaneSweep, CachedPlansAreInSweepOrder) {
   for (std::size_t i = 0; i < partition.r_parts.size(); ++i) {
     ASSERT_TRUE(InSweepOrder(r, partition.r_parts[i])) << "stripe " << i;
     ASSERT_TRUE(InSweepOrder(s, partition.s_parts[i])) << "stripe " << i;
+  }
+}
+
+// SortForSweep sorts packed integer keys; it must order exactly as a
+// stable sort by SweepBefore does, across the whole float line.
+TEST(PlaneSweep, SortForSweepMatchesSweepBeforeOrder) {
+  constexpr Coord kDenorm = std::numeric_limits<Coord>::denorm_min();
+  constexpr Coord kMax = std::numeric_limits<Coord>::max();
+  const std::vector<Coord> xs = {
+      -0.0f,  0.0f,      -0.0f,  3.5f,     -3.5f,     3.5f,    -1e30f,
+      1e30f,  -kMax,     kMax,   kDenorm,  -kDenorm,  1e-40f,  -1e-40f,
+      0.0f,   -0.0f,     -2.0f,  -2.0f,    1e-38f,    -1e-38f, 7.25f,
+      -kMax,  kMax,      2.0f,   -1.0f,    1.0f,      kDenorm, -0.0f};
+  std::vector<Box> boxes;
+  for (const Coord x : xs) boxes.push_back(Box(x, 0, x, 1));
+  const Dataset d("d", boxes);
+
+  std::mt19937 rng(11);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<ObjectId> ids = AllIds(d);
+    std::shuffle(ids.begin(), ids.end(), rng);
+    // A cell's list is a subset of the ids.
+    if (round % 2 == 1) ids.resize(ids.size() / 2);
+    std::vector<ObjectId> expected = ids;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&d](ObjectId a, ObjectId b) {
+                       return SweepBefore(d.box(a).min_x, a, d.box(b).min_x,
+                                          b);
+                     });
+    SortForSweep(d, &ids);
+    EXPECT_EQ(ids, expected) << "round " << round;
+  }
+
+  // -0.0f and +0.0f compare equal, so they tie and break by id.
+  const Dataset zeros("z", {Box(0.0f, 0, 1, 1), Box(-0.0f, 0, 1, 1),
+                            Box(0.0f, 0, 1, 1), Box(-0.0f, 0, 1, 1)});
+  std::vector<ObjectId> ids = {3, 1, 2, 0};
+  SortForSweep(zeros, &ids);
+  EXPECT_EQ(ids, (std::vector<ObjectId>{0, 1, 2, 3}));
+}
+
+// Planning runs assignment and sorting on the request's threads; the plan
+// must not depend on how many.
+TEST(PlaneSweep, PartitionedPlanIsIdenticalAtEveryThreadCount) {
+  const Dataset r = testutil::Skewed(4000, 55, 500.0);
+  const Dataset s = testutil::Uniform(4000, 56, 500.0, /*max_edge=*/10.0);
+  PartitionedDriverOptions options;
+  options.num_threads = 1;
+  auto serial = PlanPartitionedCells(r, s, options);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  const std::vector<PartitionedCell>& expected = (*serial)->cells;
+  ASSERT_GT(expected.size(), 1u);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    options.num_threads = threads;
+    auto plan = PlanPartitionedCells(r, s, options);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const std::vector<PartitionedCell>& cells = (*plan)->cells;
+    ASSERT_EQ(cells.size(), expected.size()) << threads << " threads";
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      ASSERT_EQ(cells[i].dedup_tile, expected[i].dedup_tile) << "cell " << i;
+      ASSERT_EQ(cells[i].r_ids, expected[i].r_ids) << "cell " << i;
+      ASSERT_EQ(cells[i].s_ids, expected[i].s_ids) << "cell " << i;
+      ASSERT_TRUE(InSweepOrder(r, cells[i].r_ids)) << "cell " << i;
+      ASSERT_TRUE(InSweepOrder(s, cells[i].s_ids)) << "cell " << i;
+    }
   }
 }
 
