@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 namespace swiftspatial {
@@ -19,6 +20,13 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
+// All four coordinates finite. |c| <= max is false for NaN and infinities.
+bool IsFinite(const Box& b) {
+  constexpr Coord kMax = std::numeric_limits<Coord>::max();
+  return (std::fabs(b.min_x) <= kMax) & (std::fabs(b.min_y) <= kMax) &
+         (std::fabs(b.max_x) <= kMax) & (std::fabs(b.max_y) <= kMax);
+}
+
 }  // namespace
 
 Box Dataset::Extent() const {
@@ -27,22 +35,39 @@ Box Dataset::Extent() const {
   return out;
 }
 
-Status Dataset::ValidateBoxes() const {
-  for (std::size_t i = 0; i < boxes_.size(); ++i) {
+DatasetStats Dataset::Scan() const {
+  DatasetStats stats;
+  stats.count = boxes_.size();
+  double width_sum = 0, height_sum = 0;
+  // Branch-free validity over the whole pass; a bad dataset is walked a
+  // second time only to name its first bad box.
+  bool valid = true;
+  for (const Box& b : boxes_) {
+    stats.extent.Expand(b);
+    width_sum += b.max_x - b.min_x;
+    height_sum += b.max_y - b.min_y;
+    valid &= IsFinite(b) & (b.min_x <= b.max_x) & (b.min_y <= b.max_y);
+  }
+  if (!boxes_.empty()) {
+    stats.avg_width = width_sum / static_cast<double>(boxes_.size());
+    stats.avg_height = height_sum / static_cast<double>(boxes_.size());
+  }
+  for (std::size_t i = 0; !valid && i < boxes_.size(); ++i) {
     const Box& b = boxes_[i];
-    if (!std::isfinite(b.min_x) || !std::isfinite(b.min_y) ||
-        !std::isfinite(b.max_x) || !std::isfinite(b.max_y)) {
-      return Status::InvalidArgument(
+    if (!IsFinite(b)) {
+      stats.validity = Status::InvalidArgument(
           "dataset \"" + name_ + "\": box " + std::to_string(i) +
           " has a non-finite coordinate: " + b.ToString());
+      break;
     }
     if (b.min_x > b.max_x || b.min_y > b.max_y) {
-      return Status::InvalidArgument(
+      stats.validity = Status::InvalidArgument(
           "dataset \"" + name_ + "\": box " + std::to_string(i) +
           " is inverted (min > max): " + b.ToString());
+      break;
     }
   }
-  return Status::OK();
+  return stats;
 }
 
 bool Dataset::IsPointDataset() const {

@@ -18,6 +18,22 @@ namespace swiftspatial {
 /// pair format (two int32 ids, §3.5 of the paper).
 using ObjectId = int32_t;
 
+/// What one pass over a dataset learns (Dataset::Scan): the validity check
+/// Prepare enforces plus the summary facts planners and cost models read.
+struct DatasetStats {
+  /// OK iff every box is well-formed: all four coordinates finite and
+  /// min <= max on both axes; otherwise InvalidArgument naming the first bad
+  /// box. Engines enforce it at Prepare time (EngineConfig::validate_inputs);
+  /// indexes and the reference-point dedup rule are only specified for valid
+  /// boxes.
+  Status validity;
+  std::size_t count = 0;
+  /// MBR of the whole dataset (empty box for an empty dataset).
+  Box extent = Box::Empty();
+  double avg_width = 0;
+  double avg_height = 0;
+};
+
 /// A named collection of spatial objects. Object `i` has id `i` and MBR
 /// `boxes()[i]`.
 class Dataset {
@@ -39,11 +55,10 @@ class Dataset {
   /// True if every box is a point (zero width and height).
   bool IsPointDataset() const;
 
-  /// OK iff every box is well-formed: all four coordinates finite and
-  /// min <= max on both axes. Engines enforce this at Prepare time
-  /// (EngineConfig::validate_inputs); indexes and the reference-point dedup
-  /// rule are only specified for valid boxes.
-  Status ValidateBoxes() const;
+  /// One serial pass over every box: validity, extent, count and average
+  /// edge lengths (see DatasetStats). The registry runs it once per
+  /// registered version; Prepare runs it for borrowed inputs.
+  DatasetStats Scan() const;
 
   /// Writes the dataset to `path` in a little-endian binary format:
   /// magic, version, count, then count * 4 float32 coordinates.

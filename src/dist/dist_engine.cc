@@ -42,12 +42,14 @@ class DistEngineImpl : public EngineBase<DistPreparedPlan, DistJoinEngine> {
  protected:
   Status Validate() override { return ValidateDistConfig(config()); }
 
-  Status Build(DistPreparedPlan* plan) override {
+  Status Build(DistPreparedPlan* plan, const JoinInput& r,
+               const JoinInput& s) override {
     plan->options = OptionsFromConfig(config(), use_accel_);
     auto shard_plan = PlanShards(plan->r(), plan->s(), plan->options.grid_cols,
                                  plan->options.grid_rows,
                                  plan->options.num_nodes,
-                                 plan->options.placement);
+                                 plan->options.placement, &*r.stats,
+                                 &*s.stats);
     if (!shard_plan.ok()) return shard_plan.status();
     plan->shard_plan = std::move(*shard_plan);
     return Status::OK();

@@ -325,12 +325,15 @@ Result<DistReport> DistributedJoin(const Dataset& r, const Dataset& s,
                                    const ShardSink& sink,
                                    exec::CancellationToken cancel) {
   SWIFT_RETURN_IF_ERROR(ValidateOptions(options));
+  const DatasetStats r_stats = r.Scan();
+  const DatasetStats s_stats = s.Scan();
   if (options.validate_inputs) {
-    SWIFT_RETURN_IF_ERROR(r.ValidateBoxes());
-    SWIFT_RETURN_IF_ERROR(s.ValidateBoxes());
+    SWIFT_RETURN_IF_ERROR(r_stats.validity);
+    SWIFT_RETURN_IF_ERROR(s_stats.validity);
   }
   auto plan = PlanShards(r, s, options.grid_cols, options.grid_rows,
-                         options.num_nodes, options.placement);
+                         options.num_nodes, options.placement, &r_stats,
+                         &s_stats);
   if (!plan.ok()) return plan.status();
   return RunPlannedJoin(r, s, *plan, options, result, stats, sink, cancel);
 }

@@ -136,7 +136,9 @@ void AccountReplicas(const std::vector<Shard>& shards,
 
 Result<ShardPlan> PlanShards(const Dataset& r, const Dataset& s,
                              int grid_cols, int grid_rows, int num_nodes,
-                             PlacementPolicy placement) {
+                             PlacementPolicy placement,
+                             const DatasetStats* r_stats,
+                             const DatasetStats* s_stats) {
   if (num_nodes < 1) {
     return Status::InvalidArgument("num_nodes must be >= 1");
   }
@@ -149,7 +151,10 @@ Result<ShardPlan> PlanShards(const Dataset& r, const Dataset& s,
 
   // One shared grid decision (DeriveJoinGrid) keeps shard ids -- grid tile
   // indexes -- stable across the single-machine drivers and this planner.
-  const JoinGridSpec spec = DeriveJoinGrid(r, s, grid_cols, grid_rows);
+  const JoinGridSpec spec =
+      DeriveJoinGrid(r_stats != nullptr ? *r_stats : r.Scan(),
+                     s_stats != nullptr ? *s_stats : s.Scan(), grid_cols,
+                     grid_rows);
   if (!spec.has_grid) return plan;
   const int cols = spec.cols;
   const int rows = spec.rows;

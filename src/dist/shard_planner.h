@@ -67,12 +67,15 @@ struct ShardPlan {
 };
 
 /// Plans `num_nodes`-way placement of the (r, s) join. Grid dimensions of 0
-/// auto-size exactly like PlanPartitionedCells (DeriveJoinGrid). Fails with
-/// InvalidArgument on bad grid dimensions or num_nodes < 1. Empty inputs
-/// yield an empty plan.
+/// auto-size exactly like PlanPartitionedCells (DeriveJoinGrid, over
+/// `r_stats`/`s_stats` when the caller already scanned the inputs, else
+/// over a fresh Dataset::Scan). Fails with InvalidArgument on bad grid
+/// dimensions or num_nodes < 1. Empty inputs yield an empty plan.
 Result<ShardPlan> PlanShards(const Dataset& r, const Dataset& s,
                              int grid_cols, int grid_rows, int num_nodes,
-                             PlacementPolicy placement);
+                             PlacementPolicy placement,
+                             const DatasetStats* r_stats = nullptr,
+                             const DatasetStats* s_stats = nullptr);
 
 }  // namespace swiftspatial::dist
 

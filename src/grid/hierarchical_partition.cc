@@ -9,6 +9,19 @@ namespace swiftspatial {
 
 namespace {
 
+// True iff every listed object's MBR contains `tile`.
+bool AllContain(const Dataset& d, const std::vector<ObjectId>& ids,
+                const Box& tile) {
+  for (const ObjectId id : ids) {
+    const Box& b = d.box(static_cast<std::size_t>(id));
+    if (b.min_x > tile.min_x || b.min_y > tile.min_y ||
+        b.max_x < tile.max_x || b.max_y < tile.max_y) {
+      return false;
+    }
+  }
+  return true;
+}
+
 struct Splitter {
   const Dataset& r;
   const Dataset& s;
@@ -34,7 +47,12 @@ struct Splitter {
       out->tasks.push_back(std::move(task));
       return;
     }
-    if (depth >= options.max_depth) {
+    // Splitting cannot reduce |R| * |S| when every object on both sides
+    // contains the whole tile (coincident clumps, world-spanning boxes):
+    // every quarter would inherit both lists whole, down to max_depth.
+    if (depth >= options.max_depth ||
+        (AllContain(r, task.r_objects, task.tile) &&
+         AllContain(s, task.s_objects, task.tile))) {
       ++out->over_cap_tiles;
       task.tile = CloseLastTile(task.tile, last_x, last_y);
       out->tasks.push_back(std::move(task));

@@ -27,7 +27,7 @@ struct HierarchicalPartitionOptions {
   int tile_cap = 16;
   /// Initial uniform grid resolution per axis.
   int initial_grid = 32;
-  /// Recursion limit (guards degenerate data where all objects coincide).
+  /// Recursion limit (guards degenerate data that splitting barely helps).
   int max_depth = 12;
 };
 
@@ -35,7 +35,9 @@ struct HierarchicalPartitionOptions {
 /// non-empty are emitted (others cannot produce results).
 struct HierarchicalPartition {
   std::vector<TileTask> tasks;
-  /// Tiles that hit max_depth while still over the cap (0 in healthy runs).
+  /// Tiles emitted while still over the cap (0 in healthy runs): at
+  /// max_depth, or where every object of both sides contains the tile, so
+  /// no split could reduce the work.
   std::size_t over_cap_tiles = 0;
   /// The cap the partition was built with (consumers size blocks by it).
   int tile_cap = 0;

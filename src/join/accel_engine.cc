@@ -73,7 +73,8 @@ class AccelBfsEngine : public AccelEngineBase {
     return Status::OK();
   }
 
-  Status Build(AccelPreparedPlan* plan) override {
+  Status Build(AccelPreparedPlan* plan, const JoinInput& /*r*/,
+               const JoinInput& /*s*/) override {
     BulkLoadOptions bl;
     bl.max_entries = config().node_capacity;
     bl.num_threads = config().num_threads;
@@ -106,7 +107,8 @@ class AccelPbsmEngine : public AccelEngineBase {
   using AccelEngineBase::AccelEngineBase;
 
  protected:
-  Status Build(AccelPreparedPlan* plan) override {
+  Status Build(AccelPreparedPlan* plan, const JoinInput& /*r*/,
+               const JoinInput& /*s*/) override {
     HierarchicalPartitionOptions hp;
     hp.tile_cap = config().accel_tile_cap;
     plan->partition = PartitionHierarchical(plan->r(), plan->s(), hp);

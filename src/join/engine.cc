@@ -59,7 +59,8 @@ class PlaneSweepEngine : public EngineBase<PlaneSweepPlan> {
   using EngineBase::EngineBase;
 
  protected:
-  Status Build(PlaneSweepPlan* plan) override {
+  Status Build(PlaneSweepPlan* plan, const JoinInput& /*r*/,
+               const JoinInput& /*s*/) override {
     const auto sweep_ordered = [](const Dataset& d) {
       std::vector<ObjectId> ids(d.size());
       std::iota(ids.begin(), ids.end(), ObjectId{0});
@@ -115,7 +116,8 @@ class PbsmEngine : public EngineBase<PbsmPreparedPlan> {
     return Status::OK();
   }
 
-  Status Build(PbsmPreparedPlan* plan) override {
+  Status Build(PbsmPreparedPlan* plan, const JoinInput& /*r*/,
+               const JoinInput& /*s*/) override {
     plan->options.num_partitions = config().num_partitions;
     plan->options.axis = config().axis;
     plan->options.num_threads = config().num_threads;
@@ -150,7 +152,8 @@ class CuSpatialLikeEngine : public EngineBase<InputsOnlyPlan> {
     return Status::OK();
   }
 
-  Status Build(InputsOnlyPlan* plan) override {
+  Status Build(InputsOnlyPlan* plan, const JoinInput& /*r*/,
+               const JoinInput& /*s*/) override {
     if (!plan->r().IsPointDataset()) {
       // NotSupported, not InvalidArgument: the input is well-formed, this
       // engine just does not apply to it. Harnesses key expected skips on
@@ -205,7 +208,8 @@ class RTreeEngineBase : public EngineBase<RTreePreparedPlan> {
     return Status::OK();
   }
 
-  Status Build(RTreePreparedPlan* plan) override {
+  Status Build(RTreePreparedPlan* plan, const JoinInput& /*r*/,
+               const JoinInput& /*s*/) override {
     BulkLoadOptions bl;
     bl.max_entries = config().node_capacity;
     bl.num_threads = config().num_threads;
@@ -284,13 +288,13 @@ class PartitionedEngine : public EngineBase<PartitionedPreparedPlan> {
     return ValidateGridConfig(config().grid_cols, config().grid_rows);
   }
 
-  Status Build(PartitionedPreparedPlan* plan) override {
+  Status Build(PartitionedPreparedPlan* plan, const JoinInput& r,
+               const JoinInput& s) override {
     PartitionedDriverOptions options;
     options.grid_cols = config().grid_cols;
     options.grid_rows = config().grid_rows;
     options.num_threads = config().num_threads;
-    options.tile_join = tile_join_;
-    auto state = PlanPartitionedCells(plan->r(), plan->s(), options);
+    auto state = PlanPartitionedCells(r, s, options, config().trace);
     if (!state.ok()) return state.status();
     plan->state = std::move(*state);
     return Status::OK();
@@ -411,8 +415,8 @@ uint64_t ConfigFingerprint(const EngineConfig& config) {
 }
 
 Result<std::shared_ptr<const PreparedPlan>> PrepareJoin(
-    const std::string& engine, std::shared_ptr<const Dataset> r,
-    std::shared_ptr<const Dataset> s, const EngineConfig& config) {
+    const std::string& engine, JoinInput r, JoinInput s,
+    const EngineConfig& config) {
   auto created = EngineRegistry::Global().Create(engine, config);
   if (!created.ok()) return created.status();
   return (*created)->Prepare(std::move(r), std::move(s));

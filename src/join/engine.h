@@ -27,6 +27,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -189,6 +190,26 @@ inline std::shared_ptr<const Dataset> BorrowDataset(const Dataset& d) {
                                         &d);
 }
 
+class GridSideStore;  // join/partitioned_driver.h
+
+/// One side of a join as Prepare receives it. A bare dataset converts
+/// implicitly (the borrowed path: RunJoin, BorrowDataset), and Prepare then
+/// scans it and builds every artifact fresh. The warm-serving registry
+/// (exec/dataset_registry) also hands over the facts its Put computed and
+/// its store of the dataset's grid halves, so Prepare neither rescans the
+/// data nor rebuilds a half it already holds.
+struct JoinInput {
+  JoinInput(std::shared_ptr<const Dataset> dataset)  // NOLINT(runtime/explicit)
+      : data(std::move(dataset)) {}
+
+  std::shared_ptr<const Dataset> data;
+  /// data->Scan(), when already known; Prepare fills it otherwise.
+  std::optional<DatasetStats> stats;
+  /// Cache of this dataset version's grid halves, valid for the duration of
+  /// Prepare; null builds them fresh.
+  GridSideStore* grid_sides = nullptr;
+};
+
 /// Receives result batches from JoinEngine::ExecuteStreaming. Batches are
 /// non-empty; over a successful run their concatenation is exactly the
 /// ExecutePrepared result multiset.
@@ -239,8 +260,8 @@ class JoinEngine {
 
   /// Validates config + inputs and builds indexes/partitions into an
   /// immutable plan that holds shared ownership of both datasets.
-  virtual Result<std::shared_ptr<const PreparedPlan>> Prepare(
-      std::shared_ptr<const Dataset> r, std::shared_ptr<const Dataset> s) = 0;
+  virtual Result<std::shared_ptr<const PreparedPlan>> Prepare(JoinInput r,
+                                                              JoinInput s) = 0;
 
   /// Runs the join against a plan this engine's name prepared
   /// (InvalidArgument otherwise). `*out` is overwritten; `*stats` (when
@@ -309,8 +330,8 @@ Result<JoinRun> RunJoin(const std::string& engine, const Dataset& r,
 /// instantiate, then Prepare. The returned plan is immutable, shareable
 /// across threads, and holds shared ownership of both datasets.
 Result<std::shared_ptr<const PreparedPlan>> PrepareJoin(
-    const std::string& engine, std::shared_ptr<const Dataset> r,
-    std::shared_ptr<const Dataset> s, const EngineConfig& config = {});
+    const std::string& engine, JoinInput r, JoinInput s,
+    const EngineConfig& config = {});
 
 /// Warm-path convenience: instantiate the plan's engine from the global
 /// registry and ExecutePrepared with timing. plan_seconds is what the warm

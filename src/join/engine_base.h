@@ -4,7 +4,9 @@
 // them.
 //
 //   class MyEngine : public EngineBase<MyPlan> {
-//     Status Build(MyPlan* plan) override;   // fill plan from plan->r/s()
+//     // Fill plan from plan->r/s(); r/s carry the inputs' scanned facts.
+//     Status Build(MyPlan* plan, const JoinInput& r,
+//                  const JoinInput& s) override;
 //     Status ExecuteImpl(const MyPlan& plan, JoinResult* out,
 //                        JoinStats* stats) override;
 //     // Optional: stream batches natively instead of one finished result.
@@ -12,11 +14,12 @@
 //                       JoinStats* stats) override;
 //   };
 //
-// Prepare runs the thread-count check, the engine's Validate(), and the
-// reject-at-ingest geometry policy (EngineConfig::validate_inputs), then
-// constructs the plan and calls Build -- only for non-empty inputs, which
-// join to the empty set without touching any index (some assume non-empty
-// data). ExecutePrepared checks the output pointer and that the plan was
+// Prepare runs the thread-count check and the engine's Validate(), scans
+// each input the caller did not bring facts for (Dataset::Scan), applies the
+// reject-at-ingest geometry policy (EngineConfig::validate_inputs) to those
+// facts, then constructs the plan and calls Build -- only for non-empty
+// inputs, which join to the empty set without touching any index (some
+// assume non-empty data). ExecutePrepared checks the output pointer and that the plan was
 // prepared by this engine name with this plan type, overwrites *out, and
 // calls ExecuteImpl for non-empty inputs; ExecuteStreaming applies the same
 // checks to its sink and plan and calls StreamImpl, which engines with a
@@ -45,23 +48,24 @@ class EngineBase : public Interface {
 
   const std::string& name() const override { return name_; }
 
-  Result<std::shared_ptr<const PreparedPlan>> Prepare(
-      std::shared_ptr<const Dataset> r,
-      std::shared_ptr<const Dataset> s) final {
-    if (r == nullptr || s == nullptr) {
+  Result<std::shared_ptr<const PreparedPlan>> Prepare(JoinInput r,
+                                                      JoinInput s) final {
+    if (r.data == nullptr || s.data == nullptr) {
       return Status::InvalidArgument("Prepare requires non-null datasets");
     }
     if (config_.num_threads < 1) {
       return Status::InvalidArgument("num_threads must be >= 1");
     }
     SWIFT_RETURN_IF_ERROR(Validate());
+    if (!r.stats) r.stats = r.data->Scan();
+    if (!s.stats) s.stats = s.data->Scan();
     if (config_.validate_inputs) {
-      SWIFT_RETURN_IF_ERROR(r->ValidateBoxes());
-      SWIFT_RETURN_IF_ERROR(s->ValidateBoxes());
+      SWIFT_RETURN_IF_ERROR(r.stats->validity);
+      SWIFT_RETURN_IF_ERROR(s.stats->validity);
     }
-    auto plan = std::make_shared<PlanT>(name_, std::move(r), std::move(s));
+    auto plan = std::make_shared<PlanT>(name_, r.data, s.data);
     if (!plan->r().empty() && !plan->s().empty()) {
-      SWIFT_RETURN_IF_ERROR(Build(plan.get()));
+      SWIFT_RETURN_IF_ERROR(Build(plan.get(), r, s));
     }
     return std::shared_ptr<const PreparedPlan>(std::move(plan));
   }
@@ -94,9 +98,12 @@ class EngineBase : public Interface {
  protected:
   /// Engine-specific config checks, run first by Prepare.
   virtual Status Validate() { return Status::OK(); }
-  /// Builds the plan's artifacts. Only called for non-empty inputs.
-  virtual Status Build(PlanT* plan) {
+  /// Builds the plan's artifacts. Only called for non-empty inputs; `r` and
+  /// `s` are the plan's inputs with their facts filled in.
+  virtual Status Build(PlanT* plan, const JoinInput& r, const JoinInput& s) {
     (void)plan;
+    (void)r;
+    (void)s;
     return Status::OK();
   }
   /// The join over a plan of this engine. Only called for non-empty

@@ -51,15 +51,15 @@ Status ValidateGridConfig(int grid_cols, int grid_rows) {
   return Status::OK();
 }
 
-JoinGridSpec DeriveJoinGrid(const Dataset& r, const Dataset& s, int grid_cols,
-                            int grid_rows,
+JoinGridSpec DeriveJoinGrid(const DatasetStats& r, const DatasetStats& s,
+                            int grid_cols, int grid_rows,
                             std::size_t target_cell_population) {
   JoinGridSpec spec;
   // Disjoint or empty inputs produce no grid; callers short-circuit to the
   // empty result.
-  if (r.empty() || s.empty()) return spec;
-  Box extent = r.Extent();
-  extent.Expand(s.Extent());
+  if (r.count == 0 || s.count == 0) return spec;
+  Box extent = r.extent;
+  extent.Expand(s.extent);
   if (extent.IsEmpty()) return spec;
   spec.has_grid = true;
   spec.extent = extent;
@@ -68,23 +68,42 @@ JoinGridSpec DeriveJoinGrid(const Dataset& r, const Dataset& s, int grid_cols,
     spec.rows = grid_rows;
   } else {
     spec.cols = spec.rows =
-        AutoGridSide(r.size() + s.size(), target_cell_population);
+        AutoGridSide(r.count + s.count, target_cell_population);
   }
   return spec;
 }
 
-std::size_t PartitionedPlanState::MemoryBytes() const {
-  std::size_t bytes = sizeof(*this) + cells.capacity() * sizeof(cells[0]);
-  for (const PartitionedCell& cell : cells) {
-    bytes += (cell.r_ids.capacity() + cell.s_ids.capacity()) *
-             sizeof(ObjectId);
+std::size_t GridSide::MemoryBytes() const {
+  std::size_t bytes = sizeof(*this) + tiles.capacity() * sizeof(tiles[0]);
+  for (const std::vector<ObjectId>& ids : tiles) {
+    bytes += ids.capacity() * sizeof(ObjectId);
   }
   return bytes;
 }
 
+std::shared_ptr<const GridSide> BuildGridSide(const Dataset& dataset,
+                                              const UniformGrid& grid,
+                                              std::size_t num_threads) {
+  auto side = std::make_shared<GridSide>();
+  side->tiles = grid.Assign(dataset, num_threads);
+  // Sweep order once, here, so no execution of a plan pairing this half
+  // sorts (the order contract of join/plane_sweep.h).
+  ParallelFor(side->tiles.size(), num_threads, Schedule::kDynamic,
+              [&side, &dataset](std::size_t t) {
+                if (side->tiles[t].size() > 1) {
+                  SortForSweep(dataset, &side->tiles[t]);
+                }
+              });
+  return side;
+}
+
+std::size_t PartitionedPlanState::MemoryBytes() const {
+  return sizeof(*this) + cells.capacity() * sizeof(cells[0]);
+}
+
 Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
-    const Dataset& r, const Dataset& s,
-    const PartitionedDriverOptions& options) {
+    const JoinInput& r, const JoinInput& s,
+    const PartitionedDriverOptions& options, const obs::TraceContext& trace) {
   if (options.num_threads < 1) {
     return Status::InvalidArgument("num_threads must be >= 1");
   }
@@ -96,9 +115,9 @@ Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
   }
 
   auto plan = std::make_shared<PartitionedPlanState>();
-  const JoinGridSpec spec =
-      DeriveJoinGrid(r, s, options.grid_cols, options.grid_rows,
-                     options.target_cell_population);
+  const JoinGridSpec spec = DeriveJoinGrid(
+      r.stats ? *r.stats : r.data->Scan(), s.stats ? *s.stats : s.data->Scan(),
+      options.grid_cols, options.grid_rows, options.target_cell_population);
   if (!spec.has_grid) {
     return std::shared_ptr<const PartitionedPlanState>(std::move(plan));
   }
@@ -106,41 +125,43 @@ Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
   plan->rows = spec.rows;
 
   const UniformGrid grid(spec.extent, plan->cols, plan->rows);
-  std::vector<std::vector<ObjectId>> r_cells =
-      grid.Assign(r, options.num_threads);
-  std::vector<std::vector<ObjectId>> s_cells =
-      grid.Assign(s, options.num_threads);
+  const auto half = [&](const JoinInput& input, const char* side) {
+    const auto build = [&] {
+      obs::ScopedSpan span(trace, "plan.grid_side");
+      span.AddAttr("side", side);
+      return BuildGridSide(*input.data, grid, options.num_threads);
+    };
+    return input.grid_sides != nullptr
+               ? input.grid_sides->GetOrBuild(spec, build)
+               : build();
+  };
+  plan->r_side = half(r, "r");
+  plan->s_side = half(s, "s");
 
-  plan->cells.reserve(grid.num_tiles());
+  const std::vector<std::vector<ObjectId>>& r_tiles = plan->r_side->tiles;
+  const std::vector<std::vector<ObjectId>>& s_tiles = plan->s_side->tiles;
   for (int t = 0; t < grid.num_tiles(); ++t) {
-    if (r_cells[t].empty() || s_cells[t].empty()) continue;
-    PartitionedCell cell;
+    if (r_tiles[t].empty() || s_tiles[t].empty()) continue;
     // Closing the last row/column of cells keeps reference points that land
     // exactly on the global boundary claimable (no cell beyond exists).
-    cell.dedup_tile = grid.DedupTileByIndex(t);
-    cell.r_ids = std::move(r_cells[t]);
-    cell.s_ids = std::move(s_cells[t]);
-    plan->cells.push_back(std::move(cell));
+    plan->cells.push_back({grid.DedupTileByIndex(t), &r_tiles[t],
+                           &s_tiles[t]});
   }
+  plan->cells.shrink_to_fit();  // MemoryBytes counts the capacity
   // Largest batches first: under dynamic scheduling the expensive cells
   // start early and the small ones backfill, tightening the makespan.
   std::sort(plan->cells.begin(), plan->cells.end(),
             [](const PartitionedCell& a, const PartitionedCell& b) {
-              return a.r_ids.size() * a.s_ids.size() >
-                     b.r_ids.size() * b.s_ids.size();
+              return a.r_ids->size() * a.s_ids->size() >
+                     b.r_ids->size() * b.s_ids->size();
             });
-  // Put every cell in sweep order once, here, so no execution of this plan
-  // sorts (the order contract of join/plane_sweep.h). Largest cells come
-  // first, so dynamic scheduling balances the sorts as it does the joins.
-  if (options.tile_join == TileJoin::kPlaneSweep) {
-    ParallelFor(plan->cells.size(), options.num_threads, Schedule::kDynamic,
-                [&plan, &r, &s](std::size_t i) {
-                  PartitionedCell& cell = plan->cells[i];
-                  SortForSweep(r, &cell.r_ids);
-                  SortForSweep(s, &cell.s_ids);
-                });
-  }
   return std::shared_ptr<const PartitionedPlanState>(std::move(plan));
+}
+
+Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
+    const Dataset& r, const Dataset& s,
+    const PartitionedDriverOptions& options) {
+  return PlanPartitionedCells(BorrowDataset(r), BorrowDataset(s), options);
 }
 
 Status ExecutePartitionedPlan(const PartitionedPlanState& plan,
@@ -164,8 +185,8 @@ Status ExecutePartitionedPlan(const PartitionedPlanState& plan,
     for (std::size_t i = g; i < plan.cells.size(); i += groups) {
       if (target.cancel.cancelled()) break;
       const PartitionedCell& cell = plan.cells[i];
-      RunTileJoin(tile_join, r, s, cell.r_ids, cell.s_ids, &cell.dedup_tile,
-                  &buffer, group_stats);
+      RunTileJoin(tile_join, r, s, *cell.r_ids, *cell.s_ids,
+                  &cell.dedup_tile, &buffer, group_stats);
       if (buffer.size() >= chunk_pairs) ship(&buffer);
     }
     ship(&buffer);

@@ -4,15 +4,19 @@
 // streamed and collecting executions).
 //
 // Both inputs are sharded onto a uniform grid (src/grid/uniform_grid.h,
-// multi-assignment: an object lands in every cell its MBR overlaps); each
-// cell with objects from both sides is one batched tile join (plane sweep,
-// nested loop or the SIMD kernel). Cells are strided into groups that run
-// as one exec::TaskGraph wave on a ThreadPool (largest cells first, so they
-// start earliest and the small ones backfill). Cross-cell duplicates -- a
-// pair whose boxes co-occupy several cells -- are eliminated with the PBSM
-// reference-point rule (Box::ReferencePointInTile): the pair is emitted only
-// by the single cell containing the bottom-left corner of the pair's
-// intersection.
+// multi-assignment: an object lands in every cell its MBR overlaps). Each
+// input's assignment is a GridSide -- one dataset's half of the plan, its
+// per-tile id lists in sweep order -- that depends only on that dataset and
+// the grid, so the warm-serving registry caches it per dataset version and
+// a re-registered R is re-planned without touching S. A plan pairs two
+// halves: every cell with objects from both sides is one batched tile join
+// (plane sweep, nested loop or the SIMD kernel). Cells are strided into
+// groups that run as one exec::TaskGraph wave on a ThreadPool (largest
+// cells first, so they start earliest and the small ones backfill).
+// Cross-cell duplicates -- a pair whose boxes co-occupy several cells -- are
+// eliminated with the PBSM reference-point rule (Box::ReferencePointInTile):
+// the pair is emitted only by the single cell containing the bottom-left
+// corner of the pair's intersection.
 //
 // Results leave through a sink: every group task stages its pairs in its own
 // buffer (no shared state while joining) and hands the buffer over whenever
@@ -24,6 +28,7 @@
 #define SWIFTSPATIAL_JOIN_PARTITIONED_DRIVER_H_
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -64,12 +69,14 @@ struct JoinGridSpec {
 /// grid-sharding planners -- PlanPartitionedCells and the distributed
 /// ShardPlanner (dist/shard_planner). Cross-engine shard-id stability
 /// depends on both deriving the *same* grid for the same inputs; routing
-/// them through one helper makes silent drift impossible. Explicit
-/// `grid_cols > 0` wins; otherwise the grid is a square of side
-/// ~sqrt(combined cardinality / target_cell_population), clamped to
+/// them through one helper makes silent drift impossible. Reads only the
+/// inputs' scanned facts (Dataset::Scan): the joint extent and the combined
+/// count. Explicit `grid_cols > 0` wins; otherwise the grid is a square of
+/// side ~sqrt(combined cardinality / target_cell_population), clamped to
 /// [1, 1024]. Callers validate dimensions first (ValidateGridConfig).
 JoinGridSpec DeriveJoinGrid(
-    const Dataset& r, const Dataset& s, int grid_cols, int grid_rows,
+    const DatasetStats& r, const DatasetStats& s, int grid_cols,
+    int grid_rows,
     std::size_t target_cell_population = kDefaultCellPopulation);
 
 struct PartitionedDriverOptions {
@@ -80,44 +87,84 @@ struct PartitionedDriverOptions {
   /// Target objects per cell for auto-sizing (both sides combined).
   std::size_t target_cell_population = kDefaultCellPopulation;
   std::size_t num_threads = 1;
-  /// Tile-level join within each cell.
-  TileJoin tile_join = TileJoin::kPlaneSweep;
   // Note: the driver has no Schedule knob. Execution is a TaskGraph wave --
   // idle workers pull the next ready group, i.e. inherently dynamic;
   // OpenMP-style static/dynamic selection remains on the ParallelFor-based
   // algorithms (pbsm, parallel_sync_traversal).
 };
 
-/// One populated grid cell of a partitioned plan: the per-side id lists to
-/// join plus the reference-point dedup tile (cell box, closed at the extent
-/// max per the half-open rule). For the plane-sweep tile join the id lists
-/// are in sweep order (join/plane_sweep.h), so execution never sorts them.
-struct PartitionedCell {
-  Box dedup_tile;
-  std::vector<ObjectId> r_ids;
-  std::vector<ObjectId> s_ids;
-};
+/// One dataset's half of a grid plan: for every tile of one grid (one
+/// JoinGridSpec), the ids of the dataset's objects overlapping it, in sweep
+/// order (join/plane_sweep.h), so no execution sorts. Immutable once built;
+/// every plan that pairs it shares it and never copies its lists.
+struct GridSide {
+  std::vector<std::vector<ObjectId>> tiles;
 
-/// The immutable output of partitioned planning: the derived grid and the
-/// populated cells, largest first. Once built it is never mutated --
-/// ExecutePartitionedPlan reads it const -- so one plan may be shared
-/// (shared_ptr) across threads and across repeated executions, which is
-/// what the warm-serving plan cache (exec/dataset_registry) relies on.
-struct PartitionedPlanState {
-  int cols = 0;
-  int rows = 0;
-  std::vector<PartitionedCell> cells;
-
-  /// Rough resident footprint, for cache accounting.
+  /// Resident footprint of the lists, for cache accounting.
   std::size_t MemoryBytes() const;
 };
 
-/// Plans the grid join of (r, s): validates options, derives the grid
-/// (DeriveJoinGrid), builds the per-cell id lists (UniformGrid::Assign) and,
-/// when the tile join is the plane sweep, sorts them into sweep order. Both
-/// the assignment and the sort run on `options.num_threads` threads; the
-/// plan is the same for every thread count. Empty/disjoint inputs yield a
-/// plan with no cells.
+/// Builds `dataset`'s half on `grid`: UniformGrid::Assign, then SortForSweep
+/// of every non-empty tile, both on `num_threads` threads. The half is the
+/// same for every thread count.
+std::shared_ptr<const GridSide> BuildGridSide(const Dataset& dataset,
+                                              const UniformGrid& grid,
+                                              std::size_t num_threads);
+
+/// Where the planner gets one dataset version's halves (JoinInput::
+/// grid_sides). The warm-serving registry implements it; a half depends only
+/// on the dataset and the spec, so any plan over that dataset version and
+/// spec may reuse it.
+class GridSideStore {
+ public:
+  virtual ~GridSideStore() = default;
+  /// The stored half for `spec`, or `build()`'s, now stored.
+  virtual std::shared_ptr<const GridSide> GetOrBuild(
+      const JoinGridSpec& spec,
+      const std::function<std::shared_ptr<const GridSide>()>& build) = 0;
+};
+
+/// One populated grid cell of a partitioned plan: the per-side id lists to
+/// join (pointers into the plan's halves) plus the reference-point dedup
+/// tile (cell box, closed at the extent max per the half-open rule).
+struct PartitionedCell {
+  Box dedup_tile;
+  const std::vector<ObjectId>* r_ids = nullptr;
+  const std::vector<ObjectId>* s_ids = nullptr;
+};
+
+/// The immutable output of partitioned planning: the derived grid, the two
+/// halves it pairs, and the cells populated on both sides, largest first.
+/// Once built it is never mutated -- ExecutePartitionedPlan reads it const --
+/// so one plan may be shared (shared_ptr) across threads and across repeated
+/// executions, which is what the warm-serving plan cache
+/// (exec/dataset_registry) relies on.
+struct PartitionedPlanState {
+  int cols = 0;
+  int rows = 0;
+  std::shared_ptr<const GridSide> r_side;
+  std::shared_ptr<const GridSide> s_side;
+  std::vector<PartitionedCell> cells;
+
+  /// Footprint of the cells only: the halves are accounted where they are
+  /// stored (the registry), so no byte is counted twice.
+  std::size_t MemoryBytes() const;
+};
+
+/// Plans the grid join of (r, s): validates options, derives the grid from
+/// the inputs' facts (DeriveJoinGrid; inputs without facts are scanned),
+/// gets or builds each side's half (from the input's GridSideStore when it
+/// has one, else BuildGridSide; each build records a `plan.grid_side` span
+/// under `trace` with attribute side=r|s), and pairs them: the tiles
+/// populated on both sides, largest |r|*|s| first. The plan is the same for
+/// every thread count and whether or not a half came from a store.
+/// Empty/disjoint inputs yield a plan with no cells.
+Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
+    const JoinInput& r, const JoinInput& s,
+    const PartitionedDriverOptions& options,
+    const obs::TraceContext& trace = {});
+
+/// The same planner over borrowed datasets.
 Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
     const Dataset& r, const Dataset& s,
     const PartitionedDriverOptions& options);

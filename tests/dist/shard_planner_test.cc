@@ -141,7 +141,8 @@ TEST(ShardPlanner, GridDecisionIdenticalAcrossAllPlanners) {
     const Dataset r = testutil::Uniform(c.scale, 100 + c.scale);
     const Dataset s = testutil::Skewed(c.scale, 200 + c.scale);
 
-    const JoinGridSpec spec = DeriveJoinGrid(r, s, c.cols, c.rows);
+    const JoinGridSpec spec =
+        DeriveJoinGrid(r.Scan(), s.Scan(), c.cols, c.rows);
     ASSERT_TRUE(spec.has_grid);
 
     PartitionedDriverOptions options;
@@ -165,8 +166,8 @@ TEST(ShardPlanner, GridDecisionIdenticalAcrossAllPlanners) {
   // Empty inputs: one shared "no grid" decision.
   const Dataset empty;
   const Dataset some = testutil::Uniform(50, 7);
-  EXPECT_FALSE(DeriveJoinGrid(empty, some, 0, 0).has_grid);
-  EXPECT_FALSE(DeriveJoinGrid(some, empty, 4, 4).has_grid);
+  EXPECT_FALSE(DeriveJoinGrid(empty.Scan(), some.Scan(), 0, 0).has_grid);
+  EXPECT_FALSE(DeriveJoinGrid(some.Scan(), empty.Scan(), 4, 4).has_grid);
 }
 
 }  // namespace

@@ -8,19 +8,32 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dist/dist_engine.h"
+#include "grid/uniform_grid.h"
 #include "join/engine.h"
+#include "join/partitioned_driver.h"
 #include "tests/test_util.h"
 
 namespace swiftspatial::exec {
 namespace {
 
 Dataset Side(uint64_t seed) { return testutil::Uniform(300, seed); }
+
+// Bytes of the grid half the default-configured grid planner builds for
+// `d` in the join of (r, s) -- what the registry stores next to the plan.
+std::size_t HalfBytes(const Dataset& d, const Dataset& r, const Dataset& s) {
+  const JoinGridSpec spec = DeriveJoinGrid(r.Scan(), s.Scan(), 0, 0);
+  const UniformGrid grid(spec.extent, spec.cols, spec.rows);
+  return BuildGridSide(d, grid, 1)->MemoryBytes();
+}
 
 TEST(DatasetRegistry, PutGetRoundTripWithVersionBumpAndStats) {
   DatasetRegistry registry;
@@ -49,9 +62,11 @@ TEST(DatasetRegistry, PutGetRoundTripWithVersionBumpAndStats) {
 }
 
 TEST(DatasetRegistry, GetOrPrepareCachesAndSharesOnePlan) {
+  const Dataset r = Side(11);
+  const Dataset s = Side(12);
   DatasetRegistry registry;
-  registry.Put("r", Side(11));
-  registry.Put("s", Side(12));
+  registry.Put("r", r);
+  registry.Put("s", s);
   EngineConfig config;
   config.num_threads = 2;
 
@@ -66,7 +81,11 @@ TEST(DatasetRegistry, GetOrPrepareCachesAndSharesOnePlan) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.resident_bytes, (*cold)->MemoryBytes());
+  // The plan's cells plus the two halves it pairs, each counted once.
+  EXPECT_EQ(stats.resident_bytes, (*cold)->MemoryBytes() +
+                                      HalfBytes(r, r, s) + HalfBytes(s, r, s));
+  EXPECT_EQ(stats.side_misses, 2u);
+  EXPECT_EQ(stats.side_hits, 0u);
 
   auto unknown = registry.GetOrPrepare(kPartitionedEngine, "r", "nope");
   ASSERT_FALSE(unknown.ok());
@@ -110,9 +129,10 @@ TEST(DatasetRegistry, WarmExecutionBitIdenticalToColdAcrossEngines) {
 }
 
 TEST(DatasetRegistry, VersionBumpInvalidatesButInFlightPlansStayUsable) {
+  const Dataset r = Side(31);
   const Dataset old_s = Side(32);
   DatasetRegistry registry;
-  registry.Put("r", Side(31));
+  registry.Put("r", r);
   registry.Put("s", old_s);
   EngineConfig config;
   config.num_threads = 2;
@@ -128,7 +148,8 @@ TEST(DatasetRegistry, VersionBumpInvalidatesButInFlightPlansStayUsable) {
   PlanCacheStats stats = registry.plan_cache_stats();
   EXPECT_EQ(stats.invalidated, 1u);
   EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.resident_bytes, 0u);
+  // Only r's half, which the new version of s does not touch, stays.
+  EXPECT_EQ(stats.resident_bytes, HalfBytes(r, r, old_s));
 
   // ...so the next lookup is a miss that plans over the new version...
   auto new_plan = registry.GetOrPrepare(kPartitionedEngine, "r", "s", config);
@@ -194,6 +215,223 @@ TEST(DatasetRegistry, ByteBudgetEvictsLeastRecentlyUsed) {
   auto again = registry.GetOrPrepare(kPartitionedEngine, "r", "s", a);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(registry.plan_cache_stats().misses, 3u);
+}
+
+// Pins a dataset's extent to the [0, 1000]^2 map, so every version of R
+// spans the same joint extent with S and the join keeps one grid spec.
+Dataset Anchored(uint64_t seed) {
+  Dataset d = Side(seed);
+  d.mutable_boxes().push_back(Box(0, 0, 0, 0));
+  d.mutable_boxes().push_back(Box(1000, 1000, 1000, 1000));
+  return d;
+}
+
+// The update_osm shape: a new version of R re-plans R's half only; S's half
+// is reused, and the re-planned join is the fresh join of the new data.
+TEST(DatasetRegistry, PutOfOneSideReusesTheOtherSidesHalf) {
+  const Dataset r1 = Anchored(101);
+  const Dataset r2 = Anchored(102);
+  const Dataset s = Anchored(103);
+  DatasetRegistry registry;
+  registry.Put("r", r1);
+  registry.Put("s", s);
+  EngineConfig config;
+  config.num_threads = 2;
+  ASSERT_TRUE(registry.GetOrPrepare(kPartitionedEngine, "r", "s", config).ok());
+  PlanCacheStats stats = registry.plan_cache_stats();
+  EXPECT_EQ(stats.side_misses, 2u);
+  EXPECT_EQ(stats.side_hits, 0u);
+
+  registry.Put("r", r2);
+  auto plan = registry.GetOrPrepare(kPartitionedEngine, "r", "s", config);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  stats = registry.plan_cache_stats();
+  EXPECT_EQ(stats.side_misses, 3u);  // R v2's half only
+  EXPECT_EQ(stats.side_hits, 1u);    // S's half, reused
+  auto warm = RunPreparedJoin(**plan, config);
+  ASSERT_TRUE(warm.ok());
+  auto cold = RunJoin(kPartitionedEngine, r2, s, config);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_TRUE(JoinResult::SameMultiset(cold->result, warm->result));
+
+  // Halves are in sweep order for every tile join, so simd pairs the same
+  // two halves instead of building its own.
+  auto simd = registry.GetOrPrepare(kSimdEngine, "r", "s", config);
+  ASSERT_TRUE(simd.ok()) << simd.status().ToString();
+  stats = registry.plan_cache_stats();
+  EXPECT_EQ(stats.side_misses, 3u);
+  EXPECT_EQ(stats.side_hits, 3u);
+  auto simd_run = RunPreparedJoin(**simd, config);
+  ASSERT_TRUE(simd_run.ok());
+  EXPECT_TRUE(JoinResult::SameMultiset(cold->result, simd_run->result));
+}
+
+TEST(DatasetRegistry, VersionBumpDropsOnlyThatDatasetsHalves) {
+  const Dataset r = Anchored(111);
+  const Dataset s = Anchored(112);
+  const Dataset t = Anchored(113);
+  DatasetRegistry registry;
+  registry.Put("r", r);
+  registry.Put("s", s);
+  registry.Put("t", t);
+  EngineConfig config;
+  config.num_threads = 2;
+  auto rs = registry.GetOrPrepare(kPartitionedEngine, "r", "s", config);
+  auto ts = registry.GetOrPrepare(kPartitionedEngine, "t", "s", config);
+  ASSERT_TRUE(rs.ok() && ts.ok());
+  // (t, s) spans the same extent as (r, s): s's half is shared.
+  PlanCacheStats stats = registry.plan_cache_stats();
+  EXPECT_EQ(stats.side_misses, 3u);
+  EXPECT_EQ(stats.side_hits, 1u);
+  const std::size_t rs_bytes = (*rs)->MemoryBytes();
+  const std::size_t ts_bytes = (*ts)->MemoryBytes();
+  EXPECT_EQ(stats.resident_bytes, rs_bytes + ts_bytes + HalfBytes(r, r, s) +
+                                      HalfBytes(s, r, s) + HalfBytes(t, t, s));
+
+  // Re-registering r drops r's half and the (r, s) plan; the (t, s) plan
+  // and both halves it pairs stay.
+  registry.Put("r", Anchored(114));
+  stats = registry.plan_cache_stats();
+  EXPECT_EQ(stats.invalidated, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.resident_bytes,
+            ts_bytes + HalfBytes(s, r, s) + HalfBytes(t, t, s));
+  ASSERT_TRUE(registry.GetOrPrepare(kPartitionedEngine, "t", "s", config).ok());
+  EXPECT_EQ(registry.plan_cache_stats().hits, 1u);
+}
+
+// Halves share the plans' budget. A half is evicted once no resident plan
+// or running request holds it (dropping a held one would free nothing).
+TEST(DatasetRegistry, ByteBudgetEvictsHalves) {
+  const Dataset r = Side(121);
+  const Dataset s = Side(122);
+  DatasetRegistryOptions options;
+  options.max_plan_bytes = 1;  // keep-newest only
+  EngineConfig a;
+  a.num_threads = 1;
+  EngineConfig b = a;
+  b.grid_cols = 5;
+  b.grid_rows = 5;
+
+  {
+    // Nothing holds the first plan: the second evicts it and then its
+    // halves, so re-planning the first spec builds both halves again.
+    DatasetRegistry registry(options);
+    registry.Put("r", r);
+    registry.Put("s", s);
+    ASSERT_TRUE(registry.GetOrPrepare(kPartitionedEngine, "r", "s", a).ok());
+    ASSERT_TRUE(registry.GetOrPrepare(kPartitionedEngine, "r", "s", b).ok());
+    auto again = registry.GetOrPrepare(kSimdEngine, "r", "s", a);
+    ASSERT_TRUE(again.ok());
+    const PlanCacheStats stats = registry.plan_cache_stats();
+    EXPECT_EQ(stats.side_misses, 6u);
+    EXPECT_EQ(stats.side_hits, 0u);
+    EXPECT_EQ(stats.evictions, 2u);
+    EXPECT_EQ(stats.entries, 1u);
+    // Left: the newest plan and the two halves it pairs.
+    EXPECT_EQ(stats.resident_bytes, (*again)->MemoryBytes() +
+                                        HalfBytes(r, r, s) +
+                                        HalfBytes(s, r, s));
+  }
+  {
+    // A caller holds the first plan: the second still evicts the plan, but
+    // its halves stay stored and the next plan on that spec reuses them.
+    DatasetRegistry registry(options);
+    registry.Put("r", r);
+    registry.Put("s", s);
+    auto held = registry.GetOrPrepare(kPartitionedEngine, "r", "s", a);
+    ASSERT_TRUE(held.ok());
+    ASSERT_TRUE(registry.GetOrPrepare(kPartitionedEngine, "r", "s", b).ok());
+    EXPECT_EQ(registry.plan_cache_stats().evictions, 1u);
+    ASSERT_TRUE(registry.GetOrPrepare(kSimdEngine, "r", "s", a).ok());
+    const PlanCacheStats stats = registry.plan_cache_stats();
+    EXPECT_EQ(stats.side_misses, 4u);
+    EXPECT_EQ(stats.side_hits, 2u);
+  }
+}
+
+// Put scans once and keeps the validity verdict; Prepare enforces it with
+// the same status a borrowed join gets.
+TEST(DatasetRegistry, InvalidBoxFailsGetOrPrepareWithTheScanStatus) {
+  const Dataset bad("bad", {Box(0, 0, 1, 1), Box(5, 5, 1, 1)});
+  DatasetRegistry registry;
+  registry.Put("bad", bad);
+  registry.Put("s", Side(131));
+  auto plan = registry.GetOrPrepare(kPartitionedEngine, "bad", "s");
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(plan.status().message(),
+            "dataset \"bad\": box 1 is inverted (min > max): " +
+                Box(5, 5, 1, 1).ToString());
+  auto borrowed = RunJoin(kPartitionedEngine, bad, Side(131));
+  ASSERT_FALSE(borrowed.ok());
+  EXPECT_EQ(borrowed.status().ToString(), plan.status().ToString());
+
+  // The policy stays the request's: opting out skips the check.
+  EngineConfig unchecked;
+  unchecked.validate_inputs = false;
+  EXPECT_TRUE(
+      registry.GetOrPrepare(kNestedLoopEngine, "bad", "s", unchecked).ok());
+}
+
+// Put scans outside the registry lock: a writer re-registering a 1M-box
+// dataset in a loop must not hold up warm lookups of an unrelated pair. The
+// bound is relative to the measured Put, so it holds under sanitizers too;
+// a scan under the lock makes the lookups' p95 about a whole Put.
+TEST(DatasetRegistry, PutDoesNotBlockWarmLookups) {
+  DatasetRegistry registry;
+  registry.Put("r", Side(141));
+  registry.Put("s", Side(142));
+  ASSERT_TRUE(registry.GetOrPrepare(kPartitionedEngine, "r", "s").ok());
+  const Dataset big = testutil::Uniform(1'000'000, 143);
+
+  using Clock = std::chrono::steady_clock;
+  const auto seconds_since = [](Clock::time_point start) {
+    return std::chrono::duration<double>(Clock::now() - start).count();
+  };
+  // One round: 8 Puts against open-loop lookups, one due every 100 us and
+  // each timed from when it was due -- a lookup stuck behind a scan under
+  // the lock makes every arrival during the scan late, not just the one
+  // that hit it. Lateness that arose outside the lookups (this thread
+  // preempted while it waited for the next arrival) is not the registry's:
+  // the schedule restarts there. Returns lookup p95 / median Put.
+  const auto round = [&]() -> double {
+    std::atomic<bool> done{false};
+    std::vector<double> put_s;
+    std::thread writer([&] {
+      for (int i = 0; i < 8; ++i) {
+        Dataset copy = big;
+        const auto start = Clock::now();
+        registry.Put("big", std::move(copy));
+        put_s.push_back(seconds_since(start));
+      }
+      done = true;
+    });
+    std::vector<double> lookup_s;
+    bool lookups_ok = true;
+    Clock::time_point due = Clock::now();
+    Clock::time_point last_end = due;
+    while (!done) {
+      due += std::chrono::microseconds(100);
+      while (Clock::now() < due) {
+      }
+      if (last_end <= due) due = Clock::now();
+      lookups_ok &= registry.GetOrPrepare(kPartitionedEngine, "r", "s").ok();
+      last_end = Clock::now();
+      lookup_s.push_back(seconds_since(due));
+    }
+    writer.join();
+    EXPECT_TRUE(lookups_ok);
+    EXPECT_GE(lookup_s.size(), 20u);
+    std::sort(put_s.begin(), put_s.end());
+    std::sort(lookup_s.begin(), lookup_s.end());
+    return lookup_s[lookup_s.size() * 95 / 100] / put_s[put_s.size() / 2];
+  };
+  // The best of three rounds: a lock held across the scan slows every
+  // round, while preemption inside a lookup slows only some.
+  double best = round();
+  for (int i = 0; i < 2; ++i) best = std::min(best, round());
+  EXPECT_LT(best, 0.25) << "lookup p95 / median Put";
 }
 
 // Race coverage for the TSan job: concurrent warm lookups and executions of

@@ -41,11 +41,10 @@ class FaultEngineBase : public JoinEngine {
  public:
   explicit FaultEngineBase(std::string name) : name_(std::move(name)) {}
   const std::string& name() const override { return name_; }
-  Result<std::shared_ptr<const PreparedPlan>> Prepare(
-      std::shared_ptr<const Dataset> r,
-      std::shared_ptr<const Dataset> s) override {
-    return std::shared_ptr<const PreparedPlan>(
-        std::make_shared<InputsOnlyPlan>(name_, std::move(r), std::move(s)));
+  Result<std::shared_ptr<const PreparedPlan>> Prepare(JoinInput r,
+                                                      JoinInput s) override {
+    return std::shared_ptr<const PreparedPlan>(std::make_shared<InputsOnlyPlan>(
+        name_, std::move(r.data), std::move(s.data)));
   }
 
  private:

@@ -178,7 +178,7 @@ TEST(DegenerateBox, PartitionedJoinHandlesDegenerateData) {
     options.num_threads = 2;
     auto plan = PlanPartitionedCells(r, s, options);
     ASSERT_TRUE(plan.ok());
-    JoinResult got = ExecutePartitionedPlan(**plan, r, s, options.tile_join,
+    JoinResult got = ExecutePartitionedPlan(**plan, r, s, TileJoin::kPlaneSweep,
                                             options.num_threads, nullptr);
     EXPECT_TRUE(JoinResult::SameMultiset(expected, got))
         << "grid " << grid_side << "x" << grid_side << ": expected "
@@ -221,7 +221,7 @@ TEST(DegenerateBox, PartitionedJoinKeepsPairsOnFloatRoundedCellEdges) {
     options.num_threads = 2;
     auto plan = PlanPartitionedCells(r, s, options);
     ASSERT_TRUE(plan.ok());
-    JoinResult got = ExecutePartitionedPlan(**plan, r, s, options.tile_join,
+    JoinResult got = ExecutePartitionedPlan(**plan, r, s, TileJoin::kPlaneSweep,
                                             options.num_threads, nullptr);
     EXPECT_TRUE(JoinResult::SameMultiset(expected, got))
         << side << "x" << side << " grid: expected " << expected.size()
@@ -247,7 +247,7 @@ TEST(DegenerateBox, PartitionedJoinOnZeroWidthExtent) {
     options.grid_rows = side;
     auto plan = PlanPartitionedCells(r, s, options);
     ASSERT_TRUE(plan.ok());
-    JoinResult got = ExecutePartitionedPlan(**plan, r, s, options.tile_join,
+    JoinResult got = ExecutePartitionedPlan(**plan, r, s, TileJoin::kPlaneSweep,
                                             options.num_threads, nullptr);
     EXPECT_TRUE(JoinResult::SameMultiset(expected, got))
         << side << "x" << side << " grid: expected " << expected.size()

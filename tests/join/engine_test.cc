@@ -406,12 +406,12 @@ TEST(EngineRun, ReportsStageTimingAndStats) {
 // Plans (r, s) under `options` and executes the plan once.
 JoinResult PlanAndExecute(const Dataset& r, const Dataset& s,
                           const PartitionedDriverOptions& options,
-                          JoinStats* stats = nullptr) {
+                          TileJoin tile_join = TileJoin::kPlaneSweep) {
   auto plan = PlanPartitionedCells(r, s, options);
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   if (!plan.ok()) return JoinResult();
-  return ExecutePartitionedPlan(**plan, r, s, options.tile_join,
-                                options.num_threads, stats);
+  return ExecutePartitionedPlan(**plan, r, s, tile_join, options.num_threads,
+                                nullptr);
 }
 
 // Objects spanning many cells must still be reported exactly once: the
@@ -432,7 +432,7 @@ TEST(PartitionedDriver, EliminatesCrossCellDuplicates) {
   EXPECT_GT((*plan)->cells.size(), 1u);
 
   JoinStats stats;
-  JoinResult got = ExecutePartitionedPlan(**plan, r, s, options.tile_join,
+  JoinResult got = ExecutePartitionedPlan(**plan, r, s, TileJoin::kPlaneSweep,
                                           options.num_threads, &stats);
   EXPECT_GT(stats.tasks, 1u);
 
@@ -472,9 +472,8 @@ TEST(PartitionedDriver, TileJoinVariantsAgree) {
   for (const TileJoin tile_join :
        {TileJoin::kPlaneSweep, TileJoin::kNestedLoop, TileJoin::kSimd}) {
     PartitionedDriverOptions options;
-    options.tile_join = tile_join;
     options.num_threads = 2;
-    JoinResult got = PlanAndExecute(r, s, options);
+    JoinResult got = PlanAndExecute(r, s, options, tile_join);
     if (tile_join == TileJoin::kPlaneSweep) {
       reference = std::move(got);
       EXPECT_GT(reference.size(), 0u);

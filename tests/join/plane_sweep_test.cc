@@ -226,8 +226,8 @@ TEST(PlaneSweep, CachedPlansAreInSweepOrder) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   ASSERT_GT((*plan)->cells.size(), 1u);
   for (const PartitionedCell& cell : (*plan)->cells) {
-    ASSERT_TRUE(InSweepOrder(r, cell.r_ids));
-    ASSERT_TRUE(InSweepOrder(s, cell.s_ids));
+    ASSERT_TRUE(InSweepOrder(r, *cell.r_ids));
+    ASSERT_TRUE(InSweepOrder(s, *cell.s_ids));
   }
 
   PbsmOptions pbsm;
@@ -298,10 +298,10 @@ TEST(PlaneSweep, PartitionedPlanIsIdenticalAtEveryThreadCount) {
     ASSERT_EQ(cells.size(), expected.size()) << threads << " threads";
     for (std::size_t i = 0; i < cells.size(); ++i) {
       ASSERT_EQ(cells[i].dedup_tile, expected[i].dedup_tile) << "cell " << i;
-      ASSERT_EQ(cells[i].r_ids, expected[i].r_ids) << "cell " << i;
-      ASSERT_EQ(cells[i].s_ids, expected[i].s_ids) << "cell " << i;
-      ASSERT_TRUE(InSweepOrder(r, cells[i].r_ids)) << "cell " << i;
-      ASSERT_TRUE(InSweepOrder(s, cells[i].s_ids)) << "cell " << i;
+      ASSERT_EQ(*cells[i].r_ids, *expected[i].r_ids) << "cell " << i;
+      ASSERT_EQ(*cells[i].s_ids, *expected[i].s_ids) << "cell " << i;
+      ASSERT_TRUE(InSweepOrder(r, *cells[i].r_ids)) << "cell " << i;
+      ASSERT_TRUE(InSweepOrder(s, *cells[i].s_ids)) << "cell " << i;
     }
   }
 }

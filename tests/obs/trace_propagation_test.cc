@@ -125,6 +125,61 @@ TEST(TracePropagationTest, ServedDistJoinFormsOneConnectedSpanTree) {
   EXPECT_EQ(committed_shards, executed_shards);
 }
 
+// Pins a dataset's extent to the [0, 1000]^2 map, so every version of R
+// keeps the join on one grid spec.
+Dataset Anchored(uint64_t seed) {
+  Dataset d = testutil::Uniform(800, seed);
+  d.mutable_boxes().push_back(Box(0, 0, 0, 0));
+  d.mutable_boxes().push_back(Box(1000, 1000, 1000, 1000));
+  return d;
+}
+
+// An update request re-plans only the side that changed: the trace of the
+// request after a put of R shows one grid-half build, for R, and the cache
+// stats show S's half reused.
+TEST(TracePropagationTest, UpdateRequestBuildsOnlyTheChangedSide) {
+#ifdef SWIFTSPATIAL_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (SWIFTSPATIAL_OBS_OFF)";
+#endif
+  SpanBuffer buffer;
+  exec::JoinServiceOptions options;
+  options.worker_threads = 2;
+  options.span_buffer = &buffer;
+  exec::JoinService service(options);
+  service.RegisterDataset("r", Anchored(91));
+  service.RegisterDataset("s", Anchored(92));
+  EngineConfig config;
+  config.num_threads = 2;
+
+  std::vector<uint64_t> traces;
+  for (const uint64_t r_seed : {93, 94}) {
+    if (r_seed == 94) service.RegisterDataset("r", Anchored(r_seed));
+    auto handle = service.SubmitNamed("t", kPartitionedEngine, "r", "s",
+                                      config);
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    const exec::StreamSummary summary = handle->Collect();
+    ASSERT_TRUE(summary.status.ok()) << summary.status.ToString();
+    service.Drain();
+    const SpanIndex idx(buffer.Snapshot());
+    traces.push_back(idx.by_name.at("request").back()->trace_id);
+  }
+
+  const SpanIndex idx(buffer.Snapshot());
+  std::map<uint64_t, std::vector<std::string>> sides_by_trace;
+  for (const SpanRecord* span : idx.by_name.at("plan.grid_side")) {
+    sides_by_trace[span->trace_id].push_back(Attr(*span, "side"));
+  }
+  EXPECT_EQ(sides_by_trace[traces[0]], (std::vector<std::string>{"r", "s"}));
+  EXPECT_EQ(sides_by_trace[traces[1]], (std::vector<std::string>{"r"}));
+  const exec::PlanCacheStats cache = service.Snapshot().plan_cache;
+  EXPECT_EQ(cache.side_misses, 3u);
+  EXPECT_EQ(cache.side_hits, 1u);
+  const std::string text = service.MetricsText();
+  EXPECT_NE(text.find("swiftspatial_cache_side_hits_total"), std::string::npos);
+  EXPECT_NE(text.find("swiftspatial_cache_side_misses_total"),
+            std::string::npos);
+}
+
 TEST(TracePropagationTest, RetriedShardsCommitUnderBumpedAttemptSpans) {
 #ifdef SWIFTSPATIAL_OBS_OFF
   GTEST_SKIP() << "observability compiled out (SWIFTSPATIAL_OBS_OFF)";
