@@ -19,26 +19,34 @@ const char* TraversalStrategyToString(TraversalStrategy s) {
 
 namespace {
 
-// Per-worker accumulation state, merged by a single thread at the end
-// (mirroring the paper's "a single thread subsequently merging the
-// results").
+// Per-worker state, kept for the whole join: results and stats accumulate
+// across levels and are merged by a single thread at the end (mirroring the
+// paper's "a single thread subsequently merging the results"); the node
+// block and the DFS stacks are scratch sized once, so no task allocates.
 struct WorkerState {
+  WorkerState(const PackedRTree& r, const PackedRTree& s) : block(r, s) {}
+
   JoinResult result;
   std::vector<NodePairTask> next;
   JoinStats stats;
+  NodeBlock block;
+  std::vector<NodePairTask> dfs_stack;
+  std::vector<NodePairTask> dfs_children;
 };
 
 // Sequential DFS completing one subtree of tasks.
 void DfsFrom(const PackedRTree& r, const PackedRTree& s, NodePairTask root,
              WorkerState* state) {
-  std::vector<NodePairTask> stack = {root};
-  std::vector<NodePairTask> next;
+  std::vector<NodePairTask>& stack = state->dfs_stack;
+  std::vector<NodePairTask>& children = state->dfs_children;
+  stack.assign(1, root);
   while (!stack.empty()) {
     const NodePairTask task = stack.back();
     stack.pop_back();
-    next.clear();
-    JoinNodePair(r, s, task.r, task.s, &next, &state->result, &state->stats);
-    stack.insert(stack.end(), next.begin(), next.end());
+    children.clear();
+    JoinNodePair(r, s, task.r, task.s, &state->block, &children,
+                 &state->result, &state->stats);
+    stack.insert(stack.end(), children.begin(), children.end());
   }
 }
 
@@ -50,16 +58,13 @@ JoinResult ParallelSyncTraversal(const PackedRTree& r, const PackedRTree& s,
   const std::size_t threads = std::max<std::size_t>(1, options.num_threads);
   std::vector<NodePairTask> frontier = {{r.root(), s.root()}};
 
-  JoinResult out;
-  JoinStats total_stats;
-
   const std::size_t dfs_threshold =
       options.strategy == TraversalStrategy::kBfsDfs
           ? options.dfs_switch_factor * threads
           : static_cast<std::size_t>(-1);
 
+  std::vector<WorkerState> workers(threads, WorkerState(r, s));
   while (!frontier.empty()) {
-    std::vector<WorkerState> workers(threads);
     const bool dfs_phase = frontier.size() >= dfs_threshold;
 
     ParallelForWorker(
@@ -69,23 +74,25 @@ JoinResult ParallelSyncTraversal(const PackedRTree& r, const PackedRTree& s,
           if (dfs_phase) {
             DfsFrom(r, s, frontier[i], &state);
           } else {
-            JoinNodePair(r, s, frontier[i].r, frontier[i].s, &state.next,
-                         &state.result, &state.stats);
+            JoinNodePair(r, s, frontier[i].r, frontier[i].s, &state.block,
+                         &state.next, &state.result, &state.stats);
           }
         },
         /*chunk=*/1);
 
-    std::vector<NodePairTask> next;
-    for (auto& w : workers) {
-      out.Merge(std::move(w.result));
-      total_stats += w.stats;
-      next.insert(next.end(), w.next.begin(), w.next.end());
-    }
     if (dfs_phase) break;  // DFS drains every subtree; nothing remains.
-    frontier.swap(next);
+    frontier.clear();
+    for (auto& w : workers) {
+      frontier.insert(frontier.end(), w.next.begin(), w.next.end());
+      w.next.clear();
+    }
   }
 
-  if (stats != nullptr) *stats += total_stats;
+  JoinResult out;
+  for (auto& w : workers) {
+    out.Merge(std::move(w.result));
+    if (stats != nullptr) *stats += w.stats;
+  }
   return out;
 }
 

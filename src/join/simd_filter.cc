@@ -3,11 +3,24 @@
 #include <algorithm>
 #include <bit>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 namespace swiftspatial {
+
+namespace {
+
+// ORs the hits of candidates [i, n) into `mask` through the short-block
+// compare. The callers' vector and block bodies stop on a multiple of 8, so
+// the fewer than 64 remaining candidates never straddle a mask word.
+void FilterTail(const Box& probe, const Coord* min_x, const Coord* min_y,
+                const Coord* max_x, const Coord* max_y, std::size_t i,
+                std::size_t n, uint64_t* mask) {
+  if (i == n) return;
+  uint64_t tail = 0;
+  FilterSoAShort(probe, min_x + i, min_y + i, max_x + i, max_y + i, n - i,
+                 &tail);
+  mask[i >> 6] |= tail << (i & 63);
+}
+
+}  // namespace
 
 const char* SimdFilterBackend() {
 #if defined(__AVX2__)
@@ -20,36 +33,16 @@ const char* SimdFilterBackend() {
 void FilterSoA(const Box& probe, const Coord* min_x, const Coord* min_y,
                const Coord* max_x, const Coord* max_y, std::size_t n,
                uint64_t* mask) {
-  std::fill_n(mask, FilterMaskWords(n), uint64_t{0});
-  std::size_t i = 0;
 #if defined(__AVX2__)
-  // 8 candidates per iteration. _CMP_GE_OQ is the ordered-quiet >=: false
-  // when either operand is NaN, exactly like the scalar `>=` below, so both
-  // paths agree bit-for-bit on non-finite inputs.
-  const __m256 p_max_x = _mm256_set1_ps(probe.max_x);
-  const __m256 p_min_x = _mm256_set1_ps(probe.min_x);
-  const __m256 p_max_y = _mm256_set1_ps(probe.max_y);
-  const __m256 p_min_y = _mm256_set1_ps(probe.min_y);
-  for (; i + 8 <= n; i += 8) {
-    const __m256 hit_x = _mm256_and_ps(
-        _mm256_cmp_ps(p_max_x, _mm256_loadu_ps(min_x + i), _CMP_GE_OQ),
-        _mm256_cmp_ps(_mm256_loadu_ps(max_x + i), p_min_x, _CMP_GE_OQ));
-    const __m256 hit_y = _mm256_and_ps(
-        _mm256_cmp_ps(p_max_y, _mm256_loadu_ps(min_y + i), _CMP_GE_OQ),
-        _mm256_cmp_ps(_mm256_loadu_ps(max_y + i), p_min_y, _CMP_GE_OQ));
-    const auto bits = static_cast<uint32_t>(
-        _mm256_movemask_ps(_mm256_and_ps(hit_x, hit_y)));
-    // i advances in steps of 8, so a lane group never straddles a word.
-    mask[i >> 6] |= static_cast<uint64_t>(bits) << (i & 63);
-  }
-#endif
+  // 8 candidates per compare throughout.
+  FilterSoAShort(probe, min_x, min_y, max_x, max_y, n, mask);
+#else
   // Scalar fallback: 64-candidate blocks. The comparisons write one byte
   // per candidate in a branchless elementwise loop the compiler
   // auto-vectorizes (a variable-shift OR into the mask word would defeat
   // it -- the pack is split out so only the cheap byte reduction stays
-  // scalar). Without AVX2, i is 0 here; with it, fewer than 8 candidates
-  // remain and the block loop is skipped, so i is always 64-aligned when a
-  // block runs and whole-word assignment is safe.
+  // scalar).
+  std::size_t i = 0;
   for (; i + 64 <= n; i += 64) {
     unsigned char hits[64];
     for (int b = 0; b < 64; ++b) {
@@ -64,12 +57,12 @@ void FilterSoA(const Box& probe, const Coord* min_x, const Coord* min_y,
     }
     mask[i >> 6] = word;
   }
-  // Tail (and sub-8 AVX2 remainder): per-bit, at most 63 iterations.
-  for (; i < n; ++i) {
-    const bool hit = probe.max_x >= min_x[i] && max_x[i] >= probe.min_x &&
-                     probe.max_y >= min_y[i] && max_y[i] >= probe.min_y;
-    mask[i >> 6] |= static_cast<uint64_t>(hit) << (i & 63);
+  // Tail: fewer than 64 candidates, one whole word.
+  if (i < n) {
+    FilterSoAShort(probe, min_x + i, min_y + i, max_x + i, max_y + i, n - i,
+                   mask + (i >> 6));
   }
+#endif
 }
 
 void FilterSoAProbeBlock(const Coord* p_min_x, const Coord* p_min_y,
@@ -112,14 +105,11 @@ void FilterSoAProbeBlock(const Coord* p_min_x, const Coord* p_min_y,
         m[b][i >> 6] |= static_cast<uint64_t>(bits) << (i & 63);
       }
     }
-    // Candidate tail: per-bit, at most 7 per probe.
+    // Candidate tail: at most 7 per probe.
     for (std::size_t b = 0; b < 4; ++b) {
-      for (std::size_t j = i; j < n; ++j) {
-        const bool hit =
-            p_max_x[p + b] >= min_x[j] && max_x[j] >= p_min_x[p + b] &&
-            p_max_y[p + b] >= min_y[j] && max_y[j] >= p_min_y[p + b];
-        m[b][j >> 6] |= static_cast<uint64_t>(hit) << (j & 63);
-      }
+      FilterTail(Box(p_min_x[p + b], p_min_y[p + b], p_max_x[p + b],
+                     p_max_y[p + b]),
+                 min_x, min_y, max_x, max_y, i, n, m[b]);
     }
   }
 #else
@@ -152,13 +142,10 @@ void FilterSoAProbeBlock(const Coord* p_min_x, const Coord* p_min_y,
       masks[q * words + (i >> 6)] = word;
     }
   }
-  // Candidate tail: per-bit, at most 63 per probe.
+  // Candidate tail: at most 63 per probe.
   for (std::size_t q = 0; q < np; ++q) {
-    for (std::size_t j = i; j < n; ++j) {
-      const bool hit = p_max_x[q] >= min_x[j] && max_x[j] >= p_min_x[q] &&
-                       p_max_y[q] >= min_y[j] && max_y[j] >= p_min_y[q];
-      masks[q * words + (j >> 6)] |= static_cast<uint64_t>(hit) << (j & 63);
-    }
+    FilterTail(Box(p_min_x[q], p_min_y[q], p_max_x[q], p_max_y[q]), min_x,
+               min_y, max_x, max_y, i, n, masks + q * words);
   }
   p = np;  // the block handled every probe
 #endif

@@ -12,8 +12,12 @@
 //     branchless elementwise compare loop writes one hit byte per candidate
 //     (the form compilers auto-vectorize; OR-ing variable-shifted bits
 //     directly into the mask word would defeat vectorization), then a
-//     separate cheap pack loop folds the 64 bytes into the output word. A
-//     per-bit loop handles the tail when N is not a multiple of the block.
+//     separate cheap pack loop folds the 64 bytes into the output word.
+// Short runs -- the tails of the scalar blocks and of the AVX2 probe quads,
+// and whole R-tree nodes in the synchronous traversal's block join -- go
+// through the inline FilterSoAShort, which compares 8 (AVX2) or 4 (SSE2,
+// the x86-64 baseline) candidates per instruction and finishes with a
+// branch-free scalar loop. With AVX2, FilterSoA is FilterSoAShort.
 //
 // Comparison semantics are bit-identical to geometry::Intersects: closed
 // boundaries (>=), so touching edges and corners match; any comparison
@@ -26,6 +30,7 @@
 #ifndef SWIFTSPATIAL_JOIN_SIMD_FILTER_H_
 #define SWIFTSPATIAL_JOIN_SIMD_FILTER_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -35,6 +40,12 @@
 #include "geometry/box_block.h"
 #include "join/result.h"
 
+#if defined(__AVX2__)
+#include <immintrin.h>
+#elif defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace swiftspatial {
 
 /// Which kernel implementation this binary was compiled with: "avx2" or
@@ -43,6 +54,72 @@ const char* SimdFilterBackend();
 
 /// Number of 64-bit mask words needed for an n-candidate filter call.
 inline std::size_t FilterMaskWords(std::size_t n) { return (n + 63) / 64; }
+
+/// Short-block compare, inline so that a call per R-tree node entry costs
+/// no call: bit i of `mask` is set iff `probe` intersects candidate i, with
+/// the semantics of FilterSoA. `mask` must hold FilterMaskWords(n) words;
+/// all of them are overwritten and bits at positions >= n are zero. Reads
+/// exactly n candidates per array, so callers need no padding.
+inline void FilterSoAShort(const Box& probe, const Coord* min_x,
+                           const Coord* min_y, const Coord* max_x,
+                           const Coord* max_y, std::size_t n,
+                           uint64_t* mask) {
+#if defined(__AVX2__)
+  const __m256 p8_max_x = _mm256_set1_ps(probe.max_x);
+  const __m256 p8_min_x = _mm256_set1_ps(probe.min_x);
+  const __m256 p8_max_y = _mm256_set1_ps(probe.max_y);
+  const __m256 p8_min_y = _mm256_set1_ps(probe.min_y);
+#endif
+#if defined(__SSE2__)
+  const __m128 p4_max_x = _mm_set1_ps(probe.max_x);
+  const __m128 p4_min_x = _mm_set1_ps(probe.min_x);
+  const __m128 p4_max_y = _mm_set1_ps(probe.max_y);
+  const __m128 p4_min_y = _mm_set1_ps(probe.min_y);
+#endif
+  std::size_t i = 0;
+  const std::size_t words = FilterMaskWords(n);
+  for (std::size_t w = 0; w < words; ++w) {
+    // Every word but the last ends on a multiple of 64, so only the last
+    // can leave a remainder for the scalar loop, and no lane group
+    // straddles a word.
+    const std::size_t end = std::min(n, i + 64);
+    uint64_t word = 0;
+#if defined(__AVX2__)
+    // _CMP_GE_OQ: ordered >=, false when either operand is NaN.
+    for (; i + 8 <= end; i += 8) {
+      const __m256 hit_x = _mm256_and_ps(
+          _mm256_cmp_ps(p8_max_x, _mm256_loadu_ps(min_x + i), _CMP_GE_OQ),
+          _mm256_cmp_ps(_mm256_loadu_ps(max_x + i), p8_min_x, _CMP_GE_OQ));
+      const __m256 hit_y = _mm256_and_ps(
+          _mm256_cmp_ps(p8_max_y, _mm256_loadu_ps(min_y + i), _CMP_GE_OQ),
+          _mm256_cmp_ps(_mm256_loadu_ps(max_y + i), p8_min_y, _CMP_GE_OQ));
+      word |= static_cast<uint64_t>(static_cast<uint32_t>(
+                  _mm256_movemask_ps(_mm256_and_ps(hit_x, hit_y))))
+              << (i & 63);
+    }
+#endif
+#if defined(__SSE2__)
+    // _mm_cmpge_ps is an ordered compare too: NaN lanes are false.
+    for (; i + 4 <= end; i += 4) {
+      const __m128 hit_x =
+          _mm_and_ps(_mm_cmpge_ps(p4_max_x, _mm_loadu_ps(min_x + i)),
+                     _mm_cmpge_ps(_mm_loadu_ps(max_x + i), p4_min_x));
+      const __m128 hit_y =
+          _mm_and_ps(_mm_cmpge_ps(p4_max_y, _mm_loadu_ps(min_y + i)),
+                     _mm_cmpge_ps(_mm_loadu_ps(max_y + i), p4_min_y));
+      word |= static_cast<uint64_t>(static_cast<uint32_t>(
+                  _mm_movemask_ps(_mm_and_ps(hit_x, hit_y))))
+              << (i & 63);
+    }
+#endif
+    for (; i < end; ++i) {
+      const bool hit = (probe.max_x >= min_x[i]) & (max_x[i] >= probe.min_x) &
+                       (probe.max_y >= min_y[i]) & (max_y[i] >= probe.min_y);
+      word |= static_cast<uint64_t>(hit) << (i & 63);
+    }
+    mask[w] = word;
+  }
+}
 
 /// Core kernel over raw SoA coordinate arrays: bit i of `mask` is set iff
 /// `probe` intersects candidate i (closed boundaries, identical to

@@ -1,60 +1,75 @@
 #include "join/sync_traversal.h"
 
+#include <algorithm>
+#include <bit>
+
+#include "common/logging.h"
+#include "join/simd_filter.h"
+
 namespace swiftspatial {
 
+NodeBlock::NodeBlock(const PackedRTree& r, const PackedRTree& s) {
+  const auto capacity =
+      static_cast<std::size_t>(std::max(r.max_entries(), s.max_entries()));
+  for (std::vector<Coord>* coords : {&min_x, &min_y, &max_x, &max_y}) {
+    coords->resize(capacity);
+  }
+  id.resize(capacity);
+  mask.resize(FilterMaskWords(capacity));
+}
+
 void JoinNodePair(const PackedRTree& r, const PackedRTree& s,
-                  NodeIndex r_node, NodeIndex s_node,
+                  NodeIndex r_node, NodeIndex s_node, NodeBlock* block,
                   std::vector<NodePairTask>* next, JoinResult* out,
                   JoinStats* stats) {
   const NodeView rn = r.node(r_node);
   const NodeView sn = s.node(s_node);
-  const int rc = rn.count();
-  const int sc = sn.count();
-  const std::size_t next_before = next->size();
-  if (stats != nullptr) {
-    stats->tasks += 1;
-    stats->predicate_evaluations += static_cast<uint64_t>(rc) * sc;
+  const bool same_kind = rn.is_leaf() == sn.is_leaf();
+  // The block holds the entries a probe pairs with: S's, unless R is the
+  // directory descending alone past a leaf of S (trees of differing
+  // heights).
+  const bool s_is_block = same_kind || rn.is_leaf();
+  const NodeView bn = s_is_block ? sn : rn;
+  const std::size_t n = bn.count();
+  SWIFT_DCHECK(n <= block->id.size());
+  for (std::size_t j = 0; j < n; ++j) {
+    const PackedEntry e = bn.entry(static_cast<int>(j));
+    block->min_x[j] = e.box.min_x;
+    block->min_y[j] = e.box.min_y;
+    block->max_x[j] = e.box.max_x;
+    block->max_y[j] = e.box.max_y;
+    block->id[j] = e.id;
   }
 
-  if (rn.is_leaf() && sn.is_leaf()) {
-    for (int i = 0; i < rc; ++i) {
-      const PackedEntry re = rn.entry(i);
-      for (int j = 0; j < sc; ++j) {
-        const PackedEntry se = sn.entry(j);
-        if (Intersects(re.box, se.box)) out->Add(re.id, se.id);
+  const bool emit_results = rn.is_leaf() && sn.is_leaf();
+  const int probes = same_kind ? rn.count() : 1;
+  const std::size_t words = FilterMaskWords(n);
+  uint64_t* mask = block->mask.data();
+  const std::size_t next_before = next->size();
+  for (int i = 0; i < probes; ++i) {
+    // A probe is an R entry, or the leaf side's MBR paired with its node.
+    const PackedEntry probe =
+        same_kind ? rn.entry(i)
+                  : PackedEntry{(s_is_block ? rn : sn).Mbr(),
+                                s_is_block ? r_node : s_node};
+    FilterSoAShort(probe.box, block->min_x.data(), block->min_y.data(),
+                   block->max_x.data(), block->max_y.data(), n, mask);
+    for (std::size_t w = 0; w < words; ++w) {
+      for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+        const int32_t hit = block->id[(w << 6) + std::countr_zero(bits)];
+        const int32_t r_id = s_is_block ? probe.id : hit;
+        const int32_t s_id = s_is_block ? hit : probe.id;
+        if (emit_results) {
+          out->Add(r_id, s_id);
+        } else {
+          next->push_back({r_id, s_id});
+        }
       }
-    }
-    return;
-  }
-  if (!rn.is_leaf() && !sn.is_leaf()) {
-    for (int i = 0; i < rc; ++i) {
-      const PackedEntry re = rn.entry(i);
-      for (int j = 0; j < sc; ++j) {
-        const PackedEntry se = sn.entry(j);
-        if (Intersects(re.box, se.box)) next->push_back({re.id, se.id});
-      }
-    }
-    if (stats != nullptr) {
-      stats->intermediate_pairs += next->size() - next_before;
-    }
-    return;
-  }
-  // Mixed case: descend only the directory side (trees of differing
-  // heights), keeping the leaf node fixed.
-  if (rn.is_leaf()) {
-    const Box r_mbr = rn.Mbr();
-    for (int j = 0; j < sc; ++j) {
-      const PackedEntry se = sn.entry(j);
-      if (Intersects(r_mbr, se.box)) next->push_back({r_node, se.id});
-    }
-  } else {
-    const Box s_mbr = sn.Mbr();
-    for (int i = 0; i < rc; ++i) {
-      const PackedEntry re = rn.entry(i);
-      if (Intersects(re.box, s_mbr)) next->push_back({re.id, s_node});
     }
   }
   if (stats != nullptr) {
+    stats->tasks += 1;
+    stats->predicate_evaluations += static_cast<uint64_t>(probes) * n;
     stats->intermediate_pairs += next->size() - next_before;
   }
 }
@@ -64,11 +79,12 @@ JoinResult SyncTraversalDfs(const PackedRTree& r, const PackedRTree& s,
   JoinResult out;
   std::vector<NodePairTask> stack = {{r.root(), s.root()}};
   std::vector<NodePairTask> next;
+  NodeBlock block(r, s);
   while (!stack.empty()) {
     const NodePairTask task = stack.back();
     stack.pop_back();
     next.clear();
-    JoinNodePair(r, s, task.r, task.s, &next, &out, stats);
+    JoinNodePair(r, s, task.r, task.s, &block, &next, &out, stats);
     stack.insert(stack.end(), next.begin(), next.end());
   }
   return out;
@@ -80,11 +96,12 @@ JoinResult SyncTraversalBfs(const PackedRTree& r, const PackedRTree& s,
   JoinResult out;
   std::vector<NodePairTask> frontier = {{r.root(), s.root()}};
   std::vector<NodePairTask> next;
+  NodeBlock block(r, s);
   while (!frontier.empty()) {
     if (level_sizes != nullptr) level_sizes->push_back(frontier.size());
     next.clear();
     for (const NodePairTask& task : frontier) {
-      JoinNodePair(r, s, task.r, task.s, &next, &out, stats);
+      JoinNodePair(r, s, task.r, task.s, &block, &next, &out, stats);
     }
     frontier.swap(next);
   }

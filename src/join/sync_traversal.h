@@ -8,7 +8,10 @@
 //    as the next level's task list.
 //
 // Both operate on the flat PackedRTree layout shared with the simulated
-// accelerator.
+// accelerator. Each node pair is joined as a block join, the CPU form of
+// the join unit's comparator banks: one node is transposed into a
+// structure-of-arrays block, and each probe box is compared against the
+// whole block with the vector short-block compare (FilterSoAShort).
 #ifndef SWIFTSPATIAL_JOIN_SYNC_TRAVERSAL_H_
 #define SWIFTSPATIAL_JOIN_SYNC_TRAVERSAL_H_
 
@@ -24,15 +27,38 @@ namespace swiftspatial {
 struct NodePairTask {
   NodeIndex r = 0;
   NodeIndex s = 0;
+
+  friend bool operator==(const NodePairTask&, const NodePairTask&) = default;
+};
+
+/// Caller-owned scratch of JoinNodePair: one node's entries in
+/// structure-of-arrays form and one probe's hit-mask words. Sized once for
+/// the larger fan-out of the two trees, so JoinNodePair never allocates.
+struct NodeBlock {
+  NodeBlock(const PackedRTree& r, const PackedRTree& s);
+
+  std::vector<Coord> min_x, min_y, max_x, max_y;
+  std::vector<int32_t> id;
+  std::vector<uint64_t> mask;
 };
 
 /// Joins one node pair: emits qualifying (object, object) pairs to `out`
 /// when both nodes are leaves, qualifying next-level tasks to `next`
-/// otherwise. Exactly the work one SwiftSpatial join unit performs per task
-/// (Fig. 4); shared by the CPU implementations and the simulator's
-/// functional model.
+/// otherwise. The same work one SwiftSpatial join unit performs per task
+/// (Fig. 4); the simulator's join unit (hw/join_unit.cc) has loops of its
+/// own that also model cycles, and agrees with this one on pairs, tasks and
+/// predicate counts.
+///
+/// A block join: the S node (or, when R is a directory and S a leaf, the R
+/// node) is transposed into `block`, and each probe is compared against all
+/// of it at once. The probes are the R entries when both nodes are of one
+/// kind; with trees of differing heights only the directory side descends,
+/// and the leaf node's MBR is the single probe. Pairs and tasks are emitted
+/// in ascending (R entry, S entry) order, the order of a pairwise double
+/// loop. `predicate_evaluations` counts the comparisons performed: rc * sc
+/// for nodes of one kind, the directory's entry count otherwise.
 void JoinNodePair(const PackedRTree& r, const PackedRTree& s,
-                  NodeIndex r_node, NodeIndex s_node,
+                  NodeIndex r_node, NodeIndex s_node, NodeBlock* block,
                   std::vector<NodePairTask>* next, JoinResult* out,
                   JoinStats* stats);
 

@@ -175,6 +175,61 @@ TEST(SimdFilter, ProbeBlockNaNProbesMatchNothing) {
   }
 }
 
+// Short runs, where the kernels hand over to the inline short-block
+// compare: every n around its 4- and 8-lane groups and a mask word, with
+// NaN coordinates sprinkled among the candidates and edge- and
+// corner-touching candidates. FilterSoAShort, FilterSoA (whose tail it is)
+// and FilterSoAProbeBlock must all agree with the scalar predicate, with
+// zero bits past n.
+TEST(SimdFilter, ShortRunsMatchIntersects) {
+  Rng rng(777);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 17; ++n) sizes.push_back(n);
+  sizes.insert(sizes.end(), {63, 64, 65});
+  const std::vector<Box> probes = {Box(2, 2, 6, 6), Box(4, 4, 4, 4),
+                                   Box(0, 0, 8, 8), Box(kNaN, 2, 6, 6)};
+  for (const std::size_t n : sizes) {
+    std::vector<Box> candidates;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Coord x = static_cast<Coord>(rng.UniformInt(0, 8));
+      const Coord y = static_cast<Coord>(rng.UniformInt(0, 8));
+      Box box(x, y, x + static_cast<Coord>(rng.UniformInt(0, 2)),
+              y + static_cast<Coord>(rng.UniformInt(0, 2)));
+      switch (rng.NextBelow(8)) {
+        case 0: box.min_x = kNaN; break;
+        case 1: box.max_y = kNaN; break;
+        default: break;
+      }
+      candidates.push_back(box);
+    }
+    const BoxBlock block = BoxBlock::FromBoxes(candidates);
+    const BoxBlock probe_block = BoxBlock::FromBoxes(probes);
+    const std::size_t words = FilterMaskWords(n);
+    std::vector<uint64_t> blocked(probes.size() * words, ~uint64_t{0});
+    FilterSoAProbeBlock(probe_block.min_x(), probe_block.min_y(),
+                        probe_block.max_x(), probe_block.max_y(),
+                        probes.size(), block.min_x(), block.min_y(),
+                        block.max_x(), block.max_y(), n, blocked.data());
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+      std::vector<uint64_t> short_mask(words, ~uint64_t{0});
+      std::vector<uint64_t> kernel_mask(words, ~uint64_t{0});
+      FilterSoAShort(probes[p], block.min_x(), block.min_y(), block.max_x(),
+                     block.max_y(), n, short_mask.data());
+      FilterBoxBlock(probes[p], block, kernel_mask.data());
+      for (std::size_t i = 0; i < words * 64; ++i) {
+        const bool want = i < n && Intersects(probes[p], candidates[i]);
+        const uint64_t bit = uint64_t{1} << (i & 63);
+        EXPECT_EQ((short_mask[i >> 6] & bit) != 0, want)
+            << "short n=" << n << " probe " << p << " bit " << i;
+        EXPECT_EQ((kernel_mask[i >> 6] & bit) != 0, want)
+            << "kernel n=" << n << " probe " << p << " bit " << i;
+        EXPECT_EQ((blocked[p * words + (i >> 6)] & bit) != 0, want)
+            << "probe block n=" << n << " probe " << p << " bit " << i;
+      }
+    }
+  }
+}
+
 TEST(SimdFilter, BackendIsReported) {
   const std::string backend = SimdFilterBackend();
   EXPECT_TRUE(backend == "avx2" || backend == "scalar") << backend;

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "hw/accelerator.h"
 #include "join/nested_loop.h"
 #include "rtree/bulk_load.h"
 #include "rtree/rtree.h"
@@ -14,6 +21,170 @@ PackedRTree Tree(const Dataset& d, int max_entries = 16) {
   BulkLoadOptions opt;
   opt.max_entries = max_entries;
   return StrBulkLoad(d, opt);
+}
+
+// The pairwise node-pair join the block join replaced: one Intersects call
+// per pair, in (R entry, S entry) order. `predicates` counts the tests made.
+void PairwiseNodePair(const PackedRTree& r, const PackedRTree& s,
+                      NodeIndex r_node, NodeIndex s_node,
+                      std::vector<NodePairTask>* next, JoinResult* out,
+                      uint64_t* predicates) {
+  const NodeView rn = r.node(r_node);
+  const NodeView sn = s.node(s_node);
+  const int rc = rn.count();
+  const int sc = sn.count();
+  if (rn.is_leaf() == sn.is_leaf()) {
+    *predicates += static_cast<uint64_t>(rc) * sc;
+    for (int i = 0; i < rc; ++i) {
+      const PackedEntry re = rn.entry(i);
+      for (int j = 0; j < sc; ++j) {
+        const PackedEntry se = sn.entry(j);
+        if (!Intersects(re.box, se.box)) continue;
+        if (rn.is_leaf()) {
+          out->Add(re.id, se.id);
+        } else {
+          next->push_back({re.id, se.id});
+        }
+      }
+    }
+  } else if (rn.is_leaf()) {
+    *predicates += static_cast<uint64_t>(sc);
+    const Box r_mbr = rn.Mbr();
+    for (int j = 0; j < sc; ++j) {
+      const PackedEntry se = sn.entry(j);
+      if (Intersects(r_mbr, se.box)) next->push_back({r_node, se.id});
+    }
+  } else {
+    *predicates += static_cast<uint64_t>(rc);
+    const Box s_mbr = sn.Mbr();
+    for (int i = 0; i < rc; ++i) {
+      const PackedEntry re = rn.entry(i);
+      if (Intersects(re.box, s_mbr)) next->push_back({re.id, s_node});
+    }
+  }
+}
+
+// Serial DFS (stack) or BFS (level list) over PairwiseNodePair, with the
+// same task order as SyncTraversalDfs / SyncTraversalBfs.
+JoinResult PairwiseTraversal(const PackedRTree& r, const PackedRTree& s,
+                             bool bfs, uint64_t* predicates) {
+  JoinResult out;
+  std::vector<NodePairTask> tasks = {{r.root(), s.root()}};
+  std::vector<NodePairTask> next;
+  while (!tasks.empty()) {
+    if (bfs) {
+      next.clear();
+      for (const NodePairTask& task : tasks) {
+        PairwiseNodePair(r, s, task.r, task.s, &next, &out, predicates);
+      }
+      tasks.swap(next);
+    } else {
+      const NodePairTask task = tasks.back();
+      tasks.pop_back();
+      next.clear();
+      PairwiseNodePair(r, s, task.r, task.s, &next, &out, predicates);
+      tasks.insert(tasks.end(), next.begin(), next.end());
+    }
+  }
+  return out;
+}
+
+// A tree whose root is a node of the given kind holding exactly `boxes`: a
+// single leaf, or a directory over one one-entry leaf per box.
+PackedRTree NodeTree(const std::vector<Box>& boxes, bool leaf, int capacity) {
+  PackedRTree::BuildNode node;
+  node.is_leaf = leaf;
+  std::vector<PackedRTree::BuildNode> leaves;
+  for (std::size_t i = 0; i < boxes.size(); ++i) {
+    node.entries.push_back({boxes[i], static_cast<int32_t>(i)});
+    PackedRTree::BuildNode child;
+    child.entries.push_back({boxes[i], static_cast<int32_t>(100 + i)});
+    leaves.push_back(std::move(child));
+  }
+  if (leaf) return PackedRTree::FromLevels({{std::move(node)}}, capacity);
+  return PackedRTree::FromLevels({std::move(leaves), {std::move(node)}},
+                                 capacity);
+}
+
+// Boxes over a six-value coordinate alphabet, so that touching edges and
+// corners, points, identical boxes and -0.0 against 0.0 are all frequent.
+std::vector<Box> AlphabetBoxes(std::size_t n, Rng* rng) {
+  constexpr Coord kAlphabet[] = {-0.0f, 0.0f, 1.0f, 2.0f, 3.0f, 4.0f};
+  auto pick = [&] { return kAlphabet[rng->NextBelow(6)]; };
+  std::vector<Box> boxes;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Coord x0 = pick(), x1 = pick(), y0 = pick(), y1 = pick();
+    boxes.push_back(Box(std::min(x0, x1), std::min(y0, y1),
+                        std::max(x0, x1), std::max(y0, y1)));
+  }
+  return boxes;
+}
+
+// The block join must reproduce the pairwise loops exactly: the same pairs
+// and the same next-level tasks, in the same order, and the same counts,
+// for every leaf/directory combination and fan-outs on both sides of the
+// 4- and 8-lane groups and of one 64-bit mask word.
+TEST(JoinNodePair, BlockJoinEqualsPairwiseLoopInOrder) {
+  Rng rng(2024);
+  std::vector<std::pair<int, int>> capacities;
+  for (const int c : {2, 4, 16, 17, 64, 65, 200}) capacities.push_back({c, c});
+  capacities.insert(capacities.end(), {{2, 200}, {200, 2}, {17, 65}});
+  int checked = 0;
+  for (const auto& [r_cap, s_cap] : capacities) {
+    for (const int rc : {1, r_cap - 1, r_cap}) {
+      for (const int sc : {1, s_cap - 1, s_cap}) {
+        const std::vector<Box> r_boxes = AlphabetBoxes(rc, &rng);
+        const std::vector<Box> s_boxes = AlphabetBoxes(sc, &rng);
+        for (const bool r_leaf : {true, false}) {
+          for (const bool s_leaf : {true, false}) {
+            const PackedRTree r = NodeTree(r_boxes, r_leaf, r_cap);
+            const PackedRTree s = NodeTree(s_boxes, s_leaf, s_cap);
+            std::vector<NodePairTask> want_next, got_next;
+            JoinResult want_out, got_out;
+            uint64_t want_predicates = 0;
+            PairwiseNodePair(r, s, r.root(), s.root(), &want_next, &want_out,
+                             &want_predicates);
+            NodeBlock block(r, s);
+            JoinStats stats;
+            JoinNodePair(r, s, r.root(), s.root(), &block, &got_next,
+                         &got_out, &stats);
+            const std::string where =
+                "r_cap=" + std::to_string(r_cap) +
+                " s_cap=" + std::to_string(s_cap) +
+                " rc=" + std::to_string(rc) + " sc=" + std::to_string(sc) +
+                " r_leaf=" + std::to_string(r_leaf) +
+                " s_leaf=" + std::to_string(s_leaf);
+            EXPECT_EQ(got_out.pairs(), want_out.pairs()) << where;
+            EXPECT_EQ(got_next, want_next) << where;
+            EXPECT_EQ(stats.predicate_evaluations, want_predicates) << where;
+            EXPECT_EQ(stats.tasks, 1u) << where;
+            EXPECT_EQ(stats.intermediate_pairs, want_next.size()) << where;
+            // The alphabet makes hits common: the case is not vacuous.
+            if (!want_out.empty() || !want_next.empty()) ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 300);
+}
+
+// Serial DFS and BFS over the block join emit exactly the pairwise
+// traversal's pair sequence, not just its multiset.
+TEST(JoinNodePair, SerialTraversalsEqualPairwiseLoopsPairForPair) {
+  const Dataset points = testutil::UniformPoints(1000, 76);
+  const Dataset polys = testutil::Uniform(800, 77, 1000.0, /*max_edge=*/25.0);
+  const PackedRTree rt = Tree(points), st = Tree(polys);
+  for (const bool bfs : {false, true}) {
+    uint64_t predicates = 0;
+    const JoinResult want = PairwiseTraversal(rt, st, bfs, &predicates);
+    JoinStats stats;
+    const JoinResult got =
+        bfs ? SyncTraversalBfs(rt, st, &stats) : SyncTraversalDfs(rt, st, &stats);
+    ASSERT_GT(want.size(), 0u);
+    EXPECT_EQ(got.pairs(), want.pairs()) << (bfs ? "BFS" : "DFS");
+    EXPECT_EQ(stats.predicate_evaluations, predicates) << (bfs ? "BFS" : "DFS");
+  }
 }
 
 TEST(SyncTraversalDfs, MatchesBruteForce) {
@@ -64,6 +235,23 @@ TEST(SyncTraversal, DifferentHeights) {
   // Swapped argument order also works (directory on the left).
   JoinResult swapped = SyncTraversalDfs(st, bt);
   EXPECT_EQ(swapped.size(), expected.size());
+
+  // Mixed-height tasks test one MBR against the directory side's entries
+  // and count exactly those tests, in both argument orders, as the
+  // simulated join unit does.
+  for (const bool big_first : {true, false}) {
+    const PackedRTree& r = big_first ? bt : st;
+    const PackedRTree& s = big_first ? st : bt;
+    uint64_t walked = 0;
+    PairwiseTraversal(r, s, /*bfs=*/false, &walked);
+    JoinStats dfs_stats, bfs_stats;
+    SyncTraversalDfs(r, s, &dfs_stats);
+    SyncTraversalBfs(r, s, &bfs_stats);
+    const hw::AcceleratorReport device = hw::Accelerator().RunSyncTraversal(r, s);
+    EXPECT_EQ(dfs_stats.predicate_evaluations, walked) << big_first;
+    EXPECT_EQ(bfs_stats.predicate_evaluations, walked) << big_first;
+    EXPECT_EQ(device.stats.predicate_evaluations, walked) << big_first;
+  }
 }
 
 TEST(SyncTraversal, DynamicTreeViaPack) {
