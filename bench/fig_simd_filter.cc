@@ -18,10 +18,15 @@
 // Default: 64 probes x 100k candidates = 6.4M pairs per pass. --scale=N
 // changes the candidate count (--scale=1000000 for a 64M-pair sweep);
 // --reps=N the timed repetitions.
+#include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "geometry/box_block.h"
 #include "join/simd_filter.h"
@@ -30,6 +35,38 @@ namespace swiftspatial::bench {
 namespace {
 
 constexpr int kProbes = 64;
+
+// One warmup run of each, then `reps` repetitions that time `a` and `b`
+// back to back (alternating which goes first); returns both medians. Host
+// speed drifts over seconds, so two kernels timed in separate blocks can
+// differ by the drift alone; interleaving exposes both to the same drift.
+std::pair<double, double> InterleavedMedianSeconds(
+    const std::function<void()>& a, const std::function<void()>& b,
+    int reps) {
+  a();
+  b();
+  std::vector<double> a_times, b_times;
+  const auto time = [](const std::function<void()>& fn,
+                       std::vector<double>* times) {
+    Stopwatch sw;
+    fn();
+    times->push_back(sw.ElapsedSeconds());
+  };
+  for (int i = 0; i < reps; ++i) {
+    if (i % 2 == 0) {
+      time(a, &a_times);
+      time(b, &b_times);
+    } else {
+      time(b, &b_times);
+      time(a, &a_times);
+    }
+  }
+  const auto median = [](std::vector<double>* times) {
+    std::sort(times->begin(), times->end());
+    return (*times)[times->size() / 2];
+  };
+  return {median(&a_times), median(&b_times)};
+}
 
 int Main(int argc, char** argv) {
   const BenchEnv env = BenchEnv::Parse(argc, argv, /*default_scale=*/100000);
@@ -100,28 +137,28 @@ int Main(int argc, char** argv) {
         env.reps);
 
     std::vector<uint64_t> mask(FilterMaskWords(block.size()));
-    const double simd_sec = MedianSeconds(
-        [&] {
-          uint64_t m = 0;
-          for (const Box& probe : probes) {
-            FilterBoxBlock(probe, block, mask.data());
-            for (const uint64_t word : mask) {
-              m += static_cast<uint64_t>(__builtin_popcountll(word));
-            }
-          }
-          simd_matches = m;
-        },
-        env.reps);
+    const auto simd_kernel = [&] {
+      uint64_t m = 0;
+      for (const Box& probe : probes) {
+        FilterBoxBlock(probe, block, mask.data());
+        for (const uint64_t word : mask) {
+          m += static_cast<uint64_t>(__builtin_popcountll(word));
+        }
+      }
+      simd_matches = m;
+    };
 
     // The probe-blocked kernel (both sides batched): probes processed in
     // the same 16-probe tiles SimdTileJoin uses, candidate arrays streamed
-    // once per probe quad instead of once per probe.
+    // once per probe quad instead of once per probe. Timed interleaved with
+    // the per-probe kernel, as the 0.7x gate below compares the two.
     uint64_t blocked_matches = 0;
     const BoxBlock probe_block = BoxBlock::FromBoxes(probes);
     constexpr std::size_t kProbeTile = 16;
     const std::size_t words = FilterMaskWords(block.size());
     std::vector<uint64_t> masks(kProbeTile * words);
-    const double blocked_sec = MedianSeconds(
+    const auto [simd_sec, blocked_sec] = InterleavedMedianSeconds(
+        simd_kernel,
         [&] {
           uint64_t m = 0;
           for (std::size_t p0 = 0; p0 < probe_block.size();

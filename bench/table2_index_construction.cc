@@ -8,9 +8,10 @@
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "grid/hierarchical_partition.h"
-#include "grid/pbsm_partition.h"
+#include "grid/uniform_grid.h"
 #include "hw/accelerator.h"
 #include "join/engine.h"
+#include "join/partitioned_driver.h"
 #include "rtree/bulk_load.h"
 
 namespace swiftspatial::bench {
@@ -52,12 +53,15 @@ int Main(int argc, char** argv) {
       const auto hier = PartitionHierarchical(in.r, in.s, hp);
       const double hier_sec = sw.ElapsedSeconds();
 
-      // Flat 1-D partition (CPU PBSM path).
+      // Flat 1-D partition (CPU PBSM path): both halves of pbsm's default
+      // plan, 1024 stripes along x.
       sw.Reset();
-      const StripePartition stripes = PartitionStripes(in.r, in.s, 1024,
-                                                       Axis::kX);
+      Box extent = in.r.Extent();
+      extent.Expand(in.s.Extent());
+      const UniformGrid stripes(extent, 1024, 1);
+      const auto r_side = BuildGridSide(in.r, stripes, env.cpu_threads);
+      const auto s_side = BuildGridSide(in.s, stripes, env.cpu_threads);
       const double part_sec = sw.ElapsedSeconds();
-      (void)stripes;
 
       // Joins for scale reference.
       EngineConfig ecfg;

@@ -39,7 +39,7 @@
 #include "dist/exchange.h"
 #include "dist/shard_planner.h"
 #include "exec/task_graph.h"
-#include "join/pbsm.h"
+#include "join/tile_join.h"
 #include "join/result.h"
 
 namespace swiftspatial::dist {

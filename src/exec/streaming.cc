@@ -536,6 +536,8 @@ Result<DeferredStream> MakeJoinStream(const std::string& engine,
   if (engine == kPartitionedEngine || engine == kSimdEngine) {
     SWIFT_RETURN_IF_ERROR(
         ValidateGridConfig(config.grid_cols, config.grid_rows));
+  } else if (engine == kPbsmEngine) {
+    SWIFT_RETURN_IF_ERROR(ValidateStripeConfig(config.num_partitions));
   } else if (IsAccelEngine(engine)) {
     SWIFT_RETURN_IF_ERROR(ValidateAccelConfig(config));
   } else if (dist::IsDistEngine(engine)) {

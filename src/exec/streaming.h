@@ -19,9 +19,9 @@
 // JoinService::Submit) or from the registry's plan cache (warm:
 // RunJoinAsync over a DatasetRegistry, JoinService::SubmitNamed), and runs
 // one JoinEngine::ExecuteStreaming whose sink feeds the chunk queue. Engines
-// with a native batch granularity ship while they run: the partitioned and
-// simd engines hand over each worker's staged pairs per chunk and per cell
-// group (join/partitioned_driver.h), the accelerator engines each
+// with a native batch granularity ship while they run: the partitioned,
+// simd and pbsm engines hand over each worker's staged pairs per chunk and
+// per cell group (join/partitioned_driver.h), the accelerator engines each
 // write-unit flush, the distributed engines each committed shard (a
 // cancelled consumer stops the whole cluster). Every other engine's
 // finished result is shipped in chunk-sized copies. The streaming contract

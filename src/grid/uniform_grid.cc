@@ -5,11 +5,35 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "grid/edge_snap.h"
 
 namespace swiftspatial {
 
 namespace {
+
+// Snaps an estimated inclusive cell range [*p0, *p1] along one axis
+// (pre-seeded with the clamped double-arithmetic estimates, both in
+// [0, n-1]) to the actual rounded edges. The estimates divide in double,
+// but the cells (which double as reference-point dedup tiles) carry
+// Coord-rounded edges: when a boundary is not float-representable the
+// rounded edge can sit to either side of the double value -- and far from
+// the origin runs of MANY consecutive boundaries collapse onto one float,
+// putting the owning cell arbitrarily far from the estimate, so a fixed
+// widening is not enough. Objects must be assigned to every cell whose
+// closed rounded-edge interval touches theirs, or the dedup rule claims
+// pairs for cells that never saw them and results are silently dropped.
+// On return, [*p0, *p1] covers exactly the cells k whose closed interval
+// [edges[k], edges[k+1]] intersects [bmin, bmax] (edges non-decreasing,
+// edges[k] the min edge of cell k and the max edge of cell k-1). Each loop
+// runs once for ULP-sized disagreements and walks through runs of collapsed
+// (equal) edges.
+void SnapIndexRangeToEdges(Coord bmin, Coord bmax, int n,
+                           const std::vector<Coord>& edges, int* p0,
+                           int* p1) {
+  while (*p0 > 0 && edges[*p0] >= bmin) --*p0;
+  while (*p0 < n - 1 && edges[*p0 + 1] < bmin) ++*p0;
+  while (*p1 < n - 1 && edges[*p1 + 1] <= bmax) ++*p1;
+  while (*p1 > 0 && edges[*p1] > bmax) --*p1;
+}
 
 // Calls `visit(tile)` for every tile whose closed box `b` intersects, in
 // ascending tile index order.
@@ -76,18 +100,14 @@ void UniformGrid::TileRange(const Box& b, int* tx0, int* ty0, int* tx1,
                      : rows_ - 1;
 
   // The estimates above divide in double, but tiles report float-rounded
-  // edges (see grid/edge_snap.h): snap each bound to the actual edges so
-  // the range covers every tile whose closed box touches `b`. Degenerate
-  // extents (tile width 0) keep the single-last-column convention.
+  // edges: snap each bound to the actual edges so the range covers every
+  // tile whose closed box touches `b`. Degenerate extents (tile width 0)
+  // keep the single-last-column convention.
   if (tile_w_ > 0) {
-    SnapIndexRangeToEdges(
-        b.min_x, b.max_x, cols_, [this](int k) { return col_edges_[k]; },
-        tx0, tx1);
+    SnapIndexRangeToEdges(b.min_x, b.max_x, cols_, col_edges_, tx0, tx1);
   }
   if (tile_h_ > 0) {
-    SnapIndexRangeToEdges(
-        b.min_y, b.max_y, rows_, [this](int k) { return row_edges_[k]; },
-        ty0, ty1);
+    SnapIndexRangeToEdges(b.min_y, b.max_y, rows_, row_edges_, ty0, ty1);
   }
 }
 

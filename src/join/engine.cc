@@ -81,60 +81,6 @@ class PlaneSweepEngine : public EngineBase<PlaneSweepPlan> {
 };
 
 // ---------------------------------------------------------------------------
-// pbsm: 1-D stripes + per-stripe tile joins (Algorithm 3).
-// ---------------------------------------------------------------------------
-
-// The immutable stripe partition plus the options it was built under.
-class PbsmPreparedPlan : public PreparedPlan {
- public:
-  using PreparedPlan::PreparedPlan;
-
-  std::size_t MemoryBytes() const override {
-    std::size_t bytes = partition.stripes.capacity() * sizeof(Box);
-    for (const auto& part : partition.r_parts) {
-      bytes += part.capacity() * sizeof(ObjectId);
-    }
-    for (const auto& part : partition.s_parts) {
-      bytes += part.capacity() * sizeof(ObjectId);
-    }
-    return bytes;
-  }
-
-  PbsmOptions options;
-  StripePartition partition;
-};
-
-class PbsmEngine : public EngineBase<PbsmPreparedPlan> {
- public:
-  using EngineBase::EngineBase;
-
- protected:
-  Status Validate() override {
-    if (config().num_partitions < 1) {
-      return Status::InvalidArgument("num_partitions must be >= 1");
-    }
-    return Status::OK();
-  }
-
-  Status Build(PbsmPreparedPlan* plan, const JoinInput& /*r*/,
-               const JoinInput& /*s*/) override {
-    plan->options.num_partitions = config().num_partitions;
-    plan->options.axis = config().axis;
-    plan->options.num_threads = config().num_threads;
-    plan->options.schedule = config().schedule;
-    plan->options.tile_join = config().tile_join;
-    plan->partition = PbsmPartition(plan->r(), plan->s(), plan->options);
-    return Status::OK();
-  }
-
-  Status ExecuteImpl(const PbsmPreparedPlan& plan, JoinResult* out,
-                     JoinStats* stats) override {
-    *out = PbsmJoin(plan.r(), plan.s(), plan.partition, plan.options, stats);
-    return Status::OK();
-  }
-};
-
-// ---------------------------------------------------------------------------
 // cuspatial_like: quadtree-indexed point-in-polygon-MBR join.
 // ---------------------------------------------------------------------------
 class CuSpatialLikeEngine : public EngineBase<InputsOnlyPlan> {
@@ -261,7 +207,9 @@ class ParallelSyncTraversalEngine : public RTreeEngineBase {
 // partitioned: the grid-sharded thread-pooled driver. The simd variant is
 // the same driver locked to the batched SIMD filter kernel as its tile join,
 // so the grid supplies thread scaling and the kernel supplies per-cell
-// predicate throughput.
+// predicate throughput. pbsm (Algorithm 3, the 1-D PBSM baseline of §5.1)
+// is the same driver on a one-axis grid: num_partitions stripes along
+// `axis`, each joined by the configured tile join.
 // ---------------------------------------------------------------------------
 
 // The shared immutable cell plan (see PartitionedPlanState);
@@ -279,13 +227,18 @@ class PartitionedPreparedPlan : public PreparedPlan {
 
 class PartitionedEngine : public EngineBase<PartitionedPreparedPlan> {
  public:
+  /// `stripes`: plan on pbsm's stripe grid instead of grid_cols x grid_rows.
   PartitionedEngine(std::string name, const EngineConfig& config,
-                    TileJoin tile_join)
-      : EngineBase(std::move(name), config), tile_join_(tile_join) {}
+                    TileJoin tile_join, bool stripes = false)
+      : EngineBase(std::move(name), config),
+        tile_join_(tile_join),
+        stripes_(stripes) {}
 
  protected:
   Status Validate() override {
-    return ValidateGridConfig(config().grid_cols, config().grid_rows);
+    return stripes_
+               ? ValidateStripeConfig(config().num_partitions)
+               : ValidateGridConfig(config().grid_cols, config().grid_rows);
   }
 
   Status Build(PartitionedPreparedPlan* plan, const JoinInput& r,
@@ -293,6 +246,11 @@ class PartitionedEngine : public EngineBase<PartitionedPreparedPlan> {
     PartitionedDriverOptions options;
     options.grid_cols = config().grid_cols;
     options.grid_rows = config().grid_rows;
+    if (stripes_) {
+      const bool along_x = config().axis == Axis::kX;
+      options.grid_cols = along_x ? config().num_partitions : 1;
+      options.grid_rows = along_x ? 1 : config().num_partitions;
+    }
     options.num_threads = config().num_threads;
     auto state = PlanPartitionedCells(r, s, options, config().trace);
     if (!state.ok()) return state.status();
@@ -316,6 +274,7 @@ class PartitionedEngine : public EngineBase<PartitionedPreparedPlan> {
 
  private:
   TileJoin tile_join_;
+  bool stripes_;
 };
 
 // ---------------------------------------------------------------------------
@@ -489,7 +448,6 @@ EngineRegistry& EngineRegistry::Global() {
                                            kNestedLoopEngine));
     register_or_die(kPlaneSweepEngine, MakeFactory<PlaneSweepEngine>(
                                            kPlaneSweepEngine));
-    register_or_die(kPbsmEngine, MakeFactory<PbsmEngine>(kPbsmEngine));
     register_or_die(kCuSpatialLikeEngine, MakeFactory<CuSpatialLikeEngine>(
                                               kCuSpatialLikeEngine));
     register_or_die(kSyncTraversalEngine, MakeFactory<SyncTraversalEngine>(
@@ -508,6 +466,12 @@ EngineRegistry& EngineRegistry::Global() {
         [](const EngineConfig& config) -> std::unique_ptr<JoinEngine> {
           return std::make_unique<PartitionedEngine>(kSimdEngine, config,
                                                      TileJoin::kSimd);
+        });
+    register_or_die(
+        kPbsmEngine,
+        [](const EngineConfig& config) -> std::unique_ptr<JoinEngine> {
+          return std::make_unique<PartitionedEngine>(
+              kPbsmEngine, config, config.tile_join, /*stripes=*/true);
         });
     // The simulated accelerator (join/accel_engine.h). MakeAccelEngine only
     // fails for unknown names, so dereferencing here is safe; config errors

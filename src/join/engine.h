@@ -37,14 +37,16 @@
 #include "datagen/dataset.h"
 #include "dist/placement.h"
 #include "exec/task_graph.h"
-#include "grid/pbsm_partition.h"
 #include "join/parallel_sync_traversal.h"
-#include "join/pbsm.h"
 #include "join/result.h"
+#include "join/tile_join.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
 
 namespace swiftspatial {
+
+/// The axis pbsm's stripes divide (EngineConfig::num_partitions).
+enum class Axis { kX, kY };
 
 /// One configuration struct shared by every registered engine. Engines read
 /// only the fields that apply to them and reject invalid values from
@@ -52,9 +54,9 @@ namespace swiftspatial {
 struct EngineConfig {
   // --- Shared across engines. ---
   std::size_t num_threads = 1;
-  /// ParallelFor scheduling for pbsm and parallel_sync_traversal. The
-  /// partitioned/simd driver runs as a TaskGraph wave, which is inherently
-  /// dynamic; it ignores this field.
+  /// ParallelFor scheduling, read only by parallel_sync_traversal. The
+  /// partitioned driver (partitioned, simd, pbsm) runs as a TaskGraph wave,
+  /// which is inherently dynamic; it ignores this field.
   Schedule schedule = Schedule::kDynamic;
   /// Reject-at-ingest policy for malformed geometry: when true (the
   /// default), Prepare fails with InvalidArgument if either dataset contains a
@@ -76,7 +78,10 @@ struct EngineConfig {
   std::size_t dfs_switch_factor = 10;
 
   // --- Partition engines (pbsm, partitioned). ---
-  /// pbsm: number of 1-D stripes.
+  /// pbsm's stripe grid (1-D PBSM, §5.1): `num_partitions` equal stripes
+  /// along `axis` -- a num_partitions x 1 grid for Axis::kX, 1 x
+  /// num_partitions for Axis::kY -- in [1, 16384] (the grid cap).
+  /// big_data_framework also reads num_partitions as its partition count.
   int num_partitions = 1024;
   Axis axis = Axis::kX;
   /// Tile-level join inside each stripe / grid cell.
@@ -141,11 +146,11 @@ struct JoinRun {
 };
 
 /// The immutable output of Prepare, detached from the engine instance that
-/// built it: packed R-trees, grid cell assignments, stripe partitions,
-/// shard plans, device images. A PreparedPlan pins the datasets it was
-/// planned over (shared ownership), so a cached plan can outlive the request
-/// that built it, and every engine reads its plan const, so one plan serves
-/// concurrent executions. This is the seam the warm-serving plan cache
+/// built it: packed R-trees, grid cell assignments, shard plans, device
+/// images. A PreparedPlan pins the datasets it was planned over (shared
+/// ownership), so a cached plan can outlive the request that built it, and
+/// every engine reads its plan const, so one plan serves concurrent
+/// executions. This is the seam the warm-serving plan cache
 /// (exec/dataset_registry) stores.
 class PreparedPlan {
  public:
@@ -246,7 +251,7 @@ uint64_t ConfigFingerprint(const EngineConfig& config);
 /// what lets benchmarks time the join proper without re-paying index
 /// builds, and the plan cache share one plan across requests. Prepare
 /// validates the configuration and the input geometry and builds any
-/// auxiliary structures (R-trees, stripe partitions, grids, device images).
+/// auxiliary structures (R-trees, grids, device images).
 /// An engine instance is not thread-safe (the typed accel/dist handles keep
 /// a per-instance last report); a plan is, so concurrent executions use one
 /// engine instance each. Internally engines parallelise per

@@ -10,6 +10,7 @@
 #include "common/sync.h"
 #include "exec/task_graph.h"
 #include "join/plane_sweep.h"
+#include "obs/resource.h"
 
 namespace swiftspatial {
 
@@ -20,6 +21,10 @@ namespace {
 // dynamic load balancing while amortising per-task dispatch over many
 // (often tiny) cells.
 constexpr std::size_t kCellTaskGroupsPerWorker = 8;
+
+// Cap on each side of an explicit grid, so cols * rows cannot overflow int
+// (and absurd cell counts fail fast instead of exhausting memory).
+constexpr int kMaxGridSide = 1 << 14;
 
 // Side length of the auto-sized square grid: ~`target_cell_population`
 // objects per cell on average, clamped to [1, 1024].
@@ -38,15 +43,19 @@ Status ValidateGridConfig(int grid_cols, int grid_rows) {
   if (grid_cols < 0 || grid_rows < 0) {
     return Status::InvalidArgument("grid dimensions must be >= 0 (0 = auto)");
   }
-  // Cap explicit grids so cols * rows cannot overflow int (and absurd cell
-  // counts fail fast instead of exhausting memory).
-  constexpr int kMaxGridSide = 1 << 14;
   if (grid_cols > kMaxGridSide || grid_rows > kMaxGridSide) {
     return Status::InvalidArgument("grid dimensions must be <= 16384");
   }
   if ((grid_cols == 0) != (grid_rows == 0)) {
     return Status::InvalidArgument(
         "grid_cols and grid_rows must both be set or both be auto (0)");
+  }
+  return Status::OK();
+}
+
+Status ValidateStripeConfig(int num_partitions) {
+  if (num_partitions < 1 || num_partitions > kMaxGridSide) {
+    return Status::InvalidArgument("num_partitions must be in [1, 16384]");
   }
   return Status::OK();
 }
@@ -194,9 +203,15 @@ Status ExecutePartitionedPlan(const PartitionedPlanState& plan,
 
   std::vector<JoinStats> group_stats;
   if (target.pool == nullptr && num_threads <= 1) {
-    // Inline on the calling thread; no pool, no graph.
+    // Inline on the calling thread; no pool, no graph -- so the request's
+    // usage, which a graph feeds per task, is billed here as one task.
+    const double cpu0 = target.usage != nullptr ? obs::ThreadCpuSeconds() : 0;
     group_stats.resize(1);
     join_group(0, 1, &group_stats[0]);
+    if (target.usage != nullptr) {
+      target.usage->AddCpuSeconds(obs::ThreadCpuSeconds() - cpu0);
+      target.usage->AddTasks(1);
+    }
   } else {
     std::optional<ThreadPool> owned_pool;
     ThreadPool* pool = target.pool;

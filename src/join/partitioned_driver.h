@@ -1,7 +1,8 @@
 // The library's partition-parallel batched join driver, in two stages:
 // PlanPartitionedCells builds an immutable cell plan, ExecutePartitionedPlan
-// joins it (the `partitioned` and `simd` engines' Prepare and their
-// streamed and collecting executions).
+// joins it (the `partitioned`, `simd` and `pbsm` engines' Prepare and their
+// streamed and collecting executions; pbsm's 1-D stripes are a grid with one
+// partitioned axis).
 //
 // Both inputs are sharded onto a uniform grid (src/grid/uniform_grid.h,
 // multi-assignment: an object lands in every cell its MBR overlaps). Each
@@ -38,8 +39,8 @@
 #include "geometry/box.h"
 #include "grid/uniform_grid.h"
 #include "join/engine.h"
-#include "join/pbsm.h"
 #include "join/result.h"
+#include "join/tile_join.h"
 #include "obs/trace.h"
 
 namespace swiftspatial {
@@ -53,6 +54,10 @@ inline constexpr std::size_t kDefaultCellPopulation = 128;
 /// the distributed engines, so they never drift apart on which
 /// configurations they accept.
 Status ValidateGridConfig(int grid_cols, int grid_rows);
+
+/// The same check for pbsm's stripe count (EngineConfig::num_partitions):
+/// at least one stripe, at most the grid cap on one side.
+Status ValidateStripeConfig(int num_partitions);
 
 /// One grid decision for a join: the joint extent plus the derived (or
 /// explicit) resolution.
@@ -89,8 +94,7 @@ struct PartitionedDriverOptions {
   std::size_t num_threads = 1;
   // Note: the driver has no Schedule knob. Execution is a TaskGraph wave --
   // idle workers pull the next ready group, i.e. inherently dynamic;
-  // OpenMP-style static/dynamic selection remains on the ParallelFor-based
-  // algorithms (pbsm, parallel_sync_traversal).
+  // OpenMP-style static/dynamic selection remains on parallel_sync_traversal.
 };
 
 /// One dataset's half of a grid plan: for every tile of one grid (one
@@ -170,14 +174,15 @@ Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
     const PartitionedDriverOptions& options);
 
 /// Joins every cell of a previously built plan, handing the pairs to
-/// `target.sink` as described above. Runs on `target.pool` when given, else
-/// on a private pool of `num_threads` workers (inline on the calling thread
-/// for one thread); the TaskGraph carries `target.cancel`, `trace` and
-/// `target.usage`. Once the token is cancelled every group stops at its
-/// next cell and the call returns Aborted. Thread-safe for concurrent
-/// callers sharing one plan: all plan state is read const, each call owns
-/// its buffers. `r` and `s` must be the datasets the plan was built from;
-/// `stats` may be null.
+/// `target.sink` as described above. Runs on `target.pool` when given, else on
+/// a private pool of `num_threads` workers (inline on the calling thread for
+/// one thread); the TaskGraph carries `target.cancel`, `trace` and
+/// `target.usage`, and an inline run bills its thread-CPU time to
+/// `target.usage` as one task. Once the token is cancelled every group stops at
+/// its next cell and the call returns Aborted. Thread-safe for concurrent
+/// callers sharing one plan: all plan state is read const, each call owns its
+/// buffers. `r` and `s` must be the datasets the plan was built from; `stats`
+/// may be null.
 Status ExecutePartitionedPlan(const PartitionedPlanState& plan,
                               const Dataset& r, const Dataset& s,
                               TileJoin tile_join, std::size_t num_threads,

@@ -4,14 +4,15 @@
 // whichever side's next object starts first and scans the other side
 // forward from its cursor while the scanned objects start no later than the
 // taken one ends. Every scanned pair overlaps on x, so only y is tested.
-// Used by the CPU PBSM baseline, the grid driver, and the
-// nested-loop-vs-plane-sweep study (Fig. 14).
+// Used by the grid driver (and so the CPU PBSM baseline, whose stripes are
+// grid cells) and the nested-loop-vs-plane-sweep study (Fig. 14).
 //
 // Order contract: the sweep order is (min_x, id) ascending (SweepBefore).
-// Callers that join the same id lists repeatedly -- cached grid cells and
-// PBSM stripes -- put them in that order once with SortForSweep, and the
-// join then skips its own sort. Id lists in any other order are still
-// accepted: the join detects that and sorts its gathered copy per call.
+// Callers that join the same id lists repeatedly -- cached grid cells,
+// PBSM's stripes among them -- put them in that order once with
+// SortForSweep, and the join then skips its own sort. Id lists in any other
+// order are still accepted: the join detects that and sorts its gathered
+// copy per call.
 #ifndef SWIFTSPATIAL_JOIN_PLANE_SWEEP_H_
 #define SWIFTSPATIAL_JOIN_PLANE_SWEEP_H_
 

@@ -37,10 +37,10 @@ struct ResourceUsage {
   double wall_seconds = 0;
   /// Thread-CPU time summed over every task body the request ran; > wall
   /// on multi-threaded fan-out, ~wall single-threaded, < wall when the
-  /// request mostly waited (backpressure). Only TaskGraph executions feed
-  /// it and `tasks`: the partitioned and simd engines with num_threads >= 2
-  /// or on the service's shared pool. Every other engine, and a
-  /// single-threaded partitioned run on a private pool, reports 0 for both.
+  /// request mostly waited (backpressure). Only the partitioned driver
+  /// (the partitioned, simd and pbsm engines) feeds it and `tasks`: per
+  /// TaskGraph task, or as one task when it runs inline on one thread.
+  /// Every other engine reports 0 for both.
   double cpu_seconds = 0;
   /// Pool queue wait summed over tasks, plus the service admission queue
   /// wait -- time the request spent runnable but waiting for a slot.

@@ -39,7 +39,6 @@
 #include "quadtree/point_quadtree.h"
 
 #include "grid/hierarchical_partition.h"
-#include "grid/pbsm_partition.h"
 #include "grid/uniform_grid.h"
 
 #include "join/accel_engine.h"
@@ -49,12 +48,12 @@
 #include "join/nested_loop.h"
 #include "join/parallel_sync_traversal.h"
 #include "join/partitioned_driver.h"
-#include "join/pbsm.h"
 #include "join/plane_sweep.h"
 #include "join/predicates.h"
 #include "join/result.h"
 #include "join/simd_filter.h"
 #include "join/sync_traversal.h"
+#include "join/tile_join.h"
 
 #include "exec/service.h"
 #include "exec/streaming.h"

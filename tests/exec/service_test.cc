@@ -689,23 +689,30 @@ TEST(JoinService, WarmPartitionedRequestReportsCpuAndTasks) {
 #ifdef SWIFTSPATIAL_OBS_OFF
   GTEST_SKIP() << "observability compiled out (SWIFTSPATIAL_OBS_OFF)";
 #endif
-  JoinServiceOptions options;
-  options.worker_threads = 2;
-  options.max_concurrent = 1;
-  JoinService service(options);
-  service.RegisterDataset("r", testutil::Uniform(2000, 98));
-  service.RegisterDataset("s", testutil::Uniform(2000, 99));
-  EngineConfig config;
-  config.num_threads = 2;
-  auto handle =
-      service.SubmitNamed("tenant", kPartitionedEngine, "r", "s", config);
-  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-  StreamSummary summary = handle->Collect();
-  ASSERT_TRUE(summary.status.ok()) << summary.status.ToString();
-  service.Drain();
-  const obs::ResourceUsage resources = service.Snapshot().resources;
-  EXPECT_GT(resources.cpu_seconds, 0.0);
-  EXPECT_GT(resources.tasks, 0u);
+  // One thread runs the join inline on the dispatcher, with no TaskGraph
+  // to bill the request; two run it as a graph wave.
+  for (const char* engine : {kPartitionedEngine, kPbsmEngine}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE(std::string(engine) + " threads=" +
+                   std::to_string(threads));
+      JoinServiceOptions options;
+      options.worker_threads = 2;
+      options.max_concurrent = 1;
+      JoinService service(options);
+      service.RegisterDataset("r", testutil::Uniform(2000, 98));
+      service.RegisterDataset("s", testutil::Uniform(2000, 99));
+      EngineConfig config;
+      config.num_threads = threads;
+      auto handle = service.SubmitNamed("tenant", engine, "r", "s", config);
+      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+      StreamSummary summary = handle->Collect();
+      ASSERT_TRUE(summary.status.ok()) << summary.status.ToString();
+      service.Drain();
+      const obs::ResourceUsage resources = service.Snapshot().resources;
+      EXPECT_GT(resources.cpu_seconds, 0.0);
+      EXPECT_GT(resources.tasks, 0u);
+    }
+  }
 }
 
 TEST(JoinService, SubmitNamedFailsFastForUnknownNamesAndEngines) {

@@ -270,32 +270,34 @@ TEST(Streaming, WarmCancellationStopsTileWork) {
   registry.Put("s", s);
   EngineConfig config;
   config.num_threads = 2;
-  auto sync = RunJoin(kPartitionedEngine, r, s, config);
-  ASSERT_TRUE(sync.ok());
-  std::vector<ResultPair> full = SortedPairs(sync->result);
+  for (const char* engine : {kPartitionedEngine, kPbsmEngine}) {
+    SCOPED_TRACE(engine);
+    auto sync = RunJoin(engine, r, s, config);
+    ASSERT_TRUE(sync.ok());
+    std::vector<ResultPair> full = SortedPairs(sync->result);
 
-  StreamOptions stream;
-  stream.chunk_pairs = 32;
-  stream.queue_capacity = 1;
-  auto handle =
-      RunJoinAsync(registry, kPartitionedEngine, "r", "s", config, stream);
-  ASSERT_TRUE(handle.ok());
-  ResultChunk chunk;
-  ASSERT_TRUE(handle->Next(&chunk));
-  handle->Cancel();
-  StreamSummary summary = handle->Collect();
-  EXPECT_EQ(summary.status.code(), StatusCode::kAborted)
-      << summary.status.ToString();
+    StreamOptions stream;
+    stream.chunk_pairs = 32;
+    stream.queue_capacity = 1;
+    auto handle = RunJoinAsync(registry, engine, "r", "s", config, stream);
+    ASSERT_TRUE(handle.ok());
+    ResultChunk chunk;
+    ASSERT_TRUE(handle->Next(&chunk));
+    handle->Cancel();
+    StreamSummary summary = handle->Collect();
+    EXPECT_EQ(summary.status.code(), StatusCode::kAborted)
+        << summary.status.ToString();
 
-  std::vector<ResultPair> delivered = chunk.pairs;
-  delivered.insert(delivered.end(), summary.run.result.pairs().begin(),
-                   summary.run.result.pairs().end());
-  std::sort(delivered.begin(), delivered.end());
-  EXPECT_TRUE(std::includes(full.begin(), full.end(), delivered.begin(),
-                            delivered.end()))
-      << "cancelled warm stream delivered pairs outside the true result";
-  EXPECT_LT(summary.run.stats.tasks, sync->stats.tasks)
-      << "cancellation did not stop the remaining cell joins";
+    std::vector<ResultPair> delivered = chunk.pairs;
+    delivered.insert(delivered.end(), summary.run.result.pairs().begin(),
+                     summary.run.result.pairs().end());
+    std::sort(delivered.begin(), delivered.end());
+    EXPECT_TRUE(std::includes(full.begin(), full.end(), delivered.begin(),
+                              delivered.end()))
+        << "cancelled warm stream delivered pairs outside the true result";
+    EXPECT_LT(summary.run.stats.tasks, sync->stats.tasks)
+        << "cancellation did not stop the remaining cell joins";
+  }
 }
 
 TEST(Streaming, DroppingHandleMidStreamLeaksNothing) {

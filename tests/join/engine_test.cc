@@ -128,6 +128,11 @@ TEST(EngineConfigValidation, RejectsBadConfigs) {
   }
   {
     EngineConfig c;
+    c.num_partitions = 16385;  // one past the grid cap
+    cases.push_back({kPbsmEngine, c});
+  }
+  {
+    EngineConfig c;
     c.node_capacity = 1;
     cases.push_back({kSyncTraversalEngine, c});
     cases.push_back({kParallelSyncTraversalEngine, c});

@@ -15,7 +15,6 @@
 #include "join/engine_baselines.h"
 #include "join/nested_loop.h"
 #include "join/parallel_sync_traversal.h"
-#include "join/pbsm.h"
 #include "join/sync_traversal.h"
 #include "rtree/bulk_load.h"
 #include "tests/test_util.h"
@@ -82,10 +81,12 @@ TEST_P(JoinEquivalenceTest, AllAlgorithmsAgree) {
   pst.num_threads = 2;
   Check(ParallelSyncTraversal(rt, st, pst), "ParallelSyncTraversal");
 
-  PbsmOptions pbsm;
+  EngineConfig pbsm;
   pbsm.num_partitions = 32;
   pbsm.num_threads = 2;
-  Check(PbsmSpatialJoin(r_, s_, pbsm), "PbsmSpatialJoin");
+  auto pbsm_run = RunJoin(kPbsmEngine, r_, s_, pbsm);
+  ASSERT_TRUE(pbsm_run.ok()) << pbsm_run.status().ToString();
+  Check(std::move(pbsm_run->result), "pbsm");
 
   Check(InterpretedEngineJoin(r_, s_, {}), "InterpretedEngineJoin");
 

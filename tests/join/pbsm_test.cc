@@ -1,14 +1,27 @@
-#include "join/pbsm.h"
-
+// The pbsm engine: 1-D PBSM (§5.1), the partitioned driver on a one-axis
+// stripe grid.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
+#include "join/engine.h"
 #include "join/nested_loop.h"
+#include "join/tile_join.h"
 #include "tests/test_util.h"
 
 namespace swiftspatial {
 namespace {
+
+// One pbsm run through the engine registry; `stats` (when non-null)
+// accumulates.
+JoinResult RunPbsm(const Dataset& r, const Dataset& s,
+                   const EngineConfig& config, JoinStats* stats = nullptr) {
+  auto run = RunJoin(kPbsmEngine, r, s, config);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  if (!run.ok()) return JoinResult();
+  if (stats != nullptr) *stats += run->stats;
+  return std::move(run->result);
+}
 
 class PbsmConfigTest
     : public ::testing::TestWithParam<
@@ -19,12 +32,12 @@ TEST_P(PbsmConfigTest, MatchesBruteForce) {
   const Dataset r = testutil::Uniform(700, 90, 1000.0, /*max_edge=*/20.0);
   const Dataset s = testutil::Uniform(700, 91, 1000.0, /*max_edge=*/20.0);
 
-  PbsmOptions opt;
+  EngineConfig opt;
   opt.num_partitions = partitions;
   opt.axis = axis;
   opt.tile_join = tile_join;
   opt.num_threads = threads;
-  JoinResult got = PbsmSpatialJoin(r, s, opt);
+  JoinResult got = RunPbsm(r, s, opt);
   JoinResult expected = BruteForceJoin(r, s);
   EXPECT_TRUE(JoinResult::SameMultiset(expected, got));
 }
@@ -43,9 +56,9 @@ TEST(Pbsm, NoDuplicatesDespiteMultiAssignment) {
   // each result pair unique.
   const Dataset r = testutil::Uniform(300, 92, 500.0, /*max_edge=*/80.0);
   const Dataset s = testutil::Uniform(300, 93, 500.0, /*max_edge=*/80.0);
-  PbsmOptions opt;
+  EngineConfig opt;
   opt.num_partitions = 32;
-  JoinResult got = PbsmSpatialJoin(r, s, opt);
+  JoinResult got = RunPbsm(r, s, opt);
   got.Sort();
   for (std::size_t i = 1; i < got.size(); ++i) {
     EXPECT_FALSE(got.pairs()[i] == got.pairs()[i - 1])
@@ -59,10 +72,10 @@ TEST(Pbsm, NoDuplicatesDespiteMultiAssignment) {
 TEST(Pbsm, SkewedDataCorrect) {
   const Dataset r = testutil::Skewed(1500, 94);
   const Dataset s = testutil::Skewed(1500, 95);
-  PbsmOptions opt;
+  EngineConfig opt;
   opt.num_partitions = 100;
   opt.num_threads = 2;
-  JoinResult got = PbsmSpatialJoin(r, s, opt);
+  JoinResult got = RunPbsm(r, s, opt);
   JoinResult expected = BruteForceJoin(r, s);
   EXPECT_TRUE(JoinResult::SameMultiset(expected, got));
 }
@@ -70,11 +83,15 @@ TEST(Pbsm, SkewedDataCorrect) {
 TEST(Pbsm, SeparatePhasesEqualCombined) {
   const Dataset r = testutil::Uniform(400, 96);
   const Dataset s = testutil::Uniform(400, 97);
-  PbsmOptions opt;
+  EngineConfig opt;
   opt.num_partitions = 16;
-  const StripePartition partition = PbsmPartition(r, s, opt);
-  JoinResult two_phase = PbsmJoin(r, s, partition, opt);
-  JoinResult combined = PbsmSpatialJoin(r, s, opt);
+  auto plan = PrepareJoin(kPbsmEngine, BorrowDataset(r), BorrowDataset(s),
+                          opt);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto executed = RunPreparedJoin(**plan, opt);
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  JoinResult two_phase = std::move(executed->result);
+  JoinResult combined = RunPbsm(r, s, opt);
   EXPECT_TRUE(JoinResult::SameMultiset(two_phase, combined));
 }
 
@@ -82,12 +99,12 @@ TEST(Pbsm, MorePartitionsFewerChecksPerStripe) {
   const Dataset r = testutil::Uniform(2000, 98, 2000.0, /*max_edge=*/2.0);
   const Dataset s = testutil::Uniform(2000, 99, 2000.0, /*max_edge=*/2.0);
   JoinStats few, many;
-  PbsmOptions opt;
+  EngineConfig opt;
   opt.tile_join = TileJoin::kNestedLoop;
   opt.num_partitions = 2;
-  PbsmSpatialJoin(r, s, opt, &few);
+  RunPbsm(r, s, opt, &few);
   opt.num_partitions = 256;
-  PbsmSpatialJoin(r, s, opt, &many);
+  RunPbsm(r, s, opt, &many);
   // Finer partitioning prunes far more of the cross product.
   EXPECT_LT(many.predicate_evaluations, few.predicate_evaluations / 4);
 }
@@ -123,9 +140,9 @@ TEST(Pbsm, ObjectsOnTheGlobalMaxBoundary) {
   }
   ASSERT_TRUE(boundary_point) << "fixture no longer exercises the boundary";
 
-  PbsmOptions opt;
+  EngineConfig opt;
   opt.num_partitions = 64;
-  JoinResult got = PbsmSpatialJoin(points, polys, opt);
+  JoinResult got = RunPbsm(points, polys, opt);
   JoinResult expected = BruteForceJoin(points, polys);
   EXPECT_TRUE(JoinResult::SameMultiset(expected, got));
 }
@@ -141,11 +158,11 @@ TEST(Pbsm, ObjectsOnFloatRoundedStripeEdges) {
     for (const int partitions : {7, 10, 13}) {
       std::vector<Box> r_boxes = {Box(0, 0, 0, 0), Box(1, 1, 1, 1)};
       std::vector<Box> s_boxes = r_boxes;
-      // Mirror PartitionStripes' edge arithmetic: lo + p * width in double,
-      // rounded to Coord.
-      const double width = 1.0 / partitions;
+      // Mirror UniformGrid's edge formula over the [0, 1] extent:
+      // min + p * ((max - min) / n) in double, rounded to Coord once.
+      const double step = 1.0 / partitions;
       for (int p = 1; p < partitions; ++p) {
-        const Coord edge = static_cast<Coord>(p * width);
+        const Coord edge = static_cast<Coord>(0.0 + p * step);
         const Coord other = 0.5f;
         const Box pt = axis == Axis::kX ? Box(edge, other, edge, other)
                                         : Box(other, edge, other, edge);
@@ -157,10 +174,10 @@ TEST(Pbsm, ObjectsOnFloatRoundedStripeEdges) {
       JoinResult expected = BruteForceJoin(r, s);
       ASSERT_GE(expected.size(), static_cast<std::size_t>(partitions + 1));
 
-      PbsmOptions opt;
+      EngineConfig opt;
       opt.num_partitions = partitions;
       opt.axis = axis;
-      JoinResult got = PbsmSpatialJoin(r, s, opt);
+      JoinResult got = RunPbsm(r, s, opt);
       EXPECT_TRUE(JoinResult::SameMultiset(expected, got))
           << partitions << " stripes on axis "
           << (axis == Axis::kX ? "x" : "y") << ": expected " << expected.size()
@@ -191,10 +208,10 @@ TEST(Pbsm, CollidedFloatStripeEdgesFarFromOrigin) {
     JoinResult expected = BruteForceJoin(r, s);
     ASSERT_EQ(expected.size(), 5u);
 
-    PbsmOptions opt;
+    EngineConfig opt;
     opt.num_partitions = 512;
     opt.axis = axis;
-    JoinResult got = PbsmSpatialJoin(r, s, opt);
+    JoinResult got = RunPbsm(r, s, opt);
     EXPECT_TRUE(JoinResult::SameMultiset(expected, got))
         << "axis " << (axis == Axis::kX ? "x" : "y") << ": expected "
         << expected.size() << " pairs, got " << got.size();
@@ -213,10 +230,10 @@ TEST(Pbsm, ZeroWidthExtentAlongPartitionAxis) {
   const Dataset s("line_s", std::move(line));
   JoinResult expected = BruteForceJoin(r, s);
   ASSERT_EQ(expected.size(), 6u);
-  PbsmOptions opt;
+  EngineConfig opt;
   opt.num_partitions = 8;
   opt.axis = Axis::kX;
-  JoinResult got = PbsmSpatialJoin(r, s, opt);
+  JoinResult got = RunPbsm(r, s, opt);
   EXPECT_TRUE(JoinResult::SameMultiset(expected, got));
 }
 

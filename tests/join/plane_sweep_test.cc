@@ -9,7 +9,6 @@
 
 #include "join/nested_loop.h"
 #include "join/partitioned_driver.h"
-#include "join/pbsm.h"
 #include "tests/test_util.h"
 
 namespace swiftspatial {
@@ -214,8 +213,8 @@ TEST(PlaneSweep, ExactPredicateCountWithTiesAndDedupEdge) {
 }
 
 // Cached plans are built in sweep order, so warm executions never sort:
-// every grid cell of PlanPartitionedCells and every PBSM stripe, planned on
-// several threads.
+// every grid cell of PlanPartitionedCells and every stripe of pbsm's
+// one-axis grid, planned on several threads.
 TEST(PlaneSweep, CachedPlansAreInSweepOrder) {
   const Dataset r = testutil::Uniform(3000, 53, 500.0, /*max_edge=*/10.0);
   const Dataset s = testutil::Skewed(3000, 54, 500.0);
@@ -230,14 +229,18 @@ TEST(PlaneSweep, CachedPlansAreInSweepOrder) {
     ASSERT_TRUE(InSweepOrder(s, *cell.s_ids));
   }
 
-  PbsmOptions pbsm;
-  pbsm.num_partitions = 16;
-  pbsm.num_threads = 3;
-  const StripePartition partition = PbsmPartition(r, s, pbsm);
-  ASSERT_EQ(partition.r_parts.size(), 16u);
-  for (std::size_t i = 0; i < partition.r_parts.size(); ++i) {
-    ASSERT_TRUE(InSweepOrder(r, partition.r_parts[i])) << "stripe " << i;
-    ASSERT_TRUE(InSweepOrder(s, partition.s_parts[i])) << "stripe " << i;
+  PartitionedDriverOptions stripes;
+  stripes.grid_cols = 16;
+  stripes.grid_rows = 1;
+  stripes.num_threads = 3;
+  auto striped = PlanPartitionedCells(r, s, stripes);
+  ASSERT_TRUE(striped.ok()) << striped.status().ToString();
+  const GridSide& r_side = *(*striped)->r_side;
+  const GridSide& s_side = *(*striped)->s_side;
+  ASSERT_EQ(r_side.tiles.size(), 16u);
+  for (std::size_t i = 0; i < r_side.tiles.size(); ++i) {
+    ASSERT_TRUE(InSweepOrder(r, r_side.tiles[i])) << "stripe " << i;
+    ASSERT_TRUE(InSweepOrder(s, s_side.tiles[i])) << "stripe " << i;
   }
 }
 
