@@ -1,6 +1,7 @@
 #include "geometry/polygon.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 
@@ -9,11 +10,49 @@
 
 namespace swiftspatial {
 
-Box Polygon::Mbr() const {
+namespace {
+
+Box RingMbr(std::span<const Point> ring) {
   Box out = Box::Empty();
-  for (const Point& p : vertices_) out.Expand(Box::FromPoint(p));
+  for (const Point& p : ring) out.Expand(Box::FromPoint(p));
   return out;
 }
+
+// True if the direction b - a lies in the half-turn [0, pi).
+bool PointsUp(const Point& a, const Point& b) {
+  return b.y > a.y || (b.y == a.y && b.x > a.x);
+}
+
+// True if every vertex of `other` lies strictly outside (right of) one edge
+// of the CCW ring `ring`. Each edge's scan starts half a ring past the
+// edge's own index: when both rings have the same count of vertices laid
+// out by angle, as MakeConvexPolygon's are, that vertex faces the edge from
+// the inside, so an edge that does not separate is usually settled by one
+// test. The start only orders the scan; the answer does not depend on it.
+bool HasSeparatingEdge(std::span<const Point> ring,
+                       std::span<const Point> other) {
+  const std::size_t m = other.size();
+  std::size_t start = m / 2;
+  for (std::size_t i = 0, j = ring.size() - 1; i < ring.size(); j = i++) {
+    const Point& a = ring[j];
+    const Point& b = ring[i];
+    bool separates = true;
+    for (std::size_t tested = 0, k = start; tested < m; ++tested) {
+      if (!(Cross(a, b, other[k]) < 0)) {
+        separates = false;
+        break;
+      }
+      if (++k == m) k = 0;
+    }
+    if (separates) return true;
+    if (++start == m) start = 0;
+  }
+  return false;
+}
+
+}  // namespace
+
+Box Polygon::Mbr() const { return RingMbr(vertices_); }
 
 bool Polygon::IsConvexCcw() const {
   const std::size_t n = vertices_.size();
@@ -38,8 +77,7 @@ double Polygon::SignedArea() const {
   return acc / 2.0;
 }
 
-bool PointInPolygon(const Point& p, const Polygon& poly) {
-  const auto& v = poly.vertices();
+bool PointInPolygon(const Point& p, std::span<const Point> v) {
   const std::size_t n = v.size();
   if (n < 3) return false;
   bool inside = false;
@@ -84,12 +122,10 @@ bool SegmentsIntersect(const Point& a1, const Point& a2, const Point& b1,
   return false;
 }
 
-bool PolygonsIntersect(const Polygon& a, const Polygon& b) {
-  const auto& va = a.vertices();
-  const auto& vb = b.vertices();
+bool PolygonsIntersect(std::span<const Point> va, std::span<const Point> vb) {
   if (va.size() < 3 || vb.size() < 3) return false;
   // Quick reject on MBRs.
-  if (!Intersects(a.Mbr(), b.Mbr())) return false;
+  if (!Intersects(RingMbr(va), RingMbr(vb))) return false;
   // Any edge crossing?
   for (std::size_t i = 0; i < va.size(); ++i) {
     const Point& a1 = va[i];
@@ -101,13 +137,40 @@ bool PolygonsIntersect(const Polygon& a, const Polygon& b) {
     }
   }
   // Full containment (no edge crossings): test one vertex each way.
-  if (PointInPolygon(va[0], b)) return true;
-  if (PointInPolygon(vb[0], a)) return true;
+  if (PointInPolygon(va[0], vb)) return true;
+  if (PointInPolygon(vb[0], va)) return true;
   return false;
+}
+
+bool IsStrictlyConvexCcw(std::span<const Point> ring) {
+  const std::size_t n = ring.size();
+  if (n < 3) return false;
+  // With every turn strictly left (each less than a half-turn), the edge
+  // direction enters the half-turn [0, pi) once per full revolution.
+  int revolutions = 0;
+  for (std::size_t i = 0, j = n - 1, h = n - 2; i < n; h = j, j = i++) {
+    const Point& a = ring[h];
+    const Point& b = ring[j];
+    const Point& c = ring[i];
+    if (!(Cross(a, b, c) > 0)) return false;
+    if (!PointsUp(a, b) && PointsUp(b, c)) ++revolutions;
+  }
+  return revolutions == 1;
+}
+
+bool ConvexRingsIntersect(std::span<const Point> a, std::span<const Point> b) {
+  return !HasSeparatingEdge(a, b) && !HasSeparatingEdge(b, a);
 }
 
 Polygon MakeConvexPolygon(uint64_t id, const Box& mbr, int num_vertices) {
   SWIFT_CHECK_GE(num_vertices, 4);
+  std::vector<Point> pts(static_cast<std::size_t>(num_vertices));
+  MakeConvexPolygon(id, mbr, pts);
+  return Polygon(std::move(pts));
+}
+
+void MakeConvexPolygon(uint64_t id, const Box& mbr, std::span<Point> out) {
+  SWIFT_CHECK_GE(out.size(), 4u);
   // All vertices lie on the ellipse inscribed in the MBR. Distinct angles on
   // a convex curve, sorted, always produce a convex CCW ring. The four
   // axis-extreme angles (0, pi/2, pi, 3pi/2) are always included and emitted
@@ -115,14 +178,23 @@ Polygon MakeConvexPolygon(uint64_t id, const Box& mbr, int num_vertices) {
   // (the filter works with tight MBRs).
   Rng rng(id * 0x9e3779b97f4a7c15ULL + 1);
   constexpr double kTau = 2.0 * std::numbers::pi;
-  std::vector<double> angles = {0.0, kTau / 4, kTau / 2, 3 * kTau / 4};
-  const int extra = num_vertices - 4;
-  for (int i = 0; i < extra; ++i) {
+  // Angle scratch lives on the stack for the usual vertex counts.
+  std::array<double, 64> inline_angles;
+  std::vector<double> heap_angles;
+  if (out.size() > inline_angles.size()) heap_angles.resize(out.size());
+  const std::span<double> angles =
+      heap_angles.empty() ? std::span<double>(inline_angles).first(out.size())
+                          : std::span<double>(heap_angles);
+  angles[0] = 0.0;
+  angles[1] = kTau / 4;
+  angles[2] = kTau / 2;
+  angles[3] = 3 * kTau / 4;
+  for (std::size_t i = 0; i + 4 < angles.size(); ++i) {
     // Keep jittered angles strictly inside a quadrant so they never collide
     // with the pinned axis angles.
-    const int quadrant = i % 4;
+    const int quadrant = static_cast<int>(i % 4);
     const double frac = 0.1 + 0.8 * rng.NextDouble();
-    angles.push_back((quadrant + frac) * (kTau / 4));
+    angles[i + 4] = (quadrant + frac) * (kTau / 4);
   }
   std::sort(angles.begin(), angles.end());
 
@@ -131,23 +203,21 @@ Polygon MakeConvexPolygon(uint64_t id, const Box& mbr, int num_vertices) {
   const double rx = (static_cast<double>(mbr.max_x) - mbr.min_x) / 2;
   const double ry = (static_cast<double>(mbr.max_y) - mbr.min_y) / 2;
 
-  std::vector<Point> pts;
-  pts.reserve(angles.size());
-  for (double a : angles) {
+  for (std::size_t k = 0; k < angles.size(); ++k) {
+    const double a = angles[k];
     if (a == 0.0) {
-      pts.push_back(Point{mbr.max_x, static_cast<Coord>(cy)});
+      out[k] = Point{mbr.max_x, static_cast<Coord>(cy)};
     } else if (a == kTau / 4) {
-      pts.push_back(Point{static_cast<Coord>(cx), mbr.max_y});
+      out[k] = Point{static_cast<Coord>(cx), mbr.max_y};
     } else if (a == kTau / 2) {
-      pts.push_back(Point{mbr.min_x, static_cast<Coord>(cy)});
+      out[k] = Point{mbr.min_x, static_cast<Coord>(cy)};
     } else if (a == 3 * kTau / 4) {
-      pts.push_back(Point{static_cast<Coord>(cx), mbr.min_y});
+      out[k] = Point{static_cast<Coord>(cx), mbr.min_y};
     } else {
-      pts.push_back(Point{static_cast<Coord>(cx + rx * std::cos(a)),
-                          static_cast<Coord>(cy + ry * std::sin(a))});
+      out[k] = Point{static_cast<Coord>(cx + rx * std::cos(a)),
+                     static_cast<Coord>(cy + ry * std::sin(a))};
     }
   }
-  return Polygon(std::move(pts));
 }
 
 }  // namespace swiftspatial

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "geometry/polygon.h"
 #include "join/nested_loop.h"
 #include "tests/test_util.h"
@@ -89,6 +93,41 @@ TEST(Refine, ParallelAgreesWithSerial) {
   JoinResult b = Refine(r, GeometryKind::kPolygon, s, GeometryKind::kPolygon,
                         candidates.pairs(), parallel);
   EXPECT_TRUE(JoinResult::SameMultiset(a, b));
+}
+
+TEST(Refine, OutputIsInCandidateOrderAtEveryThreadCount) {
+  // Survivors come out in candidate order whatever the thread count: each
+  // candidate gets a keep flag, and the flags are compacted in order. The
+  // candidates are shuffled so that order is not the sorted one, and there
+  // are enough of them that eight workers each verify several ranges.
+  const Dataset r = testutil::Uniform(1500, 153, 600.0, /*max_edge=*/30.0);
+  const Dataset s = testutil::Uniform(1500, 154, 600.0, /*max_edge=*/30.0);
+  std::vector<ResultPair> candidates = BruteForceJoin(r, s).pairs();
+  ASSERT_GT(candidates.size(), 8u * 512u);
+  Rng rng(155);
+  for (std::size_t i = candidates.size() - 1; i > 0; --i) {
+    std::swap(candidates[i], candidates[rng.Next() % (i + 1)]);
+  }
+
+  RefinementOptions opt;
+  std::vector<ResultPair> expected;
+  for (const ResultPair& p : candidates) {
+    const Polygon rp = MakeConvexPolygon(
+        static_cast<uint64_t>(p.r), r.box(static_cast<std::size_t>(p.r)),
+        opt.polygon_vertices);
+    const Polygon sp = MakeConvexPolygon(
+        static_cast<uint64_t>(p.s), s.box(static_cast<std::size_t>(p.s)),
+        opt.polygon_vertices);
+    if (PolygonsIntersect(rp, sp)) expected.push_back(p);
+  }
+  ASSERT_LT(expected.size(), candidates.size());
+
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    opt.num_threads = threads;
+    const JoinResult refined = Refine(r, GeometryKind::kPolygon, s,
+                                      GeometryKind::kPolygon, candidates, opt);
+    EXPECT_EQ(refined.pairs(), expected) << "num_threads=" << threads;
+  }
 }
 
 TEST(Refine, MoreVerticesTighterFit) {
@@ -206,7 +245,7 @@ TEST(Refine, PointKindCoincidingWithZeroAreaPolygonKind) {
 }
 
 TEST(Refine, RepeatedObjectsHitTheCacheWithIdenticalOutput) {
-  // Many candidates sharing few objects: the per-object polygon cache must
+  // Many candidates sharing few objects: the flat polygon store must
   // produce output identical to direct per-pair materialisation (the
   // pre-cache semantics), including duplicate candidate pairs.
   const Dataset r = testutil::Uniform(40, 151, 120.0, /*max_edge=*/25.0);
