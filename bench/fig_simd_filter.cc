@@ -35,37 +35,32 @@ namespace swiftspatial::bench {
 namespace {
 
 constexpr int kProbes = 64;
+// Rounds behind each gated median, whatever --reps asks for: with one
+// round a single slow sample (a preempted run) decides a gate.
+constexpr int kMinGateReps = 5;
 
-// One warmup run of each, then `reps` repetitions that time `a` and `b`
-// back to back (alternating which goes first); returns both medians. Host
-// speed drifts over seconds, so two kernels timed in separate blocks can
-// differ by the drift alone; interleaving exposes both to the same drift.
-std::pair<double, double> InterleavedMedianSeconds(
-    const std::function<void()>& a, const std::function<void()>& b,
-    int reps) {
-  a();
-  b();
-  std::vector<double> a_times, b_times;
-  const auto time = [](const std::function<void()>& fn,
-                       std::vector<double>* times) {
-    Stopwatch sw;
-    fn();
-    times->push_back(sw.ElapsedSeconds());
-  };
+// One warmup run of each, then `reps` rounds that time every function once,
+// back to back, rotating which goes first; returns each one's median. Host
+// speed drifts over seconds, so kernels timed in separate blocks can differ
+// by the drift alone; interleaving exposes them all to the same drift.
+std::vector<double> InterleavedMedianSeconds(
+    const std::vector<std::function<void()>>& fns, int reps) {
+  for (const auto& fn : fns) fn();
+  std::vector<std::vector<double>> times(fns.size());
   for (int i = 0; i < reps; ++i) {
-    if (i % 2 == 0) {
-      time(a, &a_times);
-      time(b, &b_times);
-    } else {
-      time(b, &b_times);
-      time(a, &a_times);
+    for (std::size_t k = 0; k < fns.size(); ++k) {
+      const std::size_t f = (k + static_cast<std::size_t>(i)) % fns.size();
+      Stopwatch sw;
+      fns[f]();
+      times[f].push_back(sw.ElapsedSeconds());
     }
   }
-  const auto median = [](std::vector<double>* times) {
-    std::sort(times->begin(), times->end());
-    return (*times)[times->size() / 2];
-  };
-  return {median(&a_times), median(&b_times)};
+  std::vector<double> medians;
+  for (std::vector<double>& t : times) {
+    std::sort(t.begin(), t.end());
+    medians.push_back(t[t.size() / 2]);
+  }
+  return medians;
 }
 
 int Main(int argc, char** argv) {
@@ -106,17 +101,13 @@ int Main(int argc, char** argv) {
     const uint64_t pairs = static_cast<uint64_t>(kProbes) * scale;
     uint64_t aos_matches = 0, soa_matches = 0, simd_matches = 0;
 
-    const double aos_sec = MedianSeconds(
-        [&] {
-          uint64_t m = 0;
-          for (const Box& probe : probes) {
-            for (const Box& c : candidates.boxes()) {
-              m += Intersects(probe, c);
-            }
-          }
-          aos_matches = m;
-        },
-        env.reps);
+    const auto aos_scalar = [&] {
+      uint64_t m = 0;
+      for (const Box& probe : probes) {
+        for (const Box& c : candidates.boxes()) m += Intersects(probe, c);
+      }
+      aos_matches = m;
+    };
 
     const double soa_sec = MedianSeconds(
         [&] {
@@ -150,16 +141,17 @@ int Main(int argc, char** argv) {
 
     // The probe-blocked kernel (both sides batched): probes processed in
     // the same 16-probe tiles SimdTileJoin uses, candidate arrays streamed
-    // once per probe quad instead of once per probe. Timed interleaved with
-    // the per-probe kernel, as the 0.7x gate below compares the two.
+    // once per probe quad instead of once per probe. The three gated paths
+    // -- AoS, kernel, probe-blocked -- are timed interleaved, as both gates
+    // below compare two of them.
     uint64_t blocked_matches = 0;
     const BoxBlock probe_block = BoxBlock::FromBoxes(probes);
     constexpr std::size_t kProbeTile = 16;
     const std::size_t words = FilterMaskWords(block.size());
     std::vector<uint64_t> masks(kProbeTile * words);
-    const auto [simd_sec, blocked_sec] = InterleavedMedianSeconds(
-        simd_kernel,
-        [&] {
+    const std::vector<double> gated = InterleavedMedianSeconds(
+        {aos_scalar, simd_kernel,
+         [&] {
           uint64_t m = 0;
           for (std::size_t p0 = 0; p0 < probe_block.size();
                p0 += kProbeTile) {
@@ -175,8 +167,11 @@ int Main(int argc, char** argv) {
             }
           }
           blocked_matches = m;
-        },
-        env.reps);
+        }},
+        std::max(env.reps, kMinGateReps));
+    const double aos_sec = gated[0];
+    const double simd_sec = gated[1];
+    const double blocked_sec = gated[2];
 
     if (aos_matches != soa_matches || aos_matches != simd_matches ||
         aos_matches != blocked_matches) {

@@ -33,7 +33,7 @@
 #include "common/thread_pool.h"
 #include "dist/exchange.h"
 #include "dist/shard_planner.h"
-#include "exec/task_graph.h"
+#include "exec/cancellation.h"
 #include "join/result.h"
 
 namespace swiftspatial::dist {

@@ -40,10 +40,23 @@ class DistEngineImpl : public EngineBase<DistPreparedPlan, DistJoinEngine> {
       : EngineBase(std::move(name), config), use_accel_(use_accel) {}
 
  protected:
-  Status Validate() override { return ValidateDistConfig(config()); }
+  Status Validate() override {
+    if (config().dist_nodes < 1) {
+      return Status::InvalidArgument("dist_nodes must be >= 1");
+    }
+    SWIFT_RETURN_IF_ERROR(
+        ValidateGridConfig(config().grid_cols, config().grid_rows));
+    if (config().accel_join_units < 0) {
+      return Status::InvalidArgument("accel_join_units must be >= 0");
+    }
+    if (config().accel_tile_cap < 1) {
+      return Status::InvalidArgument("accel_tile_cap must be >= 1");
+    }
+    return Status::OK();
+  }
 
   Status Build(DistPreparedPlan* plan, const JoinInput& r,
-               const JoinInput& s) override {
+               const JoinInput& s, const WaveContext& /*wave*/) override {
     plan->options = OptionsFromConfig(config(), use_accel_);
     auto shard_plan = PlanShards(plan->r(), plan->s(), plan->options.grid_cols,
                                  plan->options.grid_rows,
@@ -55,7 +68,8 @@ class DistEngineImpl : public EngineBase<DistPreparedPlan, DistJoinEngine> {
     return Status::OK();
   }
 
-  Status ExecuteImpl(const DistPreparedPlan& plan, JoinResult* out,
+  Status ExecuteImpl(const DistPreparedPlan& plan,
+                     const WaveContext& /*wave*/, JoinResult* out,
                      JoinStats* stats) override {
     return Run(plan, out, stats, ShardSink(), exec::CancellationToken());
   }
@@ -66,10 +80,10 @@ class DistEngineImpl : public EngineBase<DistPreparedPlan, DistJoinEngine> {
       target.sink(std::move(pairs));
     };
     SWIFT_RETURN_IF_ERROR(
-        Run(plan, /*out=*/nullptr, stats, sink, target.cancel));
+        Run(plan, /*out=*/nullptr, stats, sink, target.wave.cancel));
     // Shard retries are this request's fault-recovery cost.
-    if (target.usage != nullptr) {
-      target.usage->AddRetries(
+    if (target.wave.usage != nullptr) {
+      target.wave.usage->AddRetries(
           static_cast<uint64_t>(report_.retried_shards));
     }
     return Status::OK();
@@ -104,28 +118,6 @@ std::size_t DistPreparedPlan::MemoryBytes() const {
         (shard.r_ids.capacity() + shard.s_ids.capacity()) * sizeof(ObjectId);
   }
   return bytes;
-}
-
-bool IsDistEngine(const std::string& name) {
-  return name == kDistPbsmEngine || name == kDistAccelEngine;
-}
-
-Status ValidateDistConfig(const EngineConfig& config) {
-  if (config.num_threads < 1) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
-  if (config.dist_nodes < 1) {
-    return Status::InvalidArgument("dist_nodes must be >= 1");
-  }
-  SWIFT_RETURN_IF_ERROR(
-      ValidateGridConfig(config.grid_cols, config.grid_rows));
-  if (config.accel_join_units < 0) {
-    return Status::InvalidArgument("accel_join_units must be >= 0");
-  }
-  if (config.accel_tile_cap < 1) {
-    return Status::InvalidArgument("accel_tile_cap must be >= 1");
-  }
-  return Status::OK();
 }
 
 Result<std::unique_ptr<DistJoinEngine>> MakeDistEngine(

@@ -57,16 +57,9 @@ class DistJoinEngine : public JoinEngine {
   DistReport report_;
 };
 
-/// True for the engine names backed by the cluster runtime.
-bool IsDistEngine(const std::string& name);
-
-/// Data-independent config checks shared by Prepare and the streaming layer's
-/// fail-fast path.
-Status ValidateDistConfig(const EngineConfig& config);
-
 /// Instantiates one of the distributed engines directly -- the typed handle
-/// (last_report) the plain registry interface erases.
-/// NotFound for names IsDistEngine rejects.
+/// (last_report) the plain registry interface erases. NotFound for any
+/// name but dist-pbsm and dist-accel.
 Result<std::unique_ptr<DistJoinEngine>> MakeDistEngine(
     const std::string& name, const EngineConfig& config);
 

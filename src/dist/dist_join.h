@@ -38,7 +38,7 @@
 #include "dist/cluster.h"
 #include "dist/exchange.h"
 #include "dist/shard_planner.h"
-#include "exec/task_graph.h"
+#include "exec/cancellation.h"
 #include "join/tile_join.h"
 #include "join/result.h"
 

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "common/sync.h"
-#include "exec/task_graph.h"
+#include "exec/cancellation.h"
 #include "join/result.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"

@@ -165,7 +165,8 @@ std::vector<std::string> DatasetRegistry::Names() const {
 
 Result<std::shared_ptr<const PreparedPlan>> DatasetRegistry::GetOrPrepare(
     const std::string& engine, const std::string& r_name,
-    const std::string& s_name, const EngineConfig& config) {
+    const std::string& s_name, const EngineConfig& config,
+    const WaveContext& wave) {
   const uint64_t fingerprint = ConfigFingerprint(config);
 
   std::optional<JoinInput> r, s;
@@ -204,7 +205,8 @@ Result<std::shared_ptr<const PreparedPlan>> DatasetRegistry::GetOrPrepare(
   SideStore s_sides(this, s_name, std::get<3>(key));
   r->grid_sides = &r_sides;
   s->grid_sides = &s_sides;
-  auto prepared = PrepareJoin(engine, std::move(*r), std::move(*s), config);
+  auto prepared =
+      PrepareJoin(engine, std::move(*r), std::move(*s), config, wave);
   if (!prepared.ok()) return prepared.status();
   std::shared_ptr<const PreparedPlan> plan = std::move(*prepared);
 

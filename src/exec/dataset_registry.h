@@ -130,10 +130,11 @@ class DatasetRegistry {
   /// were built are returned but not stored. Plans returned here stay valid
   /// (and pin their datasets and halves) for as long as the caller holds
   /// them, even across invalidation or eviction.
+  /// A miss prepares under `wave` (see JoinEngine::Prepare).
   Result<std::shared_ptr<const PreparedPlan>> GetOrPrepare(
       const std::string& engine, const std::string& r_name,
-      const std::string& s_name, const EngineConfig& config = {})
-      EXCLUDES(mu_);
+      const std::string& s_name, const EngineConfig& config = {},
+      const WaveContext& wave = {}) EXCLUDES(mu_);
 
   PlanCacheStats plan_cache_stats() const EXCLUDES(mu_);
 

@@ -35,6 +35,7 @@ void AccumulateUsage(const obs::ResourceUsage& u, obs::ResourceUsage* agg) {
   agg->wall_seconds += u.wall_seconds;
   agg->cpu_seconds += u.cpu_seconds;
   agg->queue_wait_seconds += u.queue_wait_seconds;
+  agg->task_wait_seconds += u.task_wait_seconds;
   agg->tasks += u.tasks;
   agg->chunks += u.chunks;
   agg->pairs += u.pairs;
@@ -59,10 +60,11 @@ JoinService::JoinService(const JoinServiceOptions& options)
       m_expired_queued_(metrics_->GetCounter("swiftspatial_service_expired_queued_total", {}, "Deadlines expired while queued")),
       m_expired_running_(metrics_->GetCounter("swiftspatial_service_expired_running_total", {}, "Deadlines expired mid-run (cooperative cancellation)")),
       m_degraded_(metrics_->GetCounter("swiftspatial_service_degraded_total", {}, "Mid-run expiries closed OK with a partial result")),
-      m_request_cpu_(metrics_->GetHistogram("swiftspatial_service_request_cpu_seconds", {}, {}, "Thread-CPU time summed over one request's task bodies")),
+      m_request_cpu_(metrics_->GetHistogram("swiftspatial_service_request_cpu_seconds", {}, {}, "Thread-CPU time summed over every thread that worked for one request")),
+      m_request_task_wait_(metrics_->GetHistogram("swiftspatial_service_request_task_wait_seconds", {}, {}, "Pool queue wait summed over one request's wave slots")),
       m_result_pairs_(metrics_->GetCounter("swiftspatial_service_result_pairs_total", {}, "Result pairs streamed by finished requests")),
       m_result_bytes_(metrics_->GetCounter("swiftspatial_service_result_bytes_total", {}, "Result bytes streamed by finished requests")),
-      m_tasks_(metrics_->GetCounter("swiftspatial_service_tasks_total", {}, "TaskGraph tasks executed for finished requests")),
+      m_tasks_(metrics_->GetCounter("swiftspatial_service_tasks_total", {}, "Work items (partitioned cell groups) executed for finished requests")),
       m_shard_retries_(metrics_->GetCounter("swiftspatial_service_shard_retries_total", {}, "Distributed shard retries triggered by finished requests")) {
   const std::size_t dispatchers =
       std::max<std::size_t>(1, options_.max_concurrent);
@@ -122,7 +124,7 @@ Result<AsyncJoinHandle> JoinService::SubmitNamed(const std::string& tenant,
   StreamOptions stream = options_.stream;
   stream.metrics = metrics_;
   auto deferred = MakeRegisteredJoinStream(registry_.get(), engine, r_name,
-                                           s_name, cfg, stream);
+                                           s_name, cfg, stream, &pool_);
   if (!deferred.ok()) return deferred.status();
   return Admit(std::move(*deferred), tenant, request, std::move(span));
 }
@@ -335,9 +337,9 @@ void JoinService::DispatcherLoop() {
       if (job.queue_wait_hist != nullptr) {
         job.queue_wait_hist->Observe(queue_wait);
       }
-      // The service-side admission wait joins the pool-side task waits the
-      // TaskGraph feeds in: queue_wait_seconds is all time the request
-      // spent runnable-but-waiting, at either level.
+      // queue_wait_seconds is the admission wait alone, a layer of the
+      // request's latency; the pool waits of its wave slots are a cost,
+      // kept apart in task_wait_seconds.
       if (job.usage != nullptr) job.usage->AddQueueWaitSeconds(queue_wait);
       job.producer();  // blocking: runs the join, streams, closes
       job_seconds = NowSeconds() - start;
@@ -345,6 +347,7 @@ void JoinService::DispatcherLoop() {
       if (job.usage != nullptr) {
         usage = job.usage->Snapshot();
         m_request_cpu_->Observe(usage.cpu_seconds);
+        m_request_task_wait_->Observe(usage.task_wait_seconds);
         m_result_pairs_->Increment(usage.pairs);
         m_result_bytes_->Increment(usage.bytes);
         m_tasks_->Increment(usage.tasks);

@@ -88,8 +88,9 @@ enum class SchedulingPolicy {
 const char* SchedulingPolicyToString(SchedulingPolicy p);
 
 struct JoinServiceOptions {
-  /// Workers in the shared tile-task pool (the compute budget all running
-  /// requests divide).
+  /// Workers in the shared pool every request's waves run on (the compute
+  /// budget all running requests divide; each request uses at most its
+  /// num_threads of it: its dispatcher plus num_threads - 1 workers).
   std::size_t worker_threads = 4;
   /// Requests running at once; the rest queue. This is the serving-side
   /// analogue of the FPGA's kernel count.
@@ -178,8 +179,8 @@ struct JoinServiceStats {
   PlanCacheStats plan_cache;
   /// Aggregate resource accounting over completed requests (including
   /// expired-mid-run ones -- their partial work was still paid for):
-  /// summed wall/CPU/queue-wait seconds, tasks, chunks, pairs, bytes, and
-  /// shard retries. Per-request distributions are on the
+  /// summed wall/CPU/queue-wait/task-wait seconds, tasks, chunks, pairs,
+  /// bytes, and shard retries. Per-request distributions are on the
   /// swiftspatial_service_request_* series.
   obs::ResourceUsage resources;
 };
@@ -339,6 +340,7 @@ class JoinService {
   obs::Counter* const m_degraded_;
   // Request-cost series, fed from each finished request's ResourceUsage.
   obs::Histogram* const m_request_cpu_;
+  obs::Histogram* const m_request_task_wait_;
   obs::Counter* const m_result_pairs_;
   obs::Counter* const m_result_bytes_;
   obs::Counter* const m_tasks_;

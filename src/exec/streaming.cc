@@ -4,14 +4,12 @@
 #include <deque>
 #include <exception>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/sync.h"
-#include "dist/dist_engine.h"
-#include "join/accel_engine.h"
-#include "join/partitioned_driver.h"
 #include "obs/log.h"
 
 namespace swiftspatial::exec {
@@ -32,31 +30,32 @@ class StreamState {
 
   enum class PushResult { kPushed, kFull, kCancelled };
 
-  /// Enqueues one chunk, blocking while the queue is full. Returns false
-  /// (dropping the chunk) once the stream is cancelled. Empty pair sets are
-  /// not enqueued.
-  bool Push(std::vector<ResultPair> pairs) EXCLUDES(mu_) {
-    if (pairs.empty()) return !cancel_.cancelled();
-    MutexLock lock(&mu_);
-    while (queue_.size() >= capacity_ && !cancel_.cancelled()) {
-      cv_space_.Wait(&mu_);
+  /// Enqueues one chunk (taking `*pairs`; empty sets are not enqueued).
+  /// On a full queue it blocks when `may_block`, else returns kFull and
+  /// leaves the caller holding the pairs -- pool workers must not block on
+  /// one stream's backpressure, which could starve (and with sequential
+  /// consumers, deadlock) every other stream on the pool. kCancelled (the
+  /// chunk dropped) once the stream is cancelled.
+  PushResult Push(std::vector<ResultPair>* pairs, bool may_block)
+      EXCLUDES(mu_) {
+    {
+      MutexLock lock(&mu_);
+      while (may_block && queue_.size() >= capacity_ &&
+             !cancel_.cancelled()) {
+        cv_space_.Wait(&mu_);
+      }
+      if (cancel_.cancelled()) return PushResult::kCancelled;
+      if (pairs->empty()) return PushResult::kPushed;
+      if (queue_.size() >= capacity_) return PushResult::kFull;
+      PushLocked(std::move(*pairs));
+      pairs->clear();
+      if (waiting_consumers_ == 0) return PushResult::kPushed;
     }
-    if (cancel_.cancelled()) return false;
-    PushLocked(std::move(pairs));
-    return true;
-  }
-
-  /// Non-blocking variant: kFull leaves the caller holding the pairs. Used
-  /// by tile tasks on a *shared* pool, where blocking a worker on one
-  /// stream's backpressure could starve (and with sequential consumers,
-  /// deadlock) every other stream on the pool.
-  PushResult TryPush(std::vector<ResultPair>* pairs) EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    if (cancel_.cancelled()) return PushResult::kCancelled;
-    if (pairs->empty()) return PushResult::kPushed;
-    if (queue_.size() >= capacity_) return PushResult::kFull;
-    PushLocked(std::move(*pairs));
-    pairs->clear();
+    // Hand the core to the consumer this chunk just woke: while the join
+    // keeps every core busy, a woken consumer otherwise waits out the
+    // pusher's time slice (about 2 ms of time-to-first-chunk on a 4-vCPU
+    // host).
+    std::this_thread::yield();
     return PushResult::kPushed;
   }
 
@@ -65,7 +64,9 @@ class StreamState {
   /// well-defined.
   bool Pop(ResultChunk* out) EXCLUDES(mu_) {
     MutexLock lock(&mu_);
+    ++waiting_consumers_;
     while (queue_.empty() && !closed_) cv_data_.Wait(&mu_);
+    --waiting_consumers_;
     if (queue_.empty()) return false;
     *out = std::move(queue_.front());
     queue_.pop_front();
@@ -131,6 +132,16 @@ class StreamState {
     MutexLock lock(&mu_);
     return max_depth_;
   }
+  /// High-water mark of pairs staged ahead of the queue (ChunkStager),
+  /// recorded by the producer before it closes the stream.
+  std::size_t max_staged_pairs() const EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return max_staged_pairs_;
+  }
+  void set_max_staged_pairs(std::size_t pairs) EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    max_staged_pairs_ = pairs;
+  }
   /// Chunks pushed over the stream's lifetime (the sequence counter).
   uint64_t chunks_pushed() const EXCLUDES(mu_) {
     MutexLock lock(&mu_);
@@ -181,6 +192,8 @@ class StreamState {
   std::deque<ResultChunk> queue_ GUARDED_BY(mu_);
   uint64_t next_sequence_ GUARDED_BY(mu_) = 0;
   std::size_t max_depth_ GUARDED_BY(mu_) = 0;
+  std::size_t max_staged_pairs_ GUARDED_BY(mu_) = 0;
+  int waiting_consumers_ GUARDED_BY(mu_) = 0;  // blocked in Pop
   bool closed_ GUARDED_BY(mu_) = false;
   Status status_ GUARDED_BY(mu_);
   /// Terminal-status stamp from CancelWith; applied by CloseLocked when the
@@ -203,20 +216,20 @@ using internal::StreamState;
 // from the back (order across chunks is irrelevant -- the result is a
 // multiset; carving the front would shift the residue on every carve).
 //
-// Backpressure: a thread that is not a worker of the shared pool blocks on
-// a full queue -- the hard memory bound of streams on a private pool. A
-// worker of the service's shared pool must never park on one consumer's
-// backpressure (with sequential consumers that deadlocks every stream on the
-// pool), so it tries once and restages on a full queue; Finish, which runs
-// on the producer thread, ships the remainder. The stager's lock guards
+// Backpressure, one rule for every stream: only the wave's caller (the
+// producer or dispatcher thread, never a pool worker) blocks on a full
+// queue. A pool worker must never park on one consumer's backpressure (with
+// sequential consumers that deadlocks every stream on the pool), so it
+// tries once, restages on a full queue and yields its wave slot
+// (YieldWaveSlot): it stops claiming work and the caller joins the rest,
+// blocking as needed; Finish, on the producer thread, ships the remainder.
+// Staged pairs therefore stay within about one batch per slot (chunk_pairs
+// plus one cell's output) however large the join. The stager's lock guards
 // only the staging buffer and is never held across a push.
 class ChunkStager {
  public:
-  ChunkStager(std::size_t chunk_pairs, StreamState* state,
-              const ThreadPool* shared_pool)
-      : chunk_pairs_(std::max<std::size_t>(1, chunk_pairs)),
-        state_(state),
-        shared_pool_(shared_pool) {}
+  ChunkStager(std::size_t chunk_pairs, StreamState* state)
+      : chunk_pairs_(std::max<std::size_t>(1, chunk_pairs)), state_(state) {}
 
   /// Adds one producer batch, shipping any full chunks. Batches are
   /// dropped once a push has failed (the consumer cancelled).
@@ -229,10 +242,9 @@ class ChunkStager {
       } else {
         staged_.insert(staged_.end(), batch.begin(), batch.end());
       }
+      max_staged_ = std::max(max_staged_, staged_.size());
     }
-    Ship(/*may_block=*/shared_pool_ == nullptr ||
-             shared_pool_->CurrentWorkerIndex() == ThreadPool::kNotAWorker,
-         /*tail=*/false);
+    Ship(/*may_block=*/!ThreadPool::OnWorkerThread(), /*tail=*/false);
   }
 
   /// Ships everything still staged, blocking on backpressure; called on the
@@ -242,11 +254,18 @@ class ChunkStager {
     return Ship(/*may_block=*/true, /*tail=*/true);
   }
 
+  /// High-water mark of the staging buffer, in pairs.
+  std::size_t max_staged() const EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return max_staged_;
+  }
+
  private:
   // Carves and pushes full chunks (with `tail`, also the partial rest) one
   // at a time, pushing outside the lock so other threads keep staging.
   // Stops when none remain, a push fails (returns false), or a
-  // non-blocking push finds the queue full (the chunk is restaged).
+  // non-blocking push finds the queue full (the chunk is restaged and the
+  // pool slot yields).
   bool Ship(bool may_block, bool tail) EXCLUDES(mu_) {
     for (;;) {
       std::vector<ResultPair> chunk;
@@ -258,14 +277,7 @@ class ChunkStager {
         }
         chunk = CarveLocked();
       }
-      StreamState::PushResult result;
-      if (may_block) {
-        result = state_->Push(std::move(chunk))
-                     ? StreamState::PushResult::kPushed
-                     : StreamState::PushResult::kCancelled;
-      } else {
-        result = state_->TryPush(&chunk);
-      }
+      const StreamState::PushResult result = state_->Push(&chunk, may_block);
       if (result == StreamState::PushResult::kPushed) continue;
       MutexLock lock(&mu_);
       if (result == StreamState::PushResult::kCancelled) {
@@ -273,6 +285,7 @@ class ChunkStager {
         return false;
       }
       staged_.insert(staged_.end(), chunk.begin(), chunk.end());
+      YieldWaveSlot();
       return true;
     }
   }
@@ -299,33 +312,39 @@ class ChunkStager {
 
   const std::size_t chunk_pairs_;
   StreamState* const state_;
-  const ThreadPool* const shared_pool_;
-  Mutex mu_;
+  mutable Mutex mu_;
   std::vector<ResultPair> staged_ GUARDED_BY(mu_);
+  std::size_t max_staged_ GUARDED_BY(mu_) = 0;
   bool push_failed_ GUARDED_BY(mu_) = false;
 };
 
 // Where a producer's plan comes from: the engine's own Prepare over
 // borrowed datasets (cold), or the registry's plan cache (warm, where a hit
-// makes the plan stage just the cache lookup).
-using PlanSource =
-    std::function<Result<std::shared_ptr<const PreparedPlan>>(JoinEngine&)>;
+// makes the plan stage just the cache lookup). A plan built here runs its
+// waves under the given context.
+using PlanSource = std::function<Result<std::shared_ptr<const PreparedPlan>>(
+    JoinEngine&, const WaveContext&)>;
 
 // The one producer: instantiate the engine and fetch its plan (both billed
 // to plan_seconds, as RunPreparedJoin bills instantiation), then execute it
-// streaming into the chunk stager. The fetched plan pins its datasets for
-// the whole execution, so a concurrent re-Put of a registered name cannot
-// pull the data out from under the join.
+// streaming into the chunk stager. Every wave of both stages runs on `pool`
+// (null: the process-wide pool) at the request's num_threads, with this
+// thread as the caller; the thread bills its own CPU to the request, and
+// each wave slot its own. The fetched plan pins its datasets for the whole
+// execution, so a concurrent re-Put of a registered name cannot pull the
+// data out from under the join.
 void RunPreparedProducer(const std::string& engine_name,
                          const EngineConfig& config, const PlanSource& source,
                          StreamOptions opts, ThreadPool* pool,
                          std::shared_ptr<StreamState> state) {
+  obs::ScopedCpuCharge charge(state->usage());
+  const WaveContext wave{pool, state->token(), config.trace, state->usage()};
   StageTiming timing;
   Stopwatch sw;
   obs::ScopedSpan plan_span(config.trace, "plan");
   auto engine = EngineRegistry::Global().Create(engine_name, config);
   Result<std::shared_ptr<const PreparedPlan>> plan =
-      engine.ok() ? source(**engine)
+      engine.ok() ? source(**engine, wave)
                   : Result<std::shared_ptr<const PreparedPlan>>(
                         engine.status());
   timing.plan_seconds = sw.ElapsedSeconds();
@@ -345,19 +364,18 @@ void RunPreparedProducer(const std::string& engine_name,
   obs::ScopedSpan exec_span(config.trace, "execute");
   sw.Reset();
   JoinStats stats;
-  ChunkStager stager(opts.chunk_pairs, state.get(), pool);
+  ChunkStager stager(opts.chunk_pairs, state.get());
   StreamTarget target;
   target.sink = [&stager](std::vector<ResultPair> batch) {
     stager.Add(std::move(batch));
   };
   target.chunk_pairs = opts.chunk_pairs;
-  target.cancel = state->token();
-  target.usage = state->usage();
-  target.pool = pool;
+  target.wave = wave;
   Status st = (*engine)->ExecuteStreaming(**plan, target, &stats);
   if (st.ok() && (!stager.Finish() || state->cancelled())) {
     st = Status::Aborted("join cancelled mid-stream");
   }
+  state->set_max_staged_pairs(stager.max_staged());
   timing.execute_seconds = sw.ElapsedSeconds();
   exec_span.End();
   state->Close(std::move(st), stats, timing);
@@ -478,6 +496,7 @@ StreamSummary AsyncJoinHandle::Collect() {
   summary.run.stats = state_->stats();
   summary.run.timing = state_->timing();
   summary.max_queue_depth = state_->max_depth();
+  summary.max_staged_pairs = state_->max_staged_pairs();
   return summary;
 }
 
@@ -521,33 +540,44 @@ DeferredStream MakeDeferredStream(const std::string& engine,
                         std::move(usage)};
 }
 
+Result<AsyncJoinHandle> StartProducer(Result<DeferredStream> deferred) {
+  if (!deferred.ok()) return deferred.status();
+  deferred->handle.producer_ = std::thread(std::move(deferred->producer));
+  return std::move(deferred->handle);
+}
+
 }  // namespace internal
+
+namespace {
+
+// Fail-fast admission check shared by both stream factories: the thread
+// count, then the engine's own config check (JoinEngine::Validate), so a
+// request Prepare would reject without the data fails before a producer --
+// or a serving slot -- exists.
+Status ValidateRequest(const std::string& engine, const EngineConfig& config) {
+  if (config.num_threads < 1) {
+    return Status::InvalidArgument("num_threads must be >= 1");
+  }
+  if (!EngineRegistry::Global().Contains(engine)) {
+    return Status::NotFound("no registered engine: " + engine);
+  }
+  // An engine whose factory fails is reported by the producer's plan stage,
+  // with the time it took to find out.
+  auto created = EngineRegistry::Global().Create(engine, config);
+  return created.ok() ? (*created)->Validate() : Status::OK();
+}
+
+}  // namespace
 
 Result<DeferredStream> MakeJoinStream(const std::string& engine,
                                       const Dataset& r, const Dataset& s,
                                       const EngineConfig& config,
                                       const StreamOptions& stream,
                                       ThreadPool* pool) {
-  if (config.num_threads < 1) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
-  // Config errors the grid, the accelerator and the cluster can reject
-  // without the data fail fast here, before a producer exists.
-  if (engine == kPartitionedEngine || engine == kSimdEngine) {
-    SWIFT_RETURN_IF_ERROR(
-        ValidateGridConfig(config.grid_cols, config.grid_rows));
-  } else if (engine == kPbsmEngine) {
-    SWIFT_RETURN_IF_ERROR(ValidateStripeConfig(config.num_partitions));
-  } else if (IsAccelEngine(engine)) {
-    SWIFT_RETURN_IF_ERROR(ValidateAccelConfig(config));
-  } else if (dist::IsDistEngine(engine)) {
-    SWIFT_RETURN_IF_ERROR(dist::ValidateDistConfig(config));
-  } else if (!EngineRegistry::Global().Contains(engine)) {
-    return Status::NotFound("no registered engine: " + engine);
-  }
+  SWIFT_RETURN_IF_ERROR(ValidateRequest(engine, config));
   auto state = std::make_shared<StreamState>(stream.queue_capacity);
-  PlanSource source = [&r, &s](JoinEngine& e) {
-    return e.Prepare(BorrowDataset(r), BorrowDataset(s));
+  PlanSource source = [&r, &s](JoinEngine& e, const WaveContext& wave) {
+    return e.Prepare(BorrowDataset(r), BorrowDataset(s), wave);
   };
   std::function<void()> body = [engine, config, source, stream, pool, state] {
     RunPreparedProducer(engine, config, source, stream, pool, state);
@@ -560,44 +590,34 @@ Result<AsyncJoinHandle> RunJoinAsync(const std::string& engine,
                                      const Dataset& r, const Dataset& s,
                                      const EngineConfig& config,
                                      const StreamOptions& stream) {
-  auto deferred = MakeJoinStream(engine, r, s, config, stream,
-                                 /*pool=*/nullptr);
-  if (!deferred.ok()) return deferred.status();
-  DeferredStream d = std::move(*deferred);
-  d.handle.producer_ = std::thread(std::move(d.producer));
-  return std::move(d.handle);
+  return internal::StartProducer(MakeJoinStream(engine, r, s, config, stream));
 }
 
 Result<DeferredStream> MakeRegisteredJoinStream(
     DatasetRegistry* registry, const std::string& engine,
     const std::string& r_name, const std::string& s_name,
-    const EngineConfig& config, const StreamOptions& stream) {
+    const EngineConfig& config, const StreamOptions& stream,
+    ThreadPool* pool) {
   if (registry == nullptr) {
     return Status::InvalidArgument(
         "MakeRegisteredJoinStream requires a registry");
   }
-  if (config.num_threads < 1) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
-  // Fail fast on unknown engines and unregistered names, so admission-time
-  // callers (JoinService::SubmitNamed) can reject bad requests before
-  // queueing them. The producer re-resolves at run time and uses whatever
-  // version is then current.
-  if (!EngineRegistry::Global().Contains(engine)) {
-    return Status::NotFound("no registered engine: " + engine);
-  }
+  // Fail fast on bad configs, unknown engines and unregistered names, so
+  // admission-time callers (JoinService::SubmitNamed) can reject bad
+  // requests before queueing them. The producer re-resolves at run time and
+  // uses whatever version is then current.
+  SWIFT_RETURN_IF_ERROR(ValidateRequest(engine, config));
   for (const std::string* name : {&r_name, &s_name}) {
     auto resident = registry->Get(*name);
     if (!resident.ok()) return resident.status();
   }
   auto state = std::make_shared<StreamState>(stream.queue_capacity);
-  PlanSource source = [registry, engine, r_name, s_name,
-                       config](JoinEngine&) {
-    return registry->GetOrPrepare(engine, r_name, s_name, config);
+  PlanSource source = [registry, engine, r_name, s_name, config](
+                          JoinEngine&, const WaveContext& wave) {
+    return registry->GetOrPrepare(engine, r_name, s_name, config, wave);
   };
-  std::function<void()> body = [engine, config, source, stream, state] {
-    RunPreparedProducer(engine, config, source, stream, /*pool=*/nullptr,
-                        state);
+  std::function<void()> body = [engine, config, source, stream, pool, state] {
+    RunPreparedProducer(engine, config, source, stream, pool, state);
   };
   return internal::MakeDeferredStream(engine, stream, std::move(state),
                                       std::move(body));
@@ -609,13 +629,8 @@ Result<AsyncJoinHandle> RunJoinAsync(DatasetRegistry& registry,
                                      const std::string& s_name,
                                      const EngineConfig& config,
                                      const StreamOptions& stream) {
-  auto deferred =
-      MakeRegisteredJoinStream(&registry, engine, r_name, s_name, config,
-                               stream);
-  if (!deferred.ok()) return deferred.status();
-  DeferredStream d = std::move(*deferred);
-  d.handle.producer_ = std::thread(std::move(d.producer));
-  return std::move(d.handle);
+  return internal::StartProducer(MakeRegisteredJoinStream(
+      &registry, engine, r_name, s_name, config, stream));
 }
 
 }  // namespace swiftspatial::exec

@@ -14,6 +14,16 @@
 // pair a genuine result, no duplicates) and Wait()/Collect() report
 // Aborted.
 //
+// Backpressure follows one rule for every stream: only the producer thread
+// -- the caller of every wave the join runs -- blocks on a full queue. A
+// pool worker whose hand-over finds the queue full restages its batch and
+// stops claiming work (YieldWaveSlot), and the producer claims the rest. No
+// worker ever parks on one consumer, so streams sharing a pool cannot
+// deadlock each other, and pairs staged ahead of the queue stay within
+// about one batch per wave slot (StreamSummary::max_staged_pairs). A push
+// that wakes a consumer blocked on an empty queue hands it the pusher's
+// core (a yield), so the consumer need not wait out a busy core's slice.
+//
 // One producer sits behind every handle: it instantiates the engine, takes
 // the plan from the engine's own Prepare (cold: RunJoinAsync over datasets,
 // JoinService::Submit) or from the registry's plan cache (warm:
@@ -44,7 +54,7 @@
 #include "common/thread_pool.h"
 #include "datagen/dataset.h"
 #include "exec/dataset_registry.h"
-#include "exec/task_graph.h"
+#include "exec/cancellation.h"
 #include "join/engine.h"
 #include "join/result.h"
 #include "obs/metrics.h"
@@ -87,6 +97,10 @@ struct StreamSummary {
   /// High-water mark of buffered chunks -- bounded by queue_capacity, which
   /// tests assert to pin the backpressure contract.
   std::size_t max_queue_depth = 0;
+  /// High-water mark of pairs staged ahead of the queue: about
+  /// width x (chunk_pairs + one cell's output) at most, however large the
+  /// join (see the backpressure rule above).
+  std::size_t max_staged_pairs = 0;
 };
 
 class AsyncJoinHandle;
@@ -98,17 +112,9 @@ DeferredStream MakeDeferredStream(const std::string& engine,
                                   const StreamOptions& stream,
                                   std::shared_ptr<StreamState> state,
                                   std::function<void()> body);
+/// Runs a deferred stream's producer on a thread of its own (RunJoinAsync).
+Result<AsyncJoinHandle> StartProducer(Result<DeferredStream> deferred);
 }  // namespace internal
-Result<AsyncJoinHandle> RunJoinAsync(const std::string& engine,
-                                     const Dataset& r, const Dataset& s,
-                                     const EngineConfig& config,
-                                     const StreamOptions& stream);
-Result<AsyncJoinHandle> RunJoinAsync(DatasetRegistry& registry,
-                                     const std::string& engine,
-                                     const std::string& r_name,
-                                     const std::string& s_name,
-                                     const EngineConfig& config,
-                                     const StreamOptions& stream);
 
 /// Consumer handle for one asynchronous join. Movable, not copyable; the
 /// destructor cancels and drains an unfinished stream, so dropping a handle
@@ -131,9 +137,9 @@ class AsyncJoinHandle {
   /// ignoring it means spinning past end-of-stream on stale chunk data.
   [[nodiscard]] bool Next(ResultChunk* out);
 
-  /// Requests cooperative cancellation: unstarted tile tasks are skipped,
-  /// blocked producers unblock, and the stream closes after the tasks
-  /// already running retire. Idempotent.
+  /// Requests cooperative cancellation: waves stop claiming work, blocked
+  /// producers unblock, and the stream closes after the claims already
+  /// running retire. Idempotent.
   void Cancel();
 
   /// Discards any unconsumed chunks and blocks until the producer has fully
@@ -149,19 +155,11 @@ class AsyncJoinHandle {
   std::size_t max_queue_depth() const;
 
  private:
-  friend Result<AsyncJoinHandle> RunJoinAsync(const std::string&,
-                                              const Dataset&, const Dataset&,
-                                              const EngineConfig&,
-                                              const StreamOptions&);
   friend DeferredStream internal::MakeDeferredStream(
       const std::string&, const StreamOptions&,
       std::shared_ptr<internal::StreamState>, std::function<void()>);
-  friend Result<AsyncJoinHandle> RunJoinAsync(DatasetRegistry&,
-                                              const std::string&,
-                                              const std::string&,
-                                              const std::string&,
-                                              const EngineConfig&,
-                                              const StreamOptions&);
+  friend Result<AsyncJoinHandle> internal::StartProducer(
+      Result<DeferredStream>);
 
   AsyncJoinHandle(std::shared_ptr<internal::StreamState> state,
                   std::thread producer);
@@ -175,9 +173,10 @@ class AsyncJoinHandle {
 };
 
 /// Starts `engine` (a name in the global EngineRegistry) on (r, s)
-/// asynchronously on a dedicated producer thread and returns the consumer
-/// handle. Fails fast (NotFound / InvalidArgument) for unknown engines or
-/// configurations rejectable without touching the data; data-dependent
+/// asynchronously on a dedicated producer thread, whose waves run on the
+/// process-wide pool, and returns the consumer handle. Fails fast (NotFound
+/// / InvalidArgument) for unknown engines or configurations rejectable
+/// without touching the data; data-dependent
 /// planning errors surface through Wait()/Collect(). `r` and `s` must
 /// outlive the stream.
 Result<AsyncJoinHandle> RunJoinAsync(const std::string& engine,
@@ -207,18 +206,19 @@ struct DeferredStream {
   /// queued work whose consumer already gave up.
   CancellationToken cancel;
   /// Per-request resource accounting, fed by the producer as it runs
-  /// (task CPU/queue wait from the TaskGraph, chunks/pairs/bytes from the
-  /// stream queue, wall time stamped at close) and read by the serving
-  /// layer at completion. Aliases the stream's shared state, so it stays
+  /// (CPU from the producer and every wave slot, slot queue waits,
+  /// chunks/pairs/bytes from the stream queue, wall time stamped at close)
+  /// and read by the serving layer at completion. Aliases the stream's shared state, so it stays
   /// valid as long as any of the stream's closures or handles live.
   std::shared_ptr<obs::ResourceAccumulator> usage;
 };
 
-/// Like RunJoinAsync but defers producer execution to the caller and, when
-/// `pool` is non-null, passes that pool to the engine's ExecuteStreaming,
-/// where the partitioned and simd engines run their tile tasks on it instead
-/// of a private pool (several streams may share one pool; each stream's
-/// graph is tracked independently).
+/// Like RunJoinAsync but defers producer execution to the caller. Every wave
+/// of the stream -- Prepare's and the join's -- runs on `pool` (null: the
+/// process-wide pool, ThreadPool::Shared), at the config's num_threads,
+/// with the producer's thread as the caller; several streams may share one
+/// pool. Fails fast with NotFound for unknown engines and with the engine's
+/// own Validate() error for configurations it rejects without the data.
 Result<DeferredStream> MakeJoinStream(const std::string& engine,
                                       const Dataset& r, const Dataset& s,
                                       const EngineConfig& config = {},
@@ -230,12 +230,14 @@ Result<DeferredStream> MakeJoinStream(const std::string& engine,
 /// the cached PreparedPlan (DatasetRegistry::GetOrPrepare) and streams
 /// its execution -- on a cache hit the stream's plan_seconds is just engine
 /// instantiation plus the cache lookup, effectively zero, which is the
-/// measurable warm-serving win. Fails fast with NotFound for unknown engines or
-/// unregistered dataset names. `registry` must outlive the stream.
+/// measurable warm-serving win. Runs its waves on `pool` and fails fast like
+/// MakeJoinStream, and with NotFound for unregistered dataset names.
+/// `registry` must outlive the stream.
 Result<DeferredStream> MakeRegisteredJoinStream(
     DatasetRegistry* registry, const std::string& engine,
     const std::string& r_name, const std::string& s_name,
-    const EngineConfig& config = {}, const StreamOptions& stream = {});
+    const EngineConfig& config = {}, const StreamOptions& stream = {},
+    ThreadPool* pool = nullptr);
 
 /// Warm-path RunJoinAsync: like the dataset-reference overload but over
 /// registered datasets, skipping Prepare on every cache hit.

@@ -112,7 +112,8 @@ void UniformGrid::TileRange(const Box& b, int* tx0, int* ty0, int* tx1,
 }
 
 std::vector<std::vector<ObjectId>> UniformGrid::Assign(
-    const Dataset& dataset, std::size_t num_threads) const {
+    const Dataset& dataset, std::size_t num_threads,
+    const WaveContext& wave) const {
   const std::size_t n = dataset.size();
   const std::size_t tiles = static_cast<std::size_t>(num_tiles());
   // One contiguous id range per thread. Range k's ids land after range
@@ -144,7 +145,7 @@ std::vector<std::vector<ObjectId>> UniformGrid::Assign(
       });
       single_tile[i] = hits == 1 ? last : kRevisit;
     }
-  });
+  }, 1, wave);
 
   std::vector<std::vector<ObjectId>> assignment(tiles);
   for (std::size_t t = 0; t < tiles; ++t) {
@@ -170,7 +171,7 @@ std::vector<std::vector<ObjectId>> UniformGrid::Assign(
         });
       }
     }
-  });
+  }, 1, wave);
   return assignment;
 }
 

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "datagen/dataset.h"
 #include "geometry/box.h"
 
@@ -53,11 +54,13 @@ class UniformGrid {
   /// Per-tile object id lists: assignment[tile] holds, in ascending id
   /// order, every object whose MBR intersects the tile's closed box
   /// (multi-assignment; objects clamped outside the extent land nowhere).
-  /// Runs on `num_threads` threads: a counting pass per contiguous id range
-  /// sizes every list exactly, then a scatter pass fills them. The result
-  /// does not depend on `num_threads`.
-  std::vector<std::vector<ObjectId>> Assign(const Dataset& dataset,
-                                            std::size_t num_threads = 1) const;
+  /// Two waves of width `num_threads` under `wave`: a counting pass per
+  /// contiguous id range (min(num_threads, n) ranges) sizes every list
+  /// exactly, then a scatter pass fills them. The result does not depend on
+  /// `num_threads` or on the wave's width.
+  std::vector<std::vector<ObjectId>> Assign(
+      const Dataset& dataset, std::size_t num_threads = 1,
+      const WaveContext& wave = {}) const;
 
  private:
   Box extent_;

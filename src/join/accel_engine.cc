@@ -20,9 +20,21 @@ class AccelEngineBase : public EngineBase<AccelPreparedPlan, AccelJoinEngine> {
   using EngineBase::EngineBase;
 
  protected:
-  Status Validate() override { return ValidateAccelConfig(config()); }
+  Status Validate() override {
+    if (config().accel_join_units < 0) {
+      return Status::InvalidArgument("accel_join_units must be >= 0");
+    }
+    if (config().accel_tile_cap < 1) {
+      return Status::InvalidArgument("accel_tile_cap must be >= 1");
+    }
+    if (config().accel_device_memory_bytes == 0) {
+      return Status::InvalidArgument("accel_device_memory_bytes must be > 0");
+    }
+    return Status::OK();
+  }
 
-  Status ExecuteImpl(const AccelPreparedPlan& plan, JoinResult* out,
+  Status ExecuteImpl(const AccelPreparedPlan& plan,
+                     const WaveContext& /*wave*/, JoinResult* out,
                      JoinStats* stats) final {
     return Run(plan, out, stats, nullptr);
   }
@@ -74,12 +86,12 @@ class AccelBfsEngine : public AccelEngineBase {
   }
 
   Status Build(AccelPreparedPlan* plan, const JoinInput& /*r*/,
-               const JoinInput& /*s*/) override {
+               const JoinInput& /*s*/, const WaveContext& wave) override {
     BulkLoadOptions bl;
     bl.max_entries = config().node_capacity;
     bl.num_threads = config().num_threads;
-    plan->r_tree.emplace(StrBulkLoad(plan->r(), bl));
-    plan->s_tree.emplace(StrBulkLoad(plan->s(), bl));
+    plan->r_tree.emplace(StrBulkLoad(plan->r(), bl, wave));
+    plan->s_tree.emplace(StrBulkLoad(plan->s(), bl, wave));
     plan->bytes_to_device =
         plan->r_tree->bytes().size() + plan->s_tree->bytes().size();
     return Status::OK();
@@ -108,7 +120,7 @@ class AccelPbsmEngine : public AccelEngineBase {
 
  protected:
   Status Build(AccelPreparedPlan* plan, const JoinInput& /*r*/,
-               const JoinInput& /*s*/) override {
+               const JoinInput& /*s*/, const WaveContext& /*wave*/) override {
     HierarchicalPartitionOptions hp;
     hp.tile_cap = config().accel_tile_cap;
     plan->partition = PartitionHierarchical(plan->r(), plan->s(), hp);
@@ -207,22 +219,6 @@ std::size_t AccelPreparedPlan::MemoryBytes() const {
 bool IsAccelEngine(const std::string& name) {
   return name == kAccelBfsEngine || name == kAccelPbsmEngine ||
          name == kAccelPbsmMultiEngine;
-}
-
-Status ValidateAccelConfig(const EngineConfig& config) {
-  if (config.num_threads < 1) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
-  if (config.accel_join_units < 0) {
-    return Status::InvalidArgument("accel_join_units must be >= 0");
-  }
-  if (config.accel_tile_cap < 1) {
-    return Status::InvalidArgument("accel_tile_cap must be >= 1");
-  }
-  if (config.accel_device_memory_bytes == 0) {
-    return Status::InvalidArgument("accel_device_memory_bytes must be > 0");
-  }
-  return Status::OK();
 }
 
 Result<std::unique_ptr<AccelJoinEngine>> MakeAccelEngine(

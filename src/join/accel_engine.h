@@ -81,10 +81,6 @@ class AccelJoinEngine : public JoinEngine {
 /// True for the engine names backed by the simulated accelerator.
 bool IsAccelEngine(const std::string& name);
 
-/// Config checks shared by Prepare and the streaming layer's fail-fast path
-/// (data-independent: thread count, unit count, tile cap, device memory).
-Status ValidateAccelConfig(const EngineConfig& config);
-
 /// Instantiates one of the accelerator engines directly -- the typed handle
 /// (last_report) that the plain registry interface erases. NotFound for
 /// names IsAccelEngine rejects.

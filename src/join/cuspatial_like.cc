@@ -11,7 +11,7 @@ namespace swiftspatial {
 
 JoinResult CuSpatialLikeJoin(const Dataset& points, const Dataset& polygons,
                              const CuSpatialLikeOptions& options,
-                             JoinStats* stats) {
+                             JoinStats* stats, const WaveContext& wave) {
   QuadtreeOptions qt;
   qt.leaf_capacity = options.quadtree_leaf_capacity;
   const PointQuadtree index = PointQuadtree::Build(points, qt);
@@ -37,7 +37,7 @@ JoinResult CuSpatialLikeJoin(const Dataset& points, const Dataset& polygons,
                                 [&c](ObjectId, const Point&) { ++c; });
           counts[i] = c;
         },
-        /*chunk=*/64);
+        /*chunk=*/64, wave);
 
     // Exclusive prefix sum = per-polygon write offsets.
     std::vector<uint64_t> offsets(n + 1, 0);
@@ -56,7 +56,7 @@ JoinResult CuSpatialLikeJoin(const Dataset& points, const Dataset& polygons,
                                   buffer[w++] = {point_id, poly_id};
                                 });
         },
-        /*chunk=*/64);
+        /*chunk=*/64, wave);
 
     out.mutable_pairs().insert(out.mutable_pairs().end(), buffer.begin(),
                                buffer.end());

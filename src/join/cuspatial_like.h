@@ -16,6 +16,7 @@
 
 #include <cstddef>
 
+#include "common/thread_pool.h"
 #include "datagen/dataset.h"
 #include "join/result.h"
 
@@ -29,9 +30,12 @@ struct CuSpatialLikeOptions {
 
 /// Point-in-polygon-MBR join. Result pairs are (point id, polygon id):
 /// `r` must be the point dataset, `s` the polygon (rectangle) dataset.
+/// Both passes of every batch run as waves of width `num_threads` under
+/// `wave`.
 JoinResult CuSpatialLikeJoin(const Dataset& points, const Dataset& polygons,
                              const CuSpatialLikeOptions& options,
-                             JoinStats* stats = nullptr);
+                             JoinStats* stats = nullptr,
+                             const WaveContext& wave = {});
 
 }  // namespace swiftspatial
 

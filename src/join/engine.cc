@@ -29,8 +29,8 @@ class NestedLoopEngine : public EngineBase<InputsOnlyPlan> {
   using EngineBase::EngineBase;
 
  protected:
-  Status ExecuteImpl(const InputsOnlyPlan& plan, JoinResult* out,
-                     JoinStats* stats) override {
+  Status ExecuteImpl(const InputsOnlyPlan& plan, const WaveContext& /*wave*/,
+                     JoinResult* out, JoinStats* stats) override {
     *out = BruteForceJoin(plan.r(), plan.s(), stats);
     return Status::OK();
   }
@@ -60,7 +60,7 @@ class PlaneSweepEngine : public EngineBase<PlaneSweepPlan> {
 
  protected:
   Status Build(PlaneSweepPlan* plan, const JoinInput& /*r*/,
-               const JoinInput& /*s*/) override {
+               const JoinInput& /*s*/, const WaveContext& /*wave*/) override {
     const auto sweep_ordered = [](const Dataset& d) {
       std::vector<ObjectId> ids(d.size());
       std::iota(ids.begin(), ids.end(), ObjectId{0});
@@ -72,8 +72,8 @@ class PlaneSweepEngine : public EngineBase<PlaneSweepPlan> {
     return Status::OK();
   }
 
-  Status ExecuteImpl(const PlaneSweepPlan& plan, JoinResult* out,
-                     JoinStats* stats) override {
+  Status ExecuteImpl(const PlaneSweepPlan& plan, const WaveContext& /*wave*/,
+                     JoinResult* out, JoinStats* stats) override {
     PlaneSweepTileJoin(plan.r(), plan.s(), plan.r_ids, plan.s_ids,
                        /*dedup_tile=*/nullptr, out, stats);
     return Status::OK();
@@ -99,7 +99,7 @@ class CuSpatialLikeEngine : public EngineBase<InputsOnlyPlan> {
   }
 
   Status Build(InputsOnlyPlan* plan, const JoinInput& /*r*/,
-               const JoinInput& /*s*/) override {
+               const JoinInput& /*s*/, const WaveContext& /*wave*/) override {
     if (!plan->r().IsPointDataset()) {
       // NotSupported, not InvalidArgument: the input is well-formed, this
       // engine just does not apply to it. Harnesses key expected skips on
@@ -111,13 +111,13 @@ class CuSpatialLikeEngine : public EngineBase<InputsOnlyPlan> {
     return Status::OK();
   }
 
-  Status ExecuteImpl(const InputsOnlyPlan& plan, JoinResult* out,
-                     JoinStats* stats) override {
+  Status ExecuteImpl(const InputsOnlyPlan& plan, const WaveContext& wave,
+                     JoinResult* out, JoinStats* stats) override {
     CuSpatialLikeOptions options;
     options.quadtree_leaf_capacity = config().quadtree_leaf_capacity;
     options.batch_size = config().batch_size;
     options.num_threads = config().num_threads;
-    *out = CuSpatialLikeJoin(plan.r(), plan.s(), options, stats);
+    *out = CuSpatialLikeJoin(plan.r(), plan.s(), options, stats, wave);
     return Status::OK();
   }
 };
@@ -155,12 +155,12 @@ class RTreeEngineBase : public EngineBase<RTreePreparedPlan> {
   }
 
   Status Build(RTreePreparedPlan* plan, const JoinInput& /*r*/,
-               const JoinInput& /*s*/) override {
+               const JoinInput& /*s*/, const WaveContext& wave) override {
     BulkLoadOptions bl;
     bl.max_entries = config().node_capacity;
     bl.num_threads = config().num_threads;
-    plan->r_tree.emplace(StrBulkLoad(plan->r(), bl));
-    plan->s_tree.emplace(StrBulkLoad(plan->s(), bl));
+    plan->r_tree.emplace(StrBulkLoad(plan->r(), bl, wave));
+    plan->s_tree.emplace(StrBulkLoad(plan->s(), bl, wave));
     return Status::OK();
   }
 };
@@ -170,7 +170,8 @@ class SyncTraversalEngine : public RTreeEngineBase {
   using RTreeEngineBase::RTreeEngineBase;
 
  protected:
-  Status ExecuteImpl(const RTreePreparedPlan& plan, JoinResult* out,
+  Status ExecuteImpl(const RTreePreparedPlan& plan,
+                     const WaveContext& /*wave*/, JoinResult* out,
                      JoinStats* stats) override {
     *out = config().bfs ? SyncTraversalBfs(*plan.r_tree, *plan.s_tree, stats)
                         : SyncTraversalDfs(*plan.r_tree, *plan.s_tree, stats);
@@ -191,14 +192,18 @@ class ParallelSyncTraversalEngine : public RTreeEngineBase {
     return Status::OK();
   }
 
-  Status ExecuteImpl(const RTreePreparedPlan& plan, JoinResult* out,
-                     JoinStats* stats) override {
+  Status ExecuteImpl(const RTreePreparedPlan& plan, const WaveContext& wave,
+                     JoinResult* out, JoinStats* stats) override {
     ParallelSyncTraversalOptions options;
     options.num_threads = config().num_threads;
     options.strategy = config().strategy;
     options.schedule = config().schedule;
     options.dfs_switch_factor = config().dfs_switch_factor;
-    *out = ParallelSyncTraversal(*plan.r_tree, *plan.s_tree, options, stats);
+    *out = ParallelSyncTraversal(*plan.r_tree, *plan.s_tree, options, stats,
+                                 wave);
+    if (wave.cancel.cancelled()) {
+      return Status::Aborted("join cancelled mid-stream");
+    }
     return Status::OK();
   }
 };
@@ -242,7 +247,7 @@ class PartitionedEngine : public EngineBase<PartitionedPreparedPlan> {
   }
 
   Status Build(PartitionedPreparedPlan* plan, const JoinInput& r,
-               const JoinInput& s) override {
+               const JoinInput& s, const WaveContext& wave) override {
     PartitionedDriverOptions options;
     options.grid_cols = config().grid_cols;
     options.grid_rows = config().grid_rows;
@@ -252,24 +257,24 @@ class PartitionedEngine : public EngineBase<PartitionedPreparedPlan> {
       options.grid_rows = along_x ? 1 : config().num_partitions;
     }
     options.num_threads = config().num_threads;
-    auto state = PlanPartitionedCells(r, s, options, config().trace);
+    auto state = PlanPartitionedCells(r, s, options, wave);
     if (!state.ok()) return state.status();
     plan->state = std::move(*state);
     return Status::OK();
   }
 
-  Status ExecuteImpl(const PartitionedPreparedPlan& plan, JoinResult* out,
+  Status ExecuteImpl(const PartitionedPreparedPlan& plan,
+                     const WaveContext& wave, JoinResult* out,
                      JoinStats* stats) override {
     *out = ExecutePartitionedPlan(*plan.state, plan.r(), plan.s(), tile_join_,
-                                  config().num_threads, stats);
+                                  config().num_threads, stats, wave);
     return Status::OK();
   }
 
   Status StreamImpl(const PartitionedPreparedPlan& plan,
                     const StreamTarget& target, JoinStats* stats) override {
     return ExecutePartitionedPlan(*plan.state, plan.r(), plan.s(), tile_join_,
-                                  config().num_threads, config().trace, target,
-                                  stats);
+                                  config().num_threads, target, stats);
   }
 
  private:
@@ -292,12 +297,12 @@ class InterpretedEngineAdapter : public EngineBase<InputsOnlyPlan> {
     return Status::OK();
   }
 
-  Status ExecuteImpl(const InputsOnlyPlan& plan, JoinResult* out,
-                     JoinStats* stats) override {
+  Status ExecuteImpl(const InputsOnlyPlan& plan, const WaveContext& wave,
+                     JoinResult* out, JoinStats* stats) override {
     InterpretedEngineOptions options;
     options.num_threads = config().num_threads;
     options.index_max_entries = config().index_max_entries;
-    *out = InterpretedEngineJoin(plan.r(), plan.s(), options, stats);
+    *out = InterpretedEngineJoin(plan.r(), plan.s(), options, stats, wave);
     return Status::OK();
   }
 };
@@ -317,13 +322,13 @@ class BigDataFrameworkAdapter : public EngineBase<InputsOnlyPlan> {
     return Status::OK();
   }
 
-  Status ExecuteImpl(const InputsOnlyPlan& plan, JoinResult* out,
-                     JoinStats* stats) override {
+  Status ExecuteImpl(const InputsOnlyPlan& plan, const WaveContext& wave,
+                     JoinResult* out, JoinStats* stats) override {
     BigDataFrameworkOptions options;
     options.num_partitions = config().num_partitions;
     options.num_threads = config().num_threads;
     options.index_max_entries = config().index_max_entries;
-    *out = BigDataFrameworkJoin(plan.r(), plan.s(), options, stats);
+    *out = BigDataFrameworkJoin(plan.r(), plan.s(), options, stats, wave);
     return Status::OK();
   }
 };
@@ -375,10 +380,10 @@ uint64_t ConfigFingerprint(const EngineConfig& config) {
 
 Result<std::shared_ptr<const PreparedPlan>> PrepareJoin(
     const std::string& engine, JoinInput r, JoinInput s,
-    const EngineConfig& config) {
+    const EngineConfig& config, const WaveContext& wave) {
   auto created = EngineRegistry::Global().Create(engine, config);
   if (!created.ok()) return created.status();
-  return (*created)->Prepare(std::move(r), std::move(s));
+  return (*created)->Prepare(std::move(r), std::move(s), wave);
 }
 
 Result<JoinRun> RunPreparedJoin(const PreparedPlan& plan,

@@ -36,7 +36,6 @@
 #include "common/thread_pool.h"
 #include "datagen/dataset.h"
 #include "dist/placement.h"
-#include "exec/task_graph.h"
 #include "join/parallel_sync_traversal.h"
 #include "join/result.h"
 #include "join/tile_join.h"
@@ -54,9 +53,9 @@ enum class Axis { kX, kY };
 struct EngineConfig {
   // --- Shared across engines. ---
   std::size_t num_threads = 1;
-  /// ParallelFor scheduling, read only by parallel_sync_traversal. The
-  /// partitioned driver (partitioned, simd, pbsm) runs as a TaskGraph wave,
-  /// which is inherently dynamic; it ignores this field.
+  /// Wave scheduling, read only by parallel_sync_traversal. The
+  /// partitioned driver (partitioned, simd, pbsm) runs its cell groups as a
+  /// dynamic wave; it ignores this field.
   Schedule schedule = Schedule::kDynamic;
   /// Reject-at-ingest policy for malformed geometry: when true (the
   /// default), Prepare fails with InvalidArgument if either dataset contains a
@@ -122,7 +121,7 @@ struct EngineConfig {
   // --- Observability (src/obs/). ---
   /// Request-scoped trace context: set by JoinService per request (or by
   /// callers invoking engines directly) and propagated through producers,
-  /// TaskGraph tasks, and dist exchange messages. Deliberately EXCLUDED
+  /// wave slots, and dist exchange messages. Deliberately EXCLUDED
   /// from ConfigFingerprint: two configs differing only in trace context
   /// plan identically and must share plan-cache entries.
   obs::TraceContext trace;
@@ -222,19 +221,18 @@ using BatchSink = std::function<void(std::vector<ResultPair>)>;
 
 /// Where ExecuteStreaming delivers, and what it runs under.
 struct StreamTarget {
-  /// May be called concurrently from worker threads.
+  /// May be called concurrently from wave slots.
   BatchSink sink;
   /// Pairs an engine stages before handing a batch to the sink; engines
   /// that produce in their own units (write-unit bursts, committed shards,
   /// a finished result) ignore it.
   std::size_t chunk_pairs = 8192;
-  /// The stream's cancellation: engines that observe it stop early and
-  /// return Aborted, and the delivered batches stay a prefix.
-  exec::CancellationToken cancel;
-  /// Per-request resource accounting, or null.
-  obs::ResourceAccumulator* usage = nullptr;
-  /// Shared worker pool to run on instead of a private one, or null.
-  ThreadPool* pool = nullptr;
+  /// What the engine's waves run under: the pool (null: the process-wide
+  /// one), the stream's cancellation (engines that observe it stop early
+  /// and return Aborted, and the delivered batches stay a prefix) and the
+  /// request's resource accounting. The trace is the engine's own
+  /// (EngineConfig::trace).
+  WaveContext wave;
 };
 
 /// Stable 64-bit fingerprint over every EngineConfig field, part of the
@@ -254,8 +252,8 @@ uint64_t ConfigFingerprint(const EngineConfig& config);
 /// auxiliary structures (R-trees, grids, device images).
 /// An engine instance is not thread-safe (the typed accel/dist handles keep
 /// a per-instance last report); a plan is, so concurrent executions use one
-/// engine instance each. Internally engines parallelise per
-/// `EngineConfig::num_threads`.
+/// engine instance each. Internally engines parallelise as waves
+/// (common/thread_pool.h) of width `EngineConfig::num_threads`.
 class JoinEngine {
  public:
   virtual ~JoinEngine() = default;
@@ -263,10 +261,18 @@ class JoinEngine {
   /// The name the engine was registered under, e.g. "pbsm".
   virtual const std::string& name() const = 0;
 
+  /// The engine's fail-fast configuration check: everything Prepare
+  /// rejects without looking at the data (InvalidArgument). Prepare runs
+  /// it first; the streaming factories run it before admitting a stream.
+  virtual Status Validate() { return Status::OK(); }
+
   /// Validates config + inputs and builds indexes/partitions into an
-  /// immutable plan that holds shared ownership of both datasets.
-  virtual Result<std::shared_ptr<const PreparedPlan>> Prepare(JoinInput r,
-                                                              JoinInput s) = 0;
+  /// immutable plan that holds shared ownership of both datasets. Parallel
+  /// builds run as waves on `wave.pool` (null: the process-wide pool),
+  /// billed to `wave.usage`; Prepare never cancels, so a plan is built
+  /// whole or not at all.
+  virtual Result<std::shared_ptr<const PreparedPlan>> Prepare(
+      JoinInput r, JoinInput s, const WaveContext& wave = {}) = 0;
 
   /// Runs the join against a plan this engine's name prepared
   /// (InvalidArgument otherwise). `*out` is overwritten; `*stats` (when
@@ -336,7 +342,7 @@ Result<JoinRun> RunJoin(const std::string& engine, const Dataset& r,
 /// across threads, and holds shared ownership of both datasets.
 Result<std::shared_ptr<const PreparedPlan>> PrepareJoin(
     const std::string& engine, JoinInput r, JoinInput s,
-    const EngineConfig& config = {});
+    const EngineConfig& config = {}, const WaveContext& wave = {});
 
 /// Warm-path convenience: instantiate the plan's engine from the global
 /// registry and ExecutePrepared with timing. plan_seconds is what the warm

@@ -5,10 +5,10 @@
 //
 //   class MyEngine : public EngineBase<MyPlan> {
 //     // Fill plan from plan->r/s(); r/s carry the inputs' scanned facts.
-//     Status Build(MyPlan* plan, const JoinInput& r,
-//                  const JoinInput& s) override;
-//     Status ExecuteImpl(const MyPlan& plan, JoinResult* out,
-//                        JoinStats* stats) override;
+//     Status Build(MyPlan* plan, const JoinInput& r, const JoinInput& s,
+//                  const WaveContext& wave) override;
+//     Status ExecuteImpl(const MyPlan& plan, const WaveContext& wave,
+//                        JoinResult* out, JoinStats* stats) override;
 //     // Optional: stream batches natively instead of one finished result.
 //     Status StreamImpl(const MyPlan& plan, const StreamTarget& target,
 //                       JoinStats* stats) override;
@@ -23,7 +23,9 @@
 // prepared by this engine name with this plan type, overwrites *out, and
 // calls ExecuteImpl for non-empty inputs; ExecuteStreaming applies the same
 // checks to its sink and plan and calls StreamImpl, which engines with a
-// native batch granularity override. `Interface` lets the typed
+// native batch granularity override. Build, ExecuteImpl and StreamImpl get
+// the wave their parallel loops run under, traced with the engine's own
+// EngineConfig::trace; Build's never cancels. `Interface` lets the typed
 // accelerator and cluster handles (join/accel_engine.h, dist/dist_engine.h)
 // reuse the same lifecycle under their extended interfaces.
 #ifndef SWIFTSPATIAL_JOIN_ENGINE_BASE_H_
@@ -48,15 +50,15 @@ class EngineBase : public Interface {
 
   const std::string& name() const override { return name_; }
 
-  Result<std::shared_ptr<const PreparedPlan>> Prepare(JoinInput r,
-                                                      JoinInput s) final {
+  Result<std::shared_ptr<const PreparedPlan>> Prepare(
+      JoinInput r, JoinInput s, const WaveContext& wave = {}) final {
     if (r.data == nullptr || s.data == nullptr) {
       return Status::InvalidArgument("Prepare requires non-null datasets");
     }
     if (config_.num_threads < 1) {
       return Status::InvalidArgument("num_threads must be >= 1");
     }
-    SWIFT_RETURN_IF_ERROR(Validate());
+    SWIFT_RETURN_IF_ERROR(this->Validate());
     if (!r.stats) r.stats = r.data->Scan();
     if (!s.stats) s.stats = s.data->Scan();
     if (config_.validate_inputs) {
@@ -65,7 +67,8 @@ class EngineBase : public Interface {
     }
     auto plan = std::make_shared<PlanT>(name_, r.data, s.data);
     if (!plan->r().empty() && !plan->s().empty()) {
-      SWIFT_RETURN_IF_ERROR(Build(plan.get(), r, s));
+      const WaveContext build{wave.pool, {}, config_.trace, wave.usage};
+      SWIFT_RETURN_IF_ERROR(Build(plan.get(), r, s, build));
     }
     return std::shared_ptr<const PreparedPlan>(std::move(plan));
   }
@@ -80,7 +83,9 @@ class EngineBase : public Interface {
     if (!typed.ok()) return typed.status();
     *out = JoinResult();
     if (plan.r().empty() || plan.s().empty()) return Status::OK();
-    return ExecuteImpl(**typed, out, stats);
+    WaveContext wave;
+    wave.trace = config_.trace;
+    return ExecuteImpl(**typed, wave, out, stats);
   }
 
   Status ExecuteStreaming(const PreparedPlan& plan, const StreamTarget& target,
@@ -92,30 +97,33 @@ class EngineBase : public Interface {
     auto typed = Typed(plan);
     if (!typed.ok()) return typed.status();
     if (plan.r().empty() || plan.s().empty()) return Status::OK();
-    return StreamImpl(**typed, target, stats);
+    StreamTarget traced = target;
+    traced.wave.trace = config_.trace;
+    return StreamImpl(**typed, traced, stats);
   }
 
  protected:
-  /// Engine-specific config checks, run first by Prepare.
-  virtual Status Validate() { return Status::OK(); }
   /// Builds the plan's artifacts. Only called for non-empty inputs; `r` and
   /// `s` are the plan's inputs with their facts filled in.
-  virtual Status Build(PlanT* plan, const JoinInput& r, const JoinInput& s) {
+  virtual Status Build(PlanT* plan, const JoinInput& r, const JoinInput& s,
+                       const WaveContext& wave) {
     (void)plan;
     (void)r;
     (void)s;
+    (void)wave;
     return Status::OK();
   }
   /// The join over a plan of this engine. Only called for non-empty
   /// inputs, with `*out` already cleared.
-  virtual Status ExecuteImpl(const PlanT& plan, JoinResult* out,
-                             JoinStats* stats) = 0;
+  virtual Status ExecuteImpl(const PlanT& plan, const WaveContext& wave,
+                             JoinResult* out, JoinStats* stats) = 0;
   /// The streamed join over a plan of this engine, with the same guards.
-  /// The default runs ExecuteImpl and hands over the finished result.
+  /// The default runs ExecuteImpl under the target's wave and hands over
+  /// the finished result.
   virtual Status StreamImpl(const PlanT& plan, const StreamTarget& target,
                             JoinStats* stats) {
     JoinResult out;
-    SWIFT_RETURN_IF_ERROR(ExecuteImpl(plan, &out, stats));
+    SWIFT_RETURN_IF_ERROR(ExecuteImpl(plan, target.wave, &out, stats));
     if (!out.empty()) target.sink(std::move(out.mutable_pairs()));
     return Status::OK();
   }

@@ -150,12 +150,12 @@ std::vector<std::unique_ptr<BoxedRow>> Deserialize(const ShuffleBlock& block) {
 
 JoinResult InterpretedEngineJoin(const Dataset& r, const Dataset& s,
                                  const InterpretedEngineOptions& options,
-                                 JoinStats* stats) {
+                                 JoinStats* stats, const WaveContext& wave) {
   // Build phase: GiST-analogue index on the inner relation.
   BulkLoadOptions bl;
   bl.max_entries = options.index_max_entries;
   bl.num_threads = options.num_threads;
-  const PackedRTree index = StrBulkLoad(s, bl);
+  const PackedRTree index = StrBulkLoad(s, bl, wave);
 
   const RowStore r_rows(r);
   const RowStore s_rows(s);
@@ -187,7 +187,7 @@ JoinResult InterpretedEngineJoin(const Dataset& r, const Dataset& s,
           }
         }
       },
-      /*chunk=*/256);
+      /*chunk=*/256, wave);
 
   JoinResult out;
   for (auto& w : workers) {
@@ -200,7 +200,7 @@ JoinResult InterpretedEngineJoin(const Dataset& r, const Dataset& s,
 
 JoinResult BigDataFrameworkJoin(const Dataset& r, const Dataset& s,
                                 const BigDataFrameworkOptions& options,
-                                JoinStats* stats) {
+                                JoinStats* stats, const WaveContext& wave) {
   SWIFT_CHECK_GE(options.num_partitions, 1);
   // Square-ish grid with ~num_partitions tiles.
   const int cols = std::max(
@@ -269,7 +269,7 @@ JoinResult BigDataFrameworkJoin(const Dataset& r, const Dataset& s,
           }
         }
       },
-      /*chunk=*/1);
+      /*chunk=*/1, wave);
 
   // --- Merge phase: single-threaded result collection. ---
   JoinResult out;

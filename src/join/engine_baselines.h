@@ -21,6 +21,7 @@
 
 #include <cstddef>
 
+#include "common/thread_pool.h"
 #include "datagen/dataset.h"
 #include "join/result.h"
 
@@ -35,7 +36,8 @@ struct InterpretedEngineOptions {
 /// through the executor.
 JoinResult InterpretedEngineJoin(const Dataset& r, const Dataset& s,
                                  const InterpretedEngineOptions& options,
-                                 JoinStats* stats = nullptr);
+                                 JoinStats* stats = nullptr,
+                                 const WaveContext& wave = {});
 
 struct BigDataFrameworkOptions {
   /// Spatial partitions (the paper finds 64 optimal for SpatialSpark).
@@ -47,7 +49,8 @@ struct BigDataFrameworkOptions {
 /// Sedona/SpatialSpark-like join (see file comment).
 JoinResult BigDataFrameworkJoin(const Dataset& r, const Dataset& s,
                                 const BigDataFrameworkOptions& options,
-                                JoinStats* stats = nullptr);
+                                JoinStats* stats = nullptr,
+                                const WaveContext& wave = {});
 
 }  // namespace swiftspatial
 

@@ -54,7 +54,7 @@ void DfsFrom(const PackedRTree& r, const PackedRTree& s, NodePairTask root,
 
 JoinResult ParallelSyncTraversal(const PackedRTree& r, const PackedRTree& s,
                                  const ParallelSyncTraversalOptions& options,
-                                 JoinStats* stats) {
+                                 JoinStats* stats, const WaveContext& wave) {
   const std::size_t threads = std::max<std::size_t>(1, options.num_threads);
   std::vector<NodePairTask> frontier = {{r.root(), s.root()}};
 
@@ -64,7 +64,7 @@ JoinResult ParallelSyncTraversal(const PackedRTree& r, const PackedRTree& s,
           : static_cast<std::size_t>(-1);
 
   std::vector<WorkerState> workers(threads, WorkerState(r, s));
-  while (!frontier.empty()) {
+  while (!frontier.empty() && !wave.cancel.cancelled()) {
     const bool dfs_phase = frontier.size() >= dfs_threshold;
 
     ParallelForWorker(
@@ -78,7 +78,7 @@ JoinResult ParallelSyncTraversal(const PackedRTree& r, const PackedRTree& s,
                          &state.next, &state.result, &state.stats);
           }
         },
-        /*chunk=*/1);
+        /*chunk=*/1, wave);
 
     if (dfs_phase) break;  // DFS drains every subtree; nothing remains.
     frontier.clear();

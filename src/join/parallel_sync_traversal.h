@@ -38,10 +38,14 @@ struct ParallelSyncTraversalOptions {
   std::size_t dfs_switch_factor = 10;
 };
 
-/// Multi-threaded synchronous traversal join.
+/// Multi-threaded synchronous traversal join: one wave of width
+/// `num_threads` under `wave` per BFS level. Once `wave.cancel` reads
+/// cancelled the traversal stops claiming node pairs and returns the pairs
+/// found so far (with `stats` covering the node pairs joined).
 JoinResult ParallelSyncTraversal(const PackedRTree& r, const PackedRTree& s,
                                  const ParallelSyncTraversalOptions& options,
-                                 JoinStats* stats = nullptr);
+                                 JoinStats* stats = nullptr,
+                                 const WaveContext& wave = {});
 
 }  // namespace swiftspatial
 

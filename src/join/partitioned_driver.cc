@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/sync.h"
-#include "exec/task_graph.h"
 #include "join/plane_sweep.h"
 #include "obs/resource.h"
 
@@ -16,11 +14,11 @@ namespace swiftspatial {
 
 namespace {
 
-// Cell-task batching factor: cell joins are strided into at most
-// `workers * kCellTaskGroupsPerWorker` tasks per wave -- enough groups for
-// dynamic load balancing while amortising per-task dispatch over many
+// Cell batching factor: cell joins are strided into at most
+// `num_threads * kCellGroupsPerThread` groups per wave -- enough groups for
+// dynamic load balancing while amortising per-claim overhead over many
 // (often tiny) cells.
-constexpr std::size_t kCellTaskGroupsPerWorker = 8;
+constexpr std::size_t kCellGroupsPerThread = 8;
 
 // Cap on each side of an explicit grid, so cols * rows cannot overflow int
 // (and absurd cell counts fail fast instead of exhausting memory).
@@ -92,17 +90,18 @@ std::size_t GridSide::MemoryBytes() const {
 
 std::shared_ptr<const GridSide> BuildGridSide(const Dataset& dataset,
                                               const UniformGrid& grid,
-                                              std::size_t num_threads) {
+                                              std::size_t num_threads,
+                                              const WaveContext& wave) {
   auto side = std::make_shared<GridSide>();
-  side->tiles = grid.Assign(dataset, num_threads);
+  side->tiles = grid.Assign(dataset, num_threads, wave);
   // Sweep order once, here, so no execution of a plan pairing this half
   // sorts (the order contract of join/plane_sweep.h).
-  ParallelFor(side->tiles.size(), num_threads, Schedule::kDynamic,
-              [&side, &dataset](std::size_t t) {
-                if (side->tiles[t].size() > 1) {
-                  SortForSweep(dataset, &side->tiles[t]);
-                }
-              });
+  ParallelFor(
+      side->tiles.size(), num_threads, Schedule::kDynamic,
+      [&side, &dataset](std::size_t t) {
+        if (side->tiles[t].size() > 1) SortForSweep(dataset, &side->tiles[t]);
+      },
+      1, wave);
   return side;
 }
 
@@ -112,7 +111,7 @@ std::size_t PartitionedPlanState::MemoryBytes() const {
 
 Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
     const JoinInput& r, const JoinInput& s,
-    const PartitionedDriverOptions& options, const obs::TraceContext& trace) {
+    const PartitionedDriverOptions& options, const WaveContext& wave) {
   if (options.num_threads < 1) {
     return Status::InvalidArgument("num_threads must be >= 1");
   }
@@ -136,9 +135,9 @@ Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
   const UniformGrid grid(spec.extent, plan->cols, plan->rows);
   const auto half = [&](const JoinInput& input, const char* side) {
     const auto build = [&] {
-      obs::ScopedSpan span(trace, "plan.grid_side");
+      obs::ScopedSpan span(wave.trace, "plan.grid_side");
       span.AddAttr("side", side);
-      return BuildGridSide(*input.data, grid, options.num_threads);
+      return BuildGridSide(*input.data, grid, options.num_threads, wave);
     };
     return input.grid_sides != nullptr
                ? input.grid_sides->GetOrBuild(spec, build)
@@ -176,62 +175,57 @@ Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
 Status ExecutePartitionedPlan(const PartitionedPlanState& plan,
                               const Dataset& r, const Dataset& s,
                               TileJoin tile_join, std::size_t num_threads,
-                              const obs::TraceContext& trace,
                               const StreamTarget& target, JoinStats* stats) {
   if (plan.cells.empty()) return Status::OK();
   const std::size_t chunk_pairs = std::max<std::size_t>(1, target.chunk_pairs);
-  const auto ship = [&target](JoinResult* buffer) {
-    if (buffer->empty()) return;
-    target.sink(std::move(buffer->mutable_pairs()));
-    buffer->mutable_pairs().clear();
-  };
+  const WaveContext& wave = target.wave;
   // Group g joins cells g, g+G, g+2G, ... -- strided groups keep the
-  // largest-first order balanced across groups and amortise per-task
-  // dispatch over many (often tiny) cells.
-  const auto join_group = [&](std::size_t g, std::size_t groups,
-                              JoinStats* group_stats) {
+  // largest-first order balanced across groups and amortise per-claim
+  // overhead over many (often tiny) cells.
+  const std::size_t groups =
+      std::min(plan.cells.size(), num_threads * kCellGroupsPerThread);
+  // Joins the group of cell `i` from that cell on, shipping every full
+  // buffer. Returns the cell it stopped before: past the end, or -- when a
+  // pool slot yielded on a full stream queue -- the group's next cell,
+  // which the caller then joins.
+  const auto join_group = [&](std::size_t i, JoinStats* group_stats) {
     JoinResult buffer;
-    for (std::size_t i = g; i < plan.cells.size(); i += groups) {
-      if (target.cancel.cancelled()) break;
+    for (; i < plan.cells.size(); i += groups) {
+      if (wave.cancel.cancelled()) break;
       const PartitionedCell& cell = plan.cells[i];
       RunTileJoin(tile_join, r, s, *cell.r_ids, *cell.s_ids,
                   &cell.dedup_tile, &buffer, group_stats);
-      if (buffer.size() >= chunk_pairs) ship(&buffer);
+      if (buffer.size() >= chunk_pairs) {
+        target.sink(std::move(buffer.mutable_pairs()));
+        buffer = JoinResult();
+        if (WaveSlotYielded()) return i + groups;
+      }
     }
-    ship(&buffer);
+    if (!buffer.empty()) target.sink(std::move(buffer.mutable_pairs()));
+    return plan.cells.size();
   };
 
-  std::vector<JoinStats> group_stats;
-  if (target.pool == nullptr && num_threads <= 1) {
-    // Inline on the calling thread; no pool, no graph -- so the request's
-    // usage, which a graph feeds per task, is billed here as one task.
-    const double cpu0 = target.usage != nullptr ? obs::ThreadCpuSeconds() : 0;
-    group_stats.resize(1);
-    join_group(0, 1, &group_stats[0]);
-    if (target.usage != nullptr) {
-      target.usage->AddCpuSeconds(obs::ThreadCpuSeconds() - cpu0);
-      target.usage->AddTasks(1);
-    }
-  } else {
-    std::optional<ThreadPool> owned_pool;
-    ThreadPool* pool = target.pool;
-    if (pool == nullptr) pool = &owned_pool.emplace(num_threads);
-    exec::TaskGraph graph(pool, target.cancel, trace, target.usage);
-    const std::size_t groups = std::min(
-        plan.cells.size(), pool->num_threads() * kCellTaskGroupsPerWorker);
-    group_stats.resize(groups);
-    for (std::size_t g = 0; g < groups; ++g) {
-      graph.Add([&join_group, &group_stats, g, groups] {
-        join_group(g, groups, &group_stats[g]);
-      });
-    }
-    graph.Wait();
-  }
+  std::vector<JoinStats> slot_stats(std::max<std::size_t>(1, num_threads));
+  Mutex mu;
+  std::vector<std::size_t> handed_back;  // guarded by mu
+  ParallelForWorker(
+      groups, num_threads, Schedule::kDynamic,
+      [&](std::size_t g, std::size_t slot) {
+        if (wave.usage != nullptr) wave.usage->AddTasks(1);
+        const std::size_t next = join_group(g, &slot_stats[slot]);
+        if (next < plan.cells.size()) {
+          MutexLock lock(&mu);
+          handed_back.push_back(next);
+        }
+      },
+      1, wave);
+  // Only pool slots yield, so the caller finishes what they handed back.
+  for (const std::size_t next : handed_back) join_group(next, &slot_stats[0]);
 
   if (stats != nullptr) {
-    for (const JoinStats& gs : group_stats) *stats += gs;
+    for (const JoinStats& ss : slot_stats) *stats += ss;
   }
-  if (target.cancel.cancelled()) {
+  if (wave.cancel.cancelled()) {
     return Status::Aborted("join cancelled mid-stream");
   }
   return Status::OK();
@@ -240,7 +234,7 @@ Status ExecutePartitionedPlan(const PartitionedPlanState& plan,
 JoinResult ExecutePartitionedPlan(const PartitionedPlanState& plan,
                                   const Dataset& r, const Dataset& s,
                                   TileJoin tile_join, std::size_t num_threads,
-                                  JoinStats* stats) {
+                                  JoinStats* stats, const WaveContext& wave) {
   Mutex mu;
   JoinResult merged;
   StreamTarget target;
@@ -255,10 +249,10 @@ JoinResult ExecutePartitionedPlan(const PartitionedPlanState& plan,
   };
   // One batch per cell group: the buffers never reach this chunk size.
   target.chunk_pairs = std::numeric_limits<std::size_t>::max();
-  // Without a cancellation token the executor always completes.
-  const Status st = ExecutePartitionedPlan(plan, r, s, tile_join, num_threads,
-                                           obs::TraceContext(), target, stats);
-  SWIFT_CHECK(st.ok()) << st.ToString();
+  target.wave = wave;
+  const Status st =
+      ExecutePartitionedPlan(plan, r, s, tile_join, num_threads, target, stats);
+  SWIFT_CHECK(st.ok() || wave.cancel.cancelled()) << st.ToString();
   return merged;
 }
 

@@ -12,17 +12,21 @@
 // a re-registered R is re-planned without touching S. A plan pairs two
 // halves: every cell with objects from both sides is one batched tile join
 // (plane sweep, nested loop or the SIMD kernel). Cells are strided into
-// groups that run as one exec::TaskGraph wave on a ThreadPool (largest
-// cells first, so they start earliest and the small ones backfill).
+// groups that run as one dynamic wave (common/thread_pool.h; largest cells
+// first, so they start earliest and the small ones backfill).
 // Cross-cell duplicates -- a pair whose boxes co-occupy several cells -- are
 // eliminated with the PBSM reference-point rule (Box::ReferencePointInTile):
 // the pair is emitted only by the single cell containing the bottom-left
 // corner of the pair's intersection.
 //
-// Results leave through a sink: every group task stages its pairs in its own
+// Results leave through a sink: every group stages its pairs in its own
 // buffer (no shared state while joining) and hands the buffer over whenever
 // it reaches the chunk size and at the end of the group, so a streamed
-// execution ships results while later cells still join. The multiset is
+// execution ships results while later cells still join. A pool slot whose
+// hand-over finds the stream's queue full yields (YieldWaveSlot): it stops
+// its group there, and the wave's caller joins the rest of that group and
+// every unclaimed one -- only the caller ever blocks on the consumer. The
+// multiset is
 // independent of the thread count and schedule; only the pair order varies
 // (canonicalise with JoinResult::Sort).
 #ifndef SWIFTSPATIAL_JOIN_PARTITIONED_DRIVER_H_
@@ -41,7 +45,6 @@
 #include "join/engine.h"
 #include "join/result.h"
 #include "join/tile_join.h"
-#include "obs/trace.h"
 
 namespace swiftspatial {
 
@@ -92,9 +95,9 @@ struct PartitionedDriverOptions {
   /// Target objects per cell for auto-sizing (both sides combined).
   std::size_t target_cell_population = kDefaultCellPopulation;
   std::size_t num_threads = 1;
-  // Note: the driver has no Schedule knob. Execution is a TaskGraph wave --
-  // idle workers pull the next ready group, i.e. inherently dynamic;
-  // OpenMP-style static/dynamic selection remains on parallel_sync_traversal.
+  // Note: the driver has no Schedule knob. Execution is a dynamic wave --
+  // free slots claim the next group; OpenMP-style static/dynamic selection
+  // remains on parallel_sync_traversal.
 };
 
 /// One dataset's half of a grid plan: for every tile of one grid (one
@@ -109,11 +112,12 @@ struct GridSide {
 };
 
 /// Builds `dataset`'s half on `grid`: UniformGrid::Assign, then SortForSweep
-/// of every non-empty tile, both on `num_threads` threads. The half is the
-/// same for every thread count.
+/// of every non-empty tile, both as waves of width `num_threads` under
+/// `wave`. The half is the same for every thread count.
 std::shared_ptr<const GridSide> BuildGridSide(const Dataset& dataset,
                                               const UniformGrid& grid,
-                                              std::size_t num_threads);
+                                              std::size_t num_threads,
+                                              const WaveContext& wave = {});
 
 /// Where the planner gets one dataset version's halves (JoinInput::
 /// grid_sides). The warm-serving registry implements it; a half depends only
@@ -158,15 +162,15 @@ struct PartitionedPlanState {
 /// Plans the grid join of (r, s): validates options, derives the grid from
 /// the inputs' facts (DeriveJoinGrid; inputs without facts are scanned),
 /// gets or builds each side's half (from the input's GridSideStore when it
-/// has one, else BuildGridSide; each build records a `plan.grid_side` span
-/// under `trace` with attribute side=r|s), and pairs them: the tiles
+/// has one, else BuildGridSide under `wave`; each build records a
+/// `plan.grid_side` span under `wave.trace` with attribute side=r|s), and
+/// pairs them: the tiles
 /// populated on both sides, largest |r|*|s| first. The plan is the same for
 /// every thread count and whether or not a half came from a store.
 /// Empty/disjoint inputs yield a plan with no cells.
 Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
     const JoinInput& r, const JoinInput& s,
-    const PartitionedDriverOptions& options,
-    const obs::TraceContext& trace = {});
+    const PartitionedDriverOptions& options, const WaveContext& wave = {});
 
 /// The same planner over borrowed datasets.
 Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
@@ -174,26 +178,24 @@ Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
     const PartitionedDriverOptions& options);
 
 /// Joins every cell of a previously built plan, handing the pairs to
-/// `target.sink` as described above. Runs on `target.pool` when given, else on
-/// a private pool of `num_threads` workers (inline on the calling thread for
-/// one thread); the TaskGraph carries `target.cancel`, `trace` and
-/// `target.usage`, and an inline run bills its thread-CPU time to
-/// `target.usage` as one task. Once the token is cancelled every group stops at
-/// its next cell and the call returns Aborted. Thread-safe for concurrent
-/// callers sharing one plan: all plan state is read const, each call owns its
-/// buffers. `r` and `s` must be the datasets the plan was built from; `stats`
-/// may be null.
+/// `target.sink` as described above: one wave of width `num_threads` under
+/// `target.wave` (inline on the calling thread at width 1), whose
+/// accounting counts every cell group as one task. Once the token is
+/// cancelled every group stops at its next cell and the call returns
+/// Aborted. Thread-safe for concurrent callers sharing one plan: all plan
+/// state is read const, each call owns its buffers. `r` and `s` must be the
+/// datasets the plan was built from; `stats` may be null.
 Status ExecutePartitionedPlan(const PartitionedPlanState& plan,
                               const Dataset& r, const Dataset& s,
                               TileJoin tile_join, std::size_t num_threads,
-                              const obs::TraceContext& trace,
                               const StreamTarget& target, JoinStats* stats);
 
 /// The same executor, collecting every pair into one result.
 JoinResult ExecutePartitionedPlan(const PartitionedPlanState& plan,
                                   const Dataset& r, const Dataset& s,
                                   TileJoin tile_join, std::size_t num_threads,
-                                  JoinStats* stats);
+                                  JoinStats* stats,
+                                  const WaveContext& wave = {});
 
 }  // namespace swiftspatial
 

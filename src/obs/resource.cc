@@ -15,4 +15,23 @@ double ThreadCpuSeconds() {
 #endif
 }
 
+namespace {
+// The accumulator the calling thread is billing right now, if any.
+thread_local ResourceAccumulator* t_charged = nullptr;
+}  // namespace
+
+ScopedCpuCharge::ScopedCpuCharge(ResourceAccumulator* usage) {
+  if (usage == nullptr || usage == t_charged) return;
+  usage_ = usage;
+  outer_ = t_charged;
+  t_charged = usage;
+  cpu0_ = ThreadCpuSeconds();
+}
+
+ScopedCpuCharge::~ScopedCpuCharge() {
+  if (usage_ == nullptr) return;
+  usage_->AddCpuSeconds(ThreadCpuSeconds() - cpu0_);
+  t_charged = outer_;
+}
+
 }  // namespace swiftspatial::obs

@@ -4,15 +4,18 @@
 // the stream's shared state; exec::DeferredStream exposes it) and the
 // execution layers feed it as the request runs:
 //
-//   - TaskGraph adds each executed task's thread-CPU time (measured with
-//     clock_gettime(CLOCK_THREAD_CPUTIME_ID) around the task body) and its
-//     pool queue wait, so cpu_seconds is the true compute cost summed
-//     across every worker the request fanned out to -- on a multi-threaded
-//     graph it exceeds wall time, which is exactly the signal.
+//   - Every thread that works for the request bills its thread-CPU time
+//     (clock_gettime(CLOCK_THREAD_CPUTIME_ID) around the work) through a
+//     ScopedCpuCharge: the stream producer over its plan and execute stages,
+//     and every slot of every wave (common/thread_pool.h) the request runs.
+//     cpu_seconds is therefore the true compute cost summed across every
+//     thread the request fanned out to -- on a multi-threaded wave it
+//     exceeds wall time, which is exactly the signal. Wave slots that ran
+//     on a pool also add the time their task queued, as task_wait_seconds.
 //   - The stream state counts every chunk, pair, and byte pushed.
-//   - The serving layer (exec::JoinService) adds service-level queue wait
+//   - The serving layer (exec::JoinService) adds its admission queue wait
 //     and stamps wall time; the distributed engines add their shard
-//     retries.
+//     retries; the partitioned driver counts its cell groups as tasks.
 //
 // JoinService surfaces the aggregate in Snapshot() and as
 // swiftspatial_service_* series, which is what makes a request's *cost*
@@ -35,16 +38,20 @@ namespace swiftspatial::obs {
 struct ResourceUsage {
   /// Producer wall time: dispatcher pickup to stream close.
   double wall_seconds = 0;
-  /// Thread-CPU time summed over every task body the request ran; > wall
+  /// Thread-CPU time summed over every thread that worked for the request
+  /// (the producer's plan and execute stages plus every wave slot); > wall
   /// on multi-threaded fan-out, ~wall single-threaded, < wall when the
-  /// request mostly waited (backpressure). Only the partitioned driver
-  /// (the partitioned, simd and pbsm engines) feeds it and `tasks`: per
-  /// TaskGraph task, or as one task when it runs inline on one thread.
-  /// Every other engine reports 0 for both.
+  /// request mostly waited (backpressure).
   double cpu_seconds = 0;
-  /// Pool queue wait summed over tasks, plus the service admission queue
-  /// wait -- time the request spent runnable but waiting for a slot.
+  /// The service admission wait: submission to dispatcher pickup. A layer
+  /// of the request's latency.
   double queue_wait_seconds = 0;
+  /// Pool queue wait summed over the wave slots the request submitted. A
+  /// cost, not a layer: parallel slots wait at once, so the sum may exceed
+  /// the request's latency.
+  double task_wait_seconds = 0;
+  /// Work items: the partitioned driver's cell groups (the partitioned,
+  /// simd and pbsm engines); 0 for every other engine.
   uint64_t tasks = 0;
   uint64_t chunks = 0;
   uint64_t pairs = 0;
@@ -66,6 +73,7 @@ class ResourceAccumulator {
 
   void AddCpuSeconds(double s) { AddDouble(&cpu_seconds_, s); }
   void AddQueueWaitSeconds(double s) { AddDouble(&queue_wait_seconds_, s); }
+  void AddTaskWaitSeconds(double s) { AddDouble(&task_wait_seconds_, s); }
   void SetWallSeconds(double s) {
 #ifndef SWIFTSPATIAL_OBS_OFF
     wall_seconds_.store(s, std::memory_order_relaxed);
@@ -87,6 +95,7 @@ class ResourceAccumulator {
     u.wall_seconds = wall_seconds_.load(std::memory_order_relaxed);
     u.cpu_seconds = cpu_seconds_.load(std::memory_order_relaxed);
     u.queue_wait_seconds = queue_wait_seconds_.load(std::memory_order_relaxed);
+    u.task_wait_seconds = task_wait_seconds_.load(std::memory_order_relaxed);
     u.tasks = tasks_.load(std::memory_order_relaxed);
     u.chunks = chunks_.load(std::memory_order_relaxed);
     u.pairs = pairs_.load(std::memory_order_relaxed);
@@ -120,6 +129,7 @@ class ResourceAccumulator {
   std::atomic<double> wall_seconds_{0};
   std::atomic<double> cpu_seconds_{0};
   std::atomic<double> queue_wait_seconds_{0};
+  std::atomic<double> task_wait_seconds_{0};
   std::atomic<uint64_t> tasks_{0};
   std::atomic<uint64_t> chunks_{0};
   std::atomic<uint64_t> pairs_{0};
@@ -133,6 +143,23 @@ class ResourceAccumulator {
 /// threads share the core. 0 under SWIFTSPATIAL_OBS_OFF (or when the clock
 /// is unavailable), making accumulation a no-op rather than a lie.
 double ThreadCpuSeconds();
+
+/// Bills the calling thread's CPU time over the scope to `usage` (nothing
+/// when null). Scopes nest: a scope opened on a thread that already bills
+/// `usage` bills nothing itself, so a thread's CPU is counted once however
+/// the waves it runs nest inside each other and inside the producer.
+class ScopedCpuCharge {
+ public:
+  explicit ScopedCpuCharge(ResourceAccumulator* usage);
+  ~ScopedCpuCharge();
+  ScopedCpuCharge(const ScopedCpuCharge&) = delete;
+  ScopedCpuCharge& operator=(const ScopedCpuCharge&) = delete;
+
+ private:
+  ResourceAccumulator* usage_ = nullptr;  // null: an inner or unbilled scope
+  ResourceAccumulator* outer_ = nullptr;  // the thread's charge before this
+  double cpu0_ = 0;
+};
 
 }  // namespace swiftspatial::obs
 

@@ -3,7 +3,7 @@
 // A TraceContext is a tiny trivially-copyable token -- (SpanBuffer*,
 // trace id, parent span id) -- created once per JoinService request and
 // threaded through the existing seams by value: EngineConfig carries it
-// into the streaming producers, TaskGraph carries it to pool tasks, dist
+// into the streaming producers, waves carry it to their slots, dist
 // Exchange Messages carry it across node boundaries. A default-constructed
 // context is inactive and every operation on it is a no-op, so paths that
 // never asked for tracing pay one pointer test.

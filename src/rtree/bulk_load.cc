@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "common/logging.h"
@@ -12,46 +11,45 @@ namespace swiftspatial {
 
 namespace {
 
-// Sorts `items` with `cmp`, splitting into per-thread runs followed by
-// pairwise merges. Parallel STL execution policies require TBB, so we roll a
-// small merge sort on std::thread.
+// Sorts `items` with `cmp`: one wave sorts `chunks` runs, then one wave per
+// pass of pairwise in-place merges. Parallel STL execution policies require
+// TBB, so we roll a small merge sort on waves. The run bounds depend only on
+// `num_threads`, never on the wave's width.
 template <typename T, typename Cmp>
-void ParallelSort(std::vector<T>* items, std::size_t num_threads, Cmp cmp) {
+void ParallelSort(std::vector<T>* items, std::size_t num_threads, Cmp cmp,
+                  const WaveContext& wave) {
   const std::size_t n = items->size();
   if (num_threads <= 1 || n < 1u << 14) {
     std::sort(items->begin(), items->end(), cmp);
     return;
   }
   const std::size_t chunks = std::min(num_threads, n);
-  std::vector<std::size_t> bounds(chunks + 1);
-  for (std::size_t i = 0; i <= chunks; ++i) bounds[i] = n * i / chunks;
+  std::vector<std::size_t> cuts(chunks + 1);
+  for (std::size_t i = 0; i <= chunks; ++i) cuts[i] = n * i / chunks;
+  ParallelFor(
+      chunks, num_threads, Schedule::kStatic,
+      [&](std::size_t i) {
+        std::sort(items->begin() + cuts[i], items->begin() + cuts[i + 1],
+                  cmp);
+      },
+      1, wave);
 
-  std::vector<std::thread> workers;
-  workers.reserve(chunks);
-  for (std::size_t i = 0; i < chunks; ++i) {
-    workers.emplace_back([items, &bounds, i, cmp] {
-      std::sort(items->begin() + bounds[i], items->begin() + bounds[i + 1],
-                cmp);
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  // Pairwise in-place merges; log2(chunks) passes.
-  std::vector<std::size_t> cuts(bounds.begin(), bounds.end());
+  // Pairwise in-place merges of runs (2k, 2k+1); log2(chunks) passes.
   while (cuts.size() > 2) {
+    const std::size_t merges = (cuts.size() - 1) / 2;
+    ParallelFor(
+        merges, num_threads, Schedule::kStatic,
+        [&](std::size_t k) {
+          std::inplace_merge(items->begin() + cuts[2 * k],
+                             items->begin() + cuts[2 * k + 1],
+                             items->begin() + cuts[2 * k + 2], cmp);
+        },
+        1, wave);
     std::vector<std::size_t> next_cuts;
-    next_cuts.push_back(cuts.front());
-    std::vector<std::thread> mergers;
-    for (std::size_t i = 0; i + 2 < cuts.size(); i += 2) {
-      const std::size_t lo = cuts[i], mid = cuts[i + 1], hi = cuts[i + 2];
-      mergers.emplace_back([items, lo, mid, hi, cmp] {
-        std::inplace_merge(items->begin() + lo, items->begin() + mid,
-                           items->begin() + hi, cmp);
-      });
-      next_cuts.push_back(hi);
+    for (std::size_t i = 0; i < cuts.size(); i += 2) {
+      next_cuts.push_back(cuts[i]);
     }
     if (cuts.size() % 2 == 0) next_cuts.push_back(cuts.back());
-    for (auto& m : mergers) m.join();
     cuts = std::move(next_cuts);
   }
 }
@@ -87,7 +85,8 @@ std::vector<PackedRTree::BuildNode> PackRun(
 // One STR tiling pass: entries -> one level of nodes.
 std::vector<PackedRTree::BuildNode> StrTile(std::vector<PackedEntry> entries,
                                             bool is_leaf, int max_entries,
-                                            std::size_t num_threads) {
+                                            std::size_t num_threads,
+                                            const WaveContext& wave) {
   const std::size_t n = entries.size();
   const std::size_t cap = static_cast<std::size_t>(max_entries);
   if (n <= cap) {
@@ -111,14 +110,14 @@ std::vector<PackedRTree::BuildNode> StrTile(std::vector<PackedEntry> entries,
     return a.id < b.id;
   };
 
-  ParallelSort(&entries, num_threads, by_cx);
+  ParallelSort(&entries, num_threads, by_cx, wave);
 
   std::vector<PackedRTree::BuildNode> level;
   for (std::size_t slab_begin = 0; slab_begin < n; slab_begin += slab_size) {
     const std::size_t slab_end = std::min(slab_begin + slab_size, n);
     std::vector<PackedEntry> slab(entries.begin() + slab_begin,
                                   entries.begin() + slab_end);
-    ParallelSort(&slab, num_threads, by_cy);
+    ParallelSort(&slab, num_threads, by_cy, wave);
     auto nodes = PackRun(slab, is_leaf, max_entries);
     for (auto& node : nodes) level.push_back(std::move(node));
   }
@@ -157,13 +156,14 @@ std::vector<PackedEntry> DatasetEntries(const Dataset& dataset) {
 
 }  // namespace
 
-PackedRTree StrBulkLoad(const Dataset& dataset,
-                        const BulkLoadOptions& options) {
+PackedRTree StrBulkLoad(const Dataset& dataset, const BulkLoadOptions& options,
+                        const WaveContext& wave) {
   SWIFT_CHECK_GE(options.max_entries, 2);
   SWIFT_CHECK(!dataset.empty());
-  auto tile = [&options](std::vector<PackedEntry> entries, bool is_leaf) {
+  auto tile = [&options, &wave](std::vector<PackedEntry> entries,
+                                bool is_leaf) {
     return StrTile(std::move(entries), is_leaf, options.max_entries,
-                   options.num_threads);
+                   options.num_threads, wave);
   };
   auto leaves = tile(DatasetEntries(dataset), /*is_leaf=*/true);
   return BuildUp(std::move(leaves), options.max_entries, tile);
@@ -203,7 +203,8 @@ PackedRTree HilbertBulkLoad(const Dataset& dataset,
                [](const Keyed& a, const Keyed& b) {
                  if (a.key != b.key) return a.key < b.key;
                  return a.entry.id < b.entry.id;
-               });
+               },
+               WaveContext{});
   std::vector<PackedEntry> sorted;
   sorted.reserve(keyed.size());
   for (const auto& k : keyed) sorted.push_back(k.entry);

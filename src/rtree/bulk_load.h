@@ -12,6 +12,7 @@
 
 #include <cstddef>
 
+#include "common/thread_pool.h"
 #include "datagen/dataset.h"
 #include "rtree/packed_rtree.h"
 
@@ -20,13 +21,15 @@ namespace swiftspatial {
 struct BulkLoadOptions {
   /// Maximum entries per node (paper default 16, §5.2).
   int max_entries = 16;
-  /// Worker threads for the sort phases.
+  /// Width of the sort phases' waves.
   std::size_t num_threads = 1;
 };
 
 /// Bulk-loads `dataset` with Sort-Tile-Recursive. The same tiling is applied
-/// recursively at each directory level.
-PackedRTree StrBulkLoad(const Dataset& dataset, const BulkLoadOptions& options);
+/// recursively at each directory level. The sorts run as waves under
+/// `wave`; the tree is the same for every thread count.
+PackedRTree StrBulkLoad(const Dataset& dataset, const BulkLoadOptions& options,
+                        const WaveContext& wave = {});
 
 /// Bulk-loads `dataset` by Hilbert-curve ordering of MBR centers.
 PackedRTree HilbertBulkLoad(const Dataset& dataset,

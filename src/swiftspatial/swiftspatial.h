@@ -57,7 +57,7 @@
 
 #include "exec/service.h"
 #include "exec/streaming.h"
-#include "exec/task_graph.h"
+#include "exec/cancellation.h"
 
 #include "dist/dist_engine.h"
 #include "dist/dist_join.h"

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <numeric>
+#include <set>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
+
+#include "common/sync.h"
 
 namespace swiftspatial {
 namespace {
@@ -39,8 +46,7 @@ TEST(ThreadPool, ReusableAfterWait) {
 
 // Contract: a task submitted from inside a running task is covered by any
 // Wait() covering the submitting task -- the child is counted before the
-// parent retires, so outstanding cannot touch zero in between. The
-// exec::TaskGraph scheduler depends on this to grow graphs dynamically.
+// parent retires, so outstanding cannot touch zero in between.
 TEST(ThreadPool, SubmitFromInsideTaskIsCoveredByWait) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
@@ -148,6 +154,157 @@ TEST(ParallelFor, DynamicChunking) {
   int total = 0;
   for (auto& h : hits) total += h.load();
   EXPECT_EQ(total, static_cast<int>(n));
+}
+
+// --- Waves on a given pool ------------------------------------------------
+
+class WaveTest : public ::testing::TestWithParam<
+                     std::tuple<Schedule, std::size_t, std::size_t>> {};
+
+// Every index runs exactly once, whatever the schedule, the width asked for
+// and the pool it runs on; slots stay below min(width, workers + 1).
+TEST_P(WaveTest, RunsEveryIndexOnceWithinItsWidth) {
+  const auto [schedule, threads, workers] = GetParam();
+  ThreadPool pool(workers);
+  WaveContext wave;
+  wave.pool = &pool;
+  constexpr std::size_t kN = 997;
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<std::size_t> max_slot{0};
+  ParallelForWorker(
+      kN, threads, schedule,
+      [&](std::size_t i, std::size_t slot) {
+        hits[i].fetch_add(1);
+        std::size_t seen = max_slot.load();
+        while (slot > seen && !max_slot.compare_exchange_weak(seen, slot)) {
+        }
+      },
+      /*chunk=*/7, wave);
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  EXPECT_LT(max_slot.load(), std::min(threads, workers + 1));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SchedulesWidthsPools, WaveTest,
+    ::testing::Combine(::testing::Values(Schedule::kStatic,
+                                         Schedule::kDynamic),
+                       ::testing::Values<std::size_t>(1, 2, 8),
+                       ::testing::Values<std::size_t>(1, 4)));
+
+// A wave uses the calling thread plus at most `workers` pool threads: its
+// `num_threads`, capped by the pool, never more.
+TEST(Wave, WidthIsCappedByThePool) {
+  ThreadPool pool(2);
+  WaveContext wave;
+  wave.pool = &pool;
+  Mutex mu;
+  std::set<std::thread::id> threads;
+  ParallelFor(
+      64, 8, Schedule::kDynamic,
+      [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        MutexLock lock(&mu);
+        threads.insert(std::this_thread::get_id());
+      },
+      1, wave);
+  EXPECT_LE(threads.size(), 3u);  // min(8, 2 + 1)
+  EXPECT_TRUE(threads.count(std::this_thread::get_id()) == 1)
+      << "the caller is a slot of its own wave";
+}
+
+// A wave launched from inside a task on a one-worker pool: its one slot
+// task can never start while the launching task holds the only worker, so
+// the caller must run every claim itself and not wait for the late slot.
+TEST(Wave, LaunchedFromTheOnlyWorkerCompletes) {
+  ThreadPool pool(1);
+  WaveContext wave;
+  wave.pool = &pool;
+  std::atomic<int> ran{0};
+  std::atomic<bool> done{false};
+  pool.Submit([&] {
+    ParallelFor(
+        100, 4, Schedule::kDynamic, [&ran](std::size_t) { ran.fetch_add(1); },
+        1, wave);
+    done = true;
+  });
+  pool.Wait();  // also drains the late slot task, which returns at once
+  EXPECT_TRUE(done.load());
+  EXPECT_EQ(ran.load(), 100);
+}
+
+// Late slots: while the pool's only worker is busy elsewhere, a wave's slot
+// task sits queued; the caller runs every claim and returns without it.
+TEST(Wave, CallerDoesNotWaitForSlotsThatNeverStarted) {
+  ThreadPool pool(1);
+  WaveContext wave;
+  wave.pool = &pool;
+  std::atomic<bool> release{false};
+  pool.Submit([&release] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  std::vector<std::size_t> slots;
+  ParallelForWorker(
+      50, 2, Schedule::kDynamic,
+      [&slots](std::size_t, std::size_t slot) { slots.push_back(slot); }, 1,
+      wave);  // single-threaded in effect: only the caller can run
+  EXPECT_EQ(slots, std::vector<std::size_t>(50, 0));
+  release = true;
+  pool.Wait();
+}
+
+// Each claim checks the token: once it reads cancelled, no slot claims
+// more. Inline (width 1) the stop is exact; wider, only claims already in
+// flight finish.
+TEST(Wave, CancelledTokenStopsFurtherClaims) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(3);
+    exec::CancellationSource cancel;
+    WaveContext wave;
+    wave.pool = &pool;
+    wave.cancel = cancel.token();
+    std::atomic<int> ran{0};
+    ParallelFor(
+        10000, threads, Schedule::kDynamic,
+        [&](std::size_t) {
+          if (ran.fetch_add(1) == 9) cancel.Cancel();
+        },
+        1, wave);
+    if (threads == 1) {
+      EXPECT_EQ(ran.load(), 10);
+    } else {
+      EXPECT_LE(ran.load(), 10 + static_cast<int>(threads));
+    }
+  }
+}
+
+// A pool slot can yield (it stops claiming after its current claim and the
+// caller takes the rest); the caller's own slot cannot.
+TEST(Wave, PoolSlotsYieldAndTheCallerFinishes) {
+  ThreadPool pool(1);
+  WaveContext wave;
+  wave.pool = &pool;
+  std::atomic<int> pool_claims{0};
+  std::atomic<int> ran{0};
+  std::atomic<bool> caller_yielded{false};
+  ParallelForWorker(
+      200, 2, Schedule::kDynamic,
+      [&](std::size_t, std::size_t slot) {
+        ran.fetch_add(1);
+        if (slot == 0) {
+          if (YieldWaveSlot()) caller_yielded = true;
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        } else {
+          pool_claims.fetch_add(1);
+          EXPECT_TRUE(YieldWaveSlot());
+          EXPECT_TRUE(WaveSlotYielded());
+        }
+      },
+      1, wave);
+  EXPECT_EQ(ran.load(), 200);
+  EXPECT_LE(pool_claims.load(), 1);
+  EXPECT_FALSE(caller_yielded.load());
+  EXPECT_FALSE(YieldWaveSlot()) << "outside every wave";
 }
 
 TEST(ScheduleToString, Names) {

@@ -11,13 +11,16 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
 #include "join/engine.h"
+#include "join/partitioned_driver.h"
 #include "tests/test_util.h"
 
 namespace swiftspatial::exec {
@@ -682,37 +685,184 @@ TEST(JoinService, SubmitNamedServesWarmRequestsFromThePlanCache) {
   EXPECT_GT(stats.plan_cache.resident_bytes, 0u);
 }
 
-// Warm partitioned requests run their cell joins as TaskGraph tasks that
-// feed the stream's resource accounting, so the service reports what they
-// cost.
-TEST(JoinService, WarmPartitionedRequestReportsCpuAndTasks) {
+// Every engine bills a warm request's CPU: the dispatcher's own over plan
+// and execute, plus every wave slot it fanned out to. The partitioned
+// engines also count their cell groups as tasks.
+TEST(JoinService, WarmRequestsReportCpuOnEveryEngine) {
 #ifdef SWIFTSPATIAL_OBS_OFF
   GTEST_SKIP() << "observability compiled out (SWIFTSPATIAL_OBS_OFF)";
 #endif
-  // One thread runs the join inline on the dispatcher, with no TaskGraph
-  // to bill the request; two run it as a graph wave.
-  for (const char* engine : {kPartitionedEngine, kPbsmEngine}) {
+  for (const std::string& engine : EngineRegistry::Global().Names()) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      SCOPED_TRACE(std::string(engine) + " threads=" +
-                   std::to_string(threads));
+      SCOPED_TRACE(engine + " threads=" + std::to_string(threads));
       JoinServiceOptions options;
       options.worker_threads = 2;
       options.max_concurrent = 1;
       JoinService service(options);
-      service.RegisterDataset("r", testutil::Uniform(2000, 98));
+      // Points on one side, so the point-polygon engine applies too.
+      service.RegisterDataset("r", testutil::UniformPoints(2000, 98));
       service.RegisterDataset("s", testutil::Uniform(2000, 99));
       EngineConfig config;
       config.num_threads = threads;
-      auto handle = service.SubmitNamed("tenant", engine, "r", "s", config);
-      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-      StreamSummary summary = handle->Collect();
-      ASSERT_TRUE(summary.status.ok()) << summary.status.ToString();
-      service.Drain();
-      const obs::ResourceUsage resources = service.Snapshot().resources;
-      EXPECT_GT(resources.cpu_seconds, 0.0);
-      EXPECT_GT(resources.tasks, 0u);
+      for (int request = 0; request < 2; ++request) {  // cold, then warm
+        auto handle = service.SubmitNamed("tenant", engine, "r", "s", config);
+        ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+        const StreamSummary summary = handle->Collect();
+        ASSERT_TRUE(summary.status.ok()) << summary.status.ToString();
+        service.Drain();
+      }
+      const JoinServiceStats stats = service.Snapshot();
+      ASSERT_EQ(stats.plan_cache.hits, 1u);
+      EXPECT_GT(stats.resources.cpu_seconds, 0.0);
+      const bool grid = engine == kPartitionedEngine ||
+                        engine == kSimdEngine || engine == kPbsmEngine;
+      EXPECT_EQ(stats.resources.tasks > 0, grid);
     }
   }
+}
+
+// Threads of this process right now (/proc/self/status), or 0 where the
+// file is unavailable.
+std::size_t ProcessThreads() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  std::size_t threads = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "Threads: %zu", &threads) == 1) break;
+  }
+  std::fclose(f);
+  return threads;
+}
+
+// Requests compute on the service's pool and nowhere else: under 8
+// concurrent warm requests on every engine that runs in this process (the
+// dist-* engines model machines of their own), the process never holds
+// more threads than the service started plus the test's consumers.
+TEST(JoinService, WarmRequestsStartNoThreads) {
+  if (ProcessThreads() == 0) GTEST_SKIP() << "no /proc/self/status";
+  constexpr int kRequests = 8;
+  for (const std::string& engine : EngineRegistry::Global().Names()) {
+    if (engine.rfind("dist-", 0) == 0) continue;
+    SCOPED_TRACE(engine);
+    JoinServiceOptions options;
+    options.worker_threads = 4;
+    options.max_concurrent = 2;
+    JoinService service(options);
+    service.RegisterDataset("r", testutil::UniformPoints(4000, 61));
+    service.RegisterDataset("s", testutil::Uniform(4000, 62));
+    EngineConfig config;
+    config.num_threads = 2;
+    auto prime = service.SubmitNamed("tenant", engine, "r", "s", config);
+    ASSERT_TRUE(prime.ok()) << prime.status().ToString();
+    ASSERT_TRUE(prime->Collect().status.ok());
+    const std::size_t baseline = ProcessThreads();
+
+    std::vector<std::optional<AsyncJoinHandle>> handles;
+    for (int i = 0; i < kRequests; ++i) {
+      auto handle = service.SubmitNamed("tenant", engine, "r", "s", config);
+      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+      handles.emplace_back(std::move(*handle));
+    }
+    std::atomic<std::size_t> peak{0};
+    std::vector<std::thread> consumers;
+    for (int i = 0; i < kRequests; ++i) {
+      consumers.emplace_back([&, i] {
+        ResultChunk chunk;
+        do {
+          const std::size_t now = ProcessThreads();
+          std::size_t seen = peak.load();
+          while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+          }
+        } while (handles[i]->Next(&chunk));
+        EXPECT_TRUE(handles[i]->Wait().ok());
+      });
+    }
+    for (std::thread& c : consumers) c.join();
+    EXPECT_LE(peak.load(), baseline + kRequests);
+    service.Drain();
+    EXPECT_EQ(service.Snapshot().plan_cache.misses, 1u);
+  }
+}
+
+// A request's queue wait is its admission wait alone; the pool waits of its
+// wave slots, summed over slots that wait at once, are reported apart. The
+// service's clock is frozen, so the admission wait it measures is exactly 0.
+TEST(JoinService, QueueWaitIsTheAdmissionWaitAlone) {
+#ifdef SWIFTSPATIAL_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (SWIFTSPATIAL_OBS_OFF)";
+#endif
+  JoinServiceOptions options;
+  options.worker_threads = 1;
+  options.max_concurrent = 1;
+  options.clock_for_testing = [] { return 100.0; };
+  JoinService service(options);
+  service.RegisterDataset("r", testutil::Uniform(20000, 63));
+  service.RegisterDataset("s", testutil::Uniform(20000, 64));
+  EngineConfig config;
+  config.num_threads = 4;  // width 2 on one worker: caller + one slot
+  auto cold = service.SubmitNamed("tenant", kPartitionedEngine, "r", "s",
+                                  config);
+  ASSERT_TRUE(cold.ok());
+  ASSERT_TRUE(cold->Collect().status.ok());
+  service.Drain();
+  const obs::ResourceUsage before = service.Snapshot().resources;
+  auto warm = service.SubmitNamed("tenant", kPartitionedEngine, "r", "s",
+                                  config);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(warm->Collect().status.ok());
+  service.Drain();
+  const obs::ResourceUsage after = service.Snapshot().resources;
+  EXPECT_EQ(after.queue_wait_seconds, 0.0);
+  EXPECT_GT(after.task_wait_seconds - before.task_wait_seconds, 0.0);
+  EXPECT_NE(service.MetricsText().find(
+                "swiftspatial_service_request_task_wait_seconds"),
+            std::string::npos);
+}
+
+// A slow consumer of a large join on the service's pool: pool workers never
+// block on its full queue, and the pairs staged ahead of the queue stay
+// within about one batch (chunk_pairs plus one cell's output) per slot,
+// however large the join.
+TEST(JoinService, SlowConsumerBoundsStagedPairs) {
+  const Dataset r = testutil::Uniform(3000, 65, /*map=*/300.0,
+                                      /*max_edge=*/20.0);
+  const Dataset s = testutil::Uniform(3000, 66, /*map=*/300.0,
+                                      /*max_edge=*/20.0);
+  EngineConfig config;
+  config.num_threads = 4;
+  config.grid_cols = config.grid_rows = 32;
+  PartitionedDriverOptions grid;
+  grid.grid_cols = grid.grid_rows = 32;
+  auto plan = PlanPartitionedCells(r, s, grid);
+  ASSERT_TRUE(plan.ok());
+  std::size_t max_cell_pairs = 0;
+  for (const PartitionedCell& cell : (*plan)->cells) {
+    max_cell_pairs =
+        std::max(max_cell_pairs, cell.r_ids->size() * cell.s_ids->size());
+  }
+
+  JoinServiceOptions options;
+  options.worker_threads = 4;
+  options.max_concurrent = 1;
+  options.stream.chunk_pairs = 64;
+  options.stream.queue_capacity = 1;
+  JoinService service(options);
+  auto handle = service.Submit("tenant", kPartitionedEngine, r, s, config);
+  ASSERT_TRUE(handle.ok());
+  std::size_t pairs = 0;
+  ResultChunk chunk;
+  while (handle->Next(&chunk)) {
+    pairs += chunk.pairs.size();
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_TRUE(handle->Wait().ok());
+  const StreamSummary summary = handle->Collect();
+  const std::size_t bound = (4 + 1) * (64 + max_cell_pairs);
+  EXPECT_GT(pairs, 10 * bound) << "the join must dwarf the bound";
+  EXPECT_GT(summary.max_staged_pairs, 0u);
+  EXPECT_LE(summary.max_staged_pairs, bound);
+  EXPECT_LE(summary.max_queue_depth, 1u);
 }
 
 TEST(JoinService, SubmitNamedFailsFastForUnknownNamesAndEngines) {
@@ -727,6 +877,24 @@ TEST(JoinService, SubmitNamedFailsFastForUnknownNamesAndEngines) {
   auto no_engine = service.SubmitNamed("tenant", "no-such-engine", "r", "r");
   ASSERT_FALSE(no_engine.ok());
   EXPECT_EQ(no_engine.status().code(), StatusCode::kNotFound);
+
+  // Configs an engine rejects without the data fail here, through the
+  // engine's own Validate(), never at Wait().
+  EngineConfig bad_grid;
+  bad_grid.grid_cols = -1;
+  EngineConfig bad_stripes;
+  bad_stripes.num_partitions = 16385;
+  EngineConfig bad_node;
+  bad_node.node_capacity = 1;
+  for (const auto& [engine, config] :
+       {std::pair<const char*, EngineConfig>{kPartitionedEngine, bad_grid},
+        {kPbsmEngine, bad_stripes},
+        {kSyncTraversalEngine, bad_node}}) {
+    SCOPED_TRACE(engine);
+    auto bad = service.SubmitNamed("tenant", engine, "r", "r", config);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  }
 
   // Fail-fast rejections never touch admission accounting.
   EXPECT_EQ(service.Snapshot().admitted, 0u);

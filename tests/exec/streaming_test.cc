@@ -41,8 +41,8 @@ class FaultEngineBase : public JoinEngine {
  public:
   explicit FaultEngineBase(std::string name) : name_(std::move(name)) {}
   const std::string& name() const override { return name_; }
-  Result<std::shared_ptr<const PreparedPlan>> Prepare(JoinInput r,
-                                                      JoinInput s) override {
+  Result<std::shared_ptr<const PreparedPlan>> Prepare(
+      JoinInput r, JoinInput s, const WaveContext& /*wave*/) override {
     return std::shared_ptr<const PreparedPlan>(std::make_shared<InputsOnlyPlan>(
         name_, std::move(r.data), std::move(s.data)));
   }
@@ -351,6 +351,47 @@ TEST(Streaming, MalformedGeometrySurfacesThroughWait) {
   auto handle = RunJoinAsync(kPartitionedEngine, bad, good);
   ASSERT_TRUE(handle.ok());  // data-dependent: not a fail-fast error
   EXPECT_EQ(handle->Wait().code(), StatusCode::kInvalidArgument);
+}
+
+// The R-tree traversal ships its result only at the end, so its cancel must
+// land while it runs: once the stream's CPU reads non-zero (a pool slot of
+// a BFS level finished), a second thread cancels, and the traversal stops
+// claiming node pairs -- fewer than the full run joins. Small nodes over
+// large inputs make the levels before the last long enough (milliseconds)
+// for a pool slot to join in and bill its CPU.
+TEST(Streaming, CancelledTraversalStopsEarly) {
+#ifdef SWIFTSPATIAL_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (SWIFTSPATIAL_OBS_OFF)";
+#endif
+  DatasetRegistry registry;
+  registry.Put("r", testutil::Uniform(300000, 35, /*map=*/5000.0));
+  registry.Put("s", testutil::Uniform(300000, 36, /*map=*/5000.0));
+  EngineConfig config;
+  config.num_threads = 2;
+  config.node_capacity = 4;
+  auto plan = registry.GetOrPrepare(kParallelSyncTraversalEngine, "r", "s",
+                                    config);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto sync = RunPreparedJoin(**plan, config);
+  ASSERT_TRUE(sync.ok());
+
+  ThreadPool pool(2);
+  auto deferred = MakeRegisteredJoinStream(
+      &registry, kParallelSyncTraversalEngine, "r", "s", config, {}, &pool);
+  ASSERT_TRUE(deferred.ok());
+  std::thread canceller([&deferred] {
+    while (deferred->usage->Snapshot().cpu_seconds == 0) {
+      std::this_thread::yield();
+    }
+    deferred->handle.Cancel();
+  });
+  std::thread runner(std::move(deferred->producer));
+  const StreamSummary summary = deferred->handle.Collect();
+  runner.join();
+  canceller.join();
+  EXPECT_EQ(summary.status.code(), StatusCode::kAborted)
+      << summary.status.ToString();
+  EXPECT_LT(summary.run.stats.tasks, sync->stats.tasks);
 }
 
 TEST(Streaming, DeferredStreamRunsOnCallerThreadAndSharedPool) {

@@ -1,7 +1,7 @@
 // Per-request resource accounting: accumulator arithmetic under concurrent
 // writers, the thread-CPU clock, and the end-to-end property the layer
-// exists for -- a multi-threaded TaskGraph fan-out reports the CPU of every
-// worker it ran on, while a single-threaded run reports roughly wall time.
+// exists for -- a multi-slot wave reports the CPU of every slot it ran on,
+// while a single-threaded run reports roughly wall time.
 #include "obs/resource.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "exec/task_graph.h"
 
 namespace swiftspatial::obs {
 namespace {
@@ -98,85 +97,106 @@ TEST(ResourceTest, ThreadCpuClockAdvancesWithWorkNotSleep) {
   EXPECT_LT(after_sleep - after_work, 0.02);
 }
 
-// The headline property: a fan-out's cpu_seconds is the CPU paid on every
-// worker that ran its tasks, which is what distinguishes "the request was
-// expensive" from "the request waited around". Four tasks meet at a
-// barrier, so they provably run at once on four distinct workers, and then
-// each burns its own thread's CPU. Whether the host gives them four cores
-// (wall ~ one burn) or time-slices them (wall ~ four burns), the
-// accumulator must report the sum of all four threads' CPU, so nothing
-// here depends on the workers really running in parallel.
-TEST(ResourceTest, TaskGraphFanOutSumsCpuAcrossWorkers) {
-  constexpr int kTasks = 4;
-  constexpr double kBurnPerTask = 0.03;
-  ThreadPool pool(kTasks);
+// The headline property: a wave's cpu_seconds is the CPU paid on every
+// slot that ran it, which is what distinguishes "the request was expensive"
+// from "the request waited around". Four indices meet at a barrier, so they
+// provably run at once in four distinct slots (the caller plus three pool
+// workers), and then each burns its own thread's CPU. Whether the host
+// gives them four cores (wall ~ one burn) or time-slices them (wall ~ four
+// burns), the accumulator must report the sum of all four threads' CPU, so
+// nothing here depends on the slots really running in parallel.
+TEST(ResourceTest, WaveSumsCpuAcrossSlots) {
+  constexpr int kSlots = 4;
+  constexpr double kBurnPerSlot = 0.03;
+  ThreadPool pool(kSlots - 1);
   ResourceAccumulator acc;
   std::atomic<int> arrived{0};
-  std::vector<double> task_cpu(kTasks, 0.0);
-  std::vector<std::thread::id> task_thread(kTasks);
-  {
-    exec::TaskGraph graph(&pool, {}, {}, &acc);
-    for (int i = 0; i < kTasks; ++i) {
-      graph.Add([i, &arrived, &task_cpu, &task_thread] {
+  std::vector<double> slot_cpu(kSlots, 0.0);
+  std::vector<std::thread::id> slot_thread(kSlots);
+  WaveContext wave;
+  wave.pool = &pool;
+  wave.usage = &acc;
+  ParallelForWorker(
+      kSlots, kSlots, Schedule::kDynamic,
+      [&](std::size_t, std::size_t slot) {
         const double start = ThreadCpuSeconds();
         arrived.fetch_add(1);
-        while (arrived.load() < kTasks) std::this_thread::yield();
-        BurnCpu(kBurnPerTask);
-        task_thread[i] = std::this_thread::get_id();
-        task_cpu[i] = ThreadCpuSeconds() - start;
-      });
-    }
-    graph.Wait();
-  }
+        while (arrived.load() < kSlots) std::this_thread::yield();
+        BurnCpu(kBurnPerSlot);
+        slot_thread[slot] = std::this_thread::get_id();
+        slot_cpu[slot] = ThreadCpuSeconds() - start;
+      },
+      1, wave);
   const ResourceUsage u = acc.Snapshot();
 
-  EXPECT_EQ(u.tasks, static_cast<uint64_t>(kTasks));
-  EXPECT_GE(u.queue_wait_seconds, 0.0);
-  // The barrier forces one task per worker.
-  std::vector<std::thread::id> threads = task_thread;
+  // Three slots queued on the pool; the caller's did not.
+  EXPECT_GT(u.task_wait_seconds, 0.0);
+  EXPECT_EQ(u.queue_wait_seconds, 0.0);
+  // The barrier forces one index per slot, each on its own thread.
+  std::vector<std::thread::id> threads = slot_thread;
   std::sort(threads.begin(), threads.end());
   EXPECT_EQ(std::unique(threads.begin(), threads.end()) - threads.begin(),
-            kTasks);
-  // Every worker's CPU is accounted: the accumulator brackets each task
-  // body, so it holds at least what the bodies measured themselves.
+            kSlots);
+  // Every slot's CPU is accounted: the accumulator brackets each slot, so
+  // it holds at least what the bodies measured themselves.
   double summed = 0;
-  for (const double cpu : task_cpu) summed += cpu;
-  EXPECT_GE(summed, kTasks * kBurnPerTask);
+  for (const double cpu : slot_cpu) summed += cpu;
+  EXPECT_GE(summed, kSlots * kBurnPerSlot);
   EXPECT_GE(u.cpu_seconds + 1e-9, summed)
-      << "cpu=" << u.cpu_seconds << " task bodies=" << summed;
+      << "cpu=" << u.cpu_seconds << " slot bodies=" << summed;
 }
 
-TEST(ResourceTest, SingleThreadedGraphReportsCpuNearWall) {
-  constexpr int kTasks = 4;
-  constexpr double kBurnPerTask = 0.03;
+TEST(ResourceTest, SingleSlotWaveReportsCpuNearWall) {
+  constexpr int kItems = 4;
+  constexpr double kBurnPerItem = 0.03;
   ThreadPool pool(1);
   ResourceAccumulator acc;
+  WaveContext wave;
+  wave.pool = &pool;
+  wave.usage = &acc;
   Stopwatch wall;
-  {
-    exec::TaskGraph graph(&pool, {}, {}, &acc);
-    for (int i = 0; i < kTasks; ++i) {
-      graph.Add([] { BurnCpu(kBurnPerTask); });
-    }
-    graph.Wait();
-  }
+  ParallelFor(
+      kItems, 1, Schedule::kDynamic,
+      [](std::size_t) { BurnCpu(kBurnPerItem); }, 1, wave);
   const double wall_seconds = wall.ElapsedSeconds();
   const ResourceUsage u = acc.Snapshot();
 
-  EXPECT_EQ(u.tasks, static_cast<uint64_t>(kTasks));
-  EXPECT_GE(u.cpu_seconds, kTasks * kBurnPerTask);
-  // One worker: CPU time cannot meaningfully exceed elapsed wall time.
+  EXPECT_GE(u.cpu_seconds, kItems * kBurnPerItem);
+  // One slot, inline: no pool wait, and CPU time cannot meaningfully
+  // exceed elapsed wall time.
+  EXPECT_EQ(u.task_wait_seconds, 0.0);
   EXPECT_LE(u.cpu_seconds, wall_seconds * 1.25)
       << "cpu=" << u.cpu_seconds << " wall=" << wall_seconds;
 }
 
-TEST(ResourceTest, UntrackedGraphPaysNothing) {
+// A thread's CPU is billed once however its charges nest: the producer's
+// charge around a wave whose caller slot bills the same request.
+TEST(ResourceTest, NestedChargesBillAThreadOnce) {
+  constexpr double kBurn = 0.03;
+  ResourceAccumulator acc;
+  WaveContext wave;
+  wave.usage = &acc;
+  const double start = ThreadCpuSeconds();
+  {
+    ScopedCpuCharge producer(&acc);
+    ParallelFor(
+        1, 1, Schedule::kStatic, [](std::size_t) { BurnCpu(kBurn); }, 1,
+        wave);
+  }
+  const double spent = ThreadCpuSeconds() - start;
+  const ResourceUsage u = acc.Snapshot();
+  EXPECT_GE(u.cpu_seconds, kBurn);
+  EXPECT_LE(u.cpu_seconds, spent + 1e-9);
+}
+
+TEST(ResourceTest, UntrackedWavePaysNothing) {
   ThreadPool pool(2);
   std::atomic<int> ran{0};
-  exec::TaskGraph graph(&pool);  // no accumulator
-  for (int i = 0; i < 4; ++i) {
-    graph.Add([&ran] { ran.fetch_add(1); });
-  }
-  graph.Wait();
+  WaveContext wave;  // no accumulator
+  wave.pool = &pool;
+  ParallelFor(
+      4, 3, Schedule::kDynamic, [&ran](std::size_t) { ran.fetch_add(1); }, 1,
+      wave);
   EXPECT_EQ(ran.load(), 4);
 }
 

@@ -2,11 +2,12 @@
 # Repo lint, run in CI (see .github/workflows/ci.yml) and locally via
 #   tools/lint.sh
 #
-# Six checks. The first two keep the compile-time concurrency
+# Seven checks. The first two keep the compile-time concurrency
 # verification honest (src/common/sync.h); the third keeps the metric
 # namespace coherent (src/obs/); the next two keep the error-path
-# verification honest (src/common/status.h); the last keeps library
-# diagnostics flowing through the structured logger (src/obs/log.h):
+# verification honest (src/common/status.h); the sixth keeps library
+# diagnostics flowing through the structured logger (src/obs/log.h); the
+# last keeps one compute substrate (src/common/thread_pool.h):
 #
 #  1. Raw synchronization primitives are banned outside src/common/sync.h.
 #     Code that locks through std::mutex / std::lock_guard /
@@ -53,6 +54,16 @@
 #     side channel). Tests, benches, and examples are main()-owning
 #     programs: their stderr belongs to them, so the check covers src/
 #     only.
+#
+#  7. No std::thread is constructed in src/ outside the long-lived owners
+#     on the allowlist below: ThreadPool's workers, JoinService's
+#     dispatchers and deadline watchdog, a stream's producer handle,
+#     dist::Node's runtime (a member initialised without naming the type)
+#     and the exposition server. Parallel work runs as a wave on a pool
+#     (ParallelFor / ParallelForWorker); a loop or request that starts
+#     threads of its own is what the wave replaced, so any other line of
+#     src/ that names std::thread fails (std::thread:: statics such as
+#     hardware_concurrency and comment lines excepted).
 set -u
 cd "$(dirname "$0")/.."
 
@@ -221,11 +232,58 @@ if [ -n "$stderr_hits" ]; then
   fail=1
 fi
 
+# --- Check 7: no per-call threads in src/ ----------------------------------
+# Allowlisted lines, one per line as <file>:<text the line contains>.
+thread_allowlist='
+src/common/thread_pool.h:std::vector<std::thread> workers_;
+src/exec/service.h:std::vector<std::thread> dispatchers_;
+src/exec/service.h:std::thread deadline_watchdog_;
+src/exec/service.cc:deadline_watchdog_ = std::thread([this] { DeadlineLoop(); });
+src/exec/service.cc:for (std::thread& d : dispatchers_) d.join();
+src/exec/streaming.h:std::thread producer);
+src/exec/streaming.h:std::thread producer_;
+src/exec/streaming.cc:std::thread producer)
+src/exec/streaming.cc:AsyncJoinHandle(state, std::thread())
+src/exec/streaming.cc:producer_ = std::thread(std::move(deferred->producer));
+src/dist/cluster.h:std::thread runtime_;
+src/obs/exposition_server.h:std::thread thread_;
+src/obs/exposition_server.cc:thread_ = std::thread([this] { Serve(); });
+'
+thread_hits=$(grep -rnE 'std::thread\b' src --include='*.h' --include='*.cc' \
+  | grep -v 'std::thread::' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$thread_hits" ]; then
+  while IFS= read -r hit; do
+    file=${hit%%:*}
+    rest=${hit#*:}
+    code=${rest#*:}
+    allowed=0
+    while IFS= read -r entry; do
+      [ -n "$entry" ] || continue
+      if [ "${entry%%:*}" = "$file" ] && [[ "$code" == *"${entry#*:}"* ]]; then
+        allowed=1
+      fi
+    done <<EOF
+$thread_allowlist
+EOF
+    if [ "$allowed" -eq 0 ]; then
+      echo "FAIL: std::thread in src/ outside the long-lived owners on the"
+      echo "allowlist in tools/lint.sh. Run parallel work as a wave on a pool"
+      echo "(ParallelFor / ParallelForWorker, src/common/thread_pool.h):"
+      echo "  $hit"
+      echo
+      fail=1
+    fi
+  done <<EOF
+$thread_hits
+EOF
+fi
+
 if [ "$fail" -eq 0 ]; then
   echo "lint OK: no raw sync primitives outside src/common/sync.h,"
   echo "no unlisted NO_THREAD_SAFETY_ANALYSIS escapes, all metric"
   echo "names follow swiftspatial_<layer>_<name>, no unlisted or"
   echo "uncommented Status::IgnoreError() escapes, no (void)-cast"
-  echo "call expressions, and no raw stderr diagnostics in src/."
+  echo "call expressions, no raw stderr diagnostics in src/, and no"
+  echo "std::thread in src/ outside the long-lived owners."
 fi
 exit "$fail"
