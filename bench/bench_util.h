@@ -34,6 +34,7 @@
 #include "common/table_printer.h"
 #include "datagen/generator.h"
 #include "join/engine.h"
+#include "obs/format.h"
 
 namespace swiftspatial::bench {
 
@@ -307,11 +308,11 @@ class JsonReporter {
     if (wall > 0) {
       metrics.emplace_back("cpu_utilization", cpu / wall);
     }
-    std::string row = "    {\"label\":\"" + EscapeJson(label) +
+    std::string row = "    {\"label\":\"" + obs::JsonEscape(label) +
                       "\",\"metrics\":{";
     for (std::size_t i = 0; i < metrics.size(); ++i) {
       if (i != 0) row += ",";
-      row += "\"" + EscapeJson(metrics[i].first) + "\":" +
+      row += "\"" + obs::JsonEscape(metrics[i].first) + "\":" +
              FormatNumber(metrics[i].second);
     }
     row += "}}";
@@ -322,7 +323,7 @@ class JsonReporter {
 
   std::string ToJson() const {
     std::string out = "{\n  \"schema_version\": 1,\n  \"name\": \"" +
-                      EscapeJson(name_) + "\",\n  \"context\": " + context_ +
+                      obs::JsonEscape(name_) + "\",\n  \"context\": " + context_ +
                       ",\n  \"rows\": [\n";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       out += rows_[i];
@@ -353,21 +354,6 @@ class JsonReporter {
   }
 
  private:
-  static std::string EscapeJson(const std::string& v) {
-    std::string out;
-    out.reserve(v.size());
-    for (char c : v) {
-      switch (c) {
-        case '\\': out += "\\\\"; break;
-        case '"': out += "\\\""; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default: out += c;
-      }
-    }
-    return out;
-  }
-
   static std::string FormatNumber(double v) {
     if (!std::isfinite(v)) return "0";  // JSON has no inf/nan literals
     char buf[64];

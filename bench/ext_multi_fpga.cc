@@ -35,6 +35,8 @@ int Main(int argc, char** argv) {
       {"8 MB", 8ULL << 20},
       {"2 MB", 2ULL << 20},
       {"1 MB", 1ULL << 20},
+      {"256 KB", 256ULL << 10},
+      {"128 KB", 128ULL << 10},
   };
   JsonReporter json("ext_multi_fpga", env);
   for (const Budget& budget : budgets) {
@@ -58,9 +60,13 @@ int Main(int argc, char** argv) {
                     std::to_string(report->devices),
                     Ms(report->total_seconds),
                     std::to_string(report->num_results)});
-      json.AddRow(std::to_string(budget.bytes >> 20) + "MB/" +
-                      OutOfMemoryStrategyToString(strategy),
+      const std::string size =
+          budget.bytes >= (1ULL << 20)
+              ? std::to_string(budget.bytes >> 20) + "MB"
+              : std::to_string(budget.bytes >> 10) + "KB";
+      json.AddRow(size + "/" + OutOfMemoryStrategyToString(strategy),
                   {{"total_seconds", report->total_seconds},
+                   {"grid", static_cast<double>(report->grid_resolution)},
                    {"partitions", static_cast<double>(report->partitions)},
                    {"devices", static_cast<double>(report->devices)},
                    {"results", static_cast<double>(report->num_results)}});

@@ -56,15 +56,13 @@ class DistEngineImpl : public EngineBase<DistPreparedPlan, DistJoinEngine> {
   }
 
   Status Build(DistPreparedPlan* plan, const JoinInput& r,
-               const JoinInput& s, const WaveContext& /*wave*/) override {
+               const JoinInput& s, const WaveContext& wave) override {
     plan->options = OptionsFromConfig(config(), use_accel_);
-    auto shard_plan = PlanShards(plan->r(), plan->s(), plan->options.grid_cols,
-                                 plan->options.grid_rows,
-                                 plan->options.num_nodes,
-                                 plan->options.placement, &*r.stats,
-                                 &*s.stats);
-    if (!shard_plan.ok()) return shard_plan.status();
-    plan->shard_plan = std::move(*shard_plan);
+    SWIFT_ASSIGN_OR_RETURN(
+        plan->shard_plan,
+        PlanShards(r, s, plan->options.grid_cols, plan->options.grid_rows,
+                   plan->options.num_nodes, plan->options.placement,
+                   config().num_threads, wave));
     return Status::OK();
   }
 
@@ -110,13 +108,11 @@ class DistEngineImpl : public EngineBase<DistPreparedPlan, DistJoinEngine> {
 }  // namespace
 
 std::size_t DistPreparedPlan::MemoryBytes() const {
+  // The id lists live in the halves, accounted where they are stored.
   std::size_t bytes = shard_plan.shards.capacity() * sizeof(Shard) +
                       shard_plan.owner.capacity() * sizeof(int) +
                       shard_plan.node_cost.capacity() * sizeof(uint64_t);
-  for (const Shard& shard : shard_plan.shards) {
-    bytes +=
-        (shard.r_ids.capacity() + shard.s_ids.capacity()) * sizeof(ObjectId);
-  }
+  if (shard_plan.cells) bytes += shard_plan.cells->MemoryBytes();
   return bytes;
 }
 

@@ -9,14 +9,15 @@
 //               generalised from the fixed 2x2 grid / 4 devices to N nodes
 //               x M-unit devices over arbitrary shard placement.
 //
-// Prepare runs the ShardPlanner (grid + placement) into a DistPreparedPlan;
-// every execution spins a fresh in-process cluster over that immutable plan
-// and merges. ExecuteStreaming hands each committed shard's pairs to the
-// sink as the merge coordinator commits it, the target's cancellation token
-// stops the cluster mid-exchange, and shard retries are added to the
-// target's resource accounting. Beyond the JoinEngine contract the typed
-// handle exposes last_report(), the DistReport of the instance's most
-// recent run.
+// Prepare runs the ShardPlanner (the cell plan, built in waves from the
+// registry's per-dataset grid halves when it has them, + placement) into a
+// DistPreparedPlan; every execution spins a fresh in-process cluster over
+// that immutable plan and merges. ExecuteStreaming hands each committed
+// shard's pairs to the sink as the merge coordinator commits it, the
+// target's cancellation token stops the cluster mid-exchange, and shard
+// retries are added to the target's resource accounting. Beyond the
+// JoinEngine contract the typed handle exposes last_report(), the
+// DistReport of the instance's most recent run.
 #ifndef SWIFTSPATIAL_DIST_DIST_ENGINE_H_
 #define SWIFTSPATIAL_DIST_DIST_ENGINE_H_
 
@@ -29,10 +30,10 @@
 
 namespace swiftspatial::dist {
 
-/// The cached artifact of distributed planning: the immutable ShardPlan plus
-/// the cluster options it was planned under. Every run spins a fresh
-/// cluster and never mutates the plan, so one plan serves concurrent
-/// executions.
+/// The cached artifact of distributed planning: the immutable ShardPlan
+/// (holding the cell plan its shards point into) plus the cluster options
+/// it was planned under. Every run spins a fresh cluster and never mutates
+/// the plan, so one plan serves concurrent executions.
 class DistPreparedPlan : public PreparedPlan {
  public:
   using PreparedPlan::PreparedPlan;

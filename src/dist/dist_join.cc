@@ -7,8 +7,7 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "grid/hierarchical_partition.h"
-#include "hw/accelerator.h"
+#include "hw/multi_device.h"
 #include "obs/log.h"
 
 namespace swiftspatial::dist {
@@ -40,18 +39,16 @@ ShardExecutor MakeCpuExecutor(const Dataset& r, const Dataset& s,
                              double* device_seconds) -> Status {
     (void)device_seconds;
     JoinResult local;
-    RunTileJoin(tile_join, r, s, shard.r_ids, shard.s_ids, &shard.dedup_tile,
-                &local, stats);
+    RunTileJoin(tile_join, r, s, *shard.cell->r_ids, *shard.cell->s_ids,
+                &shard.cell->dedup_tile, &local, stats);
     *pairs = std::move(local.mutable_pairs());
     return Status::OK();
   };
 }
 
-// Accelerator shard execution: the node fronts a simulated device. Per
-// shard: local-id sub-datasets, hierarchical sub-partition, device PBSM
-// flow, then host-side reference-point dedup against the shard tile --
-// hw/multi_device's per-partition recipe, generalised from the fixed 2x2
-// grid to arbitrary shard placement.
+// Accelerator shard execution: the node fronts a simulated device and runs
+// the shard's cell through hw::RunCellOnDevice, the per-partition recipe
+// hw::PartitionedJoin runs too.
 ShardExecutor MakeAccelExecutor(const Dataset& r, const Dataset& s,
                                 const DistJoinOptions& options) {
   hw::AcceleratorConfig device;
@@ -63,44 +60,10 @@ ShardExecutor MakeAccelExecutor(const Dataset& r, const Dataset& s,
                                     std::vector<ResultPair>* pairs,
                                     JoinStats* stats,
                                     double* device_seconds) -> Status {
-    std::vector<Box> r_boxes, s_boxes;
-    r_boxes.reserve(shard.r_ids.size());
-    for (ObjectId id : shard.r_ids) {
-      r_boxes.push_back(r.box(static_cast<std::size_t>(id)));
-    }
-    s_boxes.reserve(shard.s_ids.size());
-    for (ObjectId id : shard.s_ids) {
-      s_boxes.push_back(s.box(static_cast<std::size_t>(id)));
-    }
-    const Dataset sub_r("shard_r", std::move(r_boxes));
-    const Dataset sub_s("shard_s", std::move(s_boxes));
-
-    HierarchicalPartitionOptions hp;
-    hp.tile_cap = tile_cap;
-    // Scale the inner grid to the shard population so hierarchical
-    // splitting stays shallow (as hw/multi_device does per partition).
-    hp.initial_grid = std::clamp(
-        static_cast<int>(std::max(sub_r.size(), sub_s.size()) / 64), 4, 64);
-    const auto partition = PartitionHierarchical(sub_r, sub_s, hp);
-
-    JoinResult local;
-    hw::Accelerator dev(device);
     const hw::AcceleratorReport report =
-        dev.RunPbsm(sub_r, sub_s, partition, &local);
+        hw::RunCellOnDevice(device, tile_cap, r, s, *shard.cell, pairs);
     if (device_seconds != nullptr) *device_seconds += report.total_seconds;
     if (stats != nullptr) *stats += report.stats;
-
-    // Map device-local ids back to global ids and keep only the pairs this
-    // shard claims under the reference-point convention.
-    pairs->reserve(local.size());
-    for (const ResultPair& p : local.pairs()) {
-      const ObjectId gr = shard.r_ids[static_cast<std::size_t>(p.r)];
-      const ObjectId gs = shard.s_ids[static_cast<std::size_t>(p.s)];
-      const Box& rb = r.box(static_cast<std::size_t>(gr));
-      const Box& sb = s.box(static_cast<std::size_t>(gs));
-      if (!ReferencePointInTile(rb, sb, shard.dedup_tile)) continue;
-      pairs->push_back(ResultPair{gr, gs});
-    }
     return Status::OK();
   };
 }
@@ -325,15 +288,17 @@ Result<DistReport> DistributedJoin(const Dataset& r, const Dataset& s,
                                    const ShardSink& sink,
                                    exec::CancellationToken cancel) {
   SWIFT_RETURN_IF_ERROR(ValidateOptions(options));
-  const DatasetStats r_stats = r.Scan();
-  const DatasetStats s_stats = s.Scan();
+  JoinInput r_input = BorrowDataset(r);
+  JoinInput s_input = BorrowDataset(s);
+  r_input.stats = r.Scan();
+  s_input.stats = s.Scan();
   if (options.validate_inputs) {
-    SWIFT_RETURN_IF_ERROR(r_stats.validity);
-    SWIFT_RETURN_IF_ERROR(s_stats.validity);
+    SWIFT_RETURN_IF_ERROR(r_input.stats->validity);
+    SWIFT_RETURN_IF_ERROR(s_input.stats->validity);
   }
-  auto plan = PlanShards(r, s, options.grid_cols, options.grid_rows,
-                         options.num_nodes, options.placement, &r_stats,
-                         &s_stats);
+  auto plan = PlanShards(r_input, s_input, options.grid_cols,
+                         options.grid_rows, options.num_nodes,
+                         options.placement);
   if (!plan.ok()) return plan.status();
   return RunPlannedJoin(r, s, *plan, options, result, stats, sink, cancel);
 }

@@ -8,9 +8,10 @@
 //   JoinResult result;
 //   auto report = dist::DistributedJoin(r, s, options, &result);
 //
-// Execution: PlanShards grids the join and places shards on nodes; each
-// node joins its shards on its own worker budget (CPU tile joins, or one
-// simulated accelerator per shard for the dist-accel flavour) and streams
+// Execution: PlanShards takes the join's cell plan (PlanPartitionedCells)
+// and places its cells on nodes as shards; each node joins its shards on its
+// own worker budget (CPU tile joins, or hw::RunCellOnDevice -- one simulated
+// accelerator per shard -- for the dist-accel flavour) and streams
 // chunked results over its Exchange link; the merge coordinator commits a
 // shard when its completion marker arrives, releasing the shard's pairs
 // downstream in one piece. Cross-node dedup needs no merge-side predicate
@@ -55,8 +56,7 @@ struct DistJoinOptions {
   /// CPU tile-level join within each shard (dist-pbsm).
   TileJoin tile_join = TileJoin::kPlaneSweep;
   /// dist-accel: each shard runs on a simulated device fronted by its node
-  /// (hierarchical sub-partition + device PBSM flow, reference-point dedup
-  /// on the host side, exactly the hw/multi_device per-partition recipe).
+  /// (hw::RunCellOnDevice, the per-partition recipe of hw::PartitionedJoin).
   bool use_accel = false;
   /// Simulated join units per device (0 = the AcceleratorConfig default).
   int accel_join_units = 0;

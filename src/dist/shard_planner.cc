@@ -5,8 +5,6 @@
 #include <numeric>
 
 #include "geometry/hilbert.h"
-#include "grid/uniform_grid.h"
-#include "join/partitioned_driver.h"
 
 namespace swiftspatial::dist {
 
@@ -119,7 +117,8 @@ void AccountReplicas(const std::vector<Shard>& shards,
   std::vector<std::vector<int>> nodes_of(num_objects);
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const int node = owner[i];
-    for (ObjectId id : r_side ? shards[i].r_ids : shards[i].s_ids) {
+    const PartitionedCell& cell = *shards[i].cell;
+    for (ObjectId id : r_side ? *cell.r_ids : *cell.s_ids) {
       auto& nodes = nodes_of[static_cast<std::size_t>(id)];
       if (std::find(nodes.begin(), nodes.end(), node) == nodes.end()) {
         nodes.push_back(node);
@@ -134,52 +133,34 @@ void AccountReplicas(const std::vector<Shard>& shards,
 
 }  // namespace
 
-Result<ShardPlan> PlanShards(const Dataset& r, const Dataset& s,
+Result<ShardPlan> PlanShards(const JoinInput& r, const JoinInput& s,
                              int grid_cols, int grid_rows, int num_nodes,
                              PlacementPolicy placement,
-                             const DatasetStats* r_stats,
-                             const DatasetStats* s_stats) {
+                             std::size_t num_threads,
+                             const WaveContext& wave) {
   if (num_nodes < 1) {
     return Status::InvalidArgument("num_nodes must be >= 1");
   }
-  SWIFT_RETURN_IF_ERROR(ValidateGridConfig(grid_cols, grid_rows));
+  PartitionedDriverOptions grid;
+  grid.grid_cols = grid_cols;
+  grid.grid_rows = grid_rows;
+  grid.num_threads = num_threads;
 
   ShardPlan plan;
+  SWIFT_ASSIGN_OR_RETURN(plan.cells, PlanPartitionedCells(r, s, grid, wave));
   plan.placement = placement;
-  plan.node_cost.assign(static_cast<std::size_t>(num_nodes), 0);
-  if (r.empty() || s.empty()) return plan;
-
-  // One shared grid decision (DeriveJoinGrid) keeps shard ids -- grid tile
-  // indexes -- stable across the single-machine drivers and this planner.
-  const JoinGridSpec spec =
-      DeriveJoinGrid(r_stats != nullptr ? *r_stats : r.Scan(),
-                     s_stats != nullptr ? *s_stats : s.Scan(), grid_cols,
-                     grid_rows);
-  if (!spec.has_grid) return plan;
-  const int cols = spec.cols;
-  const int rows = spec.rows;
-  plan.grid_cols = cols;
-  plan.grid_rows = rows;
-
-  const UniformGrid grid(spec.extent, cols, rows);
-  auto r_assign = grid.Assign(r);
-  auto s_assign = grid.Assign(s);
-
-  for (int t = 0; t < grid.num_tiles(); ++t) {
-    if (r_assign[t].empty() || s_assign[t].empty()) continue;
-    Shard shard;
-    shard.id = t;
-    shard.dedup_tile = grid.DedupTileByIndex(t);
-    shard.r_ids = std::move(r_assign[t]);
-    shard.s_ids = std::move(s_assign[t]);
-    plan.shards.push_back(std::move(shard));
+  plan.grid_cols = plan.cells->cols;
+  plan.grid_rows = plan.cells->rows;
+  for (const PartitionedCell* cell : plan.cells->CellsInTileOrder()) {
+    plan.shards.push_back(Shard{plan.cells->TileIndex(*cell), cell});
   }
 
-  Place(plan.shards, num_nodes, placement, cols, rows, &plan.owner,
-        &plan.node_cost);
-
-  AccountReplicas(plan.shards, plan.owner, r.size(), /*r_side=*/true, &plan);
-  AccountReplicas(plan.shards, plan.owner, s.size(), /*r_side=*/false, &plan);
+  Place(plan.shards, num_nodes, placement, plan.grid_cols, plan.grid_rows,
+        &plan.owner, &plan.node_cost);
+  AccountReplicas(plan.shards, plan.owner, r.data->size(), /*r_side=*/true,
+                  &plan);
+  AccountReplicas(plan.shards, plan.owner, s.data->size(), /*r_side=*/false,
+                  &plan);
   return plan;
 }
 

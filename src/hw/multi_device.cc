@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "geometry/box.h"
 #include "grid/hierarchical_partition.h"
-#include "grid/uniform_grid.h"
 
 namespace swiftspatial::hw {
 
@@ -28,45 +27,49 @@ uint64_t EstimatePartitionBytes(std::size_t nr, std::size_t ns) {
   return 64ULL * (nr + ns) + (1ULL << 16);
 }
 
-struct SubJoinInput {
-  int tile = 0;    // outer grid tile index: the stable shard id
-  Box outer_tile;  // closed at the global extent max (dedup across tiles)
-  Dataset r;
-  Dataset s;
-  std::vector<ObjectId> r_map;  // local -> global ids
-  std::vector<ObjectId> s_map;
-};
-
-// Extracts the per-tile sub-datasets with local ids.
-std::vector<SubJoinInput> BuildSubInputs(const Dataset& r, const Dataset& s,
-                                         const UniformGrid& grid) {
-  const auto r_assign = grid.Assign(r);
-  const auto s_assign = grid.Assign(s);
-  std::vector<SubJoinInput> out;
-  for (int t = 0; t < grid.num_tiles(); ++t) {
-    if (r_assign[t].empty() || s_assign[t].empty()) continue;
-    SubJoinInput sub;
-    sub.tile = t;
-    sub.outer_tile = grid.DedupTileByIndex(t);
-    std::vector<Box> r_boxes, s_boxes;
-    r_boxes.reserve(r_assign[t].size());
-    for (ObjectId id : r_assign[t]) {
-      r_boxes.push_back(r.box(static_cast<std::size_t>(id)));
-      sub.r_map.push_back(id);
-    }
-    s_boxes.reserve(s_assign[t].size());
-    for (ObjectId id : s_assign[t]) {
-      s_boxes.push_back(s.box(static_cast<std::size_t>(id)));
-      sub.s_map.push_back(id);
-    }
-    sub.r = Dataset("sub_r", std::move(r_boxes));
-    sub.s = Dataset("sub_s", std::move(s_boxes));
-    out.push_back(std::move(sub));
-  }
-  return out;
-}
-
 }  // namespace
+
+AcceleratorReport RunCellOnDevice(const AcceleratorConfig& device,
+                                  int tile_cap, const Dataset& r,
+                                  const Dataset& s,
+                                  const PartitionedCell& cell,
+                                  std::vector<ResultPair>* pairs) {
+  const auto gather = [](const Dataset& d, const std::vector<ObjectId>& ids) {
+    std::vector<Box> boxes;
+    boxes.reserve(ids.size());
+    for (ObjectId id : ids) boxes.push_back(d.box(static_cast<std::size_t>(id)));
+    return boxes;
+  };
+  const Dataset sub_r("cell_r", gather(r, *cell.r_ids));
+  const Dataset sub_s("cell_s", gather(s, *cell.s_ids));
+
+  HierarchicalPartitionOptions hp;
+  hp.tile_cap = tile_cap;
+  // Scale the inner grid to the cell population to keep hierarchical
+  // splitting shallow.
+  hp.initial_grid = std::clamp(
+      static_cast<int>(std::max(sub_r.size(), sub_s.size()) / 64), 4, 64);
+  const auto partition = PartitionHierarchical(sub_r, sub_s, hp);
+
+  JoinResult local;
+  AcceleratorReport report =
+      Accelerator(device).RunPbsm(sub_r, sub_s, partition, &local);
+
+  // Cross-cell dedup: multi-assigned pairs are claimed only by the grid
+  // cell holding their reference point.
+  pairs->reserve(pairs->size() + local.size());
+  for (const ResultPair& p : local.pairs()) {
+    const ObjectId gr = (*cell.r_ids)[static_cast<std::size_t>(p.r)];
+    const ObjectId gs = (*cell.s_ids)[static_cast<std::size_t>(p.s)];
+    if (!ReferencePointInTile(r.box(static_cast<std::size_t>(gr)),
+                              s.box(static_cast<std::size_t>(gs)),
+                              cell.dedup_tile)) {
+      continue;
+    }
+    pairs->push_back(ResultPair{gr, gs});
+  }
+  return report;
+}
 
 Result<MultiDeviceReport> PartitionedJoin(const Dataset& r, const Dataset& s,
                                           const MultiDeviceConfig& config,
@@ -76,77 +79,53 @@ Result<MultiDeviceReport> PartitionedJoin(const Dataset& r, const Dataset& s,
   SWIFT_CHECK_LE(config.min_grid, config.max_grid);
   MultiDeviceReport report;
   if (result != nullptr) result->mutable_pairs().clear();
-  if (r.empty() || s.empty()) return report;
+  JoinInput r_input = BorrowDataset(r);
+  JoinInput s_input = BorrowDataset(s);
+  r_input.stats = r.Scan();
+  s_input.stats = s.Scan();
 
-  Box extent = r.Extent();
-  extent.Expand(s.Extent());
-
-  // --- Plan: smallest power-of-two grid (>= min_grid per axis) whose
-  // partitions fit the device. --
-  int grid_res = config.min_grid;
-  for (;; grid_res *= 2) {
-    const UniformGrid grid(extent, grid_res, grid_res);
-    const auto r_assign = grid.Assign(r);
-    const auto s_assign = grid.Assign(s);
+  // The smallest power-of-two grid (>= min_grid per axis) whose partitions
+  // fit the device: first by the footprint estimate of every tile of its
+  // cell plan, one-sided tiles too; then by the footprint the cells' runs
+  // actually need (block stores grow with multi-assignment and over-cap
+  // splitting). Refining a grid only shrinks tiles, so a grid whose
+  // estimate fits keeps fitting. Each resolution is planned once.
+  for (int grid_res = config.min_grid;; grid_res *= 2) {
+    PartitionedDriverOptions grid;
+    grid.grid_cols = grid.grid_rows = grid_res;
+    SWIFT_ASSIGN_OR_RETURN(auto plan,
+                           PlanPartitionedCells(r_input, s_input, grid));
+    if (plan->r_side == nullptr) return report;  // nothing to grid
     uint64_t worst = 0;
-    for (int t = 0; t < grid.num_tiles(); ++t) {
-      worst = std::max(worst, EstimatePartitionBytes(r_assign[t].size(),
-                                                     s_assign[t].size()));
+    for (std::size_t t = 0; t < plan->r_side->tiles.size(); ++t) {
+      worst = std::max(worst,
+                       EstimatePartitionBytes(plan->r_side->tiles[t].size(),
+                                              plan->s_side->tiles[t].size()));
     }
-    if (worst <= config.device_memory_bytes) break;
-    if (grid_res >= config.max_grid) {
+    if (worst > config.device_memory_bytes) {
+      if (grid_res < config.max_grid) continue;
       return Status::InvalidArgument(
           "cannot fit partitions into device memory even at grid " +
           std::to_string(grid_res) + " (worst partition needs ~" +
           std::to_string(worst) + " bytes, capacity " +
           std::to_string(config.device_memory_bytes) + ")");
     }
-  }
 
-  Accelerator device(config.device);
-
-  // --- Execute, refining the grid if a partition's *actual* footprint
-  // (block stores grow with multi-assignment and over-cap splitting)
-  // overruns the device. ---
-  for (;; grid_res *= 2) {
+    // Execute the plan's cells in tile order.
     report = MultiDeviceReport{};
     if (result != nullptr) result->mutable_pairs().clear();
     report.grid_resolution = grid_res;
-
-    const UniformGrid grid(extent, grid_res, grid_res);
-    auto subs = BuildSubInputs(r, s, grid);
-    report.partitions = subs.size();
+    const std::vector<const PartitionedCell*> cells = plan->CellsInTileOrder();
+    report.partitions = cells.size();
     report.devices = config.strategy == OutOfMemoryStrategy::kMultipleDevices
-                         ? subs.size()
-                         : (subs.empty() ? 0 : 1);
-
-    HierarchicalPartitionOptions hp;
-    hp.tile_cap = config.tile_cap;
-
-    for (const SubJoinInput& sub : subs) {
-      // Scale the inner grid to the partition population to keep
-      // hierarchical splitting shallow.
-      hp.initial_grid = std::clamp(
-          static_cast<int>(std::max(sub.r.size(), sub.s.size()) / 64), 4, 64);
-      const auto partition = PartitionHierarchical(sub.r, sub.s, hp);
-
-      JoinResult local;
-      AcceleratorReport sub_report =
-          device.RunPbsm(sub.r, sub.s, partition, &local);
+                         ? cells.size()
+                         : (cells.empty() ? 0 : 1);
+    for (const PartitionedCell* cell : cells) {
+      std::vector<ResultPair> kept;
+      AcceleratorReport sub_report = RunCellOnDevice(
+          config.device, config.tile_cap, r, s, *cell, &kept);
       report.max_partition_bytes =
           std::max(report.max_partition_bytes, sub_report.device_bytes_used);
-
-      // Cross-partition dedup: multi-assigned pairs are claimed only by the
-      // grid tile holding their reference point.
-      std::vector<ResultPair> kept;
-      for (const ResultPair& p : local.pairs()) {
-        const ObjectId gr = sub.r_map[static_cast<std::size_t>(p.r)];
-        const ObjectId gs = sub.s_map[static_cast<std::size_t>(p.s)];
-        const Box& rb = r.box(static_cast<std::size_t>(gr));
-        const Box& sb = s.box(static_cast<std::size_t>(gs));
-        if (!ReferencePointInTile(rb, sb, sub.outer_tile)) continue;
-        kept.push_back(ResultPair{gr, gs});
-      }
       report.num_results += kept.size();
       if (result != nullptr) {
         auto& pairs = result->mutable_pairs();
@@ -156,7 +135,7 @@ Result<MultiDeviceReport> PartitionedJoin(const Dataset& r, const Dataset& s,
       // may stream out before later partitions run: the delivered sequence
       // stays a genuine prefix even if a later partition fails.
       if (config.partition_sink && !kept.empty()) {
-        config.partition_sink(sub.tile, std::move(kept));
+        config.partition_sink(plan->TileIndex(*cell), std::move(kept));
       }
 
       if (config.strategy == OutOfMemoryStrategy::kMultipleDevices) {

@@ -10,13 +10,18 @@
 //    sequence ("a single FPGA can process all data partitions
 //    iteratively"), paying the per-partition transfer each time.
 //
-// Partitioning uses a uniform grid with multi-assignment plus the
-// reference-point rule, so the union of sub-join results is exactly the
-// global join (no duplicates, nothing lost). Within each partition the
-// device runs its PBSM flow over a hierarchical sub-partition.
+// The partitions are the cells of the join's partitioned plan
+// (PlanPartitionedCells, join/partitioned_driver.h): a uniform grid with
+// multi-assignment plus the reference-point rule, so the union of sub-join
+// results is exactly the global join (no duplicates, nothing lost). Each
+// cell runs through RunCellOnDevice -- the device's PBSM flow over a
+// hierarchical sub-partition -- which is also how a dist-accel node runs a
+// shard.
 //
 // A device memory capacity (bytes) models the constraint: the planner
-// raises the grid resolution until every partition's working set fits.
+// raises the grid resolution until every partition's working set fits,
+// planning each resolution once and executing the cells of the plan that
+// fits, in tile order.
 #ifndef SWIFTSPATIAL_HW_MULTI_DEVICE_H_
 #define SWIFTSPATIAL_HW_MULTI_DEVICE_H_
 
@@ -27,6 +32,7 @@
 #include "common/status.h"
 #include "datagen/dataset.h"
 #include "hw/accelerator.h"
+#include "join/partitioned_driver.h"
 
 namespace swiftspatial::hw {
 
@@ -84,6 +90,19 @@ struct MultiDeviceReport {
   /// Per-partition device reports, in grid order.
   std::vector<AcceleratorReport> sub_reports;
 };
+
+/// One cell's sub-join on a simulated device: gathers the cell's boxes
+/// (device-local id = position in the cell's lists), partitions them
+/// hierarchically under `tile_cap` with the inner grid scaled to the cell's
+/// population, runs RunPbsm, maps the local ids back to r's and s's ids and
+/// appends to `pairs` those whose reference point lies in the cell's dedup
+/// tile. The per-partition recipe of PartitionedJoin and of every dist-accel
+/// shard.
+AcceleratorReport RunCellOnDevice(const AcceleratorConfig& device,
+                                  int tile_cap, const Dataset& r,
+                                  const Dataset& s,
+                                  const PartitionedCell& cell,
+                                  std::vector<ResultPair>* pairs);
 
 /// Joins r and s under a device-memory constraint (see file comment).
 /// Fails with InvalidArgument when even the finest grid cannot fit a

@@ -105,6 +105,14 @@ std::shared_ptr<const GridSide> BuildGridSide(const Dataset& dataset,
   return side;
 }
 
+std::vector<const PartitionedCell*> PartitionedPlanState::CellsInTileOrder()
+    const {
+  std::vector<const PartitionedCell*> ordered;
+  for (const PartitionedCell& cell : cells) ordered.push_back(&cell);
+  std::ranges::sort(ordered, {}, &PartitionedCell::r_ids);  // R-half order
+  return ordered;
+}
+
 std::size_t PartitionedPlanState::MemoryBytes() const {
   return sizeof(*this) + cells.capacity() * sizeof(cells[0]);
 }

@@ -2,7 +2,10 @@
 // PlanPartitionedCells builds an immutable cell plan, ExecutePartitionedPlan
 // joins it (the `partitioned`, `simd` and `pbsm` engines' Prepare and their
 // streamed and collecting executions; pbsm's 1-D stripes are a grid with one
-// partitioned axis).
+// partitioned axis). The cell plan is the one partitioner: the sharding
+// paths consume it too -- dist::PlanShards places its cells on cluster nodes
+// (dist-pbsm, dist-accel) and hw::PartitionedJoin runs them as device
+// partitions (accel-pbsm-4x) -- so no other code assigns objects to a grid.
 //
 // Both inputs are sharded onto a uniform grid (src/grid/uniform_grid.h,
 // multi-assignment: an object lands in every cell its MBR overlaps). Each
@@ -73,14 +76,12 @@ struct JoinGridSpec {
   int rows = 0;
 };
 
-/// The single authority for sizing a join's uniform grid, shared by both
-/// grid-sharding planners -- PlanPartitionedCells and the distributed
-/// ShardPlanner (dist/shard_planner). Cross-engine shard-id stability
-/// depends on both deriving the *same* grid for the same inputs; routing
-/// them through one helper makes silent drift impossible. Reads only the
-/// inputs' scanned facts (Dataset::Scan): the joint extent and the combined
-/// count. Explicit `grid_cols > 0` wins; otherwise the grid is a square of
-/// side ~sqrt(combined cardinality / target_cell_population), clamped to
+/// The single authority for sizing a join's uniform grid: PlanPartitionedCells
+/// derives every plan's grid through it, and the sharding planners take that
+/// plan, so shard ids agree across engines. Reads only the inputs' scanned
+/// facts (Dataset::Scan): the joint extent and the combined count. Explicit
+/// `grid_cols > 0` wins; otherwise the grid is a square of side
+/// ~sqrt(combined cardinality / target_cell_population), clamped to
 /// [1, 1024]. Callers validate dimensions first (ValidateGridConfig).
 JoinGridSpec DeriveJoinGrid(
     const DatasetStats& r, const DatasetStats& s, int grid_cols,
@@ -153,6 +154,14 @@ struct PartitionedPlanState {
   std::shared_ptr<const GridSide> r_side;
   std::shared_ptr<const GridSide> s_side;
   std::vector<PartitionedCell> cells;
+
+  /// Row-major grid tile index of one of this plan's cells.
+  int TileIndex(const PartitionedCell& cell) const {
+    return static_cast<int>(cell.r_ids - r_side->tiles.data());
+  }
+
+  /// The cells in row-major tile order (they are stored largest first).
+  std::vector<const PartitionedCell*> CellsInTileOrder() const;
 
   /// Footprint of the cells only: the halves are accounted where they are
   /// stored (the registry), so no byte is counted twice.

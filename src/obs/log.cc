@@ -1,8 +1,9 @@
 #include "obs/log.h"
 
-#include <cinttypes>
 #include <chrono>
+#include <cstdio>
 
+#include "obs/format.h"
 #include "obs/trace.h"
 
 namespace swiftspatial::obs {
@@ -12,27 +13,6 @@ namespace {
 #ifndef SWIFTSPATIAL_OBS_OFF
 thread_local LogTraceIds tls_log_trace;
 #endif
-
-std::string EscapeQuoted(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string FormatUint(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  return buf;
-}
 
 // Bare-word values (ints, plain identifiers) stay unquoted in key=value
 // output so the common numeric fields read naturally; anything else is
@@ -134,16 +114,18 @@ std::string Logger::FormatKeyValue(const LogRecord& record) {
   out += " component=";
   out += record.component;
   if (record.trace_id != 0) {
-    out += " trace=" + FormatUint(record.trace_id);
-    out += " span=" + FormatUint(record.span_id);
+    out += " trace=" + std::to_string(record.trace_id);
+    out += " span=" + std::to_string(record.span_id);
   }
-  out += " msg=\"" + EscapeQuoted(record.message) + "\"";
+  out += " msg=\"" + JsonEscape(record.message) + "\"";
   for (const auto& [k, v] : record.fields) {
     out += " " + k + "=";
     if (IsBareWord(v)) {
       out += v;
     } else {
-      out += "\"" + EscapeQuoted(v) + "\"";
+      out += '"';
+      out += JsonEscape(v);
+      out += '"';
     }
   }
   return out;
@@ -156,14 +138,14 @@ std::string Logger::FormatJsonLine(const LogRecord& record) {
   out += ts;
   out += ",\"level\":\"";
   out += LogLevelName(record.level);
-  out += "\",\"component\":\"" + EscapeQuoted(record.component) + "\"";
+  out += "\",\"component\":\"" + JsonEscape(record.component) + "\"";
   if (record.trace_id != 0) {
-    out += ",\"trace\":" + FormatUint(record.trace_id);
-    out += ",\"span\":" + FormatUint(record.span_id);
+    out += ",\"trace\":" + std::to_string(record.trace_id);
+    out += ",\"span\":" + std::to_string(record.span_id);
   }
-  out += ",\"msg\":\"" + EscapeQuoted(record.message) + "\"";
+  out += ",\"msg\":\"" + JsonEscape(record.message) + "\"";
   for (const auto& [k, v] : record.fields) {
-    out += ",\"" + EscapeQuoted(k) + "\":\"" + EscapeQuoted(v) + "\"";
+    out += ",\"" + JsonEscape(k) + "\":\"" + JsonEscape(v) + "\"";
   }
   out += "}";
   return out;

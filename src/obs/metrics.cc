@@ -1,11 +1,11 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <limits>
 
 #include "common/logging.h"
+#include "obs/format.h"
 
 namespace swiftspatial::obs {
 namespace {
@@ -32,14 +32,9 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
-std::string FormatUint(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  return buf;
-}
-
-// Escapes a label value for the text exposition (backslash, quote,
-// newline) -- same escaping works for JSON strings below.
+// Escapes a label value for the text exposition: backslash, quote and
+// newline, as the Prometheus format specifies. The JSON snapshot escapes
+// with JsonEscape instead.
 std::string EscapeValue(const std::string& v) {
   std::string out;
   out.reserve(v.size());
@@ -91,9 +86,9 @@ void AppendJsonLabels(std::string* out, const Labels& labels) {
     if (!first) *out += ',';
     first = false;
     *out += '"';
-    *out += EscapeValue(k);
+    *out += JsonEscape(k);
     *out += "\":\"";
-    *out += EscapeValue(v);
+    *out += JsonEscape(v);
     *out += '"';
   }
   *out += "}";
@@ -211,7 +206,7 @@ std::string MetricsRegistry::TextExposition() const {
       case Type::kCounter:
         for (const auto& [labelstr, counter] : family.counters) {
           out += SeriesName(name, labelstr) + " " +
-                 FormatUint(counter->value()) + "\n";
+                 std::to_string(counter->value()) + "\n";
         }
         break;
       case Type::kGauge:
@@ -228,15 +223,15 @@ std::string MetricsRegistry::TextExposition() const {
             out += SeriesName(name + "_bucket", labelstr,
                               "le=\"" + FormatDouble(hist->bounds()[i]) +
                                   "\"") +
-                   " " + FormatUint(cumulative) + "\n";
+                   " " + std::to_string(cumulative) + "\n";
           }
           cumulative += hist->bucket_count(hist->bounds().size());
           out += SeriesName(name + "_bucket", labelstr, "le=\"+Inf\"") + " " +
-                 FormatUint(cumulative) + "\n";
+                 std::to_string(cumulative) + "\n";
           out += SeriesName(name + "_sum", labelstr) + " " +
                  FormatDouble(hist->sum()) + "\n";
           out += SeriesName(name + "_count", labelstr) + " " +
-                 FormatUint(hist->count()) + "\n";
+                 std::to_string(hist->count()) + "\n";
         }
         break;
     }
@@ -251,9 +246,9 @@ std::string MetricsRegistry::JsonSnapshot() const {
   for (const auto& [name, family] : families_) {
     if (!first_family) out += ',';
     first_family = false;
-    out += "{\"name\":\"" + EscapeValue(name) + "\",\"type\":\"";
+    out += "{\"name\":\"" + JsonEscape(name) + "\",\"type\":\"";
     out += TypeName(static_cast<int>(family.type));
-    out += "\",\"help\":\"" + EscapeValue(family.help) + "\",\"series\":[";
+    out += "\",\"help\":\"" + JsonEscape(family.help) + "\",\"series\":[";
     bool first_series = true;
     auto series_prefix = [&](const std::string& labelstr) {
       if (!first_series) out += ',';
@@ -267,7 +262,7 @@ std::string MetricsRegistry::JsonSnapshot() const {
       case Type::kCounter:
         for (const auto& [labelstr, counter] : family.counters) {
           series_prefix(labelstr);
-          out += ",\"value\":" + FormatUint(counter->value()) + "}";
+          out += ",\"value\":" + std::to_string(counter->value()) + "}";
         }
         break;
       case Type::kGauge:
@@ -279,7 +274,7 @@ std::string MetricsRegistry::JsonSnapshot() const {
       case Type::kHistogram:
         for (const auto& [labelstr, hist] : family.histograms) {
           series_prefix(labelstr);
-          out += ",\"count\":" + FormatUint(hist->count());
+          out += ",\"count\":" + std::to_string(hist->count());
           out += ",\"sum\":" + FormatDouble(hist->sum());
           out += ",\"buckets\":[";
           for (std::size_t i = 0; i <= hist->bounds().size(); ++i) {
@@ -288,7 +283,7 @@ std::string MetricsRegistry::JsonSnapshot() const {
             out += i < hist->bounds().size()
                        ? FormatDouble(hist->bounds()[i])
                        : std::string("\"+Inf\"");
-            out += ",\"count\":" + FormatUint(hist->bucket_count(i)) + "}";
+            out += ",\"count\":" + std::to_string(hist->bucket_count(i)) + "}";
           }
           out += "]}";
         }

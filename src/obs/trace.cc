@@ -1,8 +1,8 @@
 #include "obs/trace.h"
 
-#include <cinttypes>
 #include <cstdio>
 
+#include "obs/format.h"
 #include "obs/log.h"
 
 namespace swiftspatial::obs {
@@ -23,27 +23,6 @@ uint64_t NextTraceId() {
 uint64_t NextSpanId() {
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::string JsonEscape(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string FormatUint(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  return buf;
 }
 
 std::string FormatMicros(double seconds) {
@@ -200,10 +179,10 @@ std::string SpanBuffer::ChromeTraceJson() const {
     out += ",\"cat\":\"swiftspatial\",\"ph\":\"X\"";
     out += ",\"ts\":" + FormatMicros(span.start_seconds);
     out += ",\"dur\":" + FormatMicros(span.duration_seconds);
-    out += ",\"pid\":" + FormatUint(span.trace_id);
-    out += ",\"tid\":" + FormatUint(static_cast<uint64_t>(span.track));
-    out += ",\"args\":{\"span_id\":" + FormatUint(span.span_id);
-    out += ",\"parent_id\":" + FormatUint(span.parent_id);
+    out += ",\"pid\":" + std::to_string(span.trace_id);
+    out += ",\"tid\":" + std::to_string(static_cast<uint64_t>(span.track));
+    out += ",\"args\":{\"span_id\":" + std::to_string(span.span_id);
+    out += ",\"parent_id\":" + std::to_string(span.parent_id);
     for (const auto& [k, v] : span.attrs) {
       out += ",\"" + JsonEscape(k) + "\":\"" + JsonEscape(v) + "\"";
     }

@@ -311,6 +311,33 @@ TEST(DistEngine, TypedHandleReportsClusterOutcome) {
   EXPECT_FALSE(MakeDistEngine("partitioned", config).ok());
 }
 
+// dist-accel and accel-pbsm-4x run their cells through one device recipe
+// (hw::RunCellOnDevice): one node on the 2x2 grid is accel-pbsm-4x with
+// ample memory, pair for pair and predicate for predicate.
+TEST(DistEngine, OneNodeAccelOnTwoByTwoGridIsAccelPbsm4x) {
+  const Dataset r = testutil::Uniform(900, 70, /*map=*/500.0,
+                                      /*max_edge=*/15.0);
+  const Dataset s = testutil::Skewed(900, 71, /*map=*/500.0);
+
+  EngineConfig config;
+  config.num_threads = 2;
+  config.accel_join_units = 4;
+  auto multi = RunJoin(kAccelPbsmMultiEngine, r, s, config);
+  ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+
+  config.dist_nodes = 1;
+  config.grid_cols = 2;
+  config.grid_rows = 2;
+  auto dist = RunJoin(kDistAccelEngine, r, s, config);
+  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+
+  EXPECT_GT(multi->result.size(), 0u);
+  EXPECT_TRUE(JoinResult::SameMultiset(multi->result, dist->result));
+  EXPECT_EQ(multi->stats.predicate_evaluations,
+            dist->stats.predicate_evaluations);
+  EXPECT_GT(dist->stats.predicate_evaluations, 0u);
+}
+
 TEST(DistEngine, StreamsNativelyThroughRunJoinAsync) {
   // Dense enough for several hundred result pairs -> a multi-chunk stream.
   const Dataset r = testutil::Uniform(700, 66, /*map=*/500.0,

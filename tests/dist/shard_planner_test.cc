@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "join/partitioned_driver.h"
@@ -14,6 +15,13 @@
 
 namespace swiftspatial::dist {
 namespace {
+
+// PlanShards over borrowed datasets, on one thread.
+Result<ShardPlan> Plan(const Dataset& r, const Dataset& s, int grid_cols,
+                       int grid_rows, int num_nodes, PlacementPolicy policy) {
+  return PlanShards(BorrowDataset(r), BorrowDataset(s), grid_cols, grid_rows,
+                    num_nodes, policy);
+}
 
 uint64_t MaxNodeCost(const ShardPlan& plan) {
   uint64_t worst = 0;
@@ -27,8 +35,8 @@ TEST(ShardPlanner, DeterministicAndCoversEachPopulatedTileOnce) {
   for (const PlacementPolicy policy :
        {PlacementPolicy::kRoundRobin, PlacementPolicy::kCostBalanced,
         PlacementPolicy::kLocality}) {
-    auto a = PlanShards(r, s, 8, 8, 4, policy);
-    auto b = PlanShards(r, s, 8, 8, 4, policy);
+    auto a = Plan(r, s, 8, 8, 4, policy);
+    auto b = Plan(r, s, 8, 8, 4, policy);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok());
 
@@ -42,8 +50,8 @@ TEST(ShardPlanner, DeterministicAndCoversEachPopulatedTileOnce) {
       EXPECT_GE(shard.id, 0);
       EXPECT_LT(shard.id, 64);
       EXPECT_TRUE(ids.insert(shard.id).second) << "duplicate tile claim";
-      EXPECT_FALSE(shard.r_ids.empty());
-      EXPECT_FALSE(shard.s_ids.empty());
+      EXPECT_FALSE(shard.cell->r_ids->empty());
+      EXPECT_FALSE(shard.cell->s_ids->empty());
       ASSERT_LT(static_cast<std::size_t>(a->owner[i]), 4u);
     }
 
@@ -61,7 +69,7 @@ TEST(ShardPlanner, DeterministicAndCoversEachPopulatedTileOnce) {
 TEST(ShardPlanner, RoundRobinDealsShardsCyclically) {
   const Dataset r = testutil::Uniform(800, 23);
   const Dataset s = testutil::Uniform(800, 24);
-  auto plan = PlanShards(r, s, 6, 6, 3, PlacementPolicy::kRoundRobin);
+  auto plan = Plan(r, s, 6, 6, 3, PlacementPolicy::kRoundRobin);
   ASSERT_TRUE(plan.ok());
   ASSERT_GT(plan->shards.size(), 3u);
   for (std::size_t i = 0; i < plan->shards.size(); ++i) {
@@ -74,8 +82,8 @@ TEST(ShardPlanner, CostBalancedNarrowsMaxLoadOnSkewedWork) {
   // dealing lands whole hot cells on unlucky nodes while LPT spreads them.
   const Dataset r = testutil::Skewed(1500, 25);
   const Dataset s = testutil::Skewed(1500, 26);
-  auto rr = PlanShards(r, s, 8, 8, 4, PlacementPolicy::kRoundRobin);
-  auto lpt = PlanShards(r, s, 8, 8, 4, PlacementPolicy::kCostBalanced);
+  auto rr = Plan(r, s, 8, 8, 4, PlacementPolicy::kRoundRobin);
+  auto lpt = Plan(r, s, 8, 8, 4, PlacementPolicy::kCostBalanced);
   ASSERT_TRUE(rr.ok());
   ASSERT_TRUE(lpt.ok());
   EXPECT_LT(MaxNodeCost(*lpt), MaxNodeCost(*rr));
@@ -90,8 +98,8 @@ TEST(ShardPlanner, LocalityPlacementCutsBoundaryReplication) {
                                       /*max_edge=*/40.0);
   const Dataset s = testutil::Uniform(2000, 28, /*map=*/1000.0,
                                       /*max_edge=*/40.0);
-  auto rr = PlanShards(r, s, 8, 8, 8, PlacementPolicy::kRoundRobin);
-  auto local = PlanShards(r, s, 8, 8, 8, PlacementPolicy::kLocality);
+  auto rr = Plan(r, s, 8, 8, 8, PlacementPolicy::kRoundRobin);
+  auto local = Plan(r, s, 8, 8, 8, PlacementPolicy::kLocality);
   ASSERT_TRUE(rr.ok());
   ASSERT_TRUE(local.ok());
   EXPECT_GT(rr->replicated_objects, 0u);
@@ -99,7 +107,7 @@ TEST(ShardPlanner, LocalityPlacementCutsBoundaryReplication) {
   EXPECT_LT(local->input_bytes, rr->input_bytes);
   // Locality stays cost-aware: its balance must not collapse (within 3x of
   // the LPT optimum on this uniform workload).
-  auto lpt = PlanShards(r, s, 8, 8, 8, PlacementPolicy::kCostBalanced);
+  auto lpt = Plan(r, s, 8, 8, 8, PlacementPolicy::kCostBalanced);
   ASSERT_TRUE(lpt.ok());
   EXPECT_LE(MaxNodeCost(*local), 3 * MaxNodeCost(*lpt));
 }
@@ -107,29 +115,30 @@ TEST(ShardPlanner, LocalityPlacementCutsBoundaryReplication) {
 TEST(ShardPlanner, AutoGridAndEmptyAndInvalidInputs) {
   const Dataset r = testutil::Uniform(300, 29);
   const Dataset s = testutil::Uniform(300, 30);
-  auto plan = PlanShards(r, s, 0, 0, 4, PlacementPolicy::kCostBalanced);
+  auto plan = Plan(r, s, 0, 0, 4, PlacementPolicy::kCostBalanced);
   ASSERT_TRUE(plan.ok());
   EXPECT_GT(plan->grid_cols, 0);
   EXPECT_EQ(plan->grid_cols, plan->grid_rows);
   EXPECT_FALSE(plan->shards.empty());
 
   const Dataset empty;
-  auto none = PlanShards(empty, s, 0, 0, 4, PlacementPolicy::kRoundRobin);
+  auto none = Plan(empty, s, 0, 0, 4, PlacementPolicy::kRoundRobin);
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none->shards.empty());
 
-  EXPECT_FALSE(PlanShards(r, s, 0, 0, 0,
+  EXPECT_FALSE(Plan(r, s, 0, 0, 0,
                           PlacementPolicy::kRoundRobin).ok());
-  EXPECT_FALSE(PlanShards(r, s, -2, 4, 2,
+  EXPECT_FALSE(Plan(r, s, -2, 4, 2,
                           PlacementPolicy::kRoundRobin).ok());
 }
 
 // All grid-sharding planners must derive the *identical* grid for the same
 // inputs -- shard-id stability across PlanPartitionedCells and the
-// distributed ShardPlanner depends on it. This pins the consolidation of
-// the formerly-duplicated auto-sizing call sites behind DeriveJoinGrid: the
-// helper's decision and both planners' decisions must agree, for
-// auto-sized and explicit grids, across input scales.
+// distributed ShardPlanner depends on it. The helper's decision and both
+// planners' decisions must agree, for auto-sized and explicit grids, across
+// input scales; and the shards must be exactly the cell plan's cells: one
+// per tile populated on both sides, in row-major order, with that cell's
+// dedup tile and id lists.
 TEST(ShardPlanner, GridDecisionIdenticalAcrossAllPlanners) {
   struct Case {
     uint64_t scale;
@@ -152,7 +161,7 @@ TEST(ShardPlanner, GridDecisionIdenticalAcrossAllPlanners) {
     ASSERT_TRUE(cells.ok());
 
     auto shard_plan =
-        PlanShards(r, s, c.cols, c.rows, 4, PlacementPolicy::kRoundRobin);
+        Plan(r, s, c.cols, c.rows, 4, PlacementPolicy::kRoundRobin);
     ASSERT_TRUE(shard_plan.ok());
 
     EXPECT_EQ((*cells)->cols, spec.cols)
@@ -161,6 +170,29 @@ TEST(ShardPlanner, GridDecisionIdenticalAcrossAllPlanners) {
     EXPECT_EQ(shard_plan->grid_cols, spec.cols)
         << "scale=" << c.scale << " cols=" << c.cols;
     EXPECT_EQ(shard_plan->grid_rows, spec.rows);
+
+    const PartitionedPlanState& plan = **cells;
+    std::map<int, const PartitionedCell*> by_tile;
+    for (int t = 0; t < spec.cols * spec.rows; ++t) {
+      if (!plan.r_side->tiles[t].empty() && !plan.s_side->tiles[t].empty()) {
+        by_tile[t] = nullptr;
+      }
+    }
+    for (const PartitionedCell& cell : plan.cells) {
+      by_tile.at(plan.TileIndex(cell)) = &cell;
+    }
+    ASSERT_EQ(shard_plan->shards.size(), by_tile.size())
+        << "scale=" << c.scale << " cols=" << c.cols;
+    auto want = by_tile.begin();
+    for (const Shard& shard : shard_plan->shards) {
+      ASSERT_EQ(shard.id, want->first) << "shards in row-major tile order";
+      const PartitionedCell& cell = *want->second;
+      EXPECT_EQ(shard.cell->dedup_tile, cell.dedup_tile)
+          << "tile " << shard.id;
+      EXPECT_EQ(*shard.cell->r_ids, *cell.r_ids) << "tile " << shard.id;
+      EXPECT_EQ(*shard.cell->s_ids, *cell.s_ids) << "tile " << shard.id;
+      ++want;
+    }
   }
 
   // Empty inputs: one shared "no grid" decision.

@@ -266,6 +266,47 @@ TEST(DatasetRegistry, PutOfOneSideReusesTheOtherSidesHalf) {
   EXPECT_TRUE(JoinResult::SameMultiset(cold->result, simd_run->result));
 }
 
+// The dist engines shard the same cell plan, so they take their halves from
+// the registry too: a new version of R re-plans dist-pbsm with S's half
+// reused, and the plan's bytes hold no copy of the halves' id lists.
+TEST(DatasetRegistry, DistEnginesShareTheRegistryHalves) {
+  const Dataset r1 = Anchored(121);
+  const Dataset r2 = Anchored(122);
+  const Dataset s = Anchored(123);
+  DatasetRegistry registry;
+  registry.Put("r", r1);
+  registry.Put("s", s);
+  EngineConfig config;
+  config.num_threads = 2;
+  ASSERT_TRUE(registry.GetOrPrepare(kDistPbsmEngine, "r", "s", config).ok());
+  PlanCacheStats stats = registry.plan_cache_stats();
+  EXPECT_EQ(stats.side_misses, 2u);
+  EXPECT_EQ(stats.side_hits, 0u);
+
+  registry.Put("r", r2);
+  auto plan = registry.GetOrPrepare(kDistPbsmEngine, "r", "s", config);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  stats = registry.plan_cache_stats();
+  EXPECT_EQ(stats.side_misses, 3u);  // R v2's half only
+  EXPECT_EQ(stats.side_hits, 1u);    // S's half, reused
+  EXPECT_EQ(stats.resident_bytes, (*plan)->MemoryBytes() +
+                                      HalfBytes(r2, r2, s) +
+                                      HalfBytes(s, r2, s));
+  auto warm = RunPreparedJoin(**plan, config);
+  ASSERT_TRUE(warm.ok());
+  auto cold = RunJoin(kPartitionedEngine, r2, s, config);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_TRUE(JoinResult::SameMultiset(cold->result, warm->result));
+
+  // dist-accel pairs the same two halves.
+  auto accel = registry.GetOrPrepare(kDistAccelEngine, "r", "s", config);
+  ASSERT_TRUE(accel.ok()) << accel.status().ToString();
+  EXPECT_EQ(registry.plan_cache_stats().side_hits, 3u);
+  auto accel_run = RunPreparedJoin(**accel, config);
+  ASSERT_TRUE(accel_run.ok());
+  EXPECT_TRUE(JoinResult::SameMultiset(cold->result, accel_run->result));
+}
+
 TEST(DatasetRegistry, VersionBumpDropsOnlyThatDatasetsHalves) {
   const Dataset r = Anchored(111);
   const Dataset s = Anchored(112);

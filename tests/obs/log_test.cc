@@ -205,6 +205,16 @@ TEST(LogTest, JsonLineFormatIsOneObject) {
   EXPECT_NE(line.find("\"msg\":\"bad\\nthing\""), std::string::npos) << line;
   EXPECT_NE(line.find("\"what\":\"a \\\"b\\\"\""), std::string::npos) << line;
   EXPECT_EQ(line.find('\n'), std::string::npos) << "JSON lines stay one line";
+
+  // Caller-supplied fields may carry any control byte; none leaves raw.
+  r.fields = {{"tenant", "t\tx\ry\x01z"}};
+  const std::string tenant_line = Logger::FormatJsonLine(r);
+  for (const char c : tenant_line) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "raw control byte";
+  }
+  EXPECT_NE(tenant_line.find("\"tenant\":\"t\\tx\\ry\\u0001z\""),
+            std::string::npos)
+      << tenant_line;
 }
 
 TEST(LogTest, StreamSinkMirrorsRecords) {

@@ -83,6 +83,9 @@ TEST(MetricsRegistryTest, TextExpositionShape) {
   reg.GetCounter("swiftspatial_obs_reqs_total", {{"tenant", "a"}},
                  "Requests served")
       ->Increment(3);
+  // Tenant names come from API callers unchecked.
+  reg.GetCounter("swiftspatial_obs_reqs_total", {{"tenant", "t\tx\ry\x01z"}})
+      ->Increment();
   reg.GetGauge("swiftspatial_obs_pending")->Set(2);
   Histogram* h =
       reg.GetHistogram("swiftspatial_obs_wait_seconds", {}, {0.5, 5.0});
@@ -108,9 +111,19 @@ TEST(MetricsRegistryTest, TextExpositionShape) {
   EXPECT_NE(text.find("swiftspatial_obs_wait_seconds_count 2"),
             std::string::npos);
 
+  // The text exposition keeps the Prometheus escaping (backslash, quote,
+  // newline); JSON escapes every control byte.
+  EXPECT_NE(text.find("{tenant=\"t\tx\ry\x01z\"} 1"), std::string::npos);
+
   const std::string json = reg.JsonSnapshot();
   EXPECT_NE(json.find("\"swiftspatial_obs_reqs_total\""), std::string::npos);
   EXPECT_NE(json.find("\"tenant\":\"a\""), std::string::npos);
+  EXPECT_NE(json.find("\"tenant\":\"t\\tx\\ry\\u0001z\""),
+            std::string::npos)
+      << json;
+  for (const char c : json) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "raw control byte";
+  }
 }
 
 // Parses every value of `name` out of successive expositions and checks the

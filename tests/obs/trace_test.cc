@@ -117,14 +117,21 @@ TEST(TraceTest, ChromeTraceJsonShape) {
   {
     ScopedSpan span(ctx, "shard \"7\"", /*track=*/2);
     span.AddAttr("shard", "7");
+    span.AddAttr("tenant", "t\tx\ry\x01z");
   }
   const std::string json = buffer.ChromeTraceJson();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"tid\":2"), std::string::npos);
   EXPECT_NE(json.find("\"shard\":\"7\""), std::string::npos);
-  // Quotes in span names are escaped.
+  // Quotes in span names are escaped, and so is every control byte.
   EXPECT_NE(json.find("shard \\\"7\\\""), std::string::npos);
+  EXPECT_NE(json.find("\"tenant\":\"t\\tx\\ry\\u0001z\""),
+            std::string::npos)
+      << json;
+  for (const char c : json) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "raw control byte";
+  }
 }
 
 }  // namespace
