@@ -7,7 +7,9 @@
 
 #include "bench/bench_util.h"
 #include "common/table_printer.h"
+#include "datagen/generator.h"
 #include "hw/multi_device.h"
+#include "join/engine.h"
 
 namespace swiftspatial::bench {
 namespace {
@@ -18,8 +20,17 @@ int Main(int argc, char** argv) {
   std::printf("§6 extension: larger-than-device-memory joins (scale=%lu)\n",
               static_cast<unsigned long>(scale));
 
-  const JoinInputs in =
-      MakeInputs(WorkloadShape::kUniform, JoinKind::kPolygonPolygon, scale);
+  // Uniform polygons with edges of 1 to 50 map units (of 10,000): dense
+  // enough that partition boundaries cut through result pairs (several
+  // hundred at --scale=5000), so the pinned result count checks the
+  // cross-partition dedup of every partitioned run.
+  UniformConfig config;
+  config.count = scale;
+  config.max_edge = 50;
+  config.seed = 202;
+  const Dataset r = GenerateUniform(config);
+  config.seed = 101;
+  const Dataset s = GenerateUniform(config);
 
   TablePrinter table(
       "§6 -- out-of-memory strategies under shrinking device memory",
@@ -39,6 +50,15 @@ int Main(int argc, char** argv) {
       {"128 KB", 128ULL << 10},
   };
   JsonReporter json("ext_multi_fpga", env);
+  // Every budget and strategy must return the CPU join's pair count.
+  auto reference = RunJoin(kPlaneSweepEngine, r, s);
+  if (!reference.ok()) {
+    std::printf("FAIL: CPU reference: %s\n",
+                reference.status().ToString().c_str());
+    return 1;
+  }
+  const uint64_t expected_results = reference->result.size();
+  bool diverged = false;
   for (const Budget& budget : budgets) {
     for (const hw::OutOfMemoryStrategy strategy :
          {hw::OutOfMemoryStrategy::kMultipleDevices,
@@ -48,7 +68,7 @@ int Main(int argc, char** argv) {
       cfg.device_memory_bytes = budget.bytes;
       cfg.strategy = strategy;
       cfg.max_grid = 128;
-      auto report = hw::PartitionedJoin(in.r, in.s, cfg);
+      auto report = hw::PartitionedJoin(r, s, cfg);
       if (!report.ok()) {
         table.AddRow({budget.label, OutOfMemoryStrategyToString(strategy),
                       "-", "-", "-", report.status().ToString(), "-"});
@@ -60,6 +80,7 @@ int Main(int argc, char** argv) {
                     std::to_string(report->devices),
                     Ms(report->total_seconds),
                     std::to_string(report->num_results)});
+      diverged |= report->num_results != expected_results;
       const std::string size =
           budget.bytes >= (1ULL << 20)
               ? std::to_string(budget.bytes >> 20) + "MB"
@@ -78,6 +99,13 @@ int Main(int argc, char** argv) {
       "strategies; multi-device latency stays near the in-memory case "
       "(parallel sub-joins) while the iterative single device degrades "
       "roughly with the partition count (§6).\n");
+  std::printf("CPU reference (%s): %lu pairs\n", kPlaneSweepEngine,
+              static_cast<unsigned long>(expected_results));
+  if (diverged) {
+    std::printf("FAIL: a device run's result count differs from the CPU "
+                "reference\n");
+    return 1;
+  }
   if (!json.WriteIfRequested()) return 1;
   return 0;
 }

@@ -31,17 +31,15 @@ std::vector<uint8_t> MakeNodeStore(int node_size, int count, uint64_t seed) {
   const std::size_t stride = PackedRTree::StrideFor(node_size);
   std::vector<uint8_t> bytes(stride * count, 0);
   Rng rng(seed);
+  std::vector<PackedEntry> entries(static_cast<std::size_t>(node_size));
   for (int n = 0; n < count; ++n) {
-    uint8_t* base = bytes.data() + n * stride;
-    const uint16_t c = static_cast<uint16_t>(node_size);
-    std::memcpy(base, &c, sizeof(c));
-    base[2] = 1;  // leaf
     for (int e = 0; e < node_size; ++e) {
       const Coord x = static_cast<Coord>(rng.Uniform(0, 1000));
       const Coord y = static_cast<Coord>(rng.Uniform(0, 1000));
-      const PackedEntry entry{Box(x, y, x + 5, y + 5), n * 1000 + e};
-      std::memcpy(base + 8 + e * sizeof(PackedEntry), &entry, sizeof(entry));
+      entries[e] = {Box(x, y, x + 5, y + 5), n * 1000 + e};
     }
+    PackedRTree::WriteNode(bytes.data() + n * stride, node_size,
+                           /*is_leaf=*/true, entries);
   }
   return bytes;
 }

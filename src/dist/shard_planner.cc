@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "geometry/hilbert.h"
 
@@ -109,26 +110,34 @@ void Place(const std::vector<Shard>& shards, int num_nodes,
 
 // Counts boundary-object replicas and the input-shipping bill for one side:
 // each object is shipped once per distinct node its populated cells map to.
-// An object's node set is tiny (its MBR spans few cells), so a per-object
-// unsorted list dedup beats any set structure.
+// An object keeps the first node it is placed on; a placement on any other
+// node is listed as an extra (object, node) pair, and the distinct extras
+// are the replicas. No per-object allocation: most objects lie in the
+// cells of one node, so the list stays short.
 void AccountReplicas(const std::vector<Shard>& shards,
                      const std::vector<int>& owner, std::size_t num_objects,
                      bool r_side, ShardPlan* plan) {
-  std::vector<std::vector<int>> nodes_of(num_objects);
+  std::vector<int> first_node(num_objects, -1);
+  std::vector<std::pair<ObjectId, int>> extras;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const int node = owner[i];
     const PartitionedCell& cell = *shards[i].cell;
     for (ObjectId id : r_side ? *cell.r_ids : *cell.s_ids) {
-      auto& nodes = nodes_of[static_cast<std::size_t>(id)];
-      if (std::find(nodes.begin(), nodes.end(), node) == nodes.end()) {
-        nodes.push_back(node);
+      int& first = first_node[static_cast<std::size_t>(id)];
+      if (first < 0) {
+        first = node;
+      } else if (first != node) {
+        extras.emplace_back(id, node);
       }
     }
   }
-  for (const auto& nodes : nodes_of) {
-    if (nodes.size() > 1) plan->replicated_objects += nodes.size() - 1;
-    plan->input_bytes += static_cast<uint64_t>(nodes.size()) * kObjectBytes;
-  }
+  std::sort(extras.begin(), extras.end());
+  const auto replicas = static_cast<std::size_t>(
+      std::unique(extras.begin(), extras.end()) - extras.begin());
+  const auto placed = static_cast<std::size_t>(std::count_if(
+      first_node.begin(), first_node.end(), [](int n) { return n >= 0; }));
+  plan->replicated_objects += replicas;
+  plan->input_bytes += static_cast<uint64_t>(placed + replicas) * kObjectBytes;
 }
 
 }  // namespace

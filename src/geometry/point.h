@@ -1,5 +1,5 @@
 // 2-D point type. SwiftSpatial stores coordinates as 32-bit floats, matching
-// the accelerator's 20-byte node entry layout (4 x float32 MBR + int32 id).
+// the accelerator's node layout (float32 MBR arrays + int32 ids).
 #ifndef SWIFTSPATIAL_GEOMETRY_POINT_H_
 #define SWIFTSPATIAL_GEOMETRY_POINT_H_
 

@@ -261,21 +261,18 @@ AcceleratorReport Accelerator::RunPbsm(const Dataset& r, const Dataset& s,
     }
   }
 
-  const uint32_t r_stride =
-      static_cast<uint32_t>(PackedRTree::StrideFor(static_cast<int>(max_r)));
-  const uint32_t s_stride =
-      static_cast<uint32_t>(PackedRTree::StrideFor(static_cast<int>(max_s)));
+  const int r_cap = static_cast<int>(max_r);
+  const int s_cap = static_cast<int>(max_s);
+  const auto r_stride = static_cast<uint32_t>(PackedRTree::StrideFor(r_cap));
+  const auto s_stride = static_cast<uint32_t>(PackedRTree::StrideFor(s_cap));
 
-  auto serialize_blocks = [](const std::vector<Block>& blocks,
-                             uint32_t stride) {
+  auto serialize_blocks = [](const std::vector<Block>& blocks, int capacity) {
+    const std::size_t stride = PackedRTree::StrideFor(capacity);
     std::vector<uint8_t> bytes(blocks.size() * stride, 0);
     for (std::size_t b = 0; b < blocks.size(); ++b) {
-      uint8_t* base = bytes.data() + b * stride;
-      const uint16_t count = static_cast<uint16_t>(blocks[b].entries.size());
-      std::memcpy(base, &count, sizeof(count));
-      base[2] = 1;  // tile blocks behave as leaves
-      std::memcpy(base + 8, blocks[b].entries.data(),
-                  blocks[b].entries.size() * sizeof(PackedEntry));
+      // Tile blocks behave as leaves.
+      PackedRTree::WriteNode(bytes.data() + b * stride, capacity,
+                             /*is_leaf=*/true, blocks[b].entries);
     }
     return bytes;
   };
@@ -285,9 +282,9 @@ AcceleratorReport Accelerator::RunPbsm(const Dataset& r, const Dataset& s,
   }
 
   const uint64_t r_base =
-      fabric.mem.AddRegion("tiles_r", serialize_blocks(r_blocks, r_stride));
+      fabric.mem.AddRegion("tiles_r", serialize_blocks(r_blocks, r_cap));
   const uint64_t s_base =
-      fabric.mem.AddRegion("tiles_s", serialize_blocks(s_blocks, s_stride));
+      fabric.mem.AddRegion("tiles_s", serialize_blocks(s_blocks, s_cap));
   const uint64_t table_base =
       fabric.mem.AddRegion("task_table", std::move(table_bytes));
   const uint64_t results_base = fabric.mem.AddRegion("results");

@@ -16,17 +16,15 @@ ReadUnit::ReadUnit(sim::Simulator* sim, sim::Dram* dram, MemoryLayout* mem,
       commands_(commands),
       unit_outputs_(std::move(unit_outputs)) {}
 
-void ReadUnit::ParseNode(uint64_t addr, std::vector<PackedEntry>* entries,
-                         bool* is_leaf) const {
-  uint16_t count = 0;
-  uint8_t leaf = 0;
-  mem_->Read(addr, &count, sizeof(count));
-  mem_->Read(addr + 2, &leaf, sizeof(leaf));
-  *is_leaf = leaf != 0;
-  entries->resize(count);
-  if (count > 0) {
-    mem_->Read(addr + 8, entries->data(), count * sizeof(PackedEntry));
-  }
+void ReadUnit::ParseNode(uint64_t addr, uint32_t bytes,
+                         std::vector<PackedEntry>* entries, bool* is_leaf) {
+  // The fetched stride is viewed in place, exactly as the CPU reads a node.
+  node_image_.resize(bytes);
+  mem_->Read(addr, node_image_.data(), bytes);
+  const NodeView node(node_image_.data());
+  *is_leaf = node.is_leaf();
+  entries->resize(node.count());
+  for (int i = 0; i < node.count(); ++i) (*entries)[i] = node.entry(i);
 }
 
 sim::Process ReadUnit::Run() {
@@ -56,8 +54,8 @@ sim::Process ReadUnit::Run() {
     data.s_index = cmd.s_index;
     data.pbsm = cmd.pbsm;
     data.tile = cmd.tile;
-    ParseNode(cmd.r_addr, &data.r_entries, &data.r_leaf);
-    ParseNode(cmd.s_addr, &data.s_entries, &data.s_leaf);
+    ParseNode(cmd.r_addr, cmd.r_bytes, &data.r_entries, &data.r_leaf);
+    ParseNode(cmd.s_addr, cmd.s_bytes, &data.s_entries, &data.s_leaf);
     co_await unit_outputs_[cmd.unit]->Push(std::move(data));
   }
 }

@@ -31,9 +31,11 @@ class ReadUnit {
   uint64_t nodes_fetched() const { return nodes_fetched_; }
 
  private:
-  // Functionally parses a packed node at `addr` into entries/metadata.
-  void ParseNode(uint64_t addr, std::vector<PackedEntry>* entries,
-                 bool* is_leaf) const;
+  // Functionally parses the packed node image (rtree/packed_rtree.h) of
+  // `bytes` bytes at `addr` into entries/metadata, through the same
+  // NodeView the CPU traversal reads.
+  void ParseNode(uint64_t addr, uint32_t bytes,
+                 std::vector<PackedEntry>* entries, bool* is_leaf);
 
   sim::Simulator* sim_;
   sim::Dram* dram_;
@@ -41,6 +43,7 @@ class ReadUnit {
   const AcceleratorConfig* config_;
   sim::Fifo<ReadCommand>* commands_;
   std::vector<sim::Fifo<NodePairData>*> unit_outputs_;
+  std::vector<uint8_t> node_image_;  // ParseNode's fetched stride
   uint64_t nodes_fetched_ = 0;
 };
 

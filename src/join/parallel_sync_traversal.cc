@@ -21,15 +21,12 @@ namespace {
 
 // Per-worker state, kept for the whole join: results and stats accumulate
 // across levels and are merged by a single thread at the end (mirroring the
-// paper's "a single thread subsequently merging the results"); the node
-// block and the DFS stacks are scratch sized once, so no task allocates.
+// paper's "a single thread subsequently merging the results"); the DFS
+// stacks are scratch kept across tasks, so tasks rarely allocate.
 struct WorkerState {
-  WorkerState(const PackedRTree& r, const PackedRTree& s) : block(r, s) {}
-
   JoinResult result;
   std::vector<NodePairTask> next;
   JoinStats stats;
-  NodeBlock block;
   std::vector<NodePairTask> dfs_stack;
   std::vector<NodePairTask> dfs_children;
 };
@@ -44,8 +41,8 @@ void DfsFrom(const PackedRTree& r, const PackedRTree& s, NodePairTask root,
     const NodePairTask task = stack.back();
     stack.pop_back();
     children.clear();
-    JoinNodePair(r, s, task.r, task.s, &state->block, &children,
-                 &state->result, &state->stats);
+    JoinNodePair(r, s, task.r, task.s, &children, &state->result,
+                 &state->stats);
     stack.insert(stack.end(), children.begin(), children.end());
   }
 }
@@ -63,7 +60,7 @@ JoinResult ParallelSyncTraversal(const PackedRTree& r, const PackedRTree& s,
           ? options.dfs_switch_factor * threads
           : static_cast<std::size_t>(-1);
 
-  std::vector<WorkerState> workers(threads, WorkerState(r, s));
+  std::vector<WorkerState> workers(threads);
   while (!frontier.empty() && !wave.cancel.cancelled()) {
     const bool dfs_phase = frontier.size() >= dfs_threshold;
 
@@ -74,8 +71,8 @@ JoinResult ParallelSyncTraversal(const PackedRTree& r, const PackedRTree& s,
           if (dfs_phase) {
             DfsFrom(r, s, frontier[i], &state);
           } else {
-            JoinNodePair(r, s, frontier[i].r, frontier[i].s, &state.block,
-                         &state.next, &state.result, &state.stats);
+            JoinNodePair(r, s, frontier[i].r, frontier[i].s, &state.next,
+                         &state.result, &state.stats);
           }
         },
         /*chunk=*/1, wave);

@@ -53,7 +53,7 @@ namespace swiftspatial {
 const char* SimdFilterBackend();
 
 /// Number of 64-bit mask words needed for an n-candidate filter call.
-inline std::size_t FilterMaskWords(std::size_t n) { return (n + 63) / 64; }
+constexpr std::size_t FilterMaskWords(std::size_t n) { return (n + 63) / 64; }
 
 /// Short-block compare, inline so that a call per R-tree node entry costs
 /// no call: bit i of `mask` is set iff `probe` intersects candidate i, with

@@ -1,25 +1,13 @@
 #include "join/sync_traversal.h"
 
-#include <algorithm>
 #include <bit>
 
-#include "common/logging.h"
 #include "join/simd_filter.h"
 
 namespace swiftspatial {
 
-NodeBlock::NodeBlock(const PackedRTree& r, const PackedRTree& s) {
-  const auto capacity =
-      static_cast<std::size_t>(std::max(r.max_entries(), s.max_entries()));
-  for (std::vector<Coord>* coords : {&min_x, &min_y, &max_x, &max_y}) {
-    coords->resize(capacity);
-  }
-  id.resize(capacity);
-  mask.resize(FilterMaskWords(capacity));
-}
-
 void JoinNodePair(const PackedRTree& r, const PackedRTree& s,
-                  NodeIndex r_node, NodeIndex s_node, NodeBlock* block,
+                  NodeIndex r_node, NodeIndex s_node,
                   std::vector<NodePairTask>* next, JoinResult* out,
                   JoinStats* stats) {
   const NodeView rn = r.node(r_node);
@@ -27,24 +15,16 @@ void JoinNodePair(const PackedRTree& r, const PackedRTree& s,
   const bool same_kind = rn.is_leaf() == sn.is_leaf();
   // The block holds the entries a probe pairs with: S's, unless R is the
   // directory descending alone past a leaf of S (trees of differing
-  // heights).
+  // heights). Its arrays are compared where they lie in the image.
   const bool s_is_block = same_kind || rn.is_leaf();
   const NodeView bn = s_is_block ? sn : rn;
   const std::size_t n = bn.count();
-  SWIFT_DCHECK(n <= block->id.size());
-  for (std::size_t j = 0; j < n; ++j) {
-    const PackedEntry e = bn.entry(static_cast<int>(j));
-    block->min_x[j] = e.box.min_x;
-    block->min_y[j] = e.box.min_y;
-    block->max_x[j] = e.box.max_x;
-    block->max_y[j] = e.box.max_y;
-    block->id[j] = e.id;
-  }
+  const int32_t* block_ids = bn.ids();
 
   const bool emit_results = rn.is_leaf() && sn.is_leaf();
   const int probes = same_kind ? rn.count() : 1;
   const std::size_t words = FilterMaskWords(n);
-  uint64_t* mask = block->mask.data();
+  uint64_t mask[FilterMaskWords(PackedRTree::kMaxEntries)];  // one probe's hits
   const std::size_t next_before = next->size();
   for (int i = 0; i < probes; ++i) {
     // A probe is an R entry, or the leaf side's MBR paired with its node.
@@ -52,11 +32,11 @@ void JoinNodePair(const PackedRTree& r, const PackedRTree& s,
         same_kind ? rn.entry(i)
                   : PackedEntry{(s_is_block ? rn : sn).Mbr(),
                                 s_is_block ? r_node : s_node};
-    FilterSoAShort(probe.box, block->min_x.data(), block->min_y.data(),
-                   block->max_x.data(), block->max_y.data(), n, mask);
+    FilterSoAShort(probe.box, bn.min_x(), bn.min_y(), bn.max_x(), bn.max_y(),
+                   n, mask);
     for (std::size_t w = 0; w < words; ++w) {
       for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
-        const int32_t hit = block->id[(w << 6) + std::countr_zero(bits)];
+        const int32_t hit = block_ids[(w << 6) + std::countr_zero(bits)];
         const int32_t r_id = s_is_block ? probe.id : hit;
         const int32_t s_id = s_is_block ? hit : probe.id;
         if (emit_results) {
@@ -79,12 +59,11 @@ JoinResult SyncTraversalDfs(const PackedRTree& r, const PackedRTree& s,
   JoinResult out;
   std::vector<NodePairTask> stack = {{r.root(), s.root()}};
   std::vector<NodePairTask> next;
-  NodeBlock block(r, s);
   while (!stack.empty()) {
     const NodePairTask task = stack.back();
     stack.pop_back();
     next.clear();
-    JoinNodePair(r, s, task.r, task.s, &block, &next, &out, stats);
+    JoinNodePair(r, s, task.r, task.s, &next, &out, stats);
     stack.insert(stack.end(), next.begin(), next.end());
   }
   return out;
@@ -96,12 +75,11 @@ JoinResult SyncTraversalBfs(const PackedRTree& r, const PackedRTree& s,
   JoinResult out;
   std::vector<NodePairTask> frontier = {{r.root(), s.root()}};
   std::vector<NodePairTask> next;
-  NodeBlock block(r, s);
   while (!frontier.empty()) {
     if (level_sizes != nullptr) level_sizes->push_back(frontier.size());
     next.clear();
     for (const NodePairTask& task : frontier) {
-      JoinNodePair(r, s, task.r, task.s, &block, &next, &out, stats);
+      JoinNodePair(r, s, task.r, task.s, &next, &out, stats);
     }
     frontier.swap(next);
   }

@@ -9,9 +9,9 @@
 //
 // Both operate on the flat PackedRTree layout shared with the simulated
 // accelerator. Each node pair is joined as a block join, the CPU form of
-// the join unit's comparator banks: one node is transposed into a
-// structure-of-arrays block, and each probe box is compared against the
-// whole block with the vector short-block compare (FilterSoAShort).
+// the join unit's comparator banks: each probe box is compared against one
+// node's whole coordinate arrays at once, read in place from the packed
+// image, with the vector short-block compare (FilterSoAShort).
 #ifndef SWIFTSPATIAL_JOIN_SYNC_TRAVERSAL_H_
 #define SWIFTSPATIAL_JOIN_SYNC_TRAVERSAL_H_
 
@@ -31,17 +31,6 @@ struct NodePairTask {
   friend bool operator==(const NodePairTask&, const NodePairTask&) = default;
 };
 
-/// Caller-owned scratch of JoinNodePair: one node's entries in
-/// structure-of-arrays form and one probe's hit-mask words. Sized once for
-/// the larger fan-out of the two trees, so JoinNodePair never allocates.
-struct NodeBlock {
-  NodeBlock(const PackedRTree& r, const PackedRTree& s);
-
-  std::vector<Coord> min_x, min_y, max_x, max_y;
-  std::vector<int32_t> id;
-  std::vector<uint64_t> mask;
-};
-
 /// Joins one node pair: emits qualifying (object, object) pairs to `out`
 /// when both nodes are leaves, qualifying next-level tasks to `next`
 /// otherwise. The same work one SwiftSpatial join unit performs per task
@@ -49,16 +38,17 @@ struct NodeBlock {
 /// own that also model cycles, and agrees with this one on pairs, tasks and
 /// predicate counts.
 ///
-/// A block join: the S node (or, when R is a directory and S a leaf, the R
-/// node) is transposed into `block`, and each probe is compared against all
-/// of it at once. The probes are the R entries when both nodes are of one
-/// kind; with trees of differing heights only the directory side descends,
-/// and the leaf node's MBR is the single probe. Pairs and tasks are emitted
-/// in ascending (R entry, S entry) order, the order of a pairwise double
-/// loop. `predicate_evaluations` counts the comparisons performed: rc * sc
-/// for nodes of one kind, the directory's entry count otherwise.
+/// A block join: each probe is compared against all of the S node (or,
+/// when R is a directory and S a leaf, the R node) at once, reading the
+/// node's arrays in place. The probes are the R entries when both nodes are
+/// of one kind; with trees of differing heights only the directory side
+/// descends, and the leaf node's MBR is the single probe. Pairs and tasks
+/// are emitted in ascending (R entry, S entry) order, the order of a
+/// pairwise double loop. `predicate_evaluations` counts the comparisons
+/// performed: rc * sc for nodes of one kind, the directory's entry count
+/// otherwise.
 void JoinNodePair(const PackedRTree& r, const PackedRTree& s,
-                  NodeIndex r_node, NodeIndex s_node, NodeBlock* block,
+                  NodeIndex r_node, NodeIndex s_node,
                   std::vector<NodePairTask>* next, JoinResult* out,
                   JoinStats* stats);
 

@@ -1,6 +1,5 @@
 #include "rtree/packed_rtree.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <string>
@@ -38,77 +37,74 @@ PackedRTree PackedRTree::FromLevels(
   std::size_t objects = 0;
   for (std::size_t l = 0; l < levels.size(); ++l) {
     for (std::size_t n = 0; n < levels[l].size(); ++n) {
-      const BuildNode& src = levels[l][n];
-      SWIFT_CHECK_LE(src.entries.size(),
-                     static_cast<std::size_t>(max_entries));
-      uint8_t* base =
-          tree.bytes_.data() +
-          static_cast<std::size_t>(level_base[l] + static_cast<NodeIndex>(n)) *
-              tree.node_stride_;
-      const uint16_t count = static_cast<uint16_t>(src.entries.size());
-      std::memcpy(base, &count, sizeof(count));
-      base[2] = src.is_leaf ? 1 : 0;
-      for (std::size_t e = 0; e < src.entries.size(); ++e) {
-        PackedEntry entry = src.entries[e];
-        if (!src.is_leaf) {
-          // Child references are level-local during construction; rewrite to
-          // global node indices.
-          SWIFT_CHECK_GT(l, 0u);
-          SWIFT_CHECK(entry.id >= 0 &&
-                      static_cast<std::size_t>(entry.id) < levels[l - 1].size());
+      BuildNode& src = levels[l][n];
+      if (src.is_leaf) {
+        objects += src.entries.size();
+      } else {
+        // Child references are level-local during construction; rewrite to
+        // global node indices.
+        SWIFT_CHECK_GT(l, 0u);
+        for (PackedEntry& entry : src.entries) {
+          SWIFT_CHECK(entry.id >= 0 && static_cast<std::size_t>(entry.id) <
+                                           levels[l - 1].size());
           entry.id += level_base[l - 1];
-        } else {
-          ++objects;
         }
-        std::memcpy(base + 8 + e * sizeof(PackedEntry), &entry, sizeof(entry));
       }
+      WriteNode(tree.bytes_.data() +
+                    tree.NodeOffset(level_base[l] + static_cast<NodeIndex>(n)),
+                max_entries, src.is_leaf, src.entries);
     }
   }
   tree.num_objects_ = objects;
   return tree;
 }
 
-std::vector<ObjectId> PackedRTree::WindowQuery(const Box& window) const {
+void PackedRTree::WriteNode(uint8_t* base, int capacity, bool is_leaf,
+                            std::span<const PackedEntry> entries) {
+  SWIFT_CHECK_LE(capacity, kMaxEntries);
+  SWIFT_CHECK_LE(entries.size(), static_cast<std::size_t>(capacity));
+  const auto count = static_cast<uint16_t>(entries.size());
+  const auto cap16 = static_cast<uint16_t>(capacity);
+  std::memcpy(base, &count, sizeof(count));
+  base[2] = is_leaf ? 1 : 0;
+  std::memcpy(base + 4, &cap16, sizeof(cap16));
+  const auto cap = static_cast<std::size_t>(capacity);
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    const Box& b = entries[e].box;
+    const Coord coords[4] = {b.min_x, b.min_y, b.max_x, b.max_y};
+    for (int k = 0; k < 4; ++k) {
+      std::memcpy(base + NodeView::ArrayOffset(k, cap) + 4 * e, &coords[k], 4);
+    }
+    std::memcpy(base + NodeView::ArrayOffset(4, cap) + 4 * e, &entries[e].id,
+                4);
+  }
+}
+
+std::vector<ObjectId> PackedRTree::WindowQuery(
+    const Box& window, std::size_t* nodes_visited) const {
   std::vector<ObjectId> out;
-  if (num_nodes_ == 0) return out;
-  // Node entries live in the accelerator's strided 20-byte AoS layout, so
-  // each visited node is gathered into a small stack-resident SoA chunk and
-  // scanned with the batched filter kernel instead of per-entry Intersects
-  // calls. Matching entries are emitted in ascending entry order, identical
-  // to the original scalar scan.
-  constexpr int kChunk = 64;
-  Coord min_x[kChunk], min_y[kChunk], max_x[kChunk], max_y[kChunk];
-  int32_t ids[kChunk];
-  std::vector<NodeIndex> stack = {root_};
-  while (!stack.empty()) {
-    const NodeView nv = node(stack.back());
-    stack.pop_back();
-    const int n = nv.count();
-    const bool leaf = nv.is_leaf();
-    for (int base = 0; base < n; base += kChunk) {
-      const int m = std::min(kChunk, n - base);
-      for (int i = 0; i < m; ++i) {
-        const PackedEntry e = nv.entry(base + i);
-        min_x[i] = e.box.min_x;
-        min_y[i] = e.box.min_y;
-        max_x[i] = e.box.max_x;
-        max_y[i] = e.box.max_y;
-        ids[i] = e.id;
-      }
-      uint64_t mask = 0;
-      FilterSoA(window, min_x, min_y, max_x, max_y,
-                static_cast<std::size_t>(m), &mask);
-      while (mask != 0) {
-        const int i = std::countr_zero(mask);
-        mask &= mask - 1;
-        if (leaf) {
-          out.push_back(ids[i]);
-        } else {
-          stack.push_back(ids[i]);
+  std::size_t visited = 0;
+  if (num_nodes_ > 0) {
+    // Each visited node's arrays go to the short-block kernel in place;
+    // hits are taken in ascending entry order, like a scalar scan.
+    uint64_t mask[FilterMaskWords(kMaxEntries)];
+    std::vector<NodeIndex> stack = {root_};
+    while (!stack.empty()) {
+      const NodeView nv = node(stack.back());
+      stack.pop_back();
+      ++visited;
+      const std::size_t n = nv.count();
+      FilterSoAShort(window, nv.min_x(), nv.min_y(), nv.max_x(), nv.max_y(),
+                     n, mask);
+      std::vector<int32_t>& dst = nv.is_leaf() ? out : stack;
+      for (std::size_t w = 0; w < FilterMaskWords(n); ++w) {
+        for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+          dst.push_back(nv.ids()[(w << 6) + std::countr_zero(bits)]);
         }
       }
     }
   }
+  if (nodes_visited != nullptr) *nodes_visited = visited;
   return out;
 }
 

@@ -35,40 +35,13 @@ TreeQualityStats ComputeTreeQuality(const PackedRTree& tree) {
   return out;
 }
 
-std::vector<ObjectId> WindowQueryCounting(const PackedRTree& tree,
-                                          const Box& window,
-                                          std::size_t* nodes_visited) {
-  std::vector<ObjectId> out;
-  std::size_t visited = 0;
-  if (tree.num_nodes() > 0) {
-    std::vector<NodeIndex> stack = {tree.root()};
-    while (!stack.empty()) {
-      const NodeView nv = tree.node(stack.back());
-      stack.pop_back();
-      ++visited;
-      const int n = nv.count();
-      for (int i = 0; i < n; ++i) {
-        const PackedEntry e = nv.entry(i);
-        if (!Intersects(e.box, window)) continue;
-        if (nv.is_leaf()) {
-          out.push_back(e.id);
-        } else {
-          stack.push_back(e.id);
-        }
-      }
-    }
-  }
-  if (nodes_visited != nullptr) *nodes_visited = visited;
-  return out;
-}
-
 double AvgNodeAccesses(const PackedRTree& tree,
                        const std::vector<Box>& windows) {
   if (windows.empty()) return 0;
   std::size_t total = 0;
   for (const Box& w : windows) {
     std::size_t visited = 0;
-    WindowQueryCounting(tree, w, &visited);
+    tree.WindowQuery(w, &visited);
     total += visited;
   }
   return static_cast<double>(total) / static_cast<double>(windows.size());

@@ -33,12 +33,8 @@ struct TreeQualityStats {
 /// the number of leaves; intended for analysis, not hot paths.
 TreeQualityStats ComputeTreeQuality(const PackedRTree& tree);
 
-/// Runs a window query and returns the ids, counting touched nodes.
-std::vector<ObjectId> WindowQueryCounting(const PackedRTree& tree,
-                                          const Box& window,
-                                          std::size_t* nodes_visited);
-
-/// Mean nodes visited over a batch of windows.
+/// Mean nodes visited (PackedRTree::WindowQuery's count) over a batch of
+/// windows.
 double AvgNodeAccesses(const PackedRTree& tree,
                        const std::vector<Box>& windows);
 

@@ -3,7 +3,6 @@
 // their FIFOs (the same harness style as join_unit_test).
 #include <gtest/gtest.h>
 
-#include <cstring>
 
 #include "hw/config.h"
 #include "hw/memory_layout.h"
@@ -17,18 +16,16 @@
 namespace swiftspatial::hw {
 namespace {
 
-// Serialises one leaf node image.
+// Serialises one node image.
 std::vector<uint8_t> OneNode(int count, bool leaf, int max_entries) {
   std::vector<uint8_t> bytes(PackedRTree::StrideFor(max_entries), 0);
-  const uint16_t c = static_cast<uint16_t>(count);
-  std::memcpy(bytes.data(), &c, sizeof(c));
-  bytes[2] = leaf ? 1 : 0;
+  std::vector<PackedEntry> entries;
   for (int i = 0; i < count; ++i) {
-    const PackedEntry e{Box(static_cast<Coord>(i), 0,
-                            static_cast<Coord>(i + 1), 1),
-                        100 + i};
-    std::memcpy(bytes.data() + 8 + i * sizeof(PackedEntry), &e, sizeof(e));
+    entries.push_back({Box(static_cast<Coord>(i), 0,
+                           static_cast<Coord>(i + 1), 1),
+                       100 + i});
   }
+  PackedRTree::WriteNode(bytes.data(), max_entries, leaf, entries);
   return bytes;
 }
 
@@ -74,6 +71,7 @@ TEST(ReadUnitTest, FetchesParsesAndRoutes) {
   EXPECT_TRUE(d.r_leaf);
   ASSERT_EQ(d.r_entries.size(), 5u);
   EXPECT_EQ(d.r_entries[3].id, 103);
+  EXPECT_EQ(d.r_entries[3].box, Box(3, 0, 4, 1));
   EXPECT_GT(d.ready_at, 0u);  // DRAM latency charged
   ASSERT_TRUE(unit1.TryPop(&d));
   EXPECT_TRUE(d.finish);

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "hw/accelerator.h"
 #include "join/nested_loop.h"
+#include "join/parallel_sync_traversal.h"
 #include "rtree/bulk_load.h"
 #include "rtree/rtree.h"
 #include "tests/test_util.h"
@@ -144,10 +145,9 @@ TEST(JoinNodePair, BlockJoinEqualsPairwiseLoopInOrder) {
             uint64_t want_predicates = 0;
             PairwiseNodePair(r, s, r.root(), s.root(), &want_next, &want_out,
                              &want_predicates);
-            NodeBlock block(r, s);
             JoinStats stats;
-            JoinNodePair(r, s, r.root(), s.root(), &block, &got_next,
-                         &got_out, &stats);
+            JoinNodePair(r, s, r.root(), s.root(), &got_next, &got_out,
+                         &stats);
             const std::string where =
                 "r_cap=" + std::to_string(r_cap) +
                 " s_cap=" + std::to_string(s_cap) +
@@ -251,6 +251,75 @@ TEST(SyncTraversal, DifferentHeights) {
     EXPECT_EQ(dfs_stats.predicate_evaluations, walked) << big_first;
     EXPECT_EQ(bfs_stats.predicate_evaluations, walked) << big_first;
     EXPECT_EQ(device.stats.predicate_evaluations, walked) << big_first;
+  }
+}
+
+// True when some node of `t` holds fewer entries than the fan-out.
+bool HasUnderFullNode(const PackedRTree& t) {
+  for (std::size_t i = 0; i < t.num_nodes(); ++i) {
+    if (t.node(static_cast<NodeIndex>(i)).count() < t.max_entries()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// The CPU traversals (serial DFS and BFS, parallel BFS-DFS) and the
+// simulated device read one node image and must visit the same node pairs:
+// equal pair multisets (the brute-force join's), task counts and predicate
+// counts, at fan-outs on both sides of the 4- and 8-lane groups and of one
+// mask word, for trees of equal and of different heights (in both argument
+// orders), every tree holding under-full nodes.
+TEST(SyncTraversal, CpuAndDeviceTraversalsAgree) {
+  // 1499 is prime, so every fan-out leaves an under-full leaf.
+  const Dataset big_r = testutil::Uniform(1499, 90, 1000.0, /*max_edge=*/20.0);
+  const Dataset big_s = testutil::Uniform(1201, 91, 1000.0, /*max_edge=*/20.0);
+  const Dataset small = testutil::Uniform(51, 92, 1000.0, /*max_edge=*/80.0);
+  struct Case {
+    const Dataset* r;
+    const Dataset* s;
+    bool equal_heights;
+  };
+  const Case cases[] = {{&big_r, &big_s, true},
+                        {&big_r, &small, false},
+                        {&small, &big_r, false}};
+  for (const int fanout : {2, 16, 17, 64, 200}) {
+    for (const Case& c : cases) {
+      const PackedRTree r = Tree(*c.r, fanout);
+      const PackedRTree s = Tree(*c.s, fanout);
+      const std::string where = "fanout=" + std::to_string(fanout) +
+                                " r=" + std::to_string(c.r->size()) +
+                                " s=" + std::to_string(c.s->size());
+      ASSERT_EQ(r.height() == s.height(), c.equal_heights) << where;
+      ASSERT_TRUE(HasUnderFullNode(r) && HasUnderFullNode(s)) << where;
+
+      JoinResult expected = BruteForceJoin(*c.r, *c.s);
+      ASSERT_GT(expected.size(), 0u) << where;
+      JoinStats dfs_stats, bfs_stats, par_stats;
+      JoinResult dfs = SyncTraversalDfs(r, s, &dfs_stats);
+      JoinResult bfs = SyncTraversalBfs(r, s, &bfs_stats);
+      ParallelSyncTraversalOptions options;
+      options.num_threads = 3;
+      options.strategy = TraversalStrategy::kBfsDfs;
+      options.dfs_switch_factor = 2;
+      JoinResult par = ParallelSyncTraversal(r, s, options, &par_stats);
+      JoinResult device;
+      hw::AcceleratorReport report =
+          hw::Accelerator().RunSyncTraversal(r, s, &device);
+
+      EXPECT_TRUE(JoinResult::SameMultiset(expected, dfs)) << where;
+      EXPECT_TRUE(JoinResult::SameMultiset(expected, bfs)) << where;
+      EXPECT_TRUE(JoinResult::SameMultiset(expected, par)) << where;
+      EXPECT_TRUE(JoinResult::SameMultiset(expected, device)) << where;
+      for (const JoinStats* other : {&bfs_stats, &par_stats, &report.stats}) {
+        EXPECT_EQ(other->tasks, dfs_stats.tasks) << where;
+        EXPECT_EQ(other->predicate_evaluations,
+                  dfs_stats.predicate_evaluations)
+            << where;
+        EXPECT_EQ(other->intermediate_pairs, dfs_stats.intermediate_pairs)
+            << where;
+      }
+    }
   }
 }
 

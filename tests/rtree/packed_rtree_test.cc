@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include "rtree/bulk_load.h"
 #include "common/rng.h"
@@ -33,6 +35,79 @@ TEST(PackedRTree, StrideIs64ByteAligned) {
   EXPECT_EQ(PackedRTree::StrideFor(16), 384u); // 8 + 320 -> 384
   EXPECT_EQ(PackedRTree::StrideFor(8), 192u);  // 8 + 160 -> 192
   EXPECT_EQ(PackedRTree::StrideFor(3) % 64, 0u);
+}
+
+// Reads the little-endian 4-byte value at `offset` of `bytes`.
+template <typename T>
+T At(const std::vector<uint8_t>& bytes, std::size_t offset) {
+  static_assert(sizeof(T) == 4);
+  T v;
+  std::memcpy(&v, bytes.data() + offset, sizeof(v));
+  return v;
+}
+
+// Pins the node byte image at a fan-out that is not a lane multiple (5):
+// the header, then min_x, min_y, max_x, max_y and id arrays of five 4-byte
+// slots each, at byte offsets 8, 28, 48, 68 and 88; an under-full node
+// leaves its unused slots and the stride's tail zero. Both nodes of a tree
+// sit one 128-byte stride apart, and the reader's arrays are these bytes.
+TEST(PackedRTree, NodeImageLayout) {
+  constexpr int kFanout = 5;
+  std::vector<std::vector<PackedRTree::BuildNode>> levels(2);
+  PackedRTree::BuildNode leaf;
+  leaf.is_leaf = true;
+  leaf.entries = {{Box(1, 2, 3, 4), 70}, {Box(-5, -6, 7, 8), 71},
+                  {Box(0.5f, 0.25f, 9, 10), 72}};
+  levels[0] = {leaf};
+  PackedRTree::BuildNode root;
+  root.is_leaf = false;
+  root.entries = {{Box(-5, -6, 9, 10), 0}};
+  levels[1] = {root};
+  const PackedRTree t = PackedRTree::FromLevels(std::move(levels), kFanout);
+  ASSERT_EQ(t.node_stride(), 128u);  // 8 + 20 * 5 = 108 -> 128
+  const std::vector<uint8_t>& bytes = t.bytes();
+  ASSERT_EQ(bytes.size(), 2 * 128u);
+
+  // Leaf (node 0): header count 3 | leaf 1 | pad | capacity 5 | pad.
+  const uint8_t header[8] = {3, 0, 1, 0, kFanout, 0, 0, 0};
+  EXPECT_TRUE(std::equal(header, header + 8, bytes.begin()));
+  for (std::size_t e = 0; e < leaf.entries.size(); ++e) {
+    const Box& b = leaf.entries[e].box;
+    EXPECT_EQ(At<float>(bytes, 8 + 4 * e), b.min_x) << e;
+    EXPECT_EQ(At<float>(bytes, 28 + 4 * e), b.min_y) << e;
+    EXPECT_EQ(At<float>(bytes, 48 + 4 * e), b.max_x) << e;
+    EXPECT_EQ(At<float>(bytes, 68 + 4 * e), b.max_y) << e;
+    EXPECT_EQ(At<int32_t>(bytes, 88 + 4 * e), leaf.entries[e].id) << e;
+  }
+  // Unused slots 3 and 4 of every array, and the padding to the stride.
+  for (std::size_t array = 0; array < 5; ++array) {
+    for (std::size_t e = 3; e < 5; ++e) {
+      EXPECT_EQ(At<int32_t>(bytes, 8 + 20 * array + 4 * e), 0)
+          << array << "," << e;
+    }
+  }
+  EXPECT_TRUE(std::all_of(bytes.begin() + 108, bytes.begin() + 128,
+                          [](uint8_t b) { return b == 0; }));
+
+  // Root (node 1, one stride on): directory, child id rewritten to node 0.
+  const uint8_t root_header[8] = {1, 0, 0, 0, kFanout, 0, 0, 0};
+  EXPECT_TRUE(std::equal(root_header, root_header + 8, bytes.begin() + 128));
+  EXPECT_EQ(At<float>(bytes, 128 + 8), -5.0f);
+  EXPECT_EQ(At<float>(bytes, 128 + 68), 10.0f);
+  EXPECT_EQ(At<int32_t>(bytes, 128 + 88), 0);
+
+  // The view reads those very bytes.
+  const NodeView nv = t.node(0);
+  const uint8_t* base = bytes.data();
+  EXPECT_EQ(reinterpret_cast<const uint8_t*>(nv.min_x()), base + 8);
+  EXPECT_EQ(reinterpret_cast<const uint8_t*>(nv.min_y()), base + 28);
+  EXPECT_EQ(reinterpret_cast<const uint8_t*>(nv.max_x()), base + 48);
+  EXPECT_EQ(reinterpret_cast<const uint8_t*>(nv.max_y()), base + 68);
+  EXPECT_EQ(reinterpret_cast<const uint8_t*>(nv.ids()), base + 88);
+  EXPECT_EQ(nv.count(), 3);
+  EXPECT_TRUE(nv.is_leaf());
+  EXPECT_EQ(nv.entry(2).box, Box(0.5f, 0.25f, 9, 10));
+  EXPECT_EQ(nv.Mbr(), Box(-5, -6, 9, 10));
 }
 
 TEST(PackedRTree, HandBuiltStructure) {
