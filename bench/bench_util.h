@@ -123,6 +123,31 @@ inline JoinInputs MakeInputs(WorkloadShape shape, JoinKind kind,
   return out;
 }
 
+/// One warmup run of each, then `reps` rounds that time every function
+/// once, back to back, rotating which goes first; returns each one's
+/// median. Host speed drifts over seconds, so functions timed in separate
+/// blocks can differ by the drift alone; interleaving exposes them all to
+/// the same drift.
+inline std::vector<double> InterleavedMedianSeconds(
+    const std::vector<std::function<void()>>& fns, int reps) {
+  for (const auto& fn : fns) fn();
+  std::vector<std::vector<double>> times(fns.size());
+  for (int i = 0; i < reps; ++i) {
+    for (std::size_t k = 0; k < fns.size(); ++k) {
+      const std::size_t f = (k + static_cast<std::size_t>(i)) % fns.size();
+      Stopwatch sw;
+      fns[f]();
+      times[f].push_back(sw.ElapsedSeconds());
+    }
+  }
+  std::vector<double> medians;
+  for (std::vector<double>& t : times) {
+    std::sort(t.begin(), t.end());
+    medians.push_back(t[t.size() / 2]);
+  }
+  return medians;
+}
+
 /// Timing of one engine benchmarked through the unified JoinEngine API.
 struct EngineTiming {
   double plan_seconds = 0;            ///< index/partition build (untimed cost)

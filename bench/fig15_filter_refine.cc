@@ -64,7 +64,12 @@ int Main(int argc, char** argv) {
                   {{"filter_seconds", filter_sec},
                    {"refine_seconds", refine_sec},
                    {"candidates", static_cast<double>(candidates.size())},
-                   {"verified", static_cast<double>(rstats.verified)}});
+                   {"verified", static_cast<double>(rstats.verified)},
+                   {"decided_hits", static_cast<double>(rstats.decided_hits)},
+                   {"decided_misses",
+                    static_cast<double>(rstats.decided_misses)},
+                   {"rings_materialised",
+                    static_cast<double>(rstats.rings_materialised)}});
     }
   }
   table.Print();

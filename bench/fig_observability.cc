@@ -2,15 +2,16 @@
 // effectively free on the warm serving path.
 //
 // Part 1 -- the gate. The same batch of warm SubmitNamed requests (plan
-// cached after the first submission) is served twice through a JoinService:
-// once fully instrumented (private MetricsRegistry + SpanBuffer wired
-// through JoinServiceOptions, spans recorded end to end) and once with the
-// runtime kill switch thrown (set_enabled(false), no span buffer), which
-// reduces every metric mutation to one relaxed atomic load. The bench exits
-// non-zero if the instrumented median exceeds the no-op median by more than
-// ~3% beyond an absolute jitter floor -- CI smoke-runs this binary
-// exit-code-checked, so an accidentally hot instrumentation path fails the
-// build rather than a dashboard.
+// cached after the first submission) is served by two JoinServices: one
+// fully instrumented (private MetricsRegistry + SpanBuffer wired through
+// JoinServiceOptions, spans recorded end to end) and one with the runtime
+// kill switch thrown (set_enabled(false), no span buffer), which reduces
+// every metric mutation to one relaxed atomic load. Their batches are
+// timed in interleaved rounds, and the bench exits non-zero if the
+// instrumented median exceeds the no-op median by more than ~3% beyond an
+// absolute jitter floor -- CI smoke-runs this binary exit-code-checked, so
+// an accidentally hot instrumentation path fails the build rather than a
+// dashboard.
 //
 // Part 2 -- microcosts. Raw per-op cost of the three instrument types
 // (counter increment, gauge set, histogram observe) enabled vs disabled,
@@ -19,7 +20,9 @@
 //   ./build/bench/fig_observability [--scale=N] [--requests=N] [--reps=N]
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/logging.h"
@@ -34,44 +37,50 @@
 namespace swiftspatial::bench {
 namespace {
 
-// Serves `requests` warm joins and returns the median batch seconds over
-// env.reps repetitions (plus one warmup that also primes the plan cache).
-double TimeServingBatch(bool instrumented, const BenchEnv& env,
-                        uint64_t scale, int requests) {
-  obs::MetricsRegistry registry;
-  obs::SpanBuffer buffer(1 << 16);
-  registry.set_enabled(instrumented);
-  // The dist/join layers report to the process-global registry (reached
-  // through the engine API, which carries no registry pointer), so the
-  // kill switch must cover it too for a true no-op baseline.
-  obs::MetricsRegistry::Global().set_enabled(instrumented);
+// A JoinService with both datasets registered, serving batches of warm
+// joins either fully instrumented or with the kill switch thrown.
+class ServingSetup {
+ public:
+  ServingSetup(bool instrumented, const BenchEnv& env, const JoinInputs& in)
+      : instrumented_(instrumented) {
+    registry_.set_enabled(instrumented);
+    exec::JoinServiceOptions options;
+    options.worker_threads = std::max<std::size_t>(1, env.cpu_threads);
+    options.metrics = &registry_;
+    if (instrumented) options.span_buffer = &buffer_;
+    service_ = std::make_unique<exec::JoinService>(options);
+    service_->RegisterDataset("r", in.r);
+    service_->RegisterDataset("s", in.s);
+    config_.num_threads = env.cpu_threads;
+  }
+  // The service holds pointers to the registry and span buffer.
+  ServingSetup(const ServingSetup&) = delete;
+  ServingSetup& operator=(const ServingSetup&) = delete;
 
-  exec::JoinServiceOptions options;
-  options.worker_threads = std::max<std::size_t>(1, env.cpu_threads);
-  options.metrics = &registry;
-  if (instrumented) options.span_buffer = &buffer;
-  exec::JoinService service(options);
-
-  const JoinInputs in =
-      MakeInputs(WorkloadShape::kUniform, JoinKind::kPolygonPolygon, scale);
-  service.RegisterDataset("r", in.r);
-  service.RegisterDataset("s", in.s);
-
-  EngineConfig config;
-  config.num_threads = env.cpu_threads;
-  const auto serve_batch = [&] {
+  /// Serves `requests` warm joins (the first batch also primes the plan
+  /// cache).
+  void ServeBatch(int requests) {
+    // The dist/join layers report to the process-global registry (reached
+    // through the engine API, which carries no registry pointer), so the
+    // kill switch must cover it too for a true no-op baseline.
+    obs::MetricsRegistry::Global().set_enabled(instrumented_);
     for (int i = 0; i < requests; ++i) {
-      auto handle = service.SubmitNamed("bench", kPartitionedEngine, "r", "s",
-                                        config);
+      auto handle = service_->SubmitNamed("bench", kPartitionedEngine, "r",
+                                          "s", config_);
       SWIFT_CHECK(handle.ok());
       const exec::StreamSummary summary = handle->Collect();
       SWIFT_CHECK(summary.status.ok());
     }
-  };
-  const double seconds = MedianSeconds(serve_batch, env.reps);
-  obs::MetricsRegistry::Global().set_enabled(true);
-  return seconds;
-}
+    obs::MetricsRegistry::Global().set_enabled(true);
+  }
+
+ private:
+  const bool instrumented_;
+  obs::MetricsRegistry registry_;
+  obs::SpanBuffer buffer_{1 << 16};
+  EngineConfig config_;
+  std::unique_ptr<exec::JoinService> service_;
+};
 
 void RunMicroSection() {
   obs::MetricsRegistry registry;
@@ -117,12 +126,18 @@ int Main(int argc, char** argv) {
           std::to_string(scale) + ")",
       {"mode", "batch_ms", "per_req_ms", "overhead"});
   JsonReporter json("fig_observability", env);
-  // Instrumented first, then baseline: if anything, the ordering hands the
-  // baseline the warmer caches, biasing the gate against instrumentation.
-  const double on_s = TimeServingBatch(/*instrumented=*/true, env, scale,
-                                       requests);
-  const double off_s = TimeServingBatch(/*instrumented=*/false, env, scale,
-                                        requests);
+  // Both services stay up and their batches alternate, rotating which goes
+  // first, so host drift over the run lands on both medians alike.
+  const JoinInputs in =
+      MakeInputs(WorkloadShape::kUniform, JoinKind::kPolygonPolygon, scale);
+  ServingSetup instrumented(/*instrumented=*/true, env, in);
+  ServingSetup noop(/*instrumented=*/false, env, in);
+  const std::vector<double> medians = InterleavedMedianSeconds(
+      {[&] { instrumented.ServeBatch(requests); },
+       [&] { noop.ServeBatch(requests); }},
+      env.reps);
+  const double on_s = medians[0];
+  const double off_s = medians[1];
   const double overhead = off_s > 0 ? (on_s - off_s) / off_s : 0.0;
   table.AddRow({"instrumented", Ms(on_s), Ms(on_s / requests),
                 TablePrinter::Fmt(overhead * 100.0, 2) + "%"});

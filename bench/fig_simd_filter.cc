@@ -26,7 +26,6 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "geometry/box_block.h"
 #include "join/simd_filter.h"
@@ -38,30 +37,6 @@ constexpr int kProbes = 64;
 // Rounds behind each gated median, whatever --reps asks for: with one
 // round a single slow sample (a preempted run) decides a gate.
 constexpr int kMinGateReps = 5;
-
-// One warmup run of each, then `reps` rounds that time every function once,
-// back to back, rotating which goes first; returns each one's median. Host
-// speed drifts over seconds, so kernels timed in separate blocks can differ
-// by the drift alone; interleaving exposes them all to the same drift.
-std::vector<double> InterleavedMedianSeconds(
-    const std::vector<std::function<void()>>& fns, int reps) {
-  for (const auto& fn : fns) fn();
-  std::vector<std::vector<double>> times(fns.size());
-  for (int i = 0; i < reps; ++i) {
-    for (std::size_t k = 0; k < fns.size(); ++k) {
-      const std::size_t f = (k + static_cast<std::size_t>(i)) % fns.size();
-      Stopwatch sw;
-      fns[f]();
-      times[f].push_back(sw.ElapsedSeconds());
-    }
-  }
-  std::vector<double> medians;
-  for (std::vector<double>& t : times) {
-    std::sort(t.begin(), t.end());
-    medians.push_back(t[t.size() / 2]);
-  }
-  return medians;
-}
 
 int Main(int argc, char** argv) {
   const BenchEnv env = BenchEnv::Parse(argc, argv, /*default_scale=*/100000);

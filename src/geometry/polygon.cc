@@ -50,6 +50,107 @@ bool HasSeparatingEdge(std::span<const Point> ring,
   return false;
 }
 
+// The centre and radii MakeConvexPolygon places its ellipse at, computed
+// the same way, and the box's largest coordinate magnitude on each axis.
+struct Ellipse {
+  explicit Ellipse(const Box& b)
+      : cx((static_cast<double>(b.min_x) + b.max_x) / 2),
+        cy((static_cast<double>(b.min_y) + b.max_y) / 2),
+        rx((static_cast<double>(b.max_x) - b.min_x) / 2),
+        ry((static_cast<double>(b.max_y) - b.min_y) / 2),
+        mx(std::max(std::fabs(b.min_x), std::fabs(b.max_x))),
+        my(std::max(std::fabs(b.min_y), std::fabs(b.max_y))) {}
+  double cx, cy, rx, ry, mx, my;
+};
+
+// Bound on how far rounding a double of magnitude at most `m` to Coord
+// moves it: half an ulp, and half the smallest subnormal below FLT_MIN.
+double RoundingBound(double m) { return 0x1p-24 * m + 0x1p-150; }
+
+// The decision margin for a pair whose coordinates are at most `d` in
+// magnitude; about 2^19 times the rounding error of Cross on them.
+double Margin(double d) { return 0x1p-30 * d; }
+
+// True if the rings MakeConvexPolygon builds in the boxes of `a` and `b` (a
+// point being a box with zero radii) are apart by more than `margin`, along
+// a diagonal or along the line through the two centres. Along a direction
+// n every vertex of a ring lies within the ellipse's support
+// sqrt((rx nx)^2 + (ry ny)^2) of its centre, widened by how far rounding
+// can move it; the margin is scaled by the L1 length of n, which bounds its
+// L2 length.
+bool ExteriorsApart(const Ellipse& a, const Ellipse& b, double margin) {
+  const double dx = b.cx - a.cx;
+  const double dy = b.cy - a.cy;
+  const double slack_x = RoundingBound(a.mx) + RoundingBound(b.mx);
+  const double slack_y = RoundingBound(a.my) + RoundingBound(b.my);
+  // Along (1, 1) and (1, -1) at once: both supports are sqrt(rx^2 + ry^2),
+  // and the larger gap, max(|dx + dy|, |dx - dy|), is |dx| + |dy|.
+  const auto diagonal = [](const Ellipse& e) {
+    return std::sqrt(e.rx * e.rx + e.ry * e.ry);
+  };
+  if (std::fabs(dx) + std::fabs(dy) - diagonal(a) - diagonal(b) - slack_x -
+          slack_y >
+      2 * margin) {
+    return true;
+  }
+  // Along n = (dx, dy), where the gap is dx^2 + dy^2.
+  const auto support = [&](const Ellipse& e) {
+    return std::sqrt(e.rx * dx * e.rx * dx + e.ry * dy * e.ry * dy);
+  };
+  return dx * dx + dy * dy - support(a) - support(b) -
+             slack_x * std::fabs(dx) - slack_y * std::fabs(dy) >
+         margin * (std::fabs(dx) + std::fabs(dy));
+}
+
+// A vertex widened to double once, as Cross widens its arguments on every
+// call.
+struct Vertex {
+  double x, y;
+};
+
+// The ring's four pinned vertices E, N, W, S (CCW) of box `b` (with
+// ellipse `e`), written to `out`, if the ring is sure to contain their
+// diamond: both radii at least 256 rounding steps, so no rounded vertex can
+// reach its quadrant's chord.
+bool GuardedDiamond(const Box& b, const Ellipse& e,
+                    std::array<Vertex, 4>& out) {
+  if (!(e.rx >= 256 * RoundingBound(e.mx) &&
+        e.ry >= 256 * RoundingBound(e.my))) {
+    return false;
+  }
+  const double fx = static_cast<Coord>(e.cx);
+  const double fy = static_cast<Coord>(e.cy);
+  out = {Vertex{b.max_x, fy}, Vertex{fx, b.max_y}, Vertex{b.min_x, fy},
+         Vertex{fx, b.min_y}};
+  return true;
+}
+
+// True if `p` is at least `margin` inside the edge (a, b) of a CCW ring:
+// Cross(a, b, p) at least `margin` times the edge's L1 length.
+bool DeepInside(const Vertex& a, const Vertex& b, const Vertex& p,
+                double margin) {
+  const double ex = b.x - a.x;
+  const double ey = b.y - a.y;
+  return ex * (p.y - a.y) - ey * (p.x - a.x) >=
+         margin * (std::fabs(ex) + std::fabs(ey));
+}
+
+// True if every edge of the diamond `a` has a vertex of `b` at least
+// `margin` inside it. An edge's outward normal points into the edge's own
+// quadrant (both components nonzero under the guard), so of b's vertices
+// the two on the far side, b[i + 1] and b[i + 2] for the edge ending at
+// a[i], reach furthest inside it; the test looks at those two only, and
+// without early exits, so the loop has no data-dependent branch.
+bool ReachesIntoEveryEdge(const std::array<Vertex, 4>& a,
+                          const std::array<Vertex, 4>& b, double margin) {
+  bool reaches = true;
+  for (std::size_t i = 0, j = 3; i < 4; j = i++) {
+    reaches &= DeepInside(a[j], a[i], b[(i + 1) % 4], margin) |
+               DeepInside(a[j], a[i], b[(i + 2) % 4], margin);
+  }
+  return reaches;
+}
+
 }  // namespace
 
 Box Polygon::Mbr() const { return RingMbr(vertices_); }
@@ -218,6 +319,45 @@ void MakeConvexPolygon(uint64_t id, const Box& mbr, std::span<Point> out) {
                      static_cast<Coord>(cy + ry * std::sin(a))};
     }
   }
+}
+
+MbrVerdict DecideRingsFromMbrs(const Box& a, const Box& b) {
+  const Ellipse ea(a);
+  const Ellipse eb(b);
+  const double d = std::max({ea.mx, ea.my, eb.mx, eb.my});
+  if (!std::isfinite(d)) return MbrVerdict::kUndecided;
+  const double margin = Margin(d);
+
+  // Interior: the two diamonds overlap by the margin on every edge normal.
+  std::array<Vertex, 4> da;
+  std::array<Vertex, 4> db;
+  if (GuardedDiamond(a, ea, da) && GuardedDiamond(b, eb, db) &&
+      ReachesIntoEveryEdge(da, db, margin) &&
+      ReachesIntoEveryEdge(db, da, margin)) {
+    return MbrVerdict::kHit;
+  }
+  return ExteriorsApart(ea, eb, margin) ? MbrVerdict::kMiss
+                                        : MbrVerdict::kUndecided;
+}
+
+MbrVerdict DecidePointFromMbr(const Point& p, const Box& polygon) {
+  const Ellipse ep(Box::FromPoint(p));
+  const Ellipse e(polygon);
+  const double d = std::max({ep.mx, ep.my, e.mx, e.my});
+  if (!std::isfinite(d)) return MbrVerdict::kUndecided;
+  const double margin = Margin(d);
+
+  if (ExteriorsApart(ep, e, margin)) return MbrVerdict::kMiss;
+
+  std::array<Vertex, 4> diamond;
+  if (!GuardedDiamond(polygon, e, diamond)) return MbrVerdict::kUndecided;
+  const Vertex v{p.x, p.y};
+  for (std::size_t i = 0, j = 3; i < 4; j = i++) {
+    if (!DeepInside(diamond[j], diamond[i], v, margin)) {
+      return MbrVerdict::kUndecided;
+    }
+  }
+  return MbrVerdict::kHit;
 }
 
 }  // namespace swiftspatial

@@ -4,20 +4,26 @@
 // the filter pipeline stays MBR-only -- exactly the paper's split where the
 // FPGA filters on MBRs and the CPU refines.
 //
-// Each Refine call materialises every object the candidates reference on a
-// polygon-kind side once (not once per candidate pair it appears in) into a
-// flat polygon store: one contiguous vertex array, `polygon_vertices` points
-// per object in id order. An id's slot is its rank among the referenced
-// ids, found in O(1) from a bitmap with per-word prefix counts. The store is
-// read-only while the parallel verifiers run.
+// Refine decides first and materialises only what it could not decide.
+// Each candidate is classified from its two MBRs alone
+// (DecideRingsFromMbrs / DecidePointFromMbr, geometry/polygon.h): the
+// ring's edge-midpoint diamond is inside every ring MakeConvexPolygon
+// builds, and the ring lies inside slabs around its inscribed ellipse (the
+// diagonal ones cut the MBR to an octagon), so most pairs are a certain hit
+// or a certain miss, equal to what the exact test would return. Point-point pairs are decided exactly
+// by the MBR test. Nothing is stored per object.
 //
+// Only an undecided pair touches geometry: its rings are materialised into
+// the worker's scratch buffer, right after its boxes were read, and tested.
 // A polygon-polygon pair whose two rings are both strictly convex and
-// counter-clockwise (IsStrictlyConvexCcw, checked once per ring when it is
-// stored) is decided by the separating-edge test ConvexRingsIntersect.
-// Every other pair (rings that rounding made degenerate, point kinds) takes
-// the general PolygonsIntersect / PointInPolygon. Both give the same answer
-// on convex rings. Verification writes a keep flag per candidate, so the
-// output lists the surviving pairs in candidate order at every thread count.
+// counter-clockwise (IsStrictlyConvexCcw) is decided by the separating-edge
+// test ConvexRingsIntersect. Every other pair (rings that rounding made
+// degenerate, point kinds) takes the general PolygonsIntersect /
+// PointInPolygon. Both give the same answer on convex rings.
+//
+// Classification and verification run in one ParallelFor over contiguous
+// candidate ranges and write one outcome per candidate, so the output lists
+// the surviving pairs in candidate order at every thread count.
 #ifndef SWIFTSPATIAL_REFINE_REFINEMENT_H_
 #define SWIFTSPATIAL_REFINE_REFINEMENT_H_
 
@@ -46,6 +52,13 @@ struct RefinementStats {
   std::size_t candidates = 0;
   std::size_t verified = 0;
   std::size_t false_positives = 0;
+  /// Candidates decided from their MBRs alone, as hits and as misses; the
+  /// rest were verified against their rings.
+  std::size_t decided_hits = 0;
+  std::size_t decided_misses = 0;
+  /// Rings MakeConvexPolygon materialised: one per polygon-kind side of
+  /// each undecided candidate.
+  std::size_t rings_materialised = 0;
 };
 
 /// Verifies `candidates` (pairs of ids into `r` and `s`) with exact

@@ -244,10 +244,10 @@ TEST(Refine, PointKindCoincidingWithZeroAreaPolygonKind) {
                   .empty());
 }
 
-TEST(Refine, RepeatedObjectsHitTheCacheWithIdenticalOutput) {
-  // Many candidates sharing few objects: the flat polygon store must
-  // produce output identical to direct per-pair materialisation (the
-  // pre-cache semantics), including duplicate candidate pairs.
+TEST(Refine, RepeatedObjectsGiveIdenticalOutput) {
+  // Many candidates sharing few objects, some decided from their MBRs and
+  // some verified: the output must be identical to direct per-pair
+  // materialisation, including duplicate candidate pairs.
   const Dataset r = testutil::Uniform(40, 151, 120.0, /*max_edge=*/25.0);
   const Dataset s = testutil::Uniform(40, 152, 120.0, /*max_edge=*/25.0);
   JoinResult base = BruteForceJoin(r, s);
