@@ -72,12 +72,11 @@ double RoundingBound(double m) { return 0x1p-24 * m + 0x1p-150; }
 double Margin(double d) { return 0x1p-30 * d; }
 
 // True if the rings MakeConvexPolygon builds in the boxes of `a` and `b` (a
-// point being a box with zero radii) are apart by more than `margin`, along
-// a diagonal or along the line through the two centres. Along a direction
-// n every vertex of a ring lies within the ellipse's support
-// sqrt((rx nx)^2 + (ry ny)^2) of its centre, widened by how far rounding
-// can move it; the margin is scaled by the L1 length of n, which bounds its
-// L2 length.
+// point being a box with zero radii) are apart by more than `margin` along
+// a diagonal. Along a diagonal every vertex of a ring lies within the
+// ellipse's support sqrt(rx^2 + ry^2) of its centre, widened by how far
+// rounding can move it; the margin is scaled by the diagonal's L1 length,
+// 2, which bounds its L2 length.
 bool ExteriorsApart(const Ellipse& a, const Ellipse& b, double margin) {
   const double dx = b.cx - a.cx;
   const double dy = b.cy - a.cy;
@@ -88,18 +87,9 @@ bool ExteriorsApart(const Ellipse& a, const Ellipse& b, double margin) {
   const auto diagonal = [](const Ellipse& e) {
     return std::sqrt(e.rx * e.rx + e.ry * e.ry);
   };
-  if (std::fabs(dx) + std::fabs(dy) - diagonal(a) - diagonal(b) - slack_x -
-          slack_y >
-      2 * margin) {
-    return true;
-  }
-  // Along n = (dx, dy), where the gap is dx^2 + dy^2.
-  const auto support = [&](const Ellipse& e) {
-    return std::sqrt(e.rx * dx * e.rx * dx + e.ry * dy * e.ry * dy);
-  };
-  return dx * dx + dy * dy - support(a) - support(b) -
-             slack_x * std::fabs(dx) - slack_y * std::fabs(dy) >
-         margin * (std::fabs(dx) + std::fabs(dy));
+  return std::fabs(dx) + std::fabs(dy) - diagonal(a) - diagonal(b) -
+             slack_x - slack_y >
+         2 * margin;
 }
 
 // A vertex widened to double once, as Cross widens its arguments on every

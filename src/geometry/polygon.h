@@ -32,20 +32,19 @@
 //    point of the open diamond: the ring winds exactly once around every
 //    such point, and no ring edge enters the diamond. The ring's region
 //    therefore contains the diamond, convex or not.
-//  - Exterior. Along a direction n, a vertex's projection differs from its
-//    centre's by that of the ellipse point, at most the ellipse's support
-//    sqrt((rx nx)^2 + (ry ny)^2), plus at most RB(mx) |nx| + RB(my) |ny|
-//    from rounding (the slack). Every vertex, hence the ring (a polygon
-//    lies in the hull of its vertices, convex or not), lies in that slab.
-//    Along (1, 1) and (1, -1) the support is sqrt(rx^2 + ry^2), and the two
-//    slabs cut the MBR to an octagon.
+//  - Exterior. Along a diagonal n = (1, +-1), a vertex's projection differs
+//    from its centre's by that of the ellipse point, at most the ellipse's
+//    support sqrt(rx^2 + ry^2), plus at most RB(mx) + RB(my) from rounding
+//    (the slack). Every vertex, hence the ring (a polygon lies in the hull
+//    of its vertices, convex or not), lies in that slab, and the two
+//    diagonal slabs cut the MBR to an octagon.
 //  - Decisions. Let D be the largest coordinate magnitude of the pair and
 //    the margin m = 2^-30 D. A hit needs both diamonds guarded and every
 //    edge of either to have a vertex of the other at least m inside it;
 //    then the diamonds (convex quads) still meet after any translation of
 //    one by up to m, and so do the rings that contain them. A miss needs
-//    the two slabs apart by more than m along a diagonal (the octagons) or
-//    along the line through the two centres. A point is a hit when it is
+//    the two slabs apart by more than m along a diagonal (the octagons).
+//    A point is a hit when it is
 //    at least m inside every edge of a guarded diamond, and a miss when it
 //    is more than m outside one of those slabs.
 //  - Equal to the exact tests. On float input, Cross is off by at most
@@ -55,8 +54,9 @@
 //    the outer side of the edge's line; translating that ring by the error
 //    would then separate the rings, which a hit rules out. For a miss the
 //    two hulls are more than m apart, so no orientation or crossing the
-//    exact tests evaluate can come out on the touching side: an edge pair is reported crossing, or a vertex inside,
-//    only within that error of an actual contact. Likewise a decided point
+//    exact tests evaluate can come out on the touching side: an edge pair
+//    is reported crossing, or a vertex inside, only within that error of an
+//    actual contact. Likewise a decided point
 //    is at least m from the ring. A decided pair is thus answered as
 //    ConvexRingsIntersect, PolygonsIntersect or PointInPolygon would answer
 //    it; every other pair is left undecided. tests/refine/ checks every

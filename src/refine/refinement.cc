@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -31,20 +32,24 @@ MbrVerdict DecidePair(const Box& rb, GeometryKind r_kind, const Box& sb,
 
 // Exact test for one undecided pair (never point-point): materialises the
 // ring of each polygon-kind side into `ring_a` / `ring_b` (each
-// `vertices` points) and tests them. A pair of rings that are both strictly
-// convex and counter-clockwise takes the separating-edge test.
+// `vertices` points), adding one to `rings_built` per ring, and tests them.
+// A pair of rings that are both strictly convex and counter-clockwise takes
+// the separating-edge test.
 bool VerifyPair(ResultPair pair, const Box& rb, GeometryKind r_kind,
                 const Box& sb, GeometryKind s_kind, std::span<Point> ring_a,
-                std::span<Point> ring_b) {
+                std::span<Point> ring_b, std::size_t& rings_built) {
   if (r_kind == GeometryKind::kPoint) {
     MakeConvexPolygon(static_cast<uint64_t>(pair.s), sb, ring_b);
+    ++rings_built;
     return PointInPolygon(Point{rb.min_x, rb.min_y}, ring_b);
   }
   MakeConvexPolygon(static_cast<uint64_t>(pair.r), rb, ring_a);
+  ++rings_built;
   if (s_kind == GeometryKind::kPoint) {
     return PointInPolygon(Point{sb.min_x, sb.min_y}, ring_a);
   }
   MakeConvexPolygon(static_cast<uint64_t>(pair.s), sb, ring_b);
+  ++rings_built;
   if (IsStrictlyConvexCcw(ring_a) && IsStrictlyConvexCcw(ring_b)) {
     return ConvexRingsIntersect(ring_a, ring_b);
   }
@@ -71,10 +76,12 @@ JoinResult Refine(const Dataset& r, GeometryKind r_kind, const Dataset& s,
 
   // Each worker takes whole contiguous ranges of candidates. It decides each
   // candidate from its two MBRs and materialises the rings of, and
-  // verifies, only the undecided ones, writing one outcome per candidate.
+  // verifies, only the undecided ones, writing one outcome per candidate
+  // and counting the rings it built.
   constexpr std::size_t kRange = 512;
   std::vector<uint8_t> outcome(candidates.size());
   std::vector<Point> rings(threads * 2 * vertices);  // two per worker
+  std::vector<std::size_t> rings_built(threads);
   ParallelForWorker(
       (candidates.size() + kRange - 1) / kRange, threads, Schedule::kDynamic,
       [&](std::size_t range, std::size_t worker) {
@@ -83,16 +90,8 @@ JoinResult Refine(const Dataset& r, GeometryKind r_kind, const Dataset& s,
         const std::span<Point> ring_b(ring_a.data() + vertices, vertices);
         const std::size_t end =
             std::min(candidates.size(), (range + 1) * kRange);
+        std::size_t built = 0;
         for (std::size_t i = range * kRange; i < end; ++i) {
-          // Candidates are not in id order, so their boxes are scattered
-          // reads: fetch a later candidate's boxes while this one is
-          // decided.
-          constexpr std::size_t kAhead = 32;
-          if (i + kAhead < candidates.size()) {
-            const ResultPair later = candidates[i + kAhead];
-            __builtin_prefetch(&r.box(static_cast<std::size_t>(later.r)));
-            __builtin_prefetch(&s.box(static_cast<std::size_t>(later.s)));
-          }
           const ResultPair pair = candidates[i];
           const Box& rb = r.box(static_cast<std::size_t>(pair.r));
           const Box& sb = s.box(static_cast<std::size_t>(pair.s));
@@ -101,10 +100,11 @@ JoinResult Refine(const Dataset& r, GeometryKind r_kind, const Dataset& s,
               verdict != MbrVerdict::kUndecided
                   ? static_cast<uint8_t>(verdict)
                   : kVerified | (VerifyPair(pair, rb, r_kind, sb, s_kind,
-                                            ring_a, ring_b)
+                                            ring_a, ring_b, built)
                                      ? kHitBit
                                      : 0);
         }
+        rings_built[worker] += built;
       });
 
   // Compact the survivors in candidate order.
@@ -129,8 +129,8 @@ JoinResult Refine(const Dataset& r, GeometryKind r_kind, const Dataset& s,
     stats->decided_hits = decided_hits;
     stats->decided_misses = candidates.size() - undecided - decided_hits;
     stats->rings_materialised =
-        undecided * ((r_kind == GeometryKind::kPolygon ? 1 : 0) +
-                    (s_kind == GeometryKind::kPolygon ? 1 : 0));
+        std::accumulate(rings_built.begin(), rings_built.end(),
+                        std::size_t{0});
   }
   return out;
 }

@@ -10,8 +10,8 @@
 // ring's edge-midpoint diamond is inside every ring MakeConvexPolygon
 // builds, and the ring lies inside slabs around its inscribed ellipse (the
 // diagonal ones cut the MBR to an octagon), so most pairs are a certain hit
-// or a certain miss, equal to what the exact test would return. Point-point pairs are decided exactly
-// by the MBR test. Nothing is stored per object.
+// or a certain miss, equal to what the exact test would return. Point-point
+// pairs are decided exactly by the MBR test. Nothing is stored per object.
 //
 // Only an undecided pair touches geometry: its rings are materialised into
 // the worker's scratch buffer, right after its boxes were read, and tested.
@@ -56,8 +56,9 @@ struct RefinementStats {
   /// rest were verified against their rings.
   std::size_t decided_hits = 0;
   std::size_t decided_misses = 0;
-  /// Rings MakeConvexPolygon materialised: one per polygon-kind side of
-  /// each undecided candidate.
+  /// Rings Refine built with MakeConvexPolygon, counted at each call: one
+  /// per polygon-kind side of each undecided candidate, none for a decided
+  /// one.
   std::size_t rings_materialised = 0;
 };
 
