@@ -153,6 +153,7 @@ struct EngineTiming {
   double plan_seconds = 0;            ///< index/partition build (untimed cost)
   double median_execute_seconds = 0;  ///< median of `reps` executions
   uint64_t results = 0;
+  JoinStats stats;  ///< counters of the last execution
 };
 
 /// One warmup run plus `reps` timed runs; returns the median seconds.
@@ -191,7 +192,8 @@ inline Result<EngineTiming> TimeEngine(const std::string& name,
   Status exec_status;
   timing.median_execute_seconds = MedianSeconds(
       [&] {
-        Status st = (*engine)->ExecutePrepared(**plan, &out, nullptr);
+        timing.stats = JoinStats();
+        Status st = (*engine)->ExecutePrepared(**plan, &out, &timing.stats);
         if (!st.ok()) exec_status = std::move(st);
       },
       reps);

@@ -38,19 +38,12 @@ Box Dataset::Extent() const {
 DatasetStats Dataset::Scan() const {
   DatasetStats stats;
   stats.count = boxes_.size();
-  double width_sum = 0, height_sum = 0;
   // Branch-free validity over the whole pass; a bad dataset is walked a
   // second time only to name its first bad box.
   bool valid = true;
   for (const Box& b : boxes_) {
     stats.extent.Expand(b);
-    width_sum += b.max_x - b.min_x;
-    height_sum += b.max_y - b.min_y;
     valid &= IsFinite(b) & (b.min_x <= b.max_x) & (b.min_y <= b.max_y);
-  }
-  if (!boxes_.empty()) {
-    stats.avg_width = width_sum / static_cast<double>(boxes_.size());
-    stats.avg_height = height_sum / static_cast<double>(boxes_.size());
   }
   for (std::size_t i = 0; !valid && i < boxes_.size(); ++i) {
     const Box& b = boxes_[i];

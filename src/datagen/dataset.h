@@ -30,8 +30,6 @@ struct DatasetStats {
   std::size_t count = 0;
   /// MBR of the whole dataset (empty box for an empty dataset).
   Box extent = Box::Empty();
-  double avg_width = 0;
-  double avg_height = 0;
 };
 
 /// A named collection of spatial objects. Object `i` has id `i` and MBR
@@ -55,8 +53,8 @@ class Dataset {
   /// True if every box is a point (zero width and height).
   bool IsPointDataset() const;
 
-  /// One serial pass over every box: validity, extent, count and average
-  /// edge lengths (see DatasetStats). The registry runs it once per
+  /// One serial pass over every box: validity, extent and count (see
+  /// DatasetStats). The registry runs it once per
   /// registered version; Prepare runs it for borrowed inputs.
   DatasetStats Scan() const;
 

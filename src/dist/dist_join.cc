@@ -39,8 +39,8 @@ ShardExecutor MakeCpuExecutor(const Dataset& r, const Dataset& s,
                              double* device_seconds) -> Status {
     (void)device_seconds;
     JoinResult local;
-    RunTileJoin(tile_join, r, s, *shard.cell->r_ids, *shard.cell->s_ids,
-                &shard.cell->dedup_tile, &local, stats);
+    RunTileJoin(tile_join, r, s, shard.cell->r, shard.cell->s,
+                shard.cell->dedup_tile, &local, stats);
     *pairs = std::move(local.mutable_pairs());
     return Status::OK();
   };

@@ -122,7 +122,8 @@ void AccountReplicas(const std::vector<Shard>& shards,
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const int node = owner[i];
     const PartitionedCell& cell = *shards[i].cell;
-    for (ObjectId id : r_side ? *cell.r_ids : *cell.s_ids) {
+    for (const CellEntry& e : r_side ? cell.r : cell.s) {
+      const ObjectId id = e.id;
       int& first = first_node[static_cast<std::size_t>(id)];
       if (first < 0) {
         first = node;
@@ -161,7 +162,7 @@ Result<ShardPlan> PlanShards(const JoinInput& r, const JoinInput& s,
   plan.grid_cols = plan.cells->cols;
   plan.grid_rows = plan.cells->rows;
   for (const PartitionedCell* cell : plan.cells->CellsInTileOrder()) {
-    plan.shards.push_back(Shard{plan.cells->TileIndex(*cell), cell});
+    plan.shards.push_back(Shard{cell->tile, cell});
   }
 
   Place(plan.shards, num_nodes, placement, plan.grid_cols, plan.grid_rows,

@@ -7,7 +7,7 @@
 // here made the unit of *distribution*. Each populated cell is one Shard
 // with a stable id (its row-major grid tile index: a pure function of the
 // grid geometry, so a shard re-executed after a node failure reports the
-// same id) that points at its cell instead of copying the id lists. The
+// same id) that points at its cell instead of copying its entries. The
 // planner then maps shards onto nodes under one of the PlacementPolicy
 // strategies and accounts the boundary-object replicas that placement
 // implies: an object whose MBR spans cells owned by k distinct nodes must be
@@ -35,13 +35,13 @@ struct Shard {
   int id = 0;
   /// The cell this shard joins, owned by ShardPlan::cells: its
   /// reference-point dedup tile (the partitioned engines', so cross-node
-  /// dedup agrees with every other engine) and id lists in sweep order.
+  /// dedup agrees with every other engine) and entries in sweep order.
   const PartitionedCell* cell = nullptr;
 
   /// Estimated tile-pair work, the cost-balancing unit.
   uint64_t EstimatedCost() const {
-    return static_cast<uint64_t>(cell->r_ids->size()) *
-           static_cast<uint64_t>(cell->s_ids->size());
+    return static_cast<uint64_t>(cell->r.size()) *
+           static_cast<uint64_t>(cell->s.size());
   }
 };
 

@@ -14,13 +14,13 @@
 //   auto again = registry.GetOrPrepare(...);     // warm: cache hit, no Prepare
 //   auto run = RunPreparedJoin(**again, config); // bit-identical to cold
 //
-// Put scans each dataset version once (Dataset::Scan: validity, extent,
-// count, average edge lengths), before it takes the registry lock; Prepare
-// reads those facts instead of scanning again. Registering the same name
-// again stores the new data under a bumped version; every plan and grid half
-// cached for older versions is dropped immediately (requests already
-// executing against an old plan finish safely -- plans are shared_ptr-held
-// and pin their datasets and halves). The plan-cache key is
+// Put scans each dataset version once (Dataset::Scan: validity, extent and
+// count), before it takes the registry lock; Prepare reads those facts
+// instead of scanning again. Registering the same name again stores the new
+// data under a bumped version; every plan and grid half cached for older
+// versions is dropped immediately (requests already executing against an old
+// plan finish safely -- plans are shared_ptr-held and pin their datasets and
+// halves). The plan-cache key is
 // (r name@version, s name@version, engine, config fingerprint), so engines
 // and configurations never share plans.
 //
@@ -61,9 +61,8 @@ struct DatasetHandle {
 };
 
 /// A resolved resident dataset: shared ownership of the data plus the
-/// version and the registration-time scan (the hook for cost-model-driven
-/// engine selection over resident datasets: cardinality, extent and average
-/// MBR edge lengths are the standard cost-model inputs).
+/// version and the registration-time scan (validity, cardinality and
+/// extent).
 struct ResidentDataset {
   std::shared_ptr<const Dataset> dataset;
   uint64_t version = 0;

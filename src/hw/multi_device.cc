@@ -1,6 +1,7 @@
 #include "hw/multi_device.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "common/logging.h"
@@ -34,14 +35,16 @@ AcceleratorReport RunCellOnDevice(const AcceleratorConfig& device,
                                   const Dataset& s,
                                   const PartitionedCell& cell,
                                   std::vector<ResultPair>* pairs) {
-  const auto gather = [](const Dataset& d, const std::vector<ObjectId>& ids) {
+  const auto gather = [](const Dataset& d, std::span<const CellEntry> cell) {
     std::vector<Box> boxes;
-    boxes.reserve(ids.size());
-    for (ObjectId id : ids) boxes.push_back(d.box(static_cast<std::size_t>(id)));
+    boxes.reserve(cell.size());
+    for (const CellEntry& e : cell) {
+      boxes.push_back(d.box(static_cast<std::size_t>(e.id)));
+    }
     return boxes;
   };
-  const Dataset sub_r("cell_r", gather(r, *cell.r_ids));
-  const Dataset sub_s("cell_s", gather(s, *cell.s_ids));
+  const Dataset sub_r("cell_r", gather(r, cell.r));
+  const Dataset sub_s("cell_s", gather(s, cell.s));
 
   HierarchicalPartitionOptions hp;
   hp.tile_cap = tile_cap;
@@ -59,8 +62,8 @@ AcceleratorReport RunCellOnDevice(const AcceleratorConfig& device,
   // cell holding their reference point.
   pairs->reserve(pairs->size() + local.size());
   for (const ResultPair& p : local.pairs()) {
-    const ObjectId gr = (*cell.r_ids)[static_cast<std::size_t>(p.r)];
-    const ObjectId gs = (*cell.s_ids)[static_cast<std::size_t>(p.s)];
+    const ObjectId gr = cell.r[static_cast<std::size_t>(p.r)].id;
+    const ObjectId gs = cell.s[static_cast<std::size_t>(p.s)].id;
     if (!ReferencePointInTile(r.box(static_cast<std::size_t>(gr)),
                               s.box(static_cast<std::size_t>(gs)),
                               cell.dedup_tile)) {
@@ -97,10 +100,10 @@ Result<MultiDeviceReport> PartitionedJoin(const Dataset& r, const Dataset& s,
                            PlanPartitionedCells(r_input, s_input, grid));
     if (plan->r_side == nullptr) return report;  // nothing to grid
     uint64_t worst = 0;
-    for (std::size_t t = 0; t < plan->r_side->tiles.size(); ++t) {
+    for (std::size_t t = 0; t < plan->r_side->num_tiles(); ++t) {
       worst = std::max(worst,
-                       EstimatePartitionBytes(plan->r_side->tiles[t].size(),
-                                              plan->s_side->tiles[t].size()));
+                       EstimatePartitionBytes(plan->r_side->Tile(t).size(),
+                                              plan->s_side->Tile(t).size()));
     }
     if (worst > config.device_memory_bytes) {
       if (grid_res < config.max_grid) continue;
@@ -135,7 +138,7 @@ Result<MultiDeviceReport> PartitionedJoin(const Dataset& r, const Dataset& s,
       // may stream out before later partitions run: the delivered sequence
       // stays a genuine prefix even if a later partition fails.
       if (config.partition_sink && !kept.empty()) {
-        config.partition_sink(plan->TileIndex(*cell), std::move(kept));
+        config.partition_sink(cell->tile, std::move(kept));
       }
 
       if (config.strategy == OutOfMemoryStrategy::kMultipleDevices) {

@@ -81,25 +81,35 @@ JoinGridSpec DeriveJoinGrid(const DatasetStats& r, const DatasetStats& s,
 }
 
 std::size_t GridSide::MemoryBytes() const {
-  std::size_t bytes = sizeof(*this) + tiles.capacity() * sizeof(tiles[0]);
-  for (const std::vector<ObjectId>& ids : tiles) {
-    bytes += ids.capacity() * sizeof(ObjectId);
-  }
-  return bytes;
+  return sizeof(*this) + offsets.capacity() * sizeof(offsets[0]) +
+         entries.capacity() * sizeof(CellEntry);
 }
 
 std::shared_ptr<const GridSide> BuildGridSide(const Dataset& dataset,
                                               const UniformGrid& grid,
                                               std::size_t num_threads,
                                               const WaveContext& wave) {
+  std::vector<std::vector<ObjectId>> tiles =
+      grid.Assign(dataset, num_threads, wave);
   auto side = std::make_shared<GridSide>();
-  side->tiles = grid.Assign(dataset, num_threads, wave);
-  // Sweep order once, here, so no execution of a plan pairing this half
-  // sorts (the order contract of join/plane_sweep.h).
+  side->offsets.resize(tiles.size() + 1);
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    side->offsets[t + 1] = side->offsets[t] + tiles[t].size();
+  }
+  side->entries.resize(side->offsets.back());
+  // Sweep order and the tile's lattice once, here, so no execution of a
+  // plan pairing this half sorts or reads a box to sweep (the order
+  // contract of join/plane_sweep.h). Each tile's id list is freed once
+  // packed.
   ParallelFor(
-      side->tiles.size(), num_threads, Schedule::kDynamic,
-      [&side, &dataset](std::size_t t) {
-        if (side->tiles[t].size() > 1) SortForSweep(dataset, &side->tiles[t]);
+      tiles.size(), num_threads, Schedule::kDynamic,
+      [&](std::size_t t) {
+        // Sorting first leaves the tile's boxes in cache for quantising.
+        SortForSweep(dataset, &tiles[t]);
+        QuantizeCell(dataset, tiles[t],
+                     grid.TileBoxByIndex(static_cast<int>(t)),
+                     side->entries.data() + side->offsets[t]);
+        std::vector<ObjectId>().swap(tiles[t]);
       },
       1, wave);
   return side;
@@ -109,7 +119,7 @@ std::vector<const PartitionedCell*> PartitionedPlanState::CellsInTileOrder()
     const {
   std::vector<const PartitionedCell*> ordered;
   for (const PartitionedCell& cell : cells) ordered.push_back(&cell);
-  std::ranges::sort(ordered, {}, &PartitionedCell::r_ids);  // R-half order
+  std::ranges::sort(ordered, {}, &PartitionedCell::tile);
   return ordered;
 }
 
@@ -154,22 +164,20 @@ Result<std::shared_ptr<const PartitionedPlanState>> PlanPartitionedCells(
   plan->r_side = half(r, "r");
   plan->s_side = half(s, "s");
 
-  const std::vector<std::vector<ObjectId>>& r_tiles = plan->r_side->tiles;
-  const std::vector<std::vector<ObjectId>>& s_tiles = plan->s_side->tiles;
   for (int t = 0; t < grid.num_tiles(); ++t) {
-    if (r_tiles[t].empty() || s_tiles[t].empty()) continue;
+    const auto r_cell = plan->r_side->Tile(static_cast<std::size_t>(t));
+    const auto s_cell = plan->s_side->Tile(static_cast<std::size_t>(t));
+    if (r_cell.empty() || s_cell.empty()) continue;
     // Closing the last row/column of cells keeps reference points that land
     // exactly on the global boundary claimable (no cell beyond exists).
-    plan->cells.push_back({grid.DedupTileByIndex(t), &r_tiles[t],
-                           &s_tiles[t]});
+    plan->cells.push_back({grid.DedupTileByIndex(t), t, r_cell, s_cell});
   }
   plan->cells.shrink_to_fit();  // MemoryBytes counts the capacity
   // Largest batches first: under dynamic scheduling the expensive cells
   // start early and the small ones backfill, tightening the makespan.
   std::sort(plan->cells.begin(), plan->cells.end(),
             [](const PartitionedCell& a, const PartitionedCell& b) {
-              return a.r_ids->size() * a.s_ids->size() >
-                     b.r_ids->size() * b.s_ids->size();
+              return a.r.size() * a.s.size() > b.r.size() * b.s.size();
             });
   return std::shared_ptr<const PartitionedPlanState>(std::move(plan));
 }
@@ -201,8 +209,8 @@ Status ExecutePartitionedPlan(const PartitionedPlanState& plan,
     for (; i < plan.cells.size(); i += groups) {
       if (wave.cancel.cancelled()) break;
       const PartitionedCell& cell = plan.cells[i];
-      RunTileJoin(tile_join, r, s, *cell.r_ids, *cell.s_ids,
-                  &cell.dedup_tile, &buffer, group_stats);
+      RunTileJoin(tile_join, r, s, cell.r, cell.s, cell.dedup_tile, &buffer,
+                  group_stats);
       if (buffer.size() >= chunk_pairs) {
         target.sink(std::move(buffer.mutable_pairs()));
         buffer = JoinResult();

@@ -9,14 +9,19 @@
 //
 // Both inputs are sharded onto a uniform grid (src/grid/uniform_grid.h,
 // multi-assignment: an object lands in every cell its MBR overlaps). Each
-// input's assignment is a GridSide -- one dataset's half of the plan, its
-// per-tile id lists in sweep order -- that depends only on that dataset and
-// the grid, so the warm-serving registry caches it per dataset version and
-// a re-registered R is re-planned without touching S. A plan pairs two
+// input's assignment is a GridSide -- one dataset's half of the plan: per
+// tile, 12-byte entries (the box rounded outward onto the tile's 16-bit
+// lattice, plus the id) in sweep order -- that depends only on that dataset
+// and the grid, so the warm-serving registry caches it per dataset version
+// and a re-registered R is re-planned without touching S. A plan pairs two
 // halves: every cell with objects from both sides is one batched tile join
-// (plane sweep, nested loop or the SIMD kernel). Cells are strided into
-// groups that run as one dynamic wave (common/thread_pool.h; largest cells
-// first, so they start earliest and the small ones backfill).
+// (plane sweep, nested loop or the SIMD kernel). The plane sweep joins the
+// entries in place and reads two exact boxes by id only for a pair whose
+// rounded boxes overlap; its predicate count is the y-tests on the rounded
+// boxes, and the other tile joins take the entries' ids in the same order.
+// Cells are strided into groups that run as one dynamic wave
+// (common/thread_pool.h; largest cells first, so they start earliest and
+// the small ones backfill).
 // Cross-cell duplicates -- a pair whose boxes co-occupy several cells -- are
 // eliminated with the PBSM reference-point rule (Box::ReferencePointInTile):
 // the pair is emitted only by the single cell containing the bottom-left
@@ -30,14 +35,16 @@
 // its group there, and the wave's caller joins the rest of that group and
 // every unclaimed one -- only the caller ever blocks on the consumer. The
 // multiset is
-// independent of the thread count and schedule; only the pair order varies
-// (canonicalise with JoinResult::Sort).
+// independent of the thread count and schedule; only the pair order varies,
+// also within a cell between tile joins (canonicalise with
+// JoinResult::Sort).
 #ifndef SWIFTSPATIAL_JOIN_PARTITIONED_DRIVER_H_
 #define SWIFTSPATIAL_JOIN_PARTITIONED_DRIVER_H_
 
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -46,6 +53,7 @@
 #include "geometry/box.h"
 #include "grid/uniform_grid.h"
 #include "join/engine.h"
+#include "join/plane_sweep.h"
 #include "join/result.h"
 #include "join/tile_join.h"
 
@@ -102,19 +110,29 @@ struct PartitionedDriverOptions {
 };
 
 /// One dataset's half of a grid plan: for every tile of one grid (one
-/// JoinGridSpec), the ids of the dataset's objects overlapping it, in sweep
-/// order (join/plane_sweep.h), so no execution sorts. Immutable once built;
-/// every plan that pairs it shares it and never copies its lists.
+/// JoinGridSpec), the dataset's objects overlapping it as CellEntry
+/// (join/plane_sweep.h): the box rounded outward onto the tile's lattice,
+/// plus the id, in sweep order, so no execution sorts or gathers boxes.
+/// Tile t's entries are entries[offsets[t], offsets[t + 1]). Immutable once
+/// built; every plan that pairs it shares it and never copies its entries.
 struct GridSide {
-  std::vector<std::vector<ObjectId>> tiles;
+  std::vector<std::size_t> offsets;
+  std::vector<CellEntry> entries;
 
-  /// Resident footprint of the lists, for cache accounting.
+  std::size_t num_tiles() const { return offsets.size() - 1; }
+  std::span<const CellEntry> Tile(std::size_t t) const {
+    return {entries.data() + offsets[t], offsets[t + 1] - offsets[t]};
+  }
+
+  /// Resident footprint (the struct, its entries and offsets), for cache
+  /// accounting.
   std::size_t MemoryBytes() const;
 };
 
-/// Builds `dataset`'s half on `grid`: UniformGrid::Assign, then SortForSweep
-/// of every non-empty tile, both as waves of width `num_threads` under
-/// `wave`. The half is the same for every thread count.
+/// Builds `dataset`'s half on `grid`: UniformGrid::Assign, then one wave
+/// that puts every tile's ids in sweep order (SortForSweep) and writes them
+/// as entries quantised on the tile box (QuantizeCell), both of width
+/// `num_threads` under `wave`. The half is the same for every thread count.
 std::shared_ptr<const GridSide> BuildGridSide(const Dataset& dataset,
                                               const UniformGrid& grid,
                                               std::size_t num_threads,
@@ -133,13 +151,15 @@ class GridSideStore {
       const std::function<std::shared_ptr<const GridSide>()>& build) = 0;
 };
 
-/// One populated grid cell of a partitioned plan: the per-side id lists to
-/// join (pointers into the plan's halves) plus the reference-point dedup
-/// tile (cell box, closed at the extent max per the half-open rule).
+/// One populated grid cell of a partitioned plan: its row-major tile index,
+/// the per-side entries to join (views into the plan's halves) and the
+/// reference-point dedup tile (cell box, closed at the extent max per the
+/// half-open rule).
 struct PartitionedCell {
   Box dedup_tile;
-  const std::vector<ObjectId>* r_ids = nullptr;
-  const std::vector<ObjectId>* s_ids = nullptr;
+  int tile = 0;
+  std::span<const CellEntry> r;
+  std::span<const CellEntry> s;
 };
 
 /// The immutable output of partitioned planning: the derived grid, the two
@@ -154,11 +174,6 @@ struct PartitionedPlanState {
   std::shared_ptr<const GridSide> r_side;
   std::shared_ptr<const GridSide> s_side;
   std::vector<PartitionedCell> cells;
-
-  /// Row-major grid tile index of one of this plan's cells.
-  int TileIndex(const PartitionedCell& cell) const {
-    return static_cast<int>(cell.r_ids - r_side->tiles.data());
-  }
 
   /// The cells in row-major tile order (they are stored largest first).
   std::vector<const PartitionedCell*> CellsInTileOrder() const;

@@ -1,35 +1,43 @@
 #include "join/plane_sweep.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <type_traits>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace swiftspatial {
 
 namespace {
 
-// One object of a sweep input: its box, copied out of the dataset so the
-// scan walks contiguous memory, plus the id it reports.
+// One object of an exact sweep input: its box, copied out of the dataset so
+// the scan walks contiguous memory, plus the id it reports.
 struct SweepEntry {
-  Box box;
+  Coord min_x, min_y, max_x, max_y;
   ObjectId id;
+
+  Box box() const { return Box(min_x, min_y, max_x, max_y); }
 };
 
 bool EntryBefore(const SweepEntry& a, const SweepEntry& b) {
-  return SweepBefore(a.box.min_x, a.id, b.box.min_x, b.id);
+  return SweepBefore(a.min_x, a.id, b.min_x, b.id);
 }
 
 // Copies the boxes of `ids` into `entries` in sweep order. Sorts only when
-// `ids` was not already in that order, so presorted plans pay one pass.
+// `ids` was not already in that order, so presorted lists pay one pass.
 void GatherInSweepOrder(const Dataset& d, const std::vector<ObjectId>& ids,
                         std::vector<SweepEntry>* entries) {
   entries->resize(ids.size());
   bool ordered = true;
   for (std::size_t i = 0; i < ids.size(); ++i) {
+    const Box& b = d.box(static_cast<std::size_t>(ids[i]));
     SweepEntry& e = (*entries)[i];
-    e.box = d.box(static_cast<std::size_t>(ids[i]));
-    e.id = ids[i];
+    e = {b.min_x, b.min_y, b.max_x, b.max_y, ids[i]};
     if (i > 0 && EntryBefore(e, (*entries)[i - 1])) ordered = false;
   }
   if (!ordered) std::sort(entries->begin(), entries->end(), EntryBefore);
@@ -37,27 +45,45 @@ void GatherInSweepOrder(const Dataset& d, const std::vector<ObjectId>& ids,
 
 // Tests `probe` against the opposite-side entries [it, end) that start no
 // later than it ends. Each of them overlaps `probe` on x (none starts
-// before it, by sweep order), so only y is tested. Returns the number of
-// y-tests performed.
-template <bool kProbeIsR>
-uint64_t ScanForward(const SweepEntry& probe, const SweepEntry* it,
-                     const SweepEntry* end, const Box* dedup_tile,
-                     JoinResult* out) {
-  const Box& p = probe.box;
-  const SweepEntry* const begin = it;
-  for (; it != end && it->box.min_x <= p.max_x; ++it) {
-    const Box& o = it->box;
-    if (p.max_y >= o.min_y && o.max_y >= p.min_y) {
-      const Box& rb = kProbeIsR ? p : o;
-      const Box& sb = kProbeIsR ? o : p;
-      if (dedup_tile != nullptr &&
-          !ReferencePointInTile(rb, sb, *dedup_tile)) {
-        continue;
+// before it, by sweep order), so only y is tested; `on_pair(r, s)` gets
+// every pair that overlaps on y. Returns the number of y-tests performed.
+template <bool kProbeIsR, typename Entry, typename OnPair>
+uint64_t ScanForward(const Entry& probe, const Entry* it, const Entry* end,
+                     OnPair& on_pair) {
+  const Entry* const begin = it;
+  for (; it != end && it->min_x <= probe.max_x; ++it) {
+    if (probe.max_y >= it->min_y && it->max_y >= probe.min_y) {
+      if constexpr (kProbeIsR) {
+        on_pair(probe, *it);
+      } else {
+        on_pair(*it, probe);
       }
-      out->Add(kProbeIsR ? probe.id : it->id, kProbeIsR ? it->id : probe.id);
     }
   }
   return static_cast<uint64_t>(it - begin);
+}
+
+// The one sweep loop: takes the side whose next object starts first (R on
+// ties) and scans the other side forward; once either side is exhausted, no
+// pair is left. Returns the number of y-tests.
+template <typename Entry, typename OnPair>
+uint64_t Sweep(std::span<const Entry> r, std::span<const Entry> s,
+               OnPair on_pair) {
+  uint64_t checks = 0;
+  const Entry* ri = r.data();
+  const Entry* const r_end = ri + r.size();
+  const Entry* si = s.data();
+  const Entry* const s_end = si + s.size();
+  while (ri != r_end && si != s_end) {
+    if (ri->min_x <= si->min_x) {
+      checks += ScanForward<true>(*ri, si, s_end, on_pair);
+      ++ri;
+    } else {
+      checks += ScanForward<false>(*si, ri, r_end, on_pair);
+      ++si;
+    }
+  }
+  return checks;
 }
 
 static_assert(std::is_same_v<Coord, float> && sizeof(ObjectId) == 4,
@@ -73,6 +99,64 @@ uint64_t SweepKey(Coord min_x, ObjectId id) {
   bits = (bits & 0x80000000u) != 0 ? ~bits : bits | 0x80000000u;
   return (uint64_t{bits} << 32) | static_cast<uint32_t>(id);
 }
+
+// Rounds boxes onto the lattice of one tile box (CellEntry). Lane k of
+// (min_x, min_y, max_x, max_y) maps to (c - origin) * scale in float, is
+// clamped to [0, 65535] and truncated (floor, as it is non-negative), and
+// the max lanes add one where truncation dropped a fraction (ceil). Each
+// step is a correctly rounded float operation or a clamp, hence monotone;
+// a NaN (an infinite offset on a zero-scale axis) clamps to 0, as the
+// SSE2 max does.
+class CellQuantizer {
+ public:
+  explicit CellQuantizer(const Box& tile)
+      : origin_{tile.min_x, tile.min_y, tile.min_x, tile.min_y} {
+    const float sx = Scale(tile.min_x, tile.max_x);
+    const float sy = Scale(tile.min_y, tile.max_y);
+    scale_ = {sx, sy, sx, sy};
+  }
+
+  CellEntry Quantize(const Box& b, ObjectId id) const {
+    alignas(16) int32_t q[4];
+#if defined(__SSE2__)
+    const __m128 c = _mm_set_ps(b.max_y, b.max_x, b.min_y, b.min_x);
+    __m128 v = _mm_mul_ps(_mm_sub_ps(c, _mm_load_ps(origin_.data())),
+                          _mm_load_ps(scale_.data()));
+    v = _mm_min_ps(_mm_max_ps(v, _mm_setzero_ps()), _mm_set1_ps(kSteps));
+    const __m128i down = _mm_cvttps_epi32(v);
+    const __m128 dropped = _mm_and_ps(_mm_cmplt_ps(_mm_cvtepi32_ps(down), v),
+                                      _mm_castsi128_ps(_mm_set_epi32(
+                                          -1, -1, 0, 0)));
+    _mm_store_si128(reinterpret_cast<__m128i*>(q),
+                    _mm_sub_epi32(down, _mm_castps_si128(dropped)));
+#else
+    const float c[4] = {b.min_x, b.min_y, b.max_x, b.max_y};
+    for (int k = 0; k < 4; ++k) {
+      float v = (c[k] - origin_[k]) * scale_[k];
+      v = v > 0.0f ? v : 0.0f;
+      v = v < kSteps ? v : kSteps;
+      q[k] = static_cast<int32_t>(v);
+      if (k >= 2 && static_cast<float>(q[k]) < v) ++q[k];
+    }
+#endif
+    return {static_cast<uint16_t>(q[0]), static_cast<uint16_t>(q[1]),
+            static_cast<uint16_t>(q[2]), static_cast<uint16_t>(q[3]), id};
+  }
+
+ private:
+  static constexpr float kSteps = 65535.0f;
+
+  static float Scale(Coord lo, Coord hi) {
+    const double width = static_cast<double>(hi) - lo;
+    return width > 0 ? static_cast<float>(std::min(
+                           kSteps / width,
+                           double{std::numeric_limits<float>::max()}))
+                     : 0.0f;
+  }
+
+  alignas(16) std::array<float, 4> origin_;
+  alignas(16) std::array<float, 4> scale_;
+};
 
 }  // namespace
 
@@ -91,6 +175,14 @@ void SortForSweep(const Dataset& d, std::vector<ObjectId>* ids) {
   }
 }
 
+void QuantizeCell(const Dataset& d, const std::vector<ObjectId>& ids,
+                  const Box& tile, CellEntry* out) {
+  const CellQuantizer lattice(tile);
+  for (const ObjectId id : ids) {
+    *out++ = lattice.Quantize(d.box(static_cast<std::size_t>(id)), id);
+  }
+}
+
 void PlaneSweepTileJoin(const Dataset& r, const Dataset& s,
                         const std::vector<ObjectId>& r_ids,
                         const std::vector<ObjectId>& s_ids,
@@ -98,32 +190,48 @@ void PlaneSweepTileJoin(const Dataset& r, const Dataset& s,
                         JoinStats* stats) {
   uint64_t checks = 0;
   if (!r_ids.empty() && !s_ids.empty()) {
-    // Per-worker scratch, reused across calls: a warm cell join allocates
-    // nothing once the buffers have grown to the largest cell the thread
+    // Per-worker scratch, reused across calls: a repeated join allocates
+    // nothing once the buffers have grown to the largest input the thread
     // has joined, and they keep that size until the thread exits.
     thread_local std::vector<SweepEntry> r_entries;
     thread_local std::vector<SweepEntry> s_entries;
     GatherInSweepOrder(r, r_ids, &r_entries);
     GatherInSweepOrder(s, s_ids, &s_entries);
-
-    const SweepEntry* ri = r_entries.data();
-    const SweepEntry* const r_end = ri + r_entries.size();
-    const SweepEntry* si = s_entries.data();
-    const SweepEntry* const s_end = si + s_entries.size();
-    // Take the side whose next object starts first (R on ties) and scan the
-    // other side forward; once either side is exhausted, no pair is left.
-    while (ri != r_end && si != s_end) {
-      if (ri->box.min_x <= si->box.min_x) {
-        checks += ScanForward<true>(*ri, si, s_end, dedup_tile, out);
-        ++ri;
-      } else {
-        checks += ScanForward<false>(*si, ri, r_end, dedup_tile, out);
-        ++si;
-      }
-    }
+    checks = Sweep<SweepEntry>(
+        r_entries, s_entries,
+        [dedup_tile, out](const SweepEntry& re, const SweepEntry& se) {
+          if (dedup_tile != nullptr &&
+              !ReferencePointInTile(re.box(), se.box(), *dedup_tile)) {
+            return;
+          }
+          out->Add(re.id, se.id);
+        });
   }
   if (stats != nullptr) {
     stats->predicate_evaluations += checks;
+    stats->tasks += 1;
+  }
+}
+
+void PlaneSweepCellJoin(const Dataset& r, const Dataset& s,
+                        std::span<const CellEntry> r_cell,
+                        std::span<const CellEntry> s_cell,
+                        const Box& dedup_tile, JoinResult* out,
+                        JoinStats* stats) {
+  uint64_t rechecks = 0;
+  const uint64_t checks = Sweep<CellEntry>(
+      r_cell, s_cell,
+      [&](const CellEntry& re, const CellEntry& se) {
+        ++rechecks;
+        const Box& rb = r.box(static_cast<std::size_t>(re.id));
+        const Box& sb = s.box(static_cast<std::size_t>(se.id));
+        if (Intersects(rb, sb) && ReferencePointInTile(rb, sb, dedup_tile)) {
+          out->Add(re.id, se.id);
+        }
+      });
+  if (stats != nullptr) {
+    stats->predicate_evaluations += checks;
+    stats->exact_rechecks += rechecks;
     stats->tasks += 1;
   }
 }

@@ -1,21 +1,29 @@
 // Plane-sweep tile join: the forward-scan sweep of Brinkhoff et al., in the
 // form Tsitsigkos & Mamoulis found fastest in memory. Both inputs are
-// gathered into contiguous (box, id) runs in sweep order; the sweep takes
-// whichever side's next object starts first and scans the other side
-// forward from its cursor while the scanned objects start no later than the
-// taken one ends. Every scanned pair overlaps on x, so only y is tested.
-// Used by the grid driver (and so the CPU PBSM baseline, whose stripes are
-// grid cells) and the nested-loop-vs-plane-sweep study (Fig. 14).
+// contiguous runs of entries in sweep order; the sweep takes whichever
+// side's next object starts first and scans the other side forward from its
+// cursor while the scanned objects start no later than the taken one ends.
+// Every scanned pair overlaps on x, so only y is tested. One sweep loop
+// serves two entry types:
+//   - exact (box, id) entries, gathered per call from id lists
+//     (PlaneSweepTileJoin: the plane_sweep engine, Fig. 14, tests);
+//   - the 12-byte CellEntry a grid half stores per object and tile: the box
+//     rounded outward onto a 16-bit lattice over the tile
+//     (PlaneSweepCellJoin: every grid cell of the partitioned, pbsm and
+//     dist-pbsm engines). A pair whose rounded boxes overlap is re-checked
+//     on its two exact boxes, read by id, so answers stay exact.
 //
 // Order contract: the sweep order is (min_x, id) ascending (SweepBefore).
-// Callers that join the same id lists repeatedly -- cached grid cells,
-// PBSM's stripes among them -- put them in that order once with
-// SortForSweep, and the join then skips its own sort. Id lists in any other
-// order are still accepted: the join detects that and sorts its gathered
-// copy per call.
+// Callers that join the same id lists repeatedly put them in that order
+// once with SortForSweep, and the join then skips its own sort. Id lists in
+// any other order are still accepted: the join detects that and sorts its
+// gathered copy per call. Cell entries are packed in that exact order;
+// rounding is monotone, so their rounded min_x is non-decreasing too.
 #ifndef SWIFTSPATIAL_JOIN_PLANE_SWEEP_H_
 #define SWIFTSPATIAL_JOIN_PLANE_SWEEP_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "datagen/dataset.h"
@@ -48,6 +56,44 @@ void PlaneSweepTileJoin(const Dataset& r, const Dataset& s,
                         const std::vector<ObjectId>& r_ids,
                         const std::vector<ObjectId>& s_ids,
                         const Box* dedup_tile, JoinResult* out,
+                        JoinStats* stats = nullptr);
+
+/// One object of one grid tile, as a grid half stores it: the MBR on a
+/// 65535-step lattice spanning the tile box, rounded outward (floor for the
+/// mins, ceil for the maxes, clamped to the lattice), plus the object's id.
+/// Lattice coordinate of x: (x - tile.min_x) * (65535 / tile width), in
+/// float; a zero-width axis has scale 0. Every step is monotone, so for any
+/// two boxes quantised on the same tile, exact overlap implies rounded
+/// overlap: a rounded min is at most, and a rounded max at least, the
+/// lattice image of its coordinate (up to float rounding of that image).
+struct CellEntry {
+  uint16_t min_x = 0;
+  uint16_t min_y = 0;
+  uint16_t max_x = 0;
+  uint16_t max_y = 0;
+  ObjectId id = 0;
+
+  friend bool operator==(const CellEntry&, const CellEntry&) = default;
+};
+static_assert(sizeof(CellEntry) == 12, "a cell entry is 12 bytes");
+
+/// Writes the objects `ids` to out[0, ids.size()), in that order, as
+/// entries quantised on `tile`.
+void QuantizeCell(const Dataset& d, const std::vector<ObjectId>& ids,
+                  const Box& tile, CellEntry* out);
+
+/// Joins two cells of one tile, each quantised on that tile's box and in
+/// sweep order, by the same forward-scan sweep over the rounded boxes. A
+/// pair whose rounded boxes overlap on y has its two exact boxes read by id
+/// and is emitted iff they intersect and the pair's reference point lies in
+/// `dedup_tile`. Rounded overlap is implied by exact overlap, so no pair is
+/// missed. `stats->predicate_evaluations` counts the y-tests on the rounded
+/// boxes, `stats->exact_rechecks` the exact re-checks. Pair order may differ
+/// from PlaneSweepTileJoin's over the same objects.
+void PlaneSweepCellJoin(const Dataset& r, const Dataset& s,
+                        std::span<const CellEntry> r_cell,
+                        std::span<const CellEntry> s_cell,
+                        const Box& dedup_tile, JoinResult* out,
                         JoinStats* stats = nullptr);
 
 }  // namespace swiftspatial

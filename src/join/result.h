@@ -62,11 +62,15 @@ struct JoinStats {
   /// Intermediate (non-leaf) qualifying pairs produced, i.e. the task-queue
   /// traffic of synchronous traversal.
   uint64_t intermediate_pairs = 0;
+  /// Candidate pairs whose two exact boxes a grid cell join read by id:
+  /// the pairs whose rounded cell entries overlap (PlaneSweepCellJoin).
+  uint64_t exact_rechecks = 0;
 
   JoinStats& operator+=(const JoinStats& o) {
     predicate_evaluations += o.predicate_evaluations;
     tasks += o.tasks;
     intermediate_pairs += o.intermediate_pairs;
+    exact_rechecks += o.exact_rechecks;
     return *this;
   }
 };

@@ -19,19 +19,27 @@ const char* TileJoinToString(TileJoin t) {
 }
 
 void RunTileJoin(TileJoin tile_join, const Dataset& r, const Dataset& s,
-                 const std::vector<ObjectId>& r_ids,
-                 const std::vector<ObjectId>& s_ids, const Box* dedup_tile,
+                 std::span<const CellEntry> r_cell,
+                 std::span<const CellEntry> s_cell, const Box& dedup_tile,
                  JoinResult* out, JoinStats* stats) {
-  switch (tile_join) {
-    case TileJoin::kPlaneSweep:
-      PlaneSweepTileJoin(r, s, r_ids, s_ids, dedup_tile, out, stats);
-      break;
-    case TileJoin::kNestedLoop:
-      NestedLoopTileJoin(r, s, r_ids, s_ids, dedup_tile, out, stats);
-      break;
-    case TileJoin::kSimd:
-      SimdTileJoin(r, s, r_ids, s_ids, dedup_tile, out, stats);
-      break;
+  if (tile_join == TileJoin::kPlaneSweep) {
+    PlaneSweepCellJoin(r, s, r_cell, s_cell, dedup_tile, out, stats);
+    return;
+  }
+  // Per-worker scratch for the id-list joins, reused across cells.
+  thread_local std::vector<ObjectId> r_ids;
+  thread_local std::vector<ObjectId> s_ids;
+  const auto ids = [](std::span<const CellEntry> cell,
+                      std::vector<ObjectId>* out_ids) {
+    out_ids->clear();
+    for (const CellEntry& e : cell) out_ids->push_back(e.id);
+  };
+  ids(r_cell, &r_ids);
+  ids(s_cell, &s_ids);
+  if (tile_join == TileJoin::kNestedLoop) {
+    NestedLoopTileJoin(r, s, r_ids, s_ids, &dedup_tile, out, stats);
+  } else {
+    SimdTileJoin(r, s, r_ids, s_ids, &dedup_tile, out, stats);
   }
 }
 

@@ -6,9 +6,11 @@
 #ifndef SWIFTSPATIAL_JOIN_TILE_JOIN_H_
 #define SWIFTSPATIAL_JOIN_TILE_JOIN_H_
 
+#include <span>
 #include <vector>
 
 #include "datagen/dataset.h"
+#include "join/plane_sweep.h"
 #include "join/result.h"
 
 namespace swiftspatial {
@@ -23,14 +25,16 @@ enum class TileJoin {
 
 const char* TileJoinToString(TileJoin t);
 
-/// Runs one tile-level join of (r_ids x s_ids) with algorithm `tile_join`,
-/// appending qualifying pairs to `out` (duplicates suppressed against
-/// `dedup_tile` when non-null). The single dispatch point shared by every
+/// Runs one grid cell's join of (r_cell x s_cell) with algorithm
+/// `tile_join`, appending the pairs whose reference point lies in
+/// `dedup_tile` to `out`. The single dispatch point shared by every
 /// partition-based driver: the grid-sharded partitioned driver (which also
-/// runs pbsm's stripes) and the distributed engines' shards.
+/// runs pbsm's stripes) and the distributed engines' shards. The plane
+/// sweep joins the cell entries themselves (PlaneSweepCellJoin); the nested
+/// loop and the SIMD kernel take the entries' ids, in the same order.
 void RunTileJoin(TileJoin tile_join, const Dataset& r, const Dataset& s,
-                 const std::vector<ObjectId>& r_ids,
-                 const std::vector<ObjectId>& s_ids, const Box* dedup_tile,
+                 std::span<const CellEntry> r_cell,
+                 std::span<const CellEntry> s_cell, const Box& dedup_tile,
                  JoinResult* out, JoinStats* stats);
 
 }  // namespace swiftspatial

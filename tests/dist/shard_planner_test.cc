@@ -50,8 +50,8 @@ TEST(ShardPlanner, DeterministicAndCoversEachPopulatedTileOnce) {
       EXPECT_GE(shard.id, 0);
       EXPECT_LT(shard.id, 64);
       EXPECT_TRUE(ids.insert(shard.id).second) << "duplicate tile claim";
-      EXPECT_FALSE(shard.cell->r_ids->empty());
-      EXPECT_FALSE(shard.cell->s_ids->empty());
+      EXPECT_FALSE(shard.cell->r.empty());
+      EXPECT_FALSE(shard.cell->s.empty());
       ASSERT_LT(static_cast<std::size_t>(a->owner[i]), 4u);
     }
 
@@ -174,12 +174,12 @@ TEST(ShardPlanner, GridDecisionIdenticalAcrossAllPlanners) {
     const PartitionedPlanState& plan = **cells;
     std::map<int, const PartitionedCell*> by_tile;
     for (int t = 0; t < spec.cols * spec.rows; ++t) {
-      if (!plan.r_side->tiles[t].empty() && !plan.s_side->tiles[t].empty()) {
+      if (!plan.r_side->Tile(t).empty() && !plan.s_side->Tile(t).empty()) {
         by_tile[t] = nullptr;
       }
     }
     for (const PartitionedCell& cell : plan.cells) {
-      by_tile.at(plan.TileIndex(cell)) = &cell;
+      by_tile.at(cell.tile) = &cell;
     }
     ASSERT_EQ(shard_plan->shards.size(), by_tile.size())
         << "scale=" << c.scale << " cols=" << c.cols;
@@ -189,8 +189,10 @@ TEST(ShardPlanner, GridDecisionIdenticalAcrossAllPlanners) {
       const PartitionedCell& cell = *want->second;
       EXPECT_EQ(shard.cell->dedup_tile, cell.dedup_tile)
           << "tile " << shard.id;
-      EXPECT_EQ(*shard.cell->r_ids, *cell.r_ids) << "tile " << shard.id;
-      EXPECT_EQ(*shard.cell->s_ids, *cell.s_ids) << "tile " << shard.id;
+      EXPECT_TRUE(std::ranges::equal(shard.cell->r, cell.r))
+          << "tile " << shard.id;
+      EXPECT_TRUE(std::ranges::equal(shard.cell->s, cell.s))
+          << "tile " << shard.id;
       ++want;
     }
   }

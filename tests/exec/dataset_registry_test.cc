@@ -46,7 +46,6 @@ TEST(DatasetRegistry, PutGetRoundTripWithVersionBumpAndStats) {
   EXPECT_EQ(resident->version, 1u);
   EXPECT_EQ(resident->dataset->size(), 300u);
   EXPECT_EQ(resident->stats.count, 300u);
-  EXPECT_GT(resident->stats.avg_width, 0.0);
 
   // Re-registration bumps the version; the handle pins the exact data.
   const DatasetHandle h2 = registry.Put("roads", Side(2));
@@ -90,6 +89,34 @@ TEST(DatasetRegistry, GetOrPrepareCachesAndSharesOnePlan) {
   auto unknown = registry.GetOrPrepare(kPartitionedEngine, "r", "nope");
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+}
+
+// A half holds 12 bytes per entry and one offset per tile boundary, with no
+// per-tile vectors and no spare capacity, and the registry charges exactly
+// that, so registry.plan_bytes counts what the halves hold.
+TEST(DatasetRegistry, HalfBytesAreTwelvePerEntryPlusOffsets) {
+  const Dataset r = Side(13);
+  const Dataset s = Side(14);
+  const JoinGridSpec spec = DeriveJoinGrid(r.Scan(), s.Scan(), 0, 0);
+  const UniformGrid grid(spec.extent, spec.cols, spec.rows);
+  const auto exact_bytes = [&grid](const Dataset& d) {
+    std::size_t entries = 0;
+    for (const std::vector<ObjectId>& ids : grid.Assign(d)) {
+      entries += ids.size();
+    }
+    const auto tiles = static_cast<std::size_t>(grid.num_tiles());
+    return sizeof(GridSide) + entries * 12 + (tiles + 1) * sizeof(std::size_t);
+  };
+  EXPECT_EQ(BuildGridSide(r, grid, 2)->MemoryBytes(), exact_bytes(r));
+  EXPECT_EQ(BuildGridSide(s, grid, 1)->MemoryBytes(), exact_bytes(s));
+
+  DatasetRegistry registry;
+  registry.Put("r", r);
+  registry.Put("s", s);
+  auto plan = registry.GetOrPrepare(kPartitionedEngine, "r", "s");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(registry.plan_cache_stats().resident_bytes,
+            (*plan)->MemoryBytes() + exact_bytes(r) + exact_bytes(s));
 }
 
 // The tentpole oracle: for every engine family -- native prepared plans

@@ -839,7 +839,7 @@ TEST(JoinService, SlowConsumerBoundsStagedPairs) {
   std::size_t max_cell_pairs = 0;
   for (const PartitionedCell& cell : (*plan)->cells) {
     max_cell_pairs =
-        std::max(max_cell_pairs, cell.r_ids->size() * cell.s_ids->size());
+        std::max(max_cell_pairs, cell.r.size() * cell.s.size());
   }
 
   JoinServiceOptions options;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "join/nested_loop.h"
@@ -117,6 +118,13 @@ TEST(PlaneSweep, PointDatasets) {
   return ::testing::AssertionSuccess();
 }
 
+::testing::AssertionResult InSweepOrder(const Dataset& d,
+                                        std::span<const CellEntry> cell) {
+  std::vector<ObjectId> ids;
+  for (const CellEntry& e : cell) ids.push_back(e.id);
+  return InSweepOrder(d, ids);
+}
+
 TEST(PlaneSweep, SortForSweepOrdersByMinXThenId) {
   const Dataset d("d", {Box(3, 0, 4, 1), Box(1, 0, 2, 1), Box(3, 5, 9, 9),
                         Box(1, 7, 1, 7), Box(0, 0, 8, 8)});
@@ -225,8 +233,8 @@ TEST(PlaneSweep, CachedPlansAreInSweepOrder) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   ASSERT_GT((*plan)->cells.size(), 1u);
   for (const PartitionedCell& cell : (*plan)->cells) {
-    ASSERT_TRUE(InSweepOrder(r, *cell.r_ids));
-    ASSERT_TRUE(InSweepOrder(s, *cell.s_ids));
+    ASSERT_TRUE(InSweepOrder(r, cell.r));
+    ASSERT_TRUE(InSweepOrder(s, cell.s));
   }
 
   PartitionedDriverOptions stripes;
@@ -237,10 +245,10 @@ TEST(PlaneSweep, CachedPlansAreInSweepOrder) {
   ASSERT_TRUE(striped.ok()) << striped.status().ToString();
   const GridSide& r_side = *(*striped)->r_side;
   const GridSide& s_side = *(*striped)->s_side;
-  ASSERT_EQ(r_side.tiles.size(), 16u);
-  for (std::size_t i = 0; i < r_side.tiles.size(); ++i) {
-    ASSERT_TRUE(InSweepOrder(r, r_side.tiles[i])) << "stripe " << i;
-    ASSERT_TRUE(InSweepOrder(s, s_side.tiles[i])) << "stripe " << i;
+  ASSERT_EQ(r_side.num_tiles(), 16u);
+  for (std::size_t i = 0; i < r_side.num_tiles(); ++i) {
+    ASSERT_TRUE(InSweepOrder(r, r_side.Tile(i))) << "stripe " << i;
+    ASSERT_TRUE(InSweepOrder(s, s_side.Tile(i))) << "stripe " << i;
   }
 }
 
@@ -293,18 +301,28 @@ TEST(PlaneSweep, PartitionedPlanIsIdenticalAtEveryThreadCount) {
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   const std::vector<PartitionedCell>& expected = (*serial)->cells;
   ASSERT_GT(expected.size(), 1u);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     options.num_threads = threads;
     auto plan = PlanPartitionedCells(r, s, options);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    // The halves themselves: every tile's offsets and entries, rounded
+    // coordinates and ids, one-sided tiles included.
+    for (const auto side : {&PartitionedPlanState::r_side,
+                            &PartitionedPlanState::s_side}) {
+      const GridSide& got = *((**plan).*side);
+      const GridSide& want = *((**serial).*side);
+      ASSERT_EQ(got.offsets, want.offsets) << threads << " threads";
+      ASSERT_TRUE(got.entries == want.entries) << threads << " threads";
+    }
     const std::vector<PartitionedCell>& cells = (*plan)->cells;
     ASSERT_EQ(cells.size(), expected.size()) << threads << " threads";
     for (std::size_t i = 0; i < cells.size(); ++i) {
       ASSERT_EQ(cells[i].dedup_tile, expected[i].dedup_tile) << "cell " << i;
-      ASSERT_EQ(*cells[i].r_ids, *expected[i].r_ids) << "cell " << i;
-      ASSERT_EQ(*cells[i].s_ids, *expected[i].s_ids) << "cell " << i;
-      ASSERT_TRUE(InSweepOrder(r, *cells[i].r_ids)) << "cell " << i;
-      ASSERT_TRUE(InSweepOrder(s, *cells[i].s_ids)) << "cell " << i;
+      ASSERT_EQ(cells[i].tile, expected[i].tile) << "cell " << i;
+      ASSERT_TRUE(std::ranges::equal(cells[i].r, expected[i].r)) << i;
+      ASSERT_TRUE(std::ranges::equal(cells[i].s, expected[i].s)) << i;
+      ASSERT_TRUE(InSweepOrder(r, cells[i].r)) << "cell " << i;
+      ASSERT_TRUE(InSweepOrder(s, cells[i].s)) << "cell " << i;
     }
   }
 }

@@ -20,7 +20,9 @@ so CI can gate on it. Three metric classes, gated differently:
                   deterministic counts tightly while still catching
                   order-of-magnitude timing cliffs.
 
-  integral counts Result/candidate/cycle/message counts: the simulators and
+  integral counts Result/candidate/cycle/message counts and counted work
+                  (e.g. fig_accel_engine's exact_rechecks, the boxes a
+                  grid execute re-reads by id): the simulators and
                   join engines are deterministic, so a metric that is
                   integral on both sides must match exactly (allow slack
                   with --count-drift). A drifted count is a correctness
