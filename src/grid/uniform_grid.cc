@@ -35,22 +35,6 @@ void SnapIndexRangeToEdges(Coord bmin, Coord bmax, int n,
   while (*p1 > 0 && edges[*p1] > bmax) --*p1;
 }
 
-// Calls `visit(tile)` for every tile whose closed box `b` intersects, in
-// ascending tile index order.
-template <typename Visit>
-void ForEachOverlappedTile(const UniformGrid& grid, const Box& b,
-                           const Visit& visit) {
-  int tx0, ty0, tx1, ty1;
-  grid.TileRange(b, &tx0, &ty0, &tx1, &ty1);
-  for (int ty = ty0; ty <= ty1; ++ty) {
-    for (int tx = tx0; tx <= tx1; ++tx) {
-      // TileRange clamps; re-check true overlap so clamped-out objects are
-      // not spuriously assigned to border tiles.
-      if (Intersects(b, grid.TileBox(tx, ty))) visit(ty * grid.cols() + tx);
-    }
-  }
-}
-
 }  // namespace
 
 UniformGrid::UniformGrid(const Box& extent, int cols, int rows)
@@ -114,64 +98,16 @@ void UniformGrid::TileRange(const Box& b, int* tx0, int* ty0, int* tx1,
 std::vector<std::vector<ObjectId>> UniformGrid::Assign(
     const Dataset& dataset, std::size_t num_threads,
     const WaveContext& wave) const {
-  const std::size_t n = dataset.size();
-  const std::size_t tiles = static_cast<std::size_t>(num_tiles());
-  // One contiguous id range per thread. Range k's ids land after range
-  // k-1's in every tile list, so each list stays ascending and the result
-  // is the same for every thread count.
-  const std::size_t ranges =
-      std::max<std::size_t>(1, std::min(num_threads, n));
-  const auto range_begin = [n, ranges](std::size_t k) {
-    return n * k / ranges;
-  };
-  // slots[k * tiles + t]: first range k's object count in tile t, then its
-  // write cursor into tile t's list.
-  std::vector<uint32_t> slots(ranges * tiles, 0);
-  // The one tile each object overlaps, or kRevisit when it overlaps none
-  // or several (a few percent on skewed data); only those walk the tile
-  // range again when scattering.
-  constexpr int kRevisit = -1;
-  std::vector<int> single_tile(n);
-
-  ParallelFor(ranges, ranges, Schedule::kStatic, [&](std::size_t k) {
-    uint32_t* const count = slots.data() + k * tiles;
-    for (std::size_t i = range_begin(k); i < range_begin(k + 1); ++i) {
-      int hits = 0;
-      int last = kRevisit;
-      ForEachOverlappedTile(*this, dataset.box(i), [&](int t) {
-        ++count[t];
-        ++hits;
-        last = t;
-      });
-      single_tile[i] = hits == 1 ? last : kRevisit;
-    }
-  }, 1, wave);
-
-  std::vector<std::vector<ObjectId>> assignment(tiles);
-  for (std::size_t t = 0; t < tiles; ++t) {
-    uint32_t offset = 0;
-    for (std::size_t k = 0; k < ranges; ++k) {
-      const uint32_t count = slots[k * tiles + t];
-      slots[k * tiles + t] = offset;
-      offset += count;
-    }
-    assignment[t].resize(offset);
+  std::vector<std::size_t> offsets;
+  std::vector<ObjectId> flat;
+  AssignFlat(dataset, num_threads, wave, &offsets, &flat,
+             [](const Box&, ObjectId id, int) { return id; });
+  std::vector<std::vector<ObjectId>> assignment(offsets.size() - 1);
+  for (std::size_t t = 0; t < assignment.size(); ++t) {
+    assignment[t].assign(
+        flat.begin() + static_cast<std::ptrdiff_t>(offsets[t]),
+        flat.begin() + static_cast<std::ptrdiff_t>(offsets[t + 1]));
   }
-
-  ParallelFor(ranges, ranges, Schedule::kStatic, [&](std::size_t k) {
-    uint32_t* const cursor = slots.data() + k * tiles;
-    for (std::size_t i = range_begin(k); i < range_begin(k + 1); ++i) {
-      const auto id = static_cast<ObjectId>(i);
-      if (single_tile[i] != kRevisit) {
-        const int t = single_tile[i];
-        assignment[t][cursor[t]++] = id;
-      } else {
-        ForEachOverlappedTile(*this, dataset.box(i), [&](int t) {
-          assignment[t][cursor[t]++] = id;
-        });
-      }
-    }
-  }, 1, wave);
   return assignment;
 }
 

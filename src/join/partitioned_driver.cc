@@ -89,27 +89,26 @@ std::shared_ptr<const GridSide> BuildGridSide(const Dataset& dataset,
                                               const UniformGrid& grid,
                                               std::size_t num_threads,
                                               const WaveContext& wave) {
-  std::vector<std::vector<ObjectId>> tiles =
-      grid.Assign(dataset, num_threads, wave);
-  auto side = std::make_shared<GridSide>();
-  side->offsets.resize(tiles.size() + 1);
-  for (std::size_t t = 0; t < tiles.size(); ++t) {
-    side->offsets[t + 1] = side->offsets[t] + tiles[t].size();
+  std::vector<CellLattice> lattices;
+  lattices.reserve(static_cast<std::size_t>(grid.num_tiles()));
+  for (int t = 0; t < grid.num_tiles(); ++t) {
+    lattices.emplace_back(grid.TileBoxByIndex(t));
   }
-  side->entries.resize(side->offsets.back());
-  // Sweep order and the tile's lattice once, here, so no execution of a
-  // plan pairing this half sorts or reads a box to sweep (the order
-  // contract of join/plane_sweep.h). Each tile's id list is freed once
-  // packed.
+  auto side = std::make_shared<GridSide>();
+  // Each box is rounded onto its tile's lattice as it is scattered, while
+  // the scatter reads boxes in id order.
+  grid.AssignFlat(dataset, num_threads, wave, &side->offsets, &side->entries,
+                  [&lattices](const Box& b, ObjectId id, int t) {
+                    return lattices[static_cast<std::size_t>(t)].Round(b, id);
+                  });
+  // Sweep order once, here, so no execution of a plan pairing this half
+  // sorts or reads a box to sweep (the order contract of
+  // join/plane_sweep.h).
   ParallelFor(
-      tiles.size(), num_threads, Schedule::kDynamic,
+      side->num_tiles(), num_threads, Schedule::kDynamic,
       [&](std::size_t t) {
-        // Sorting first leaves the tile's boxes in cache for quantising.
-        SortForSweep(dataset, &tiles[t]);
-        QuantizeCell(dataset, tiles[t],
-                     grid.TileBoxByIndex(static_cast<int>(t)),
-                     side->entries.data() + side->offsets[t]);
-        std::vector<ObjectId>().swap(tiles[t]);
+        SortCellForSweep(dataset, {side->entries.data() + side->offsets[t],
+                                   side->offsets[t + 1] - side->offsets[t]});
       },
       1, wave);
   return side;

@@ -44,7 +44,10 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -109,6 +112,25 @@ struct PartitionedDriverOptions {
   // remains on parallel_sync_traversal.
 };
 
+/// A std::allocator that default-initialises what a vector value-
+/// initialises, so resizing a vector of a trivial type writes nothing: its
+/// pages are first touched by whoever fills them.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 /// One dataset's half of a grid plan: for every tile of one grid (one
 /// JoinGridSpec), the dataset's objects overlapping it as CellEntry
 /// (join/plane_sweep.h): the box rounded outward onto the tile's lattice,
@@ -117,7 +139,10 @@ struct PartitionedDriverOptions {
 /// built; every plan that pairs it shares it and never copies its entries.
 struct GridSide {
   std::vector<std::size_t> offsets;
-  std::vector<CellEntry> entries;
+  /// Left uninitialised by the resize that sizes it, so the wave that
+  /// scatters the entries, not one thread zeroing them, first touches
+  /// every page.
+  std::vector<CellEntry, DefaultInitAllocator<CellEntry>> entries;
 
   std::size_t num_tiles() const { return offsets.size() - 1; }
   std::span<const CellEntry> Tile(std::size_t t) const {
@@ -129,10 +154,11 @@ struct GridSide {
   std::size_t MemoryBytes() const;
 };
 
-/// Builds `dataset`'s half on `grid`: UniformGrid::Assign, then one wave
-/// that puts every tile's ids in sweep order (SortForSweep) and writes them
-/// as entries quantised on the tile box (QuantizeCell), both of width
-/// `num_threads` under `wave`. The half is the same for every thread count.
+/// Builds `dataset`'s half on `grid`: UniformGrid::AssignFlat scatters
+/// every object straight into the entries, rounded on its tile's lattice
+/// (CellLattice), then one wave puts every tile in sweep order
+/// (SortCellForSweep), all of width `num_threads` under `wave`. The half is
+/// the same for every thread count.
 std::shared_ptr<const GridSide> BuildGridSide(const Dataset& dataset,
                                               const UniformGrid& grid,
                                               std::size_t num_threads,

@@ -5,11 +5,8 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <type_traits>
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace swiftspatial {
 
@@ -100,64 +97,6 @@ uint64_t SweepKey(Coord min_x, ObjectId id) {
   return (uint64_t{bits} << 32) | static_cast<uint32_t>(id);
 }
 
-// Rounds boxes onto the lattice of one tile box (CellEntry). Lane k of
-// (min_x, min_y, max_x, max_y) maps to (c - origin) * scale in float, is
-// clamped to [0, 65535] and truncated (floor, as it is non-negative), and
-// the max lanes add one where truncation dropped a fraction (ceil). Each
-// step is a correctly rounded float operation or a clamp, hence monotone;
-// a NaN (an infinite offset on a zero-scale axis) clamps to 0, as the
-// SSE2 max does.
-class CellQuantizer {
- public:
-  explicit CellQuantizer(const Box& tile)
-      : origin_{tile.min_x, tile.min_y, tile.min_x, tile.min_y} {
-    const float sx = Scale(tile.min_x, tile.max_x);
-    const float sy = Scale(tile.min_y, tile.max_y);
-    scale_ = {sx, sy, sx, sy};
-  }
-
-  CellEntry Quantize(const Box& b, ObjectId id) const {
-    alignas(16) int32_t q[4];
-#if defined(__SSE2__)
-    const __m128 c = _mm_set_ps(b.max_y, b.max_x, b.min_y, b.min_x);
-    __m128 v = _mm_mul_ps(_mm_sub_ps(c, _mm_load_ps(origin_.data())),
-                          _mm_load_ps(scale_.data()));
-    v = _mm_min_ps(_mm_max_ps(v, _mm_setzero_ps()), _mm_set1_ps(kSteps));
-    const __m128i down = _mm_cvttps_epi32(v);
-    const __m128 dropped = _mm_and_ps(_mm_cmplt_ps(_mm_cvtepi32_ps(down), v),
-                                      _mm_castsi128_ps(_mm_set_epi32(
-                                          -1, -1, 0, 0)));
-    _mm_store_si128(reinterpret_cast<__m128i*>(q),
-                    _mm_sub_epi32(down, _mm_castps_si128(dropped)));
-#else
-    const float c[4] = {b.min_x, b.min_y, b.max_x, b.max_y};
-    for (int k = 0; k < 4; ++k) {
-      float v = (c[k] - origin_[k]) * scale_[k];
-      v = v > 0.0f ? v : 0.0f;
-      v = v < kSteps ? v : kSteps;
-      q[k] = static_cast<int32_t>(v);
-      if (k >= 2 && static_cast<float>(q[k]) < v) ++q[k];
-    }
-#endif
-    return {static_cast<uint16_t>(q[0]), static_cast<uint16_t>(q[1]),
-            static_cast<uint16_t>(q[2]), static_cast<uint16_t>(q[3]), id};
-  }
-
- private:
-  static constexpr float kSteps = 65535.0f;
-
-  static float Scale(Coord lo, Coord hi) {
-    const double width = static_cast<double>(hi) - lo;
-    return width > 0 ? static_cast<float>(std::min(
-                           kSteps / width,
-                           double{std::numeric_limits<float>::max()}))
-                     : 0.0f;
-  }
-
-  alignas(16) std::array<float, 4> origin_;
-  alignas(16) std::array<float, 4> scale_;
-};
-
 }  // namespace
 
 void SortForSweep(const Dataset& d, std::vector<ObjectId>* ids) {
@@ -175,11 +114,49 @@ void SortForSweep(const Dataset& d, std::vector<ObjectId>* ids) {
   }
 }
 
-void QuantizeCell(const Dataset& d, const std::vector<ObjectId>& ids,
-                  const Box& tile, CellEntry* out) {
-  const CellQuantizer lattice(tile);
-  for (const ObjectId id : ids) {
-    *out++ = lattice.Quantize(d.box(static_cast<std::size_t>(id)), id);
+CellLattice::CellLattice(const Box& tile)
+    : origin_{tile.min_x, tile.min_y, tile.min_x, tile.min_y} {
+  const auto scale = [](Coord lo, Coord hi) {
+    const double width = static_cast<double>(hi) - lo;
+    return width > 0 ? static_cast<float>(std::min(
+                           double{kSteps} / width,
+                           double{std::numeric_limits<float>::max()}))
+                     : 0.0f;
+  };
+  const float sx = scale(tile.min_x, tile.max_x);
+  const float sy = scale(tile.min_y, tile.max_y);
+  scale_ = {sx, sy, sx, sy};
+}
+
+void SortCellForSweep(const Dataset& d, std::span<CellEntry> cell) {
+  if (cell.size() < 2) return;
+  // Per-worker scratch, reused across the tiles of every half it sorts.
+  thread_local std::vector<CellEntry> spare;
+  spare.resize(cell.size());
+  // Two stable counting passes, low byte of min_x then high byte, so each
+  // run of equal min_x keeps its ascending ids. A cell holds an object at
+  // most once and ids are 32-bit, so 32-bit counts do not overflow.
+  std::array<std::array<uint32_t, 257>, 2> start{};
+  for (const CellEntry& e : cell) {
+    ++start[0][(e.min_x & 0xffu) + 1];
+    ++start[1][(e.min_x >> 8) + 1];
+  }
+  for (auto& digit : start) {
+    std::partial_sum(digit.begin(), digit.end(), digit.begin());
+  }
+  for (const CellEntry& e : cell) spare[start[0][e.min_x & 0xffu]++] = e;
+  for (const CellEntry& e : spare) cell[start[1][e.min_x >> 8]++] = e;
+
+  const auto exact_before = [&d](const CellEntry& a, const CellEntry& b) {
+    return SweepBefore(d.box(static_cast<std::size_t>(a.id)).min_x, a.id,
+                       d.box(static_cast<std::size_t>(b.id)).min_x, b.id);
+  };
+  for (auto run = cell.begin(); run != cell.end();) {
+    const auto end = std::find_if(run + 1, cell.end(), [run](const auto& e) {
+      return e.min_x != run->min_x;
+    });
+    if (end - run > 1) std::sort(run, end, exact_before);
+    run = end;
   }
 }
 

@@ -17,11 +17,13 @@
 // Callers that join the same id lists repeatedly put them in that order
 // once with SortForSweep, and the join then skips its own sort. Id lists in
 // any other order are still accepted: the join detects that and sorts its
-// gathered copy per call. Cell entries are packed in that exact order;
+// gathered copy per call. Cell entries are kept in that exact order;
 // rounding is monotone, so their rounded min_x is non-decreasing too.
 #ifndef SWIFTSPATIAL_JOIN_PLANE_SWEEP_H_
 #define SWIFTSPATIAL_JOIN_PLANE_SWEEP_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -67,20 +69,54 @@ void PlaneSweepTileJoin(const Dataset& r, const Dataset& s,
 /// overlap: a rounded min is at most, and a rounded max at least, the
 /// lattice image of its coordinate (up to float rounding of that image).
 struct CellEntry {
-  uint16_t min_x = 0;
-  uint16_t min_y = 0;
-  uint16_t max_x = 0;
-  uint16_t max_y = 0;
-  ObjectId id = 0;
+  uint16_t min_x;
+  uint16_t min_y;
+  uint16_t max_x;
+  uint16_t max_y;
+  ObjectId id;
 
   friend bool operator==(const CellEntry&, const CellEntry&) = default;
 };
 static_assert(sizeof(CellEntry) == 12, "a cell entry is 12 bytes");
 
-/// Writes the objects `ids` to out[0, ids.size()), in that order, as
-/// entries quantised on `tile`.
-void QuantizeCell(const Dataset& d, const std::vector<ObjectId>& ids,
-                  const Box& tile, CellEntry* out);
+/// The lattice of one tile box that its CellEntry values are rounded onto.
+class CellLattice {
+ public:
+  explicit CellLattice(const Box& tile);
+
+  /// `b` rounded outward onto the lattice, with `id`. Each coordinate maps
+  /// to (c - origin) * scale in float, is clamped to [0, 65535] and
+  /// truncated (floor, as it is non-negative); the maxes add one where
+  /// truncation dropped a fraction (ceil). Each step is a correctly rounded
+  /// float operation or a clamp, hence monotone; a NaN (an infinite offset
+  /// on a zero-scale axis) clamps to 0.
+  CellEntry Round(const Box& b, ObjectId id) const {
+    const std::array<float, 4> c = {b.min_x, b.min_y, b.max_x, b.max_y};
+    std::array<uint16_t, 4> q;
+    for (std::size_t k = 0; k < 4; ++k) {
+      float v = (c[k] - origin_[k]) * scale_[k];
+      v = v > 0.0f ? v : 0.0f;
+      v = v < kSteps ? v : kSteps;
+      const auto down = static_cast<int32_t>(v);
+      const bool up = k >= 2 && static_cast<float>(down) < v;
+      q[k] = static_cast<uint16_t>(down + static_cast<int32_t>(up));
+    }
+    return {q[0], q[1], q[2], q[3], id};
+  }
+
+ private:
+  static constexpr float kSteps = 65535.0f;
+
+  std::array<float, 4> origin_;
+  std::array<float, 4> scale_;
+};
+
+/// Puts one tile's entries, rounded on that tile and in ascending id order,
+/// into sweep order: a stable radix sort on the rounded min_x, then exact
+/// (min_x, id) order within each run of equal rounded min_x. Rounding is
+/// monotone, so no other entries can be out of exact order, and the boxes
+/// of those runs are the only ones read.
+void SortCellForSweep(const Dataset& d, std::span<CellEntry> cell);
 
 /// Joins two cells of one tile, each quantised on that tile's box and in
 /// sweep order, by the same forward-scan sweep over the rounded boxes. A

@@ -1,8 +1,8 @@
 // The quantised grid cell join misses no pair: every cell of a plan, joined
 // over its 12-byte rounded entries (PlaneSweepCellJoin via RunTileJoin),
 // yields exactly the pairs the exact sweep yields over the same objects and
-// dedup tile, and every entry's rounded box contains the lattice image of
-// its exact box inside the tile.
+// dedup tile, every entry's rounded box contains the lattice image of its
+// exact box inside the tile, and every tile is in exact sweep order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -65,9 +65,25 @@ std::vector<ObjectId> Ids(std::span<const CellEntry> cell) {
   return ids;
 }
 
+// Every tile of `side` holds its objects in the exact sweep order, the
+// order SortForSweep gives their ids.
+::testing::AssertionResult TilesInSweepOrder(const GridSide& side,
+                                             const Dataset& d) {
+  for (std::size_t t = 0; t < side.num_tiles(); ++t) {
+    const std::vector<ObjectId> ids = Ids(side.Tile(t));
+    std::vector<ObjectId> sorted = ids;
+    SortForSweep(d, &sorted);
+    if (ids != sorted) {
+      return ::testing::AssertionFailure()
+             << "tile " << t << " is not in sweep order";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 // Plans (r, s) on a cols x rows grid (0 x 0: auto), then checks every
-// cell's quantised join against the exact sweep, the entries' containment,
-// and the whole plan against the brute-force join.
+// cell's quantised join against the exact sweep, the entries' containment
+// and order, and the whole plan against the brute-force join.
 void ExpectNoMiss(const Dataset& r, const Dataset& s, int cols, int rows) {
   PartitionedDriverOptions options;
   options.grid_cols = cols;
@@ -85,6 +101,8 @@ void ExpectNoMiss(const Dataset& r, const Dataset& s, int cols, int rows) {
   const UniformGrid grid(spec.extent, spec.cols, spec.rows);
   EXPECT_TRUE(EntriesContainTheirBoxes(*plan.r_side, r, grid));
   EXPECT_TRUE(EntriesContainTheirBoxes(*plan.s_side, s, grid));
+  EXPECT_TRUE(TilesInSweepOrder(*plan.r_side, r));
+  EXPECT_TRUE(TilesInSweepOrder(*plan.s_side, s));
 
   JoinResult all;
   uint64_t rechecks = 0;
