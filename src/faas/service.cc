@@ -8,27 +8,6 @@
 
 namespace swiftspatial::faas {
 
-JoinRequest RequestFromJoinRun(const JoinRun& run, double arrival_seconds,
-                               uint64_t serial_cycles_per_task,
-                               uint64_t launch_cycles) {
-  JoinRequest req;
-  req.arrival_seconds = arrival_seconds;
-  // One MBR predicate per join-unit cycle (§3.3): the filter work scales
-  // across a kernel's units.
-  req.parallel_unit_cycles = run.stats.predicate_evaluations;
-  // Task dispatch and level barriers serialise on the scheduler.
-  req.serial_cycles = launch_cycles + run.stats.tasks * serial_cycles_per_task;
-  return req;
-}
-
-Result<JoinRequest> ProfileRequest(const std::string& engine, const Dataset& r,
-                                   const Dataset& s, double arrival_seconds,
-                                   const EngineConfig& config) {
-  Result<JoinRun> run = RunJoin(engine, r, s, config);
-  if (!run.ok()) return run.status();
-  return RequestFromJoinRun(*run, arrival_seconds);
-}
-
 SpatialJoinService::SpatialJoinService(const FaasConfig& config)
     : config_(config) {
   SWIFT_CHECK_GE(config_.num_kernels, 1);

@@ -7,8 +7,8 @@
 // Requests are served FCFS by the next free kernel. A request's service
 // time follows an Amdahl-style model: a serial portion (scheduler levels,
 // launch, transfers) plus parallel work that divides across the kernel's
-// join units. Work figures can be taken from real Accelerator runs or
-// synthesized.
+// join units. Work figures are synthesized; a CPU engine's
+// predicate_evaluations does not count join-unit cycles.
 //
 // This class is the *analytic* device model -- closed-form what-ifs at
 // FPGA scale (bench/ext_faas_multitenancy). The serving layer that
@@ -19,12 +19,7 @@
 #define SWIFTSPATIAL_FAAS_SERVICE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "common/status.h"
-#include "datagen/dataset.h"
-#include "join/engine.h"
 
 namespace swiftspatial::faas {
 
@@ -45,23 +40,6 @@ struct JoinRequest {
   /// Serial overhead cycles (level barriers, dispatch) plus any host time.
   uint64_t serial_cycles = 0;
 };
-
-/// Sizes a FaaS request from a JoinEngine run (the unified engine API):
-/// the engine's predicate evaluations become parallel unit-cycles (the join
-/// unit evaluates exactly one MBR predicate per cycle, §3.3) and its task
-/// count becomes dispatch overhead on the serial path
-/// (`serial_cycles_per_task` each, plus a fixed `launch_cycles` floor for
-/// scheduler levels / kernel launch / transfers).
-JoinRequest RequestFromJoinRun(const JoinRun& run, double arrival_seconds,
-                               uint64_t serial_cycles_per_task = 4,
-                               uint64_t launch_cycles = 100000);
-
-/// Convenience: runs `engine` (a name in the global EngineRegistry) on
-/// (r, s) and converts the run into a request profile arriving at
-/// `arrival_seconds`.
-Result<JoinRequest> ProfileRequest(const std::string& engine, const Dataset& r,
-                                   const Dataset& s, double arrival_seconds,
-                                   const EngineConfig& config = {});
 
 /// Per-request outcome.
 struct RequestOutcome {

@@ -55,7 +55,10 @@ class JoinResult {
 
 /// Counters reported by join implementations.
 struct JoinStats {
-  /// MBR predicate evaluations (the unit of Fig. 13's cycles-per-predicate).
+  /// MBR predicate evaluations: the box tests a join made. On the simulated
+  /// device one per join-unit cycle, the unit of Fig. 13's
+  /// cycles-per-predicate; the CPU R-tree traversal (JoinNodePair) counts
+  /// its MBR-restricted tests, which are not cycles.
   uint64_t predicate_evaluations = 0;
   /// Node-pair or tile-pair join tasks executed.
   uint64_t tasks = 0;

@@ -8,10 +8,12 @@
 //    as the next level's task list.
 //
 // Both operate on the flat PackedRTree layout shared with the simulated
-// accelerator. Each node pair is joined as a block join, the CPU form of
-// the join unit's comparator banks: each probe box is compared against one
-// node's whole coordinate arrays at once, read in place from the packed
-// image, with the vector short-block compare (FilterSoAShort).
+// accelerator. Each node pair of one kind is restricted to the other node's
+// MBR before it is joined (the search-space restriction of [13]): each
+// side's entries are filtered against the other node's MBR, S's survivors
+// are copied into a compact stack block, and only R's survivors are
+// compared against it, each with the vector short-block compare
+// (FilterSoAShort), the CPU form of the join unit's comparator banks.
 #ifndef SWIFTSPATIAL_JOIN_SYNC_TRAVERSAL_H_
 #define SWIFTSPATIAL_JOIN_SYNC_TRAVERSAL_H_
 
@@ -36,17 +38,26 @@ struct NodePairTask {
 /// otherwise. The same work one SwiftSpatial join unit performs per task
 /// (Fig. 4); the simulator's join unit (hw/join_unit.cc) has loops of its
 /// own that also model cycles, and agrees with this one on pairs, tasks and
-/// predicate counts.
+/// intermediate pairs, but not on predicate counts: it tests every pair.
 ///
-/// A block join: each probe is compared against all of the S node (or,
-/// when R is a directory and S a leaf, the R node) at once, reading the
-/// node's arrays in place. The probes are the R entries when both nodes are
-/// of one kind; with trees of differing heights only the directory side
-/// descends, and the leaf node's MBR is the single probe. Pairs and tasks
-/// are emitted in ascending (R entry, S entry) order, the order of a
-/// pairwise double loop. `predicate_evaluations` counts the comparisons
-/// performed: rc * sc for nodes of one kind, the directory's entry count
-/// otherwise.
+/// Nodes of one kind (leaf-leaf or directory-directory) are restricted
+/// first: an entry that misses the other node's MBR hits none of its
+/// entries. One FilterSoAShort call filters R's entries against S's node
+/// MBR, one S's against R's; S's survivors are copied, in order, into a
+/// 64-slot structure-of-arrays block on the stack (one mask word), and each
+/// R survivor is compared against that block. When more than 64 S entries
+/// survive (never at fan-out 16) the survivors probe the S node's arrays in
+/// place instead. With trees of differing heights only the directory side
+/// descends: the leaf node's MBR is the single probe, compared against the
+/// directory node's arrays in place. Nothing is allocated for the compare.
+///
+/// Pairs and tasks are emitted in ascending (R entry, S entry) order, the
+/// order of a pairwise double loop. `predicate_evaluations` counts the box
+/// tests made: rc + sc for the two MBR filters plus R's survivors times the
+/// block's size for nodes of one kind, the directory's entry count
+/// otherwise. On swiftbench rtree_points that is 2.5M tests per request
+/// where the pairwise rc * sc, which the device counts, is 14.3M, and the
+/// median request latency fell 16-24% (README).
 void JoinNodePair(const PackedRTree& r, const PackedRTree& s,
                   NodeIndex r_node, NodeIndex s_node,
                   std::vector<NodePairTask>* next, JoinResult* out,

@@ -4,8 +4,6 @@
 
 #include <vector>
 
-#include "tests/test_util.h"
-
 namespace swiftspatial::faas {
 namespace {
 
@@ -15,30 +13,6 @@ JoinRequest Req(double arrival, uint64_t parallel, uint64_t serial = 0) {
   r.parallel_unit_cycles = parallel;
   r.serial_cycles = serial;
   return r;
-}
-
-// The engine-run -> request bridge: profiling a real join must produce the
-// documented cycle model (predicates -> parallel unit-cycles, tasks ->
-// serial dispatch on top of the launch floor). This is the path that sizes
-// analytic what-ifs from measured runs.
-TEST(SpatialJoinService, ProfileRequestSizesFromEngineRun) {
-  const Dataset r = testutil::Uniform(300, 11);
-  const Dataset s = testutil::Uniform(300, 12);
-  EngineConfig config;
-  config.node_capacity = 16;
-  auto run = RunJoin(kSyncTraversalEngine, r, s, config);
-  ASSERT_TRUE(run.ok());
-
-  auto req = ProfileRequest(kSyncTraversalEngine, r, s,
-                            /*arrival_seconds=*/1.5, config);
-  ASSERT_TRUE(req.ok()) << req.status().ToString();
-  EXPECT_DOUBLE_EQ(req->arrival_seconds, 1.5);
-  EXPECT_EQ(req->parallel_unit_cycles, run->stats.predicate_evaluations);
-  EXPECT_EQ(req->serial_cycles, 100000 + run->stats.tasks * 4);
-  EXPECT_GT(req->parallel_unit_cycles, 0u);
-
-  // Unknown engines propagate the registry error.
-  EXPECT_FALSE(ProfileRequest("no_such_engine", r, s, 0.0).ok());
 }
 
 TEST(SpatialJoinService, SingleRequestServiceTime) {

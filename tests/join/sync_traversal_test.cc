@@ -24,18 +24,36 @@ PackedRTree Tree(const Dataset& d, int max_entries = 16) {
   return StrBulkLoad(d, opt);
 }
 
+// The tests a node-pair join makes. `full` is the pairwise loop's: every R
+// entry against every S entry, as the simulated join unit tests them.
+// `restricted` is JoinNodePair's: each side's entries against the other
+// node's MBR, then the R survivors against the S survivors, or against all
+// of the S node once more than one mask word (64) of S survives.
+struct PredicateCounts {
+  uint64_t full = 0;
+  uint64_t restricted = 0;
+};
+
 // The pairwise node-pair join the block join replaced: one Intersects call
-// per pair, in (R entry, S entry) order. `predicates` counts the tests made.
+// per pair, in (R entry, S entry) order.
 void PairwiseNodePair(const PackedRTree& r, const PackedRTree& s,
                       NodeIndex r_node, NodeIndex s_node,
                       std::vector<NodePairTask>* next, JoinResult* out,
-                      uint64_t* predicates) {
+                      PredicateCounts* predicates) {
   const NodeView rn = r.node(r_node);
   const NodeView sn = s.node(s_node);
   const int rc = rn.count();
   const int sc = sn.count();
   if (rn.is_leaf() == sn.is_leaf()) {
-    *predicates += static_cast<uint64_t>(rc) * sc;
+    const Box r_mbr = rn.Mbr();
+    const Box s_mbr = sn.Mbr();
+    uint64_t live_r = 0, live_s = 0;
+    for (int i = 0; i < rc; ++i) live_r += Intersects(rn.entry(i).box, s_mbr);
+    for (int j = 0; j < sc; ++j) live_s += Intersects(sn.entry(j).box, r_mbr);
+    predicates->full += static_cast<uint64_t>(rc) * sc;
+    predicates->restricted +=
+        static_cast<uint64_t>(rc + sc) +
+        live_r * (live_s <= 64 ? live_s : static_cast<uint64_t>(sc));
     for (int i = 0; i < rc; ++i) {
       const PackedEntry re = rn.entry(i);
       for (int j = 0; j < sc; ++j) {
@@ -49,14 +67,16 @@ void PairwiseNodePair(const PackedRTree& r, const PackedRTree& s,
       }
     }
   } else if (rn.is_leaf()) {
-    *predicates += static_cast<uint64_t>(sc);
+    predicates->full += static_cast<uint64_t>(sc);
+    predicates->restricted += static_cast<uint64_t>(sc);
     const Box r_mbr = rn.Mbr();
     for (int j = 0; j < sc; ++j) {
       const PackedEntry se = sn.entry(j);
       if (Intersects(r_mbr, se.box)) next->push_back({r_node, se.id});
     }
   } else {
-    *predicates += static_cast<uint64_t>(rc);
+    predicates->full += static_cast<uint64_t>(rc);
+    predicates->restricted += static_cast<uint64_t>(rc);
     const Box s_mbr = sn.Mbr();
     for (int i = 0; i < rc; ++i) {
       const PackedEntry re = rn.entry(i);
@@ -68,7 +88,7 @@ void PairwiseNodePair(const PackedRTree& r, const PackedRTree& s,
 // Serial DFS (stack) or BFS (level list) over PairwiseNodePair, with the
 // same task order as SyncTraversalDfs / SyncTraversalBfs.
 JoinResult PairwiseTraversal(const PackedRTree& r, const PackedRTree& s,
-                             bool bfs, uint64_t* predicates) {
+                             bool bfs, PredicateCounts* predicates) {
   JoinResult out;
   std::vector<NodePairTask> tasks = {{r.root(), s.root()}};
   std::vector<NodePairTask> next;
@@ -121,6 +141,45 @@ std::vector<Box> AlphabetBoxes(std::size_t n, Rng* rng) {
   return boxes;
 }
 
+// Joins one node pair of every leaf/directory combination, each node
+// holding `r_boxes` / `s_boxes`, and expects the pairwise loop's pairs and
+// tasks in the same order and its restricted count exactly. Returns how
+// many of the four combinations emitted anything; `leaf_stats` and
+// `leaf_out`, when non-null, receive the leaf-leaf join's.
+int ExpectNodePairMatchesPairwise(const std::vector<Box>& r_boxes,
+                                  const std::vector<Box>& s_boxes, int r_cap,
+                                  int s_cap, const std::string& name,
+                                  JoinStats* leaf_stats = nullptr,
+                                  JoinResult* leaf_out = nullptr) {
+  int emitting = 0;
+  for (const bool r_leaf : {true, false}) {
+    for (const bool s_leaf : {true, false}) {
+      const PackedRTree r = NodeTree(r_boxes, r_leaf, r_cap);
+      const PackedRTree s = NodeTree(s_boxes, s_leaf, s_cap);
+      std::vector<NodePairTask> want_next, got_next;
+      JoinResult want_out, got_out;
+      PredicateCounts want;
+      PairwiseNodePair(r, s, r.root(), s.root(), &want_next, &want_out,
+                       &want);
+      JoinStats stats;
+      JoinNodePair(r, s, r.root(), s.root(), &got_next, &got_out, &stats);
+      const std::string where = name + " r_leaf=" + std::to_string(r_leaf) +
+                                " s_leaf=" + std::to_string(s_leaf);
+      EXPECT_EQ(got_out.pairs(), want_out.pairs()) << where;
+      EXPECT_EQ(got_next, want_next) << where;
+      EXPECT_EQ(stats.predicate_evaluations, want.restricted) << where;
+      EXPECT_EQ(stats.tasks, 1u) << where;
+      EXPECT_EQ(stats.intermediate_pairs, want_next.size()) << where;
+      if (!want_out.empty() || !want_next.empty()) ++emitting;
+      if (r_leaf && s_leaf) {
+        if (leaf_stats != nullptr) *leaf_stats = stats;
+        if (leaf_out != nullptr) *leaf_out = std::move(got_out);
+      }
+    }
+  }
+  return emitting;
+}
+
 // The block join must reproduce the pairwise loops exactly: the same pairs
 // and the same next-level tasks, in the same order, and the same counts,
 // for every leaf/directory combination and fan-outs on both sides of the
@@ -136,37 +195,107 @@ TEST(JoinNodePair, BlockJoinEqualsPairwiseLoopInOrder) {
       for (const int sc : {1, s_cap - 1, s_cap}) {
         const std::vector<Box> r_boxes = AlphabetBoxes(rc, &rng);
         const std::vector<Box> s_boxes = AlphabetBoxes(sc, &rng);
-        for (const bool r_leaf : {true, false}) {
-          for (const bool s_leaf : {true, false}) {
-            const PackedRTree r = NodeTree(r_boxes, r_leaf, r_cap);
-            const PackedRTree s = NodeTree(s_boxes, s_leaf, s_cap);
-            std::vector<NodePairTask> want_next, got_next;
-            JoinResult want_out, got_out;
-            uint64_t want_predicates = 0;
-            PairwiseNodePair(r, s, r.root(), s.root(), &want_next, &want_out,
-                             &want_predicates);
-            JoinStats stats;
-            JoinNodePair(r, s, r.root(), s.root(), &got_next, &got_out,
-                         &stats);
-            const std::string where =
-                "r_cap=" + std::to_string(r_cap) +
+        // The alphabet makes hits common: the case is not vacuous.
+        checked += ExpectNodePairMatchesPairwise(
+            r_boxes, s_boxes, r_cap, s_cap,
+            "r_cap=" + std::to_string(r_cap) +
                 " s_cap=" + std::to_string(s_cap) +
-                " rc=" + std::to_string(rc) + " sc=" + std::to_string(sc) +
-                " r_leaf=" + std::to_string(r_leaf) +
-                " s_leaf=" + std::to_string(s_leaf);
-            EXPECT_EQ(got_out.pairs(), want_out.pairs()) << where;
-            EXPECT_EQ(got_next, want_next) << where;
-            EXPECT_EQ(stats.predicate_evaluations, want_predicates) << where;
-            EXPECT_EQ(stats.tasks, 1u) << where;
-            EXPECT_EQ(stats.intermediate_pairs, want_next.size()) << where;
-            // The alphabet makes hits common: the case is not vacuous.
-            if (!want_out.empty() || !want_next.empty()) ++checked;
-          }
-        }
+                " rc=" + std::to_string(rc) + " sc=" + std::to_string(sc));
       }
     }
   }
   EXPECT_GT(checked, 300);
+}
+
+// Boxes of half-width 0.5 + i/64 about (cx, cy): all overlap each other.
+std::vector<Box> Overlapping(int n, Coord cx, Coord cy) {
+  std::vector<Box> boxes;
+  for (int i = 0; i < n; ++i) {
+    const Coord h = 0.5f + static_cast<Coord>(i) / 64;
+    boxes.push_back(Box(cx - h, cy - h, cx + h, cy + h));
+  }
+  return boxes;
+}
+
+// The MBR restriction at its edges. Leaf-leaf counts are pinned by hand:
+// rc + sc MBR tests plus live R x the block (S's survivors, or all of S
+// once more than 64 survive).
+TEST(JoinNodePair, MbrRestrictionEdgeCases) {
+  using Pairs = std::vector<ResultPair>;
+  JoinResult out;
+  JoinStats st;
+  // Both nodes of fan-out `cap`; `st` and `out` get the leaf-leaf join's.
+  const auto join = [&](const std::vector<Box>& r_boxes,
+                        const std::vector<Box>& s_boxes, int cap,
+                        const std::string& name) {
+    ExpectNodePairMatchesPairwise(r_boxes, s_boxes, cap, cap, name, &st,
+                                  &out);
+  };
+  // Node MBRs [0,0,1,3] and [1,0,2,3] touch along x = 1: one entry on
+  // each side reaches the edge, and they touch each other there.
+  join({Box(0, 0, 1, 1), Box(0, 2, 0.5f, 3)},
+       {Box(1, 0.5f, 2, 0.8f), Box(1.5f, 0, 2, 3)}, 16, "edge");
+  EXPECT_EQ(out.pairs(), (Pairs{{0, 0}}));
+  EXPECT_EQ(st.predicate_evaluations, 2u + 2u + 1u * 1u);
+  // Corner contact at (1, 1); -0.0 meets 0.0 at the origin.
+  join({Box(0, 0, 1, 1), Box(-1, -1, -0.0f, -0.0f), Box(-1, 0.5f, -0.5f, 1)},
+       {Box(1, 1, 2, 2), Box(1.5f, 1.5f, 3, 3), Box(0, -1, 0.5f, 0)}, 16,
+       "corner");
+  EXPECT_EQ(out.pairs(), (Pairs{{0, 0}, {0, 2}, {1, 2}}));
+  EXPECT_EQ(st.predicate_evaluations, 3u + 3u + 2u * 2u);
+  // R's entries sit at the corners of its MBR, around S's one box: S
+  // survives, no R entry does; the task counts and emits nothing.
+  join({Box(0, 0, 1, 1), Box(3, 3, 4, 4)}, {Box(1.5f, 1.5f, 2.5f, 2.5f)}, 16,
+       "no R survivor");
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(st.predicate_evaluations, 2u + 1u);
+  // The mirror case, and node MBRs that are disjoint.
+  join({Box(1.5f, 1.5f, 2.5f, 2.5f)}, {Box(0, 0, 1, 1), Box(3, 3, 4, 4)}, 16,
+       "no S survivor");
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(st.predicate_evaluations, 1u + 2u + 1u * 0u);
+  join({Box(0, 0, 1, 1)}, {Box(5, 5, 6, 6)}, 16, "disjoint");
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(st.predicate_evaluations, 2u);
+
+  // All-overlap at fan-out 200: every entry survives and all 150 x 200
+  // pairs hit; 200 S survivors exceed the 64-slot block, so the probes
+  // read the S node in place.
+  join(Overlapping(150, 5, 5), Overlapping(200, 5, 5), 200, "all overlap");
+  EXPECT_EQ(out.size(), 150u * 200u);
+  EXPECT_EQ(st.predicate_evaluations, 150u + 200u + 150u * 200u);
+  // Either side of the block's capacity: 64 S survivors fill it, 65 do
+  // not fit and the block is all 75 S entries.
+  for (const int live : {64, 65}) {
+    std::vector<Box> s_boxes = Overlapping(live, 5, 5);
+    for (int i = 0; i < 10; ++i) {
+      s_boxes.insert(s_boxes.begin() + 3 * i, Box(100 + i, 100, 101 + i, 101));
+    }
+    join(Overlapping(20, 5, 5), s_boxes, 200,
+         "live S " + std::to_string(live));
+    EXPECT_EQ(out.size(), 20u * live);
+    const uint64_t block = live <= 64 ? live : s_boxes.size();
+    EXPECT_EQ(st.predicate_evaluations, 20u + s_boxes.size() + 20u * block);
+  }
+
+  // Coincident clumps: stacks of one box and of one point, on both sides,
+  // beside a few boxes that survive or not.
+  std::vector<Box> r_boxes, s_boxes;
+  for (int i = 0; i < 12; ++i) {
+    r_boxes.push_back(Box(2, 2, 3, 3));
+    s_boxes.push_back(Box(2.5f, 2.5f, 2.5f, 2.5f));
+  }
+  r_boxes.insert(r_boxes.begin() + 5, Box(9, 9, 10, 10));
+  s_boxes.insert(s_boxes.begin() + 7, Box(3, 3, 3, 3));
+  s_boxes.push_back(Box(-5, 2, -4, 3));
+  join(r_boxes, s_boxes, 16, "clumps");
+  EXPECT_EQ(out.size(), 12u * 13u);
+  EXPECT_EQ(st.predicate_evaluations, 13u + 14u + 12u * 13u);
+  // One point, repeated, against itself: the node MBRs are that point.
+  const std::vector<Box> points(16, Box(4, 4, 4, 4));
+  join(points, points, 16, "point clump");
+  EXPECT_EQ(out.size(), 16u * 16u);
+  EXPECT_EQ(st.predicate_evaluations, 16u + 16u + 16u * 16u);
 }
 
 // Serial DFS and BFS over the block join emit exactly the pairwise
@@ -176,14 +305,18 @@ TEST(JoinNodePair, SerialTraversalsEqualPairwiseLoopsPairForPair) {
   const Dataset polys = testutil::Uniform(800, 77, 1000.0, /*max_edge=*/25.0);
   const PackedRTree rt = Tree(points), st = Tree(polys);
   for (const bool bfs : {false, true}) {
-    uint64_t predicates = 0;
+    PredicateCounts predicates;
     const JoinResult want = PairwiseTraversal(rt, st, bfs, &predicates);
     JoinStats stats;
     const JoinResult got =
         bfs ? SyncTraversalBfs(rt, st, &stats) : SyncTraversalDfs(rt, st, &stats);
     ASSERT_GT(want.size(), 0u);
     EXPECT_EQ(got.pairs(), want.pairs()) << (bfs ? "BFS" : "DFS");
-    EXPECT_EQ(stats.predicate_evaluations, predicates) << (bfs ? "BFS" : "DFS");
+    EXPECT_EQ(stats.predicate_evaluations, predicates.restricted)
+        << (bfs ? "BFS" : "DFS");
+    // The restriction is not vacuous on point-in-polygon trees.
+    EXPECT_LT(predicates.restricted, predicates.full / 2)
+        << (bfs ? "BFS" : "DFS");
   }
 }
 
@@ -238,19 +371,20 @@ TEST(SyncTraversal, DifferentHeights) {
 
   // Mixed-height tasks test one MBR against the directory side's entries
   // and count exactly those tests, in both argument orders, as the
-  // simulated join unit does.
+  // simulated join unit does; its equal-height tasks test every pair, the
+  // CPU's only the survivors of the MBR restriction.
   for (const bool big_first : {true, false}) {
     const PackedRTree& r = big_first ? bt : st;
     const PackedRTree& s = big_first ? st : bt;
-    uint64_t walked = 0;
+    PredicateCounts walked;
     PairwiseTraversal(r, s, /*bfs=*/false, &walked);
     JoinStats dfs_stats, bfs_stats;
     SyncTraversalDfs(r, s, &dfs_stats);
     SyncTraversalBfs(r, s, &bfs_stats);
     const hw::AcceleratorReport device = hw::Accelerator().RunSyncTraversal(r, s);
-    EXPECT_EQ(dfs_stats.predicate_evaluations, walked) << big_first;
-    EXPECT_EQ(bfs_stats.predicate_evaluations, walked) << big_first;
-    EXPECT_EQ(device.stats.predicate_evaluations, walked) << big_first;
+    EXPECT_EQ(dfs_stats.predicate_evaluations, walked.restricted) << big_first;
+    EXPECT_EQ(bfs_stats.predicate_evaluations, walked.restricted) << big_first;
+    EXPECT_EQ(device.stats.predicate_evaluations, walked.full) << big_first;
   }
 }
 
@@ -266,10 +400,12 @@ bool HasUnderFullNode(const PackedRTree& t) {
 
 // The CPU traversals (serial DFS and BFS, parallel BFS-DFS) and the
 // simulated device read one node image and must visit the same node pairs:
-// equal pair multisets (the brute-force join's), task counts and predicate
-// counts, at fan-outs on both sides of the 4- and 8-lane groups and of one
-// mask word, for trees of equal and of different heights (in both argument
-// orders), every tree holding under-full nodes.
+// equal pair multisets (the brute-force join's) and task and intermediate
+// pair counts. The CPU traversals count the restricted pairwise tests, the
+// device every pairwise test, both exactly. At fan-outs on both sides of
+// the 4- and 8-lane groups and of one mask word, for trees of equal and of
+// different heights (in both argument orders), every tree holding
+// under-full nodes.
 TEST(SyncTraversal, CpuAndDeviceTraversalsAgree) {
   // 1499 is prime, so every fan-out leaves an under-full leaf.
   const Dataset big_r = testutil::Uniform(1499, 90, 1000.0, /*max_edge=*/20.0);
@@ -313,12 +449,15 @@ TEST(SyncTraversal, CpuAndDeviceTraversalsAgree) {
       EXPECT_TRUE(JoinResult::SameMultiset(expected, device)) << where;
       for (const JoinStats* other : {&bfs_stats, &par_stats, &report.stats}) {
         EXPECT_EQ(other->tasks, dfs_stats.tasks) << where;
-        EXPECT_EQ(other->predicate_evaluations,
-                  dfs_stats.predicate_evaluations)
-            << where;
         EXPECT_EQ(other->intermediate_pairs, dfs_stats.intermediate_pairs)
             << where;
       }
+      PredicateCounts walked;
+      PairwiseTraversal(r, s, /*bfs=*/false, &walked);
+      for (const JoinStats* cpu : {&dfs_stats, &bfs_stats, &par_stats}) {
+        EXPECT_EQ(cpu->predicate_evaluations, walked.restricted) << where;
+      }
+      EXPECT_EQ(report.stats.predicate_evaluations, walked.full) << where;
     }
   }
 }
